@@ -158,8 +158,8 @@ def cmd_gap_exact(args) -> int:
     graph = _graph_from_args(args)
     results = []
     for om in _omega_range(args.omega_range):
-        gap, kappa, dim = discrete.exact_gap(model, graph, om)
-        results.append(reporting.exact_record(args.model, graph, om, gap, kappa, dim))
+        gap, kappa, dim, solve = discrete.exact_solve(model, graph, om)
+        results.append(reporting.exact_record(args.model, graph, om, gap, kappa, dim, solve))
     _emit(args, "gap-exact", results, ["pairwise generator, exact diagonalization"])
     return 0
 

@@ -1,20 +1,39 @@
 """Exact generators and spectra for integer-valued configuration spaces.
 
-Enumerates the conditioned state space, builds dense generator matrices for
-the particle-jump and conditional-average dynamics on any interaction graph,
-and diagonalizes their symmetrized forms.  Also hosts the one-dimensional
-conditional kernel matrices used for the three-site reduction of the
-zero-range family.
+Enumerates the conditioned state space in lexicographic order and ranks
+compositions arithmetically (combinatorial number system), so every pair
+move is computed for a whole edge at once.  The particle-jump and
+conditional-average generators are assembled directly as CSR matrices and
+symmetrized in sparse form; no n-by-n dense array is allocated except by an
+explicit `spectrum()` or `toarray()`.  One solve serves all spectral entry
+points: LAPACK `eigh` up to 400 states, ARPACK `eigsh` (implicitly restarted
+Lanczos) on the sparse symmetrized generator above, with the zero-mode
+multiplicity taken from the connected components of the generator's pattern
+and the eigenpair residual recorded on the generator.
+
+Before enumerating, `exact_gap` and `build_generator` estimate the stored
+entries (zero-range n(1 + 2|E|), simple-average n + |E| n (1 + 2 omega / V))
+and the bytes they need, and raise `TooLargeError` when that exceeds the
+machine's physical memory.  Measured reach on a 2-core, 7.8 GB machine
+(scripts/reach.py, recorded in BENCH_2.json): zero-range with linear rates
+on K4 at 50,116 states solves in under 1 s with 112 MB peak RSS, and at
+508,080 states (6.5M stored entries) in 18-24 s with 540 MB, where one
+dense float64 n-by-n matrix alone would take 20 GB and 2 TB.
+
+Also hosts the one-dimensional conditional kernel matrices used for the
+three-site reduction of the zero-range family.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -22,20 +41,26 @@ from .models import InteractionGraph, ModelSpec, RateFunction, build_graph
 
 #: hard cap on enumerated state spaces
 STATE_CAP = 2_000_000
-#: absolute threshold separating the zero mode from the gap
+#: the gap must exceed this; anything below it is an unexplained zero mode
 ZERO_TOL = 1e-8
 #: eigenvalues of the negated symmetrized generator below this are a bug
 PSD_TOL = -1e-9
-#: switch from dense full diagonalization to iterative extremal solves
-DENSE_LIMIT = 4000
+#: upper estimate of the peak bytes per stored generator entry while
+#: assembling, symmetrizing and solving: COO triplets and their concatenation,
+#: L, S, S^T and S + S^T (measured: ~75 at 6.5M entries)
+_BYTES_PER_NNZ = 100
+#: upper estimate of the peak bytes per state beyond the generator: the state
+#: table (per site), the weights and the Lanczos basis (per state)
+_BYTES_PER_STATE_SITE = 16
+_BYTES_PER_STATE = 320
 
 
 class TooLargeError(ValueError):
-    """State space exceeds the enumeration cap; use the Monte Carlo route."""
+    """State space exceeds the enumeration cap or memory; use the Monte Carlo route."""
 
 
 # ---------------------------------------------------------------------------
-# state enumeration and stationary weights
+# state enumeration, ranking and stationary weights
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -45,13 +70,25 @@ class StateSet:
     n_sites: int
     omega: int
     states: np.ndarray          # (n, n_sites) int64, lexicographic
-    index: dict                 # tuple(config) -> row
 
     def __len__(self) -> int:
         return self.states.shape[0]
 
+    @cached_property
+    def index(self) -> dict:
+        """tuple(config) -> row, built on first use."""
+        return {tuple(row): i for i, row in enumerate(self.states.tolist())}
+
+    @cached_property
+    def binomials(self) -> np.ndarray:
+        """binomials[r, p] = C(r + p, p): compositions of r into p + 1 parts."""
+        B = np.ones((self.omega + 1, self.n_sites), dtype=np.int64)
+        for p in range(1, self.n_sites):
+            B[:, p] = np.cumsum(B[:, p - 1])
+        return B
+
     def position(self, config) -> int:
-        return self.index[tuple(int(v) for v in config)]
+        return int(rank_states(self, [config])[0])
 
 
 def state_count(V: int, omega: int) -> int:
@@ -69,23 +106,33 @@ def enumerate_states(V: int, omega: int, cap: int = STATE_CAP) -> StateSet:
         raise TooLargeError(
             f"{n} states for (V={V}, omega={omega}) exceeds the cap {cap}; "
             "this regime is for the Monte Carlo estimators (gap-mc)")
-    out = np.empty((n, V), dtype=np.int64)
-    row = 0
+    # stars and bars: lexicographic bar positions give lexicographic compositions
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(omega + V - 1), V - 1)),
+        dtype=np.int64, count=n * (V - 1)).reshape(n, V - 1)
+    fences = np.empty((n, V + 1), dtype=np.int64)
+    fences[:, 0] = -1
+    fences[:, 1:V] = bars
+    fences[:, V] = omega + V - 1
+    return StateSet(V, omega, np.diff(fences, axis=1) - 1)
 
-    def rec(prefix, rem, depth):
-        nonlocal row
-        if depth == V - 1:
-            out[row, :depth] = prefix[:depth]
-            out[row, depth] = rem
-            row += 1
-            return
-        for k in range(rem + 1):
-            prefix[depth] = k
-            rec(prefix, rem - k, depth + 1)
 
-    rec(np.zeros(V, dtype=np.int64), omega, 0)
-    index = {tuple(int(v) for v in out[i]): i for i in range(n)}
-    return StateSet(V, omega, out, index)
+def rank_states(states: StateSet, configs) -> np.ndarray:
+    """Lexicographic rows of an (m, V) array of compositions of `states.omega`.
+
+    Row = sum_j [C(r_j + p_j, p_j) - C(r_j - a_j + p_j, p_j)] with p_j = V - j - 1
+    and r_j the total still left before site j: the j-th term counts the
+    compositions that agree with a before site j and put less than a_j there.
+    """
+    a = np.asarray(configs, dtype=np.int64)
+    if a.ndim != 2 or a.shape[1] != states.n_sites:
+        raise ValueError(f"need an (m, {states.n_sites}) array, got shape {a.shape}")
+    if (a < 0).any() or (a.sum(axis=1) != states.omega).any():
+        raise ValueError(f"configurations must be nonnegative and sum to {states.omega}")
+    left = states.omega - np.cumsum(a, axis=1) + a
+    p = np.arange(states.n_sites - 1, -1, -1)
+    B = states.binomials
+    return (B[left, p] - B[left - a, p]).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -110,7 +157,7 @@ def stationary_weights(g: RateFunction, states: StateSet) -> Measure:
     """
     if len(states) == 0:
         raise ValueError("empty state set")
-    lgf = np.array([g.log_factorial(k) for k in range(states.omega + 1)])
+    lgf = g.log_factorials(states.omega)
     logw = -lgf[states.states].sum(axis=1)
     logw -= logw.max()
     w = np.exp(logw)
@@ -134,71 +181,107 @@ def apply_exchange(config, x: int, y: int):
 # generator matrices
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SolveReport:
+    """How the last spectral solve of a generator was computed."""
+
+    solver: str          # "dense" (LAPACK eigh) or "eigsh" (ARPACK Lanczos)
+    nnz: int             # stored entries of L
+    residual: float      # max ||S v - lambda v|| over the eigenpairs used
+    zero_modes: int      # connected components of L's pattern
+
+
 @dataclass
 class GeneratorMatrix:
-    """Dense generator L over a StateSet with its reversible measure.
+    """Sparse generator L over a StateSet with its reversible measure.
 
     The symmetrized form S = D^{1/2} L D^{-1/2} (D = diag weights) is what
-    gets diagonalized; reversibility makes S symmetric.
+    gets diagonalized; reversibility makes S symmetric.  Each spectral entry
+    point records how it solved in `solve_report`.
     """
 
-    L: np.ndarray
+    L: scipy.sparse.csr_matrix
     measure: Measure
     label: str = ""
+    solve_report: Optional[SolveReport] = None
 
     @property
     def dim(self) -> int:
         return self.L.shape[0]
 
-    def symmetrized(self) -> np.ndarray:
+    def _scaled(self) -> scipy.sparse.csr_matrix:
+        """D^{1/2} L D^{-1/2}, entry by entry."""
+        L = self.L
         d = np.sqrt(self.measure.weights)
-        S = (d[:, None] * self.L) / d[None, :]
+        rows = np.repeat(np.arange(self.dim), np.diff(L.indptr))
+        data = (d[rows] * L.data) / d[L.indices]
+        return scipy.sparse.csr_matrix((data, L.indices, L.indptr), shape=L.shape)
+
+    def symmetrized(self) -> scipy.sparse.csr_matrix:
+        S = self._scaled()
         return 0.5 * (S + S.T)
 
     def symmetry_residual(self) -> float:
-        d = np.sqrt(self.measure.weights)
-        S = (d[:, None] * self.L) / d[None, :]
-        return float(np.abs(S - S.T).max())
+        S = self._scaled()
+        return float(abs(S - S.T).max())
 
     def row_sum_residual(self) -> float:
         return float(np.abs(self.L.sum(axis=1)).max())
 
     def spectrum(self) -> np.ndarray:
-        """All eigenvalues of -S, ascending."""
-        return np.linalg.eigvalsh(-self.symmetrized())
+        """All eigenvalues of -S, ascending (dense: small instances only)."""
+        return np.linalg.eigvalsh(-self.symmetrized().toarray())
+
+
+def _csr(n: int, rows: list, cols: list, vals: list, diag: np.ndarray) -> scipy.sparse.csr_matrix:
+    """CSR matrix from disjoint off-diagonal triplets plus a diagonal; zeros dropped."""
+    on = np.arange(n)
+    M = scipy.sparse.csr_matrix(
+        (np.concatenate([*vals, diag]), (np.concatenate([*rows, on]), np.concatenate([*cols, on]))),
+        shape=(n, n))
+    M.eliminate_zeros()
+    return M
+
+
+def _pair_blocks(states: StateSet, weights: np.ndarray, x: int, y: int):
+    """(rows, cols, vals) of the conditional average over the pair (x, y), 0-based sites.
+
+    States that agree off the pair form a block; every row of a block is the
+    weights on the block, normalized.  Blocks are grouped by the pair total t,
+    each represented by its state with t on y.
+    """
+    S = states.states
+    reps = np.flatnonzero(S[:, x] == 0)
+    totals = S[reps, y]
+    rows, cols, vals = [], [], []
+    for t in np.unique(totals):
+        base = S[reps[totals == t]]
+        m, size = len(base), int(t) + 1
+        split = np.tile(np.arange(size), m)
+        members = np.repeat(base, size, axis=0)
+        members[:, x] = split
+        members[:, y] = t - split
+        T = rank_states(states, members).reshape(m, size)
+        W = weights[T]
+        P = W / W.sum(axis=1, keepdims=True)
+        rows.append(np.repeat(T, size, axis=1).ravel())
+        cols.append(np.tile(T, (1, size)).ravel())
+        vals.append(np.tile(P, (1, size)).ravel())
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def pair_average_matrix(states: StateSet, measure: Measure, x: int, y: int) -> scipy.sparse.csr_matrix:
     """Stochastic matrix of the conditional average over the pair (x, y), 0-based sites."""
     n = len(states)
-    rows, cols, vals = [], [], []
-    w = measure.weights
-    for i in range(n):
-        s = states.states[i]
-        tot = int(s[x] + s[y])
-        targets = []
-        t = s.copy()
-        for a in range(tot + 1):
-            t[x] = a
-            t[y] = tot - a
-            targets.append(states.index[tuple(int(v) for v in t)])
-        pw = w[targets]
-        pw = pw / pw.sum()
-        rows.extend([i] * len(targets))
-        cols.extend(targets)
-        vals.extend(pw.tolist())
+    rows, cols, vals = _pair_blocks(states, measure.weights, x, y)
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def exchange_permutation(states: StateSet, x: int, y: int) -> np.ndarray:
     """Row permutation of the state index under swapping sites x and y (0-based)."""
-    n = len(states)
-    perm = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        s = states.states[i].copy()
-        s[x], s[y] = s[y], s[x]
-        perm[i] = states.index[tuple(int(v) for v in s)]
-    return perm
+    swapped = states.states.copy()
+    swapped[:, [x, y]] = swapped[:, [y, x]]
+    return rank_states(states, swapped)
 
 
 def build_simple_average_generator(graph: InteractionGraph, states: StateSet,
@@ -208,13 +291,24 @@ def build_simple_average_generator(graph: InteractionGraph, states: StateSet,
         raise ValueError(
             f"state set has {states.n_sites} sites but graph has {graph.n_sites}")
     n = len(states)
-    L = np.zeros((n, n))
     scale = graph.pair_scaling
+    diag = np.zeros(n)
+    rows, cols, vals = [], [], []
     for (x, y) in graph.edges:
-        E = pair_average_matrix(states, measure, x, y)
-        L += scale * E.toarray()
-        L[np.diag_indices(n)] -= scale
-    return GeneratorMatrix(L, measure, label="simple-average")
+        r, c, v = _pair_blocks(states, measure.weights, x, y)
+        on = r == c
+        stay = np.empty(n)
+        stay[r[on]] = v[on]
+        # add scale * E_ii, then subtract scale, edge by edge: this order fixes
+        # L's rounding, and with it the eigenvectors picked inside degenerate
+        # eigenspaces that the Monte Carlo checks use as observables
+        diag = diag + scale * stay
+        diag = diag - scale
+        off = ~on
+        rows.append(r[off])
+        cols.append(c[off])
+        vals.append(scale * v[off])
+    return GeneratorMatrix(_csr(n, rows, cols, vals, diag), measure, label="simple-average")
 
 
 def build_zero_range_generator(graph: InteractionGraph, states: StateSet,
@@ -224,28 +318,60 @@ def build_zero_range_generator(graph: InteractionGraph, states: StateSet,
         raise ValueError(
             f"state set has {states.n_sites} sites but graph has {graph.n_sites}")
     n = len(states)
-    L = np.zeros((n, n))
     scale = graph.pair_scaling
     gv = np.array([g(k) if k > 0 else 0.0 for k in range(states.omega + 1)])
-    for i in range(n):
-        s = states.states[i]
-        for (x, y) in graph.edges:
-            for (u, v) in ((x, y), (y, x)):
-                if s[u] > 0:
-                    r = scale * gv[s[u]]
-                    t = s.copy()
-                    t[u] -= 1
-                    t[v] += 1
-                    L[i, states.index[tuple(int(q) for q in t)]] += r
-                    L[i, i] -= r
+    S = states.states
+    diag = np.zeros(n)
+    rows, cols, vals = [], [], []
+    for (x, y) in graph.edges:
+        for (u, v) in ((x, y), (y, x)):
+            src = np.flatnonzero(S[:, u] > 0)
+            rate = scale * gv[S[src, u]]
+            moved = S[src]
+            moved[:, u] -= 1
+            moved[:, v] += 1
+            rows.append(src)
+            cols.append(rank_states(states, moved))
+            vals.append(rate)
+            diag[src] -= rate
     measure = stationary_weights(g, states)
-    return GeneratorMatrix(L, measure, label="zero-range")
+    return GeneratorMatrix(_csr(n, rows, cols, vals, diag), measure, label="zero-range")
+
+
+def estimated_nnz(model: ModelSpec, graph: InteractionGraph, omega: int) -> int:
+    """Stored entries of the exact generator, from the sizes alone.
+
+    A jump changes two sites, so zero-range has at most 2|E| targets per state;
+    a pair average reaches every split of the pair total, 1 + 2 omega / V on
+    average over the states.
+    """
+    n = state_count(graph.n_sites, omega)
+    E = len(graph.edges)
+    if model.family == "zero-range":
+        return n * (1 + 2 * E)
+    return n + math.ceil(E * n * (1 + 2 * omega / graph.n_sites))
+
+
+def _preflight(model: ModelSpec, graph: InteractionGraph, omega: int) -> None:
+    """Refuse, before anything is allocated, an instance that cannot fit in memory."""
+    n = state_count(graph.n_sites, omega)
+    nnz = estimated_nnz(model, graph, omega)
+    need = (_BYTES_PER_NNZ * nnz
+            + n * (_BYTES_PER_STATE + _BYTES_PER_STATE_SITE * graph.n_sites))
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise TooLargeError(
+            f"{model.family} on {graph.n_sites} sites at omega={omega}: {n} states and "
+            f"about {nnz} stored entries need about {need / 2**30:.1f} GiB, more than "
+            f"the {have / 2**30:.1f} GiB of physical memory; use the Monte Carlo "
+            "estimators (gap-mc)")
 
 
 def build_generator(model: ModelSpec, graph: InteractionGraph, states: StateSet) -> GeneratorMatrix:
     """Dispatch on the (discrete) model family."""
     if not model.is_discrete:
         raise ValueError(f"exact generators need a discrete family, got {model.family}")
+    _preflight(model, graph, states.omega)
     if model.family == "zero-range":
         return build_zero_range_generator(graph, states, model.g)
     measure = stationary_weights(model.g, states)
@@ -256,86 +382,89 @@ def build_generator(model: ModelSpec, graph: InteractionGraph, states: StateSet)
 # spectra
 # ---------------------------------------------------------------------------
 
-def _extreme_eigs(S: np.ndarray, want_low: bool) -> tuple[float, float, Optional[float]]:
-    """(top, second-from-top, bottom or None) eigenvalues of the symmetric S."""
-    n = S.shape[0]
-    if n <= DENSE_LIMIT:
-        if n <= 400:
-            ev = np.linalg.eigvalsh(S)
-        else:
-            ev = scipy.linalg.eigh(S, eigvals_only=True,
-                                   subset_by_index=[n - 2, n - 1])
-            if want_low:
-                low = scipy.linalg.eigh(S, eigvals_only=True, subset_by_index=[0, 0])
-                ev = np.concatenate([low, ev])
-        top, second = ev[-1], ev[-2]
-        bottom = ev[0] if want_low else None
-        return float(top), float(second), (float(bottom) if bottom is not None else None)
-    Ssp = scipy.sparse.csr_matrix(S)
-    hi = scipy.sparse.linalg.eigsh(Ssp, k=2, which="LA", return_eigenvectors=False, tol=1e-11)
-    hi = np.sort(hi)
-    bottom = None
-    if want_low:
-        lo = scipy.sparse.linalg.eigsh(Ssp, k=1, which="SA", return_eigenvectors=False, tol=1e-11)
-        bottom = float(lo[0])
-    return float(hi[-1]), float(hi[-2]), bottom
+def _solve(gen: GeneratorMatrix, zero_tol: float, want_kappa: bool):
+    """(gap, top eigenvalue, gap eigenvector) of -S; records `gen.solve_report`.
+
+    The zero eigenvalue has one mode per connected component of L's pattern,
+    so the gap is the (components + 1)-th eigenvalue of -S from the bottom.
+    The top eigenvalue is computed only when `want_kappa` or when it is free.
+    """
+    # imported here, not with the module: csgraph adds ~1 MB and its import
+    # time to every process that imports gaplab, most of which never solve
+    from scipy.sparse.csgraph import connected_components
+
+    n = gen.dim
+    zero_modes = connected_components(gen.L, directed=False)[0]
+    if zero_modes >= n:
+        gen.solve_report = SolveReport("dense", gen.L.nnz, 0.0, zero_modes)
+        return math.inf, math.inf, None
+    S = gen.symmetrized()
+    if n <= 400:
+        solver = "dense"
+        ev, U = np.linalg.eigh(-S.toarray())
+        picked = [*range(zero_modes + 1), n - 1]
+        lam, vec = -ev[picked], U[:, picked]
+        top, gap, kappa, v = -ev[0], ev[zero_modes], ev[-1], U[:, zero_modes]
+    else:
+        solver = "eigsh"
+        # a fixed generic start vector: reproducible, and never the zero mode
+        v0 = np.random.default_rng(0).standard_normal(n)
+        lam, vec = scipy.sparse.linalg.eigsh(S, k=zero_modes + 1, which="LA", v0=v0, tol=1e-11)
+        low = int(np.argmin(lam))
+        top, gap, kappa, v = lam.max(), -lam[low], math.inf, vec[:, low]
+        if want_kappa:
+            bottom, bottom_vec = scipy.sparse.linalg.eigsh(S, k=1, which="SA", v0=v0, tol=1e-11)
+            kappa = -bottom[0]
+            lam, vec = np.concatenate([lam, bottom]), np.hstack([vec, bottom_vec])
+    residual = float(np.linalg.norm(S @ vec - vec * lam, axis=0).max())
+    gen.solve_report = SolveReport(solver, gen.L.nnz, residual, zero_modes)
+    if top > -PSD_TOL:
+        raise ArithmeticError(
+            f"generator is not negative semidefinite: max eigenvalue {top:.3e}")
+    if gap <= zero_tol:
+        raise ArithmeticError(
+            f"eigenvalue {gap:.3e} after {zero_modes} zero mode(s) is not above "
+            f"{zero_tol:.1e}: more zero modes than connected components")
+    return float(gap), float(kappa), v
 
 
 def spectral_gap(gen: GeneratorMatrix, zero_tol: float = ZERO_TOL) -> float:
-    """Smallest eigenvalue of the negated symmetrized generator above `zero_tol`.
+    """Smallest eigenvalue of the negated symmetrized generator above its zero modes.
 
     Returns +inf on a one-point state space (Dirac convention).
     Raises if the generator fails nonnegativity, which signals a construction bug.
     """
-    if gen.dim == 1:
-        return math.inf
-    S = gen.symmetrized()
-    top, second, _ = _extreme_eigs(S, want_low=False)
-    if top > -PSD_TOL:
-        raise ArithmeticError(
-            f"generator is not negative semidefinite: max eigenvalue {top:.3e}")
-    gap = -second
-    if gap <= zero_tol:
-        # fully degenerate block structure; fall back to the full spectrum
-        ev = np.linalg.eigvalsh(-S)
-        nz = ev[ev > zero_tol]
-        return float(nz.min()) if len(nz) else math.inf
-    return float(gap)
+    return _solve(gen, zero_tol, want_kappa=False)[0]
 
 
 def gap_and_kappa(gen: GeneratorMatrix, zero_tol: float = ZERO_TOL) -> tuple[float, float]:
     """(spectral gap, largest eigenvalue) of the negated symmetrized generator."""
-    if gen.dim == 1:
-        return math.inf, math.inf
-    S = gen.symmetrized()
-    top, second, bottom = _extreme_eigs(S, want_low=True)
-    if top > -PSD_TOL:
-        raise ArithmeticError(
-            f"generator is not negative semidefinite: max eigenvalue {top:.3e}")
-    return float(-second), float(-bottom)
+    gap, kappa, _ = _solve(gen, zero_tol, want_kappa=True)
+    return gap, kappa
 
 
 def gap_eigenfunction(gen: GeneratorMatrix, zero_tol: float = ZERO_TOL) -> tuple[float, np.ndarray]:
     """Gap eigenvalue and its eigenfunction as a table over states (unit variance)."""
-    S = gen.symmetrized()
-    ev, U = np.linalg.eigh(-S)
-    nz = np.where(ev > zero_tol)[0]
-    if len(nz) == 0:
+    gap, _, v = _solve(gen, zero_tol, want_kappa=False)
+    if v is None:
         raise ArithmeticError("no nonzero mode found")
-    i = nz[0]
-    f = U[:, i] / np.sqrt(gen.measure.weights)
-    return float(ev[i]), f
+    return gap, v / np.sqrt(gen.measure.weights)
+
+
+def exact_solve(model: ModelSpec, graph: InteractionGraph, omega: int,
+                cap: int = STATE_CAP) -> tuple[float, float, int, SolveReport]:
+    """(gap, kappa, dimension, solve report) for a discrete model on a graph at total omega."""
+    _preflight(model, graph, omega)
+    states = enumerate_states(graph.n_sites, omega, cap=cap)
+    gen = build_generator(model, graph, states)
+    gap, kappa = gap_and_kappa(gen)
+    return gap, kappa, len(states), gen.solve_report
 
 
 def exact_gap(model: ModelSpec, graph: InteractionGraph, omega: int,
               cap: int = STATE_CAP) -> tuple[float, float, int]:
     """(gap, kappa, dimension) for a discrete model on a graph at total omega."""
-    states = enumerate_states(graph.n_sites, omega, cap=cap)
-    if len(states) == 1:
-        return math.inf, math.inf, 1
-    gen = build_generator(model, graph, states)
-    gap, kappa = gap_and_kappa(gen)
-    return gap, kappa, len(states)
+    return exact_solve(model, graph, omega, cap)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +545,7 @@ def kernel_matrix(g: RateFunction, n: int) -> KernelMatrix:
     """
     if n < 1:
         raise ValueError("kernel size must be >= 1")
-    lgf = np.array([g.log_factorial(k) for k in range(n)])
+    lgf = g.log_factorials(n - 1)
     K = np.zeros((n, n))
     log_norm = np.empty(n)
     for i in range(1, n + 1):

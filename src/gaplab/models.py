@@ -8,6 +8,7 @@ polynomial and Monte Carlo engines all consume these definitions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +49,13 @@ class RateFunction:
 
     def log_factorial(self, k: int) -> float:
         """log(g(k)!) = sum_{j<=k} log g(j), with g(0)! = 1."""
-        return sum(math.log(self(j)) for j in range(1, k + 1))
+        return float(self.log_factorials(k)[k])
+
+    def log_factorials(self, k_max: int) -> np.ndarray:
+        """Table of log(g(k)!) for k = 0..k_max, summed left to right in one pass."""
+        logs = (math.log(self(j)) for j in range(1, k_max + 1))
+        return np.fromiter(itertools.accumulate(logs, initial=0.0), dtype=float,
+                           count=k_max + 1)
 
 
 G_CONSTANT_ONE = RateFunction("constant-one", lambda k: 1.0)

@@ -28,8 +28,8 @@ def _scalar(v):
     return v
 
 
-def exact_record(model: str, graph, omega, gap, kappa=None, dim=None) -> dict:
-    """Record for an exact diagonalization result."""
+def exact_record(model: str, graph, omega, gap, kappa, dim, solve) -> dict:
+    """Record for an exact diagonalization result; `solve` is its discrete.SolveReport."""
     return {
         "model": model,
         "graph": {"kind": graph.kind, "d": graph.d, "N": graph.N},
@@ -38,6 +38,9 @@ def exact_record(model: str, graph, omega, gap, kappa=None, dim=None) -> dict:
         "kappa": _scalar(kappa),
         "dim": dim,
         "method": "exact",
+        "solver": solve.solver,
+        "nnz": solve.nnz,
+        "eig_residual": solve.residual,
     }
 
 

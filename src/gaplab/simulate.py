@@ -185,9 +185,8 @@ class _Dynamics:
     def _pair_pmf(self, s: int) -> np.ndarray:
         pmf = self._pmf_cache.get(s)
         if pmf is None:
-            g = self.model.g
-            lw = np.array([-(g.log_factorial(a) + g.log_factorial(s - a))
-                           for a in range(s + 1)])
+            lgf = self.model.g.log_factorials(s)
+            lw = -(lgf + lgf[::-1])
             lw -= lw.max()
             pmf = np.exp(lw)
             pmf /= pmf.sum()

@@ -40,6 +40,18 @@ class TestGapCommands:
             assert rec["method"] == "exact"
             assert rec["graph"] == {"kind": "complete", "d": 1, "N": 3}
 
+    def test_exact_records_solver_provenance(self, tmp_path):
+        code, doc = run_json(["gap-exact", "--model", "zero-range", "--g", "identity",
+                              "--N", "3", "--omega", "2,30"], tmp_path)
+        assert code == 0
+        small, large = doc["results"]
+        assert (small["dim"], small["solver"]) == (6, "dense")
+        assert (large["dim"], large["solver"]) == (496, "eigsh")
+        for rec in (small, large):
+            assert rec["gap"] == pytest.approx(1.0, abs=1e-8)
+            assert rec["nnz"] > rec["dim"]
+            assert 0.0 <= rec["eig_residual"] < 1e-9
+
     def test_exact_csv_columns(self, tmp_path):
         out = tmp_path / "gaps.csv"
         code = main(["gap-exact", "--model", "simple-average", "--g", "constant-one",

@@ -3,18 +3,22 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab.discrete import (TooLargeError, build_simple_average_generator,
+import gaplab.discrete as discrete
+from gaplab.discrete import (TooLargeError, build_generator,
+                             build_simple_average_generator,
                              build_zero_range_generator, enumerate_states,
-                             exact_gap, kernel_matrix,
+                             estimated_nnz, exact_gap, exchange_permutation,
+                             gap_and_kappa, gap_eigenfunction, kernel_matrix,
                              kernel_spectrum_extremes, lsv_condition_check,
-                             apply_exchange, pair_average_matrix, spectral_gap,
-                             stationary_weights, two_site_spectrum)
-from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, ModelSpec, RateFunction,
-                           build_graph)
+                             apply_exchange, pair_average_matrix, rank_states,
+                             spectral_gap, stationary_weights, two_site_spectrum)
+from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, InteractionGraph,
+                           ModelSpec, RateFunction, build_graph)
 
 GK = G_IDENTITY
 G1 = G_CONSTANT_ONE
@@ -37,6 +41,26 @@ class TestEnumerateStates:
     def test_cap(self):
         with pytest.raises(TooLargeError):
             enumerate_states(30, 30, cap=1000)
+
+    @given(V=st.integers(1, 5), omega=st.integers(0, 7), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rank_round_trip_and_exchange_involution(self, V, omega, data):
+        s = enumerate_states(V, omega)
+        n = len(s)
+        assert np.array_equal(rank_states(s, s.states), np.arange(n))
+        x = data.draw(st.integers(0, V - 1))
+        y = data.draw(st.integers(0, V - 1))
+        perm = exchange_permutation(s, x, y)
+        assert np.array_equal(perm[perm], np.arange(n))
+        for i in range(n):
+            assert perm[i] == s.index[apply_exchange(tuple(s.states[i]), x + 1, y + 1)]
+
+    def test_rank_rejects_foreign_configurations(self):
+        s = enumerate_states(3, 2)
+        with pytest.raises(ValueError):
+            rank_states(s, [[1, 1, 1]])
+        with pytest.raises(ValueError):
+            rank_states(s, [[3, -1, 0]])
 
 
 class TestStationaryWeights:
@@ -150,10 +174,22 @@ class TestSimpleAverageGenerator:
         L_oracle, w_oracle, oracle_states = _oracle_simple_average(3, 2, lambda k: 1.0)
         # same lexicographic order by construction
         assert [tuple(r) for r in states.states] == oracle_states
-        assert np.allclose(gen.L, L_oracle, atol=1e-12)
+        assert np.allclose(gen.L.toarray(), L_oracle, atol=1e-12)
         gap = spectral_gap(gen)
         assert gap == pytest.approx(4 / 9, abs=1e-10)
         assert gap > 1 / 3 + 0.05
+
+    @pytest.mark.parametrize("V,omega", [(3, 3), (4, 3), (3, 5)])
+    @pytest.mark.parametrize("g", [G1, GK], ids=["constant", "linear"])
+    def test_pair_average_matrices_match_oracle(self, V, omega, g):
+        states = enumerate_states(V, omega)
+        L_oracle, _, oracle_states = _oracle_simple_average(V, omega, g)
+        assert [tuple(r) for r in states.states] == oracle_states
+        measure = stationary_weights(g, states)
+        pairs = [(x, y) for x in range(V) for y in range(x + 1, V)]
+        L = sum(pair_average_matrix(states, measure, x, y).toarray() for x, y in pairs)
+        L = (L - len(pairs) * np.eye(len(states))) / V
+        assert np.allclose(L, L_oracle, atol=1e-12)
 
     def test_pair_projection_property(self):
         # the conditional-average block E is a projection; D = E - I satisfies D^2 = -D
@@ -170,7 +206,7 @@ class TestZeroRangeGenerator:
         graph = build_graph("complete", N=2)
         states = enumerate_states(2, 1)
         gen = build_zero_range_generator(graph, states, GK)
-        ev = np.sort(np.linalg.eigvals(gen.L).real)
+        ev = np.sort(np.linalg.eigvals(gen.L.toarray()).real)
         assert ev == pytest.approx([-1.0, 0.0], abs=1e-12)
         assert spectral_gap(gen) == pytest.approx(1.0, abs=1e-10)
 
@@ -209,6 +245,80 @@ class TestSpectralGap:
         gen.L *= -1.0  # sabotage: positive spectrum
         with pytest.raises(ArithmeticError, match="not negative semidefinite"):
             spectral_gap(gen)
+
+
+def _two_pairs():
+    """Sites {0, 1} and {2, 3} with no edge between them: totals conserved per pair."""
+    return InteractionGraph("complete", 4, 1, (0, 1, 2, 3), ((0, 1), (2, 3)), 0.5)
+
+
+class TestSparseSolve:
+    # n between 500 and 1,500, both families, lattice and complete graphs
+    CASES = [
+        ("zero-range", G1, "lattice", 1, 6, 7),         # 792 states
+        ("zero-range", GK, "complete", None, 4, 14),    # 680
+        ("simple-average", GK, "complete", None, 5, 9),  # 715
+        ("simple-average", G1, "lattice", 2, 2, 14),    # 680
+    ]
+
+    @pytest.mark.parametrize("family,g,kind,d,N,omega", CASES)
+    def test_eigsh_matches_dense(self, family, g, kind, d, N, omega):
+        graph = build_graph(kind, d=d, N=N)
+        states = enumerate_states(graph.n_sites, omega)
+        assert 500 <= len(states) <= 1500
+        gen = build_generator(ModelSpec(family, g=g), graph, states)
+        assert scipy.sparse.issparse(gen.L) and scipy.sparse.issparse(gen.symmetrized())
+        gap, kappa = gap_and_kappa(gen)
+        report = gen.solve_report
+        assert report.solver == "eigsh" and report.zero_modes == 1
+        assert report.nnz == gen.L.nnz <= estimated_nnz(ModelSpec(family, g=g), graph, omega)
+        assert report.residual < 1e-9
+        ev = np.linalg.eigvalsh(gen.symmetrized().toarray())
+        assert gap == pytest.approx(-ev[-2], abs=1e-10)
+        assert kappa == pytest.approx(-ev[0], abs=1e-10)
+        assert spectral_gap(gen) == pytest.approx(gap, abs=1e-10)
+        lam, f = gap_eigenfunction(gen)
+        assert lam == pytest.approx(gap, abs=1e-10)
+        w = gen.measure.weights
+        Lf = gen.L @ f
+        assert np.abs(Lf + lam * f).max() < 1e-8
+        assert w @ (f * f) == pytest.approx(1.0, abs=1e-10)
+
+    def test_small_instances_solve_dense(self):
+        graph = build_graph("complete", N=3)
+        gen = build_generator(ModelSpec("zero-range", g=GK), graph, enumerate_states(3, 5))
+        assert gap_and_kappa(gen) == (pytest.approx(1.0, abs=1e-12), pytest.approx(5.0, abs=1e-12))
+        assert gen.solve_report.solver == "dense"
+        assert gen.solve_report.residual < 1e-12
+
+    @pytest.mark.parametrize("omega", [3, 12])   # 20 states (dense), 455 (eigsh)
+    def test_disconnected_zero_modes(self, omega):
+        # one zero mode per split of the total between the two pairs; every
+        # pair with a particle has gap 1 under linear rates
+        states = enumerate_states(4, omega)
+        gen = build_zero_range_generator(_two_pairs(), states, GK)
+        gap, kappa = gap_and_kappa(gen)
+        assert gen.solve_report.zero_modes == omega + 1
+        assert gap == pytest.approx(1.0, abs=1e-9)
+        assert spectral_gap(gen) == pytest.approx(1.0, abs=1e-9)
+        lam, f = gap_eigenfunction(gen)
+        assert lam == pytest.approx(1.0, abs=1e-9)
+        assert np.abs(gen.L @ f + lam * f).max() < 1e-8
+        assert kappa == pytest.approx(float(omega), abs=1e-8)
+
+    def test_preflight_refuses_before_enumerating(self, monkeypatch):
+        model = ModelSpec("simple-average", g=GK)
+        k4 = build_graph("complete", N=4)
+        # 585,276 states and about 267M stored entries at omega = 150
+        assert estimated_nnz(model, k4, 150) == pytest.approx(2.67e8, rel=0.01)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("states enumerated despite the preflight")
+
+        monkeypatch.setattr(discrete, "enumerate_states", refuse)
+        # about 1.2e9 stored entries, over 100 GiB
+        with pytest.raises(TooLargeError, match="physical memory"):
+            exact_gap(model, k4, 220)
 
 
 class TestTwoSiteSpectrum:

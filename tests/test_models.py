@@ -76,6 +76,14 @@ class TestRateFunctions:
     def test_log_factorial(self):
         assert G_IDENTITY.log_factorial(4) == pytest.approx(math.log(24))
         assert G_CONSTANT_ONE.log_factorial(7) == 0.0
+        # the table is bitwise the left-to-right sum of logs
+        for g in (G_IDENTITY, rate_from_table([(k, 1.0 + k / 3.0) for k in range(1, 30)])):
+            table = g.log_factorials(25)
+            for k in range(26):
+                acc = 0.0
+                for j in range(1, k + 1):
+                    acc += math.log(g(j))
+                assert table[k] == acc
 
     def test_table(self):
         g = rate_from_table([(1, 2.0), (2, 3.0)])
