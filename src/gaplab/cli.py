@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import math
 import sys
 from fractions import Fraction
@@ -190,19 +191,14 @@ def cmd_gap_mc(args) -> int:
     graph = _graph_from_args(args)
     om = _omega_range(args.omega_range)[0]
     observable = _observable_by_name(args.observable, model, graph, om)
-    if args.stream:
-        from .simulate import initial_config, simulate as run_dynamics
-        cfg = initial_config(model, graph, om, seed=args.seed)
-        horizon = args.dt * (args.samples + 1)
-        with reporting.SampleStreamWriter(
-                args.stream, [args.observable],
-                meta={"model": args.model, "seed": args.seed, "dt": args.dt}) as w:
-            run_dynamics(model, graph, cfg, horizon, seed=args.seed,
-                         sample_dt=args.dt, observables={args.observable: observable},
-                         stream_writer=w)
-    est = autocorr_gap_estimate(
-        model, graph, observable, omega=om, dt=args.dt,
-        n_samples=args.samples, seed=args.seed)
+    stream = (reporting.SampleStreamWriter(
+        args.stream, [args.observable],
+        meta={"model": args.model, "seed": args.seed, "dt": args.dt})
+        if args.stream else contextlib.nullcontext())
+    with stream as w:
+        est = autocorr_gap_estimate(
+            model, graph, observable, omega=om, dt=args.dt,
+            n_samples=args.samples, seed=args.seed, stream_writer=w)
     rec = reporting.mc_record(args.model, graph, om, est)
     _emit(args, "gap-mc", [rec], ["autocorrelation decay estimator"])
     return 0
@@ -370,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=5000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--stream", default=None,
-                    help="also write the sampled series to this binary stream file")
+                    help="also write the estimator's sampled series, burn-in included, "
+                         "to this binary stream file")
     sp.set_defaults(fn=cmd_gap_mc)
 
     sp = sub.add_parser("two-site", help="pair spectrum sweep over totals")

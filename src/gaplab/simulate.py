@@ -1,11 +1,13 @@
 """Event-driven simulation of the collision dynamics and gap estimators.
 
 Pair clocks are exponential with state-dependent rates; every event
-redraws the affected pair.  Rates are recomputed from scratch after each
-event, which is exact by memorylessness and cheap at the system sizes the
-exact engines cannot reach anyway.  The estimators fit the slowest decay of
-stationary autocorrelations or accumulate the quadratic form of the
-generator along the trajectory.
+redraws the affected pair.  The edge-rate vector lives across events: a
+jump on (x, y) recomputes only the edges that share an endpoint with it,
+the constant-rate families compute their rates once per trajectory, and the
+edge is drawn from a numpy cumulative sum.  The random stream is the same
+as a recompute-everything loop's, so a seed fixes the trajectory bit for
+bit.  The estimators fit the slowest decay of stationary autocorrelations
+or accumulate the quadratic form of the generator along the trajectory.
 """
 
 from __future__ import annotations
@@ -66,7 +68,12 @@ def initial_config(model: ModelSpec, graph: InteractionGraph, omega,
 # ---------------------------------------------------------------------------
 
 class _Dynamics:
-    """Rates and updates for one model family on a fixed graph."""
+    """Rates and updates for one model family on a fixed graph.
+
+    `reset(cfg)` computes every edge rate into `rates`.  Each `apply` then
+    makes one jump and recomputes only the edges that share an endpoint with
+    the fired pair, so `rates` stays bitwise equal to `edge_rates(cfg)`.
+    """
 
     def __init__(self, model: ModelSpec, graph: InteractionGraph):
         self.model = model
@@ -76,105 +83,157 @@ class _Dynamics:
         fam = model.family
         space = model.site_space()
         self.is_int = space.is_discrete
+        self.square_law = model.law().form == "square"
         self.clips = 0
-        if fam == "kac-rho":
+        ends = np.array(self.edges, dtype=np.intp).reshape(len(self.edges), 2)
+        self.ex, self.ey = ends[:, 0].copy(), ends[:, 1].copy()
+        # edges incident to each site, O(E) in total; ravel() interleaves the
+        # endpoints, so position // 2 is the edge
+        sites = ends.ravel()
+        order = np.argsort(sites, kind="stable")
+        counts = np.bincount(sites, minlength=graph.n_sites)
+        self._incident = np.split(order // 2, np.cumsum(counts)[:-1])
+        #: pair rates do not depend on the configuration
+        self.constant_rates = fam in ("kac-uniform", "kac-rho", "simple-average")
+        self._refresh = None
+        if fam == "kac-uniform" or (fam == "simple-average"
+                                    and space.kind == "real-line-gaussian"):
+            self._jump = self._jump_uniform_rotation
+        elif fam == "kac-rho":
             self._theta_sampler = _angle_sampler(model.rho)
-        if fam == "gamma-exchange":
+            self._jump = self._jump_rho_rotation
+        elif fam == "zero-range":
+            self._jump = self._jump_zero_range
+            self._refresh = self._refresh_zero_range
+        elif fam == "gamma-exchange":
             ex = model.exchange
             self._grid = ex.grid()
             self._K = ex.kernel_matrix()
             self._Kcum = np.cumsum(self._K, axis=1)
             self._simple = not isinstance(ex.kernel, np.ndarray)
             self._gamma = float(ex.gamma)
-        if fam == "simple-average" and self.is_int:
+            self._jump = self._jump_exchange
+            self._refresh = self._refresh_exchange
+        elif self.is_int:
             self._pmf_cache: dict = {}
-        if fam == "simple-average" and space.kind == "positive-half-line-gamma":
+            self._cdf_cache: dict = {}
+            self._jump = self._jump_integer_average
+        else:
             self._gamma = float(space.gamma)
+            self._jump = self._jump_beta_average
 
     # rates -----------------------------------------------------------------
     def edge_rates(self, cfg: np.ndarray) -> np.ndarray:
-        fam = self.model.family
-        rates = np.empty(len(self.edges))
-        if fam in ("kac-uniform", "kac-rho") or (fam == "simple-average"):
-            rates.fill(self.scale)
-            return rates
-        if fam == "zero-range":
-            g = self.model.g
-            for e, (x, y) in enumerate(self.edges):
-                rates[e] = self.scale * ((g(int(cfg[x])) if cfg[x] > 0 else 0.0)
-                                         + (g(int(cfg[y])) if cfg[y] > 0 else 0.0))
-            return rates
+        """Every edge rate computed afresh from `cfg`."""
+        if self.constant_rates:
+            return np.full(len(self.edges), self.scale)
+        if self.model.family == "zero-range":
+            gs = self._site_rates(cfg)
+            return self.scale * (gs[self.ex] + gs[self.ey])
+        vals = cfg.tolist()
+        return np.array([self._exchange_rate(vals[x], vals[y]) for x, y in self.edges],
+                        dtype=float)
+
+    def reset(self, cfg: np.ndarray) -> np.ndarray:
+        """Start tracking `cfg`: compute and return the live rate vector."""
+        if self.model.family == "zero-range":
+            self._gs = self._site_rates(cfg)
+        self.rates = self.edge_rates(cfg)
+        return self.rates
+
+    def conserved(self, cfg: np.ndarray) -> float:
+        """Configuration total of the conserved per-site quantity."""
+        return float(cfg @ cfg) if self.square_law else float(cfg.sum())
+
+    def _site_rates(self, cfg) -> np.ndarray:
+        g = self.model.g
+        return np.array([g(int(v)) for v in cfg], dtype=float)
+
+    def _exchange_rate(self, a: float, b: float) -> float:
+        """Rate of a pair holding energies (a, b)."""
+        s = a + b
+        if s <= 0:
+            return 0.0
         ex = self.model.exchange
-        for e, (x, y) in enumerate(self.edges):
-            s = cfg[x] + cfg[y]
-            if s <= 0:
-                rates[e] = 0.0
-                continue
-            beta = cfg[x] / s
-            rates[e] = self.scale * ex.lambda_s(s) * ex.lambda_r(min(max(beta, 1e-12), 1 - 1e-12))
-        return rates
+        return self.scale * ex.lambda_s(s) * ex.lambda_r(min(max(a / s, 1e-12), 1 - 1e-12))
+
+    def _touched(self, x, y) -> np.ndarray:
+        """Edges sharing an endpoint with (x, y); the pair itself appears twice."""
+        return np.concatenate((self._incident[x], self._incident[y]))
+
+    def _refresh_zero_range(self, cfg, x, y):
+        g, gs = self.model.g, self._gs
+        gs[x] = g(int(cfg[x]))
+        gs[y] = g(int(cfg[y]))
+        touched = self._touched(x, y)
+        self.rates[touched] = self.scale * (gs[self.ex[touched]] + gs[self.ey[touched]])
+
+    def _refresh_exchange(self, cfg, x, y):
+        rates, edges, item = self.rates, self.edges, cfg.item
+        for e in self._touched(x, y).tolist():
+            u, v = edges[e]
+            rates[e] = self._exchange_rate(item(u), item(v))
 
     # updates ---------------------------------------------------------------
     def apply(self, cfg: np.ndarray, edge: int, rng: np.random.Generator) -> None:
+        """Jump on `edge`, then refresh the rates it changes (after `reset`)."""
         x, y = self.edges[edge]
-        fam = self.model.family
-        if fam == "kac-uniform":
-            theta = rng.uniform(-math.pi, math.pi)
-            self._rotate(cfg, x, y, theta)
-            return
-        if fam == "kac-rho":
-            theta = self._theta_sampler(rng)
-            if rng.random() < 0.5:
-                theta = -theta
-            self._rotate(cfg, x, y, theta)
-            return
-        if fam == "zero-range":
-            g = self.model.g
-            rx = g(int(cfg[x])) if cfg[x] > 0 else 0.0
-            ry = g(int(cfg[y])) if cfg[y] > 0 else 0.0
-            if rng.random() * (rx + ry) < rx:
-                cfg[x] -= 1
-                cfg[y] += 1
-            else:
-                cfg[y] -= 1
-                cfg[x] += 1
-            return
-        if fam == "gamma-exchange":
-            s = cfg[x] + cfg[y]
-            if self._simple:
-                alpha = rng.beta(self._gamma, self._gamma)
-            else:
-                beta = min(max(cfg[x] / s, 0.0), 1.0)
-                row = min(int(beta * len(self._grid)), len(self._grid) - 1)
-                cell = int(np.searchsorted(self._Kcum[row], rng.random()))
-                cell = min(cell, len(self._grid) - 1)
-                alpha = self._grid[cell]
-            self._redistribute(cfg, x, y, alpha)
-            return
-        # simple-average family
-        space = self.model.site_space()
-        if space.kind == "nonneg-integers-zerorange":
-            s = int(cfg[x] + cfg[y])
-            pmf = self._pair_pmf(s)
-            a = int(rng.choice(s + 1, p=pmf))
-            cfg[x], cfg[y] = a, s - a
-            return
-        if space.kind == "positive-half-line-gamma":
-            alpha = rng.beta(self._gamma, self._gamma)
-            self._redistribute(cfg, x, y, alpha)
-            return
-        theta = rng.uniform(-math.pi, math.pi)
+        self._jump(cfg, x, y, rng)
+        if self._refresh is not None:
+            self._refresh(cfg, x, y)
+
+    def _jump_uniform_rotation(self, cfg, x, y, rng):
+        self._rotate(cfg, x, y, rng.uniform(-math.pi, math.pi))
+
+    def _jump_rho_rotation(self, cfg, x, y, rng):
+        theta = self._theta_sampler(rng)
+        if rng.random() < 0.5:
+            theta = -theta
         self._rotate(cfg, x, y, theta)
+
+    def _jump_zero_range(self, cfg, x, y, rng):
+        rx, ry = self._gs[x], self._gs[y]
+        if not rx + ry > 0.0:
+            raise ArithmeticError(
+                f"zero-range jump on sites ({x}, {y}) with occupations "
+                f"({cfg[x]}, {cfg[y]}): no particle can move")
+        if rng.random() * (rx + ry) < rx:
+            cfg[x] -= 1
+            cfg[y] += 1
+        else:
+            cfg[y] -= 1
+            cfg[x] += 1
+
+    def _jump_exchange(self, cfg, x, y, rng):
+        if self._simple:
+            alpha = rng.beta(self._gamma, self._gamma)
+        else:
+            s = cfg[x] + cfg[y]
+            beta = min(max(cfg[x] / s, 0.0), 1.0)
+            row = min(int(beta * len(self._grid)), len(self._grid) - 1)
+            cell = int(self._Kcum[row].searchsorted(rng.random()))
+            cell = min(cell, len(self._grid) - 1)
+            alpha = self._grid[cell]
+        self._redistribute(cfg, x, y, alpha)
+
+    def _jump_integer_average(self, cfg, x, y, rng):
+        # the draw Generator.choice(s + 1, p=pmf) makes, without its checks
+        s = int(cfg[x] + cfg[y])
+        a = int(self._pair_cdf(s).searchsorted(rng.random(), side="right"))
+        cfg[x], cfg[y] = a, s - a
+
+    def _jump_beta_average(self, cfg, x, y, rng):
+        self._redistribute(cfg, x, y, rng.beta(self._gamma, self._gamma))
 
     def _rotate(self, cfg, x, y, theta):
         c, s = math.cos(theta), math.sin(theta)
-        xi, xj = cfg[x], cfg[y]
+        xi, xj = cfg.item(x), cfg.item(y)
         cfg[x] = xi * c - xj * s
         cfg[y] = xi * s + xj * c
 
     def _redistribute(self, cfg, x, y, alpha):
         alpha = min(max(alpha, 0.0), 1.0)
-        s = cfg[x] + cfg[y]
+        s = cfg.item(x) + cfg.item(y)
         nx = alpha * s
         ny = (1.0 - alpha) * s
         if nx < 0.0 or ny < 0.0:
@@ -192,6 +251,30 @@ class _Dynamics:
             pmf /= pmf.sum()
             self._pmf_cache[s] = pmf
         return pmf
+
+    def _pair_cdf(self, s: int) -> np.ndarray:
+        cdf = self._cdf_cache.get(s)
+        if cdf is None:
+            cdf = self._pair_pmf(s).cumsum()
+            cdf /= cdf[-1]
+            self._cdf_cache[s] = cdf
+        return cdf
+
+
+def _pick_edge(cum: np.ndarray, rates: np.ndarray, v: float) -> int:
+    """The edge whose cumulative-rate interval holds `v`, never a zero-rate one.
+
+    The caller's total is `rates.sum()`, summed pairwise, while `cum` sums
+    left to right, so `v` can pass `cum[-1]` by an ulp; such a draw goes to
+    the last edge of positive rate.  `v == 0` with leading zero-rate edges
+    goes to the first edge of positive rate.
+    """
+    edge = int(cum.searchsorted(v))
+    if edge == len(cum):
+        return int(np.flatnonzero(rates)[-1])
+    if rates[edge] == 0.0:
+        return int(cum.searchsorted(v, side="right"))
+    return edge
 
 
 def _angle_sampler(rho: RhoSpec) -> Callable:
@@ -212,7 +295,7 @@ def _angle_sampler(rho: RhoSpec) -> Callable:
     cdf /= cdf[-1]
 
     def sample(rng):
-        i = int(np.searchsorted(cdf, rng.random()))
+        i = int(cdf.searchsorted(rng.random()))
         return theta[min(i, nodes - 1)]
 
     return sample
@@ -221,16 +304,6 @@ def _angle_sampler(rho: RhoSpec) -> Callable:
 # ---------------------------------------------------------------------------
 # the event loop
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SimState:
-    """Mutable simulation state: configuration, cached total, clock, RNG."""
-
-    config: np.ndarray
-    omega: float
-    t: float
-    rng: np.random.Generator
-
 
 @dataclass
 class TrajectorySummary:
@@ -256,30 +329,35 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
     each sampled frame.  `event_callback(t, edge, before, after)` fires on
     every jump.  Returns the summary and the sample dict (or None).
     """
-    cfg = np.array(config0, dtype=np.int64 if model.is_discrete else float)
     dyn = _Dynamics(model, graph)
-    law = model.law()
-    target = float(sum(law.site_value(float(v)) for v in cfg))
-    state = SimState(cfg, target, 0.0, rng_for(seed))
-    rng = state.rng
+    cfg = np.array(config0, dtype=np.int64 if dyn.is_int else float)
+    target = dyn.conserved(cfg)
+    drift_bound = CONSERVATION_RTOL * max(abs(target), 1.0)
+    rng = rng_for(seed)
+    rates = dyn.reset(cfg)
+    n_edges = len(rates)
+    constant = dyn.constant_rates
+    total = float(rates.sum())
+    cum = rates.cumsum()
 
     sampling = sample_dt is not None and observables
     times: list = []
     series = {name: [] for name in (observables or {})}
     t_next = sample_dt if sampling else math.inf
+    t = 0.0
     n_events = 0
     drift = 0.0
 
     while True:
-        rates = dyn.edge_rates(cfg)
-        total = float(rates.sum())
+        if not constant:
+            total = float(rates.sum())
         if not math.isfinite(total):
             raise ArithmeticError(
-                f"non-finite pair rate at t = {state.t}; configuration {cfg!r}")
+                f"non-finite pair rate at t = {t}; configuration {cfg!r}")
         if total <= 0.0:
             t_jump = math.inf   # frozen configuration
         else:
-            t_jump = state.t + rng.exponential(1.0 / total)
+            t_jump = t + rng.exponential(1.0 / total)
         while sampling and t_next <= min(t_jump, horizon):
             times.append(t_next)
             frame = []
@@ -291,32 +369,32 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
                 stream_writer.write_frame(t_next, frame)
             t_next += sample_dt
         if t_jump >= horizon:
-            state.t = horizon
+            t = horizon
             break
-        state.t = t_jump
-        if len(rates) > 1:
-            edge = int(np.searchsorted(np.cumsum(rates), rng.random() * total))
-            edge = min(edge, len(rates) - 1)
+        t = t_jump
+        if n_edges > 1:
+            if not constant:
+                rates.cumsum(out=cum)
+            edge = _pick_edge(cum, rates, rng.random() * total)
         else:
             edge = 0
         before = cfg.copy() if event_callback is not None else None
         dyn.apply(cfg, edge, rng)
         if event_callback is not None:
-            event_callback(state.t, edge, before, cfg)
+            event_callback(t, edge, before, cfg)
         n_events += 1
-        if not model.is_discrete:
-            now = float(sum(law.site_value(float(v)) for v in cfg))
-            drift = max(drift, abs(now - target))
-            if drift > CONSERVATION_RTOL * max(abs(target), 1.0):
+        if not dyn.is_int:
+            drift = max(drift, abs(dyn.conserved(cfg) - target))
+            if drift > drift_bound:
                 raise ArithmeticError(
                     f"conserved total drifted by {drift:.3e} after {n_events} events")
         if dyn.clips * 1_000_000 > CLIP_BUDGET_PER_MILLION * max(n_events, 1):
             raise ArithmeticError(
                 f"{dyn.clips} clipped negative energies in {n_events} events")
 
-    if model.is_discrete:
-        drift = abs(float(sum(law.site_value(float(v)) for v in cfg)) - target)
-    summary = TrajectorySummary(model.family, graph.kind, graph.n_sites, state.t,
+    if dyn.is_int:
+        drift = abs(dyn.conserved(cfg) - target)
+    summary = TrajectorySummary(model.family, graph.kind, graph.n_sites, t,
                                 n_events, cfg, drift, dyn.clips)
     if not sampling:
         return summary, None
@@ -326,11 +404,15 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
 
 def sample_series(model: ModelSpec, graph: InteractionGraph, config0,
                   observable: Callable, *, dt: float, n_samples: int,
-                  burn_in: float, seed: int) -> np.ndarray:
-    """Stationary samples of one observable on a uniform grid after burn-in."""
+                  burn_in: float, seed: int, stream_writer=None) -> np.ndarray:
+    """Stationary samples of one observable on a uniform grid after burn-in.
+
+    `stream_writer` receives every sampled frame, burn-in included.
+    """
     horizon = burn_in + dt * (n_samples + 1)
     _, samples = simulate(model, graph, config0, horizon, seed=seed,
-                          sample_dt=dt, observables={"f": observable})
+                          sample_dt=dt, observables={"f": observable},
+                          stream_writer=stream_writer)
     vals = samples["f"]
     skip = int(math.ceil(burn_in / dt))
     out = vals[skip:skip + n_samples]
@@ -414,18 +496,21 @@ def autocorr_gap_estimate(model: ModelSpec, graph: InteractionGraph,
                           observable: Callable, *, omega, dt: float,
                           n_samples: int = 5000, burn_in: Optional[float] = None,
                           seed: int = 0, n_boot: int = N_BOOTSTRAP,
-                          ci_inflation: float = CI_INFLATION) -> EstimatorResult:
+                          ci_inflation: float = CI_INFLATION,
+                          stream_writer=None) -> EstimatorResult:
     """Slowest autocorrelation decay rate of the observable, with bootstrap CI.
 
     The point estimate upper-bounds the true gap when the observable mixes
     several modes; the interval is widened by `ci_inflation` to absorb that
-    fit-model error.
+    fit-model error.  `stream_writer` receives the sampled series of the
+    same trajectory, burn-in included.
     """
     cfg = initial_config(model, graph, omega, seed=seed)
     if burn_in is None:
         burn_in = 40.0 * dt
     series = sample_series(model, graph, cfg, observable, dt=dt,
-                           n_samples=n_samples, burn_in=burn_in, seed=seed)
+                           n_samples=n_samples, burn_in=burn_in, seed=seed,
+                           stream_writer=stream_writer)
     rate = _fit_decay_rate(series, dt)
 
     rng = rng_for(seed, stream=99)
@@ -488,7 +573,7 @@ def _local_dirichlet(model: ModelSpec, graph: InteractionGraph, dyn: _Dynamics,
                 t[y] = cfg[x] * s + cfg[y] * c
                 acc += wt * (f(t) - f0) ** 2
             total += graph.pair_scaling * 0.5 * acc
-        elif fam == "simple-average" and model.is_discrete:
+        elif fam == "simple-average" and dyn.is_int:
             s = int(cfg[x] + cfg[y])
             pmf = dyn._pair_pmf(s)
             t = cfg.copy()

@@ -92,8 +92,18 @@ class TestGapCommands:
         assert code == 0
         header, times, values = read_sample_stream(stream)
         assert header["fields"] == ["gap-eigenfunction"]
-        assert len(times) >= 600
-        assert values.shape[1] == 1
+        # one trajectory: the default burn-in of 40 strides, then the 600 samples
+        burn_in = 40 * 0.5
+        assert len(times) >= 40 + 600
+        assert times[0] == pytest.approx(0.5)
+        assert times[-1] >= burn_in + 600 * 0.5
+        assert values.shape == (len(times), 1)
+        # streaming does not change the estimate
+        code, plain = run_json(["gap-mc", "--model", "zero-range", "--g", "identity",
+                                "--N", "3", "--omega", "3", "--dt", "0.5",
+                                "--samples", "600", "--seed", "3"], tmp_path, "plain.json")
+        assert code == 0
+        assert plain["results"] == doc["results"]
 
 
 class TestOtherCommands:

@@ -9,8 +9,8 @@ from gaplab.discrete import (build_generator, enumerate_states, gap_eigenfunctio
 from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, GammaExchangeSpec,
                            ModelSpec, RhoSpec, build_graph)
 from gaplab.reporting import SampleStreamWriter, read_sample_stream
-from gaplab.simulate import (NoDecayError, autocorr_gap_estimate,
-                             initial_config, rayleigh_upper_bound, simulate)
+from gaplab.simulate import (NoDecayError, _Dynamics, _pick_edge, autocorr_gap_estimate,
+                             initial_config, rayleigh_upper_bound, rng_for, simulate)
 
 ZR_LINEAR = ModelSpec("zero-range", g=G_IDENTITY)
 ZR_CONST = ModelSpec("zero-range", g=G_CONSTANT_ONE)
@@ -77,6 +77,153 @@ class TestLongRunInvariants:
         assert half <= 0.15 * rep.gap, half
 
 
+def _reference_rates(model, graph, cfg) -> np.ndarray:
+    """Reference for the incremental rates: every edge rate recomputed edge by edge."""
+    out = []
+    for x, y in graph.edges:
+        if model.family == "zero-range":
+            g = model.g
+            r = graph.pair_scaling * ((g(int(cfg[x])) if cfg[x] > 0 else 0.0)
+                                      + (g(int(cfg[y])) if cfg[y] > 0 else 0.0))
+        elif model.family == "gamma-exchange":
+            s = cfg[x] + cfg[y]
+            ex = model.exchange
+            r = 0.0 if s <= 0 else graph.pair_scaling * ex.lambda_s(s) * ex.lambda_r(
+                min(max(cfg[x] / s, 1e-12), 1 - 1e-12))
+        else:
+            r = graph.pair_scaling
+        out.append(r)
+    return np.array(out)
+
+
+def _reference_run(model, graph, cfg, horizon, seed, sample_dt, observable):
+    """The recompute-everything event loop: fresh rates and cumsum on every event."""
+    dyn = _Dynamics(model, graph)   # angle, Beta and kernel samplers only
+    cfg = cfg.copy()
+    rng = rng_for(seed)
+    t, t_next, events, samples = 0.0, sample_dt, [], []
+    while True:
+        rates = _reference_rates(model, graph, cfg)
+        total = float(rates.sum())
+        t_jump = t + rng.exponential(1.0 / total) if total > 0.0 else math.inf
+        while t_next <= min(t_jump, horizon):
+            samples.append(float(observable(cfg)))
+            t_next += sample_dt
+        if t_jump >= horizon:
+            return events, samples, cfg
+        t = t_jump
+        edge = 0
+        if len(rates) > 1:
+            edge = int(np.searchsorted(np.cumsum(rates), rng.random() * total))
+            edge = min(edge, len(rates) - 1)
+        x, y = graph.edges[edge]
+        if model.family == "zero-range":
+            rx = model.g(int(cfg[x])) if cfg[x] > 0 else 0.0
+            ry = model.g(int(cfg[y])) if cfg[y] > 0 else 0.0
+            src, dst = (x, y) if rng.random() * (rx + ry) < rx else (y, x)
+            cfg[src] -= 1
+            cfg[dst] += 1
+        elif model.family == "simple-average" and model.is_discrete:
+            s = int(cfg[x] + cfg[y])
+            a = int(rng.choice(s + 1, p=dyn._pair_pmf(s)))
+            cfg[x], cfg[y] = a, s - a
+        else:
+            dyn._jump(cfg, x, y, rng)
+        events.append((t, edge))
+
+
+GAMMA_LAMBDA = ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(
+    gamma=1, lambda_s=lambda s: 1.0 + s, lambda_r=lambda b: 0.5 + b * (1 - b)))
+ORACLE_MODELS = {
+    "kac-uniform": KAC,
+    "kac-rho": ModelSpec("kac-rho", rho=RhoSpec(
+        density=lambda t: (1 + math.cos(t)) / (2 * math.pi), name="cardioid")),
+    "gamma-exchange": ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(gamma=2)),
+    "gamma-exchange-lambda": GAMMA_LAMBDA,
+    "zero-range-identity": ZR_LINEAR,
+    "zero-range-constant": ZR_CONST,
+    "simple-average-integer": ModelSpec("simple-average", g=G_IDENTITY),
+    "simple-average-gamma": GAMMA_AVG,
+    "simple-average-gaussian": ModelSpec("simple-average", site_kind="real-line-gaussian"),
+}
+
+
+class TestIncrementalRates:
+    @pytest.mark.parametrize("graph", [build_graph("complete", N=4),
+                                       build_graph("lattice", d=2, N=3)],
+                             ids=["K4", "lattice-2d-N3"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_trajectory_matches_recompute_everything_loop(self, name, graph):
+        model = ORACLE_MODELS[name]
+        omega = 2 * graph.n_sites if model.is_discrete else 1.5
+        for seed in (0, 1):
+            cfg = initial_config(model, graph, omega, seed=seed)
+            observable = lambda c: float(c[0] * c[-1] + c[1])
+            events, samples, final = _reference_run(model, graph, cfg, 40.0, seed,
+                                                    0.5, observable)
+            seen = []
+            summary, out = simulate(model, graph, cfg, 40.0, seed=seed, sample_dt=0.5,
+                                    observables={"f": observable},
+                                    event_callback=lambda t, e, b, a: seen.append((t, e)))
+            assert len(events) > 20
+            assert seen == events
+            assert summary.n_events == len(events)
+            assert out["f"].tolist() == samples
+            assert np.array_equal(summary.final_config, final)
+            assert summary.final_config.dtype == final.dtype
+
+    @pytest.mark.parametrize("model", [ZR_LINEAR, GAMMA_LAMBDA],
+                             ids=["zero-range", "gamma-exchange-lambda"])
+    def test_rates_equal_fresh_after_every_event(self, model):
+        graph = build_graph("lattice", d=2, N=3)
+        cfg = initial_config(model, graph, 12 if model.is_discrete else 2.0, seed=3)
+        dyn = _Dynamics(model, graph)
+        rates = dyn.reset(cfg)
+        rng = rng_for(5)
+        for _ in range(1500):
+            edge = int(rng.choice(np.flatnonzero(rates > 0.0)))
+            dyn.apply(cfg, edge, rng)
+            assert np.array_equal(dyn.rates, dyn.edge_rates(cfg))
+            assert np.array_equal(dyn.rates, _reference_rates(model, graph, cfg))
+
+    def test_overflowing_draw_skips_zero_rate_edges(self):
+        # pairwise rates.sum() can exceed the sequential cumsum's last entry;
+        # a draw in that gap must not land on a trailing zero-rate edge
+        graph = build_graph("complete", N=12)
+        ends = np.array(graph.edges)
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            gs = rng.integers(0, 4, size=12).astype(float)
+            gs[-2:] = 0.0
+            rates = graph.pair_scaling * (gs[ends[:, 0]] + gs[ends[:, 1]])
+            cum = np.cumsum(rates)
+            total = float(rates.sum())
+            if total > cum[-1] and rates.any():
+                break
+        else:
+            pytest.fail("no rate vector with rates.sum() > cumsum[-1] found")
+        assert rates[-1] == 0.0
+        edge = _pick_edge(cum, rates, total)
+        assert edge == np.flatnonzero(rates)[-1]
+        assert rates[edge] > 0.0
+
+    def test_pick_edge_boundaries(self):
+        rates = np.array([0.0, 1.0, 2.0, 0.0])
+        cum = np.cumsum(rates)
+        assert _pick_edge(cum, rates, 0.0) == 1
+        assert _pick_edge(cum, rates, 1.0) == 1
+        assert _pick_edge(cum, rates, 1.5) == 2
+        assert _pick_edge(cum, rates, np.nextafter(3.0, 4.0)) == 2
+
+    def test_zero_range_jump_on_empty_pair_raises(self):
+        cfg = np.array([0, 0, 3], dtype=np.int64)
+        dyn = _Dynamics(ZR_LINEAR, K3)
+        dyn.reset(cfg)
+        with pytest.raises(ArithmeticError, match="no particle"):
+            dyn.apply(cfg, 0, rng_for(0))
+        assert cfg.tolist() == [0, 0, 3]
+
+
 class TestReproducibility:
     def test_bitwise_identical(self):
         cfg = initial_config(ZR_LINEAR, K3, 4, seed=2)
@@ -110,7 +257,7 @@ class TestStationarity:
             last["idx"] = states.index[tuple(int(v) for v in after)]
 
         cfg = initial_config(ZR_LINEAR, K3, 3, seed=0)
-        summary, _ = simulate(ZR_LINEAR, K3, cfg, horizon=10000.0, seed=21,
+        summary, _ = simulate(ZR_LINEAR, K3, cfg, horizon=100000.0, seed=21,
                               event_callback=cb)
         occupation /= occupation.sum()
         tv = 0.5 * np.abs(occupation - measure.weights).sum()
