@@ -1,0 +1,84 @@
+"""Reach of the symmetric sector engine: orbit-sum sectors on K_N at growing N.
+
+    python3 scripts/sector_reach.py [--Ns 10,100,300,1000] [--degree 4] [--out reach.json]
+
+For each N it assembles and solves the symmetric (orbit-sum) sector of
+kac-uniform and of the redistribution model at gamma = 1 and 2, and prints
+one JSON object per instance: basis size, kept and deflated dimensions,
+seconds for the graph, the assembly and the solve, the gap and its
+distance from the closed form, (N+2)/(4N) for kac-uniform at
+degree >= 4 and (gamma N + 1)/(N (2 gamma + 1)) for the redistribution
+model.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from gaplab import galerkin  # noqa: E402
+from gaplab.models import build_graph  # noqa: E402
+
+CASES = (("kac-uniform", None), ("gamma", Fraction(1)), ("gamma", Fraction(2)))
+
+
+def closed_form(model: str, N: int, gamma) -> float:
+    if model == "kac-uniform":
+        return (N + 2) / (4 * N)
+    return float((gamma * N + 1) / (N * (2 * gamma + 1)))
+
+
+def cell(model: str, N: int, degree: int, gamma, graph, graph_s: float) -> dict:
+    kwargs = {"gamma": gamma} if gamma is not None else {}
+    t0 = perf_counter()
+    pair = galerkin.assemble_galerkin(model, graph, degree=degree, mode="symmetric",
+                                      **kwargs)
+    t1 = perf_counter()
+    rep = galerkin.galerkin_eigensystem(pair)
+    t2 = perf_counter()
+    ref = closed_form(model, N, gamma)
+    return {
+        "case": f"{model}/K{N}/deg{degree}/symmetric"
+                + (f"/gamma{gamma}" if gamma is not None else ""),
+        "N": N,
+        "basis_size": len(rep.basis),
+        "kept_dim": rep.kept_dim,
+        "deflated": rep.deflated,
+        "graph_s": graph_s,
+        "assemble_s": t1 - t0,
+        "solve_s": t2 - t1,
+        "gap": rep.gap,
+        "closed_form": ref,
+        "abs_error": abs(rep.gap - ref),
+        "gram_condition": rep.gram_condition,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--Ns", default="10,100,300,1000")
+    ap.add_argument("--degree", type=int, default=4)
+    ap.add_argument("--out", default=None)
+    args = ap.parse_args(argv)
+    rows = []
+    for N in (int(v) for v in args.Ns.split(",")):
+        t0 = perf_counter()
+        graph = build_graph("complete", N=N)
+        graph_s = perf_counter() - t0
+        for model, gamma in CASES:
+            rows.append(cell(model, N, args.degree, gamma, graph, graph_s))
+            print(json.dumps(rows[-1]), flush=True)
+    if args.out:
+        Path(args.out).write_text(json.dumps(rows, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

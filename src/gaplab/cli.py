@@ -180,7 +180,7 @@ def cmd_gap_galerkin(args) -> int:
     rep = galerkin.galerkin_eigensystem(pair)
     rec = reporting.galerkin_record(args.model, graph.n_sites, args.degree,
                                     f"{args.basis_mode} deg<={args.degree}",
-                                    rep.gap, rep.gram_condition)
+                                    rep, pair.assembly)
     _emit(args, "gap-galerkin", [rec], ["Rayleigh quotient on the polynomial sector"])
     return 0
 
@@ -216,7 +216,7 @@ def _observable_by_name(name, model, graph, omega):
             states = discrete.enumerate_states(graph.n_sites, omega)
             gen = discrete.build_generator(model, graph, states)
             _, table = discrete.gap_eigenfunction(gen)
-            return lambda cfg: table[states.index[tuple(int(v) for v in cfg)]]
+            return lambda cfg: table[states.index[tuple(cfg.tolist())]]
         raise ValueError("gap-eigenfunction observable needs a discrete model")
     raise ValueError(f"unknown observable {name!r}")
 

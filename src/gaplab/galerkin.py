@@ -10,9 +10,10 @@ eigenvalue problem with exact-rational matrix entries.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,11 +84,10 @@ class MultiIndexBasis:
             rec([], degree)
             elements.sort(key=lambda k: (sum(k), k))
         else:
-            sigs = set()
-            for total in range(degree + 1):
-                for part in _partitions(total, n_vars):
-                    sigs.add(part)
-            elements = sorted(sigs, key=lambda k: (sum(k), k))
+            elements = [part + (0,) * (n_vars - len(part))
+                        for total in range(degree + 1)
+                        for part in _partitions(total, min(n_vars, total))]
+            elements.sort(key=lambda k: (sum(k), k))
         if even_only:
             elements = [k for k in elements if sum(k) % 2 == 0]
         return cls(n_vars, degree, mode, even_only, tuple(elements))
@@ -96,27 +96,55 @@ class MultiIndexBasis:
         return len(self.elements)
 
     def monomials_of(self, element) -> tuple:
-        """Expansion of a basis element into plain monomial exponent tuples."""
+        """Expansion of a basis element into plain monomial exponent tuples.
+
+        The orbit of a signature comes in lexicographic order, one distinct
+        arrangement at a time (next-permutation on a multiset).
+        """
         if self.mode == "full":
             return (element,)
-        return tuple(sorted(set(itertools.permutations(element))))
+        k = sorted(element)
+        out = [tuple(k)]
+        n = len(k)
+        while True:
+            i = n - 2
+            while i >= 0 and k[i] >= k[i + 1]:
+                i -= 1
+            if i < 0:
+                return tuple(out)
+            j = n - 1
+            while k[j] <= k[i]:
+                j -= 1
+            k[i], k[j] = k[j], k[i]
+            k[i + 1:] = reversed(k[i + 1:])
+            out.append(tuple(k))
 
 
 def _partitions(total: int, max_parts: int):
-    """Nonincreasing tuples of length max_parts (zero padded) summing to total."""
+    """Nonincreasing tuples of at most max_parts positive parts summing to total.
+
+    The recursion goes one part deep per level, so its depth is bounded by
+    the total, not by max_parts.
+    """
     def rec(rem, cap, acc):
-        if len(acc) == max_parts:
-            if rem == 0:
-                yield tuple(acc)
+        if rem == 0:
+            yield acc
             return
-        for v in range(min(rem, cap), -1, -1):
-            yield from rec(rem - v, v, acc + [v])
-    yield from rec(total, total, [])
+        if len(acc) == max_parts:
+            return
+        for v in range(min(rem, cap), 0, -1):
+            yield from rec(rem - v, v, acc + (v,))
+    yield from rec(total, total, ())
 
 
 # ---------------------------------------------------------------------------
 # moment oracles
 # ---------------------------------------------------------------------------
+
+def _moment_key(k: Sequence[int]) -> tuple:
+    """Nonzero exponents in nonincreasing order; exchangeable moments depend on nothing else."""
+    return tuple(sorted((e for e in k if e), reverse=True))
+
 
 class SphereMoments:
     """Monomial moments of the uniform measure on the sphere of squared radius omega."""
@@ -129,9 +157,10 @@ class SphereMoments:
         if not self.omega > 0:
             raise ValueError("squared radius must be positive")
         self._cache: dict = {}
+        self._floats: dict = {}
 
     def exact(self, k: Sequence[int]) -> Fraction:
-        key = tuple(sorted((e for e in k if e), reverse=True))
+        key = _moment_key(k)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -151,7 +180,11 @@ class SphereMoments:
         return v
 
     def __call__(self, k) -> float:
-        return float(self.exact(k))
+        key = _moment_key(k)
+        hit = self._floats.get(key)
+        if hit is None:
+            hit = self._floats[key] = float(self.exact(key))
+        return hit
 
 
 class DirichletMoments:
@@ -166,9 +199,10 @@ class DirichletMoments:
         if not self.gamma > 0 or not self.omega > 0:
             raise ValueError("shape and total must be positive")
         self._cache: dict = {}
+        self._floats: dict = {}
 
     def exact(self, k: Sequence[int]) -> Fraction:
-        key = tuple(sorted((e for e in k if e), reverse=True))
+        key = _moment_key(k)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -181,7 +215,11 @@ class DirichletMoments:
         return v
 
     def __call__(self, k) -> float:
-        return float(self.exact(k))
+        key = _moment_key(k)
+        hit = self._floats.get(key)
+        if hit is None:
+            hit = self._floats[key] = float(self.exact(key))
+        return hit
 
 
 def sphere_moment(k: Sequence[int], N: int, omega=1) -> float:
@@ -292,7 +330,11 @@ def rho_pair_action(rho: RhoSpec, a: int, b: int) -> dict:
 
 @dataclass
 class GalerkinPair:
-    """Quadratic form A of the negated generator and Gram matrix B on a basis."""
+    """Quadratic form A of the negated generator and Gram matrix B on a basis.
+
+    With `basis_scale` set, A and B are the forms on the rescaled basis
+    functions basis_scale[i] * (basis element i).
+    """
 
     model: str
     A: np.ndarray
@@ -300,12 +342,22 @@ class GalerkinPair:
     basis: MultiIndexBasis
     omega: float
     asymmetry: float
+    basis_scale: Optional[np.ndarray] = None
+
+    @property
+    def assembly(self) -> str:
+        return "monomial" if self.basis.mode == "full" else "orbit-representative"
 
 
 def assemble_galerkin(model: str, graph: InteractionGraph, omega=1, degree: int = 4,
                       mode: str = "full", even_only: bool = False,
                       rho: Optional[RhoSpec] = None, gamma=None) -> GalerkinPair:
-    """Restrict the generator to the polynomial sector over the graph's sites."""
+    """Restrict the generator to the polynomial sector over the graph's sites.
+
+    The full mode assembles in floats over the graph's edges, monomial by
+    monomial.  The symmetric mode works on orbit sums and is exact until the
+    solve; see `_orbit_forms`.
+    """
     name = _MODEL_ALIASES.get(model)
     if name is None:
         raise ValueError(f"unknown sector model {model!r}")
@@ -332,92 +384,189 @@ def assemble_galerkin(model: str, graph: InteractionGraph, omega=1, degree: int 
             raise ValueError("rotation sector with a density needs rho=")
         action = lambda a, b: rho_pair_action(rho, a, b)
 
+    # full mode works in floats, the symmetric mode in exact rationals; a
+    # float coefficient (kac-rho) converts to Fraction without rounding
+    convert = float if mode == "full" else Fraction
     action_cache: dict = {}
 
     def cached_action(a, b):
         key = (a, b)
         if key not in action_cache:
-            action_cache[key] = {k: float(v) for k, v in action(a, b).items()}
+            action_cache[key] = {k: convert(v) for k, v in action(a, b).items()}
         return action_cache[key]
 
     basis = MultiIndexBasis.build(V, degree, mode=mode, even_only=even_only)
     n = len(basis)
     scale = graph.pair_scaling
 
-    if mode == "full":
-        pos = {k: i for i, k in enumerate(basis.elements)}
+    if mode == "symmetric":
+        return _orbit_forms(name, basis, oracle, cached_action, Fraction(scale),
+                            float(omega))
 
-        def act_on_monomial(k):
-            img: dict = {}
-            for (x, y) in graph.edges:
-                a, b = k[x], k[y]
-                if a == 0 and b == 0:
-                    continue
-                for (p, q), c in cached_action(a, b).items():
-                    kk = list(k)
-                    kk[x] = p
-                    kk[y] = q
-                    key = tuple(kk)
-                    img[key] = img.get(key, 0.0) + scale * c
-                img[k] = img.get(k, 0.0) - scale
-            return img
+    pos = {k: i for i, k in enumerate(basis.elements)}
 
-        C = np.zeros((n, n))
-        for l, k in enumerate(basis.elements):
-            for key, c in act_on_monomial(k).items():
-                row = pos.get(key)
-                if row is None:
-                    raise ArithmeticError(
-                        f"sector closure violated: image monomial {key} of {k} "
-                        "lies outside the basis")
-                C[row, l] += c
-        B = np.empty((n, n))
-        for i, ki in enumerate(basis.elements):
-            for j in range(i, n):
-                v = oracle(tuple(x + y for x, y in zip(ki, basis.elements[j])))
-                B[i, j] = v
-                B[j, i] = v
-    else:
-        # orbit sums: act on every monomial in the orbit, re-collect by signature
-        sig_pos = {s: i for i, s in enumerate(basis.elements)}
-        orbit = {s: basis.monomials_of(s) for s in basis.elements}
-        C = np.zeros((n, n))
-        for l, s in enumerate(basis.elements):
-            img: dict = {}
-            for k in orbit[s]:
-                for (x, y) in graph.edges:
-                    a, b = k[x], k[y]
-                    if a == 0 and b == 0:
-                        continue
-                    for (p, q), c in cached_action(a, b).items():
-                        kk = list(k)
-                        kk[x] = p
-                        kk[y] = q
-                        key = tuple(kk)
-                        img[key] = img.get(key, 0.0) + scale * c
-                    img[k] = img.get(k, 0.0) - scale
-            by_sig: dict = {}
-            for key, c in img.items():
-                sig = tuple(sorted(key, reverse=True))
-                by_sig[sig] = by_sig.get(sig, 0.0) + c
-            for sig, total in by_sig.items():
-                C[sig_pos[sig], l] += total / len(orbit[sig])
-        B = np.empty((n, n))
-        for i, si in enumerate(basis.elements):
-            for j in range(i, n):
-                v = 0.0
-                for ki in orbit[si]:
-                    for kj in orbit[basis.elements[j]]:
-                        v += oracle(tuple(x + y for x, y in zip(ki, kj)))
-                B[i, j] = v
-                B[j, i] = v
+    def act_on_monomial(k):
+        img: dict = {}
+        for (x, y) in graph.edges:
+            a, b = k[x], k[y]
+            if a == 0 and b == 0:
+                continue
+            for (p, q), c in cached_action(a, b).items():
+                kk = list(k)
+                kk[x] = p
+                kk[y] = q
+                key = tuple(kk)
+                img[key] = img.get(key, 0.0) + scale * c
+            img[k] = img.get(k, 0.0) - scale
+        return img
+
+    C = np.zeros((n, n))
+    for l, k in enumerate(basis.elements):
+        for key, c in act_on_monomial(k).items():
+            row = pos.get(key)
+            if row is None:
+                raise ArithmeticError(
+                    f"sector closure violated: image monomial {key} of {k} "
+                    "lies outside the basis")
+            C[row, l] += c
+    B = np.empty((n, n))
+    for i, ki in enumerate(basis.elements):
+        for j in range(i, n):
+            v = oracle(tuple(x + y for x, y in zip(ki, basis.elements[j])))
+            B[i, j] = v
+            B[j, i] = v
 
     A = -B @ C
     asym = float(np.abs(A - A.T).max())
     A = 0.5 * (A + A.T)
+    _check_symmetric(asym, A)
+    return GalerkinPair(name, A, B, basis, float(omega), asym)
+
+
+def _check_symmetric(asym: float, A: np.ndarray) -> None:
     if asym > 1e-9 * max(1.0, float(np.abs(A).max())):
         raise ArithmeticError(f"assembled form is not symmetric: residual {asym:.2e}")
-    return GalerkinPair(name, A, B, basis, float(omega), asym)
+
+
+def _placements(counts: Counter, sites: int) -> int:
+    """Distinct ways to put the multiset `counts` on `sites` sites, one part per site."""
+    out = 1
+    for i in range(sum(counts.values())):
+        out *= sites - i
+    for m in counts.values():
+        out //= factorial(m)
+    return out
+
+
+def _overlays(support: tuple, parts: tuple, empty: int):
+    """Ways to lay the multiset `parts` over `support` plus `empty` zero sites.
+
+    Yields (nonzero exponents of the sum, number of distinct placements
+    giving it), once for each distinct assignment of parts to support
+    positions; the parts left over fill the empty sites.
+    """
+    left = Counter(parts)
+
+    def rec(i, acc):
+        if i == len(support):
+            ways = _placements(left, empty)
+            if ways:
+                yield acc + tuple(left.elements()), ways
+            return
+        yield from rec(i + 1, acc + (support[i],))
+        for v in [v for v, m in left.items() if m]:
+            left[v] -= 1
+            yield from rec(i + 1, acc + (support[i] + v,))
+            left[v] += 1
+
+    yield from rec(0, ())
+
+
+def _orbit_forms(name: str, basis: MultiIndexBasis, oracle, action, scale: Fraction,
+                 omega: float) -> GalerkinPair:
+    """Sector forms on orbit sums, each entry from one representative per orbit.
+
+    The representative k_s of orbit s carries its nonzero parts on the first
+    r_s sites.  Both forms depend on N only through arrangement counts, so
+    the work is independent of N:
+
+    * L commutes with site permutations, so L(O_s) = sum_t C[t, s] O_t and
+      C[t, s] |orb t| is the mass of orbit t in L(O_s), which is |orb s|
+      times its mass in L(x^{k_s}).  That image is pushed forward over three
+      edge classes: pairs inside the support, support x empty sites (each of
+      the N - r_s empty sites acts alike), and empty x empty (no action).
+    * B[s, t] = E[O_s O_t] = |orb s| sum_l E[x^{k_s + l}] over l in orb t;
+      the moment depends on l only through how t's parts overlay the
+      support of k_s, and the parts left for the empty sites are counted by
+      `_placements`.
+
+    B, C and A = -B C stay exact; A, B are then rescaled by diag(B)^(-1/2)
+    and converted to floats for the solve.
+    """
+    N = basis.n_vars
+    parts = [tuple(e for e in k if e) for k in basis.elements]
+    index = {p: i for i, p in enumerate(parts)}
+    orbit = [_placements(Counter(p), N) for p in parts]
+    n = len(parts)
+
+    C = []                          # column l of C as {row: Fraction}
+    for l, p in enumerate(parts):
+        r, empty = len(p), N - len(p)
+        mass: dict = {}
+
+        def push(img, w):
+            key = _moment_key(img)
+            mass[key] = mass.get(key, 0) + w
+
+        for i, j in itertools.combinations(range(r), 2):
+            for (a, b), c in action(p[i], p[j]).items():
+                img = list(p)
+                img[i], img[j] = a, b
+                push(img, c)
+            push(p, -1)
+        if empty:
+            for i in range(r):
+                for (a, b), c in action(p[i], 0).items():
+                    img = list(p) + [b]
+                    img[i] = a
+                    push(img, empty * c)
+                push(p, -empty)
+        col = {}
+        for key, m in mass.items():
+            row = index.get(key)
+            if row is None:
+                raise ArithmeticError(
+                    f"sector closure violated: image orbit {key} of {p} "
+                    "lies outside the basis")
+            if m:
+                col[row] = scale * m * orbit[l] / orbit[row]
+        C.append(col)
+
+    B = [[Fraction(0)] * n for _ in range(n)]
+    for i, p in enumerate(parts):
+        empty = N - len(p)
+        for j in range(i, n):
+            ways: dict = {}
+            for k, w in _overlays(p, parts[j], empty):
+                key = _moment_key(k)
+                ways[key] = ways.get(key, 0) + w
+            v = sum(w * oracle.exact(key) for key, w in ways.items())
+            B[i][j] = B[j][i] = orbit[i] * v
+
+    A = [[Fraction(0)] * n for _ in range(n)]
+    for j, col in enumerate(C):
+        for k, c in col.items():
+            for i in range(n):
+                A[i][j] -= B[i][k] * c
+
+    d = 1.0 / np.sqrt([float(B[i][i]) for i in range(n)])
+    Bf = np.array([[float(v) for v in row] for row in B]) * np.outer(d, d)
+    Af = np.array([[float((A[i][j] + A[j][i]) / 2) for j in range(n)]
+                   for i in range(n)]) * np.outer(d, d)
+    asym = max((float(abs(A[i][j] - A[j][i])) * d[i] * d[j]
+                for i in range(n) for j in range(i + 1, n)), default=0.0)
+    _check_symmetric(asym, Af)
+    return GalerkinPair(name, Af, Bf, basis, omega, asym, basis_scale=d)
 
 
 @dataclass(frozen=True)
@@ -449,6 +598,8 @@ def galerkin_eigensystem(pair: GalerkinPair, deflation_tol: float = DEFLATION_TO
         raise ArithmeticError("no nonzero sector mode found")
     i = int(nz[0])
     coeffs = W @ Q[:, i]
+    if pair.basis_scale is not None:
+        coeffs = coeffs * pair.basis_scale
     return GalerkinGapReport(
         gap=float(ev[i]),
         eigenvalues=ev,

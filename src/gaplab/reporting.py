@@ -44,18 +44,22 @@ def exact_record(model: str, graph, omega, gap, kappa, dim, solve) -> dict:
     }
 
 
-def galerkin_record(model: str, N: int, degree: int, sector: str, gap,
-                    gram_condition, omega=1) -> dict:
-    """Record for a polynomial-sector result."""
+def galerkin_record(model: str, N: int, degree: int, sector: str, report,
+                    assembly: str, omega=1) -> dict:
+    """Record for a polynomial-sector result; `report` is its galerkin.GalerkinGapReport."""
     return {
         "model": model,
         "N": N,
         "omega": _scalar(omega),
         "degree": degree,
         "sector": sector,
-        "gap": _scalar(gap),
-        "gram_condition": _scalar(gram_condition),
+        "gap": _scalar(report.gap),
+        "gram_condition": _scalar(report.gram_condition),
         "method": "galerkin",
+        "assembly": assembly,
+        "basis_size": len(report.basis),
+        "kept_dim": report.kept_dim,
+        "deflated": report.deflated,
     }
 
 

@@ -301,7 +301,7 @@ def _mc_discrete_case(family, g, kind, d, N, om, seeds):
     gap, table = discrete.gap_eigenfunction(gen)
 
     def observable(cfg):
-        return table[states.index[tuple(int(v) for v in cfg)]]
+        return table[states.index[tuple(cfg.tolist())]]
 
     dt = 0.25 / gap
     hits = 0

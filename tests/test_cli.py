@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from gaplab import reporting
 from gaplab.cli import main, _safe_expression
 
 
@@ -23,6 +24,24 @@ class TestGapCommands:
         assert rec["method"] == "galerkin"
         assert doc["config"]["command"] == "gap-galerkin"
         assert doc["provenance"]["references"]
+
+    @pytest.mark.parametrize("mode,assembly,size,kept", [
+        ("full", "monomial", 35, 25), ("symmetric", "orbit-representative", 11, 7)])
+    def test_galerkin_records_how_it_was_computed(self, tmp_path, mode, assembly,
+                                                   size, kept):
+        code, doc = run_json(["gap-galerkin", "--model", "kac", "--N", "3",
+                              "--degree", "4", "--basis-mode", mode], tmp_path)
+        assert code == 0
+        rec = doc["results"][0]
+        assert rec["gap"] == pytest.approx(5 / 12, abs=1e-8)
+        assert rec["assembly"] == assembly
+        assert rec["basis_size"] == size
+        assert rec["kept_dim"] == kept
+        assert rec["deflated"] == size - kept
+        out = tmp_path / "gap.csv"
+        assert main(["gap-galerkin", "--model", "kac", "--N", "3", "--degree", "4",
+                     "--basis-mode", mode, "--format", "csv", "--out", str(out)]) == 0
+        assert next(csv.reader(out.open())) == reporting.CSV_COLUMNS
 
     def test_galerkin_gamma(self, tmp_path):
         code, doc = run_json(["gap-galerkin", "--model", "gamma-exchange",

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaplab.galerkin import (MultiIndexBasis, assemble_galerkin, beta_moment,
+from gaplab.galerkin import (DirichletMoments, MultiIndexBasis, SphereMoments,
+                             assemble_galerkin, beta_moment,
                              conditional_moment_eigenvalue, galerkin_eigensystem,
                              galerkin_gap, k_operator_check, pair_average_action,
                              quadratic_eigen_identity, rho_pair_action,
@@ -14,7 +15,8 @@ from gaplab.galerkin import (MultiIndexBasis, assemble_galerkin, beta_moment,
 from gaplab.models import RhoSpec, build_graph
 
 COSINE_RHO = RhoSpec(coefficients=[1.0, 0.5], exact_tail_zero=True, name="cosine")
-
+CARDIOID_RHO = RhoSpec(density=lambda t: (1.0 + math.cos(t)) / (2.0 * math.pi),
+                       name="cardioid")
 
 def _wallis_oracle(p, q):
     """Independent recursion for the uniform angle moments."""
@@ -162,6 +164,27 @@ class TestBasis:
         assert (2, 0, 0) in b.elements and (1, 1, 0) in b.elements
         assert set(b.monomials_of((1, 1, 0))) == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
 
+    @pytest.mark.parametrize("N", range(1, 8))
+    def test_orbit_expansion_matches_permutations(self, N):
+        b = MultiIndexBasis.build(N, 4, mode="symmetric")
+        for s in b.elements:
+            assert b.monomials_of(s) == tuple(sorted(set(itertools.permutations(s))))
+
+    @pytest.mark.parametrize("N", range(1, 8))
+    def test_signatures_are_all_sorted_exponent_tuples(self, N):
+        b = MultiIndexBasis.build(N, 5, mode="symmetric")
+        full = MultiIndexBasis.build(N, 5)
+        expect = sorted({tuple(sorted(k, reverse=True)) for k in full.elements},
+                        key=lambda k: (sum(k), k))
+        assert list(b.elements) == expect
+
+    def test_signatures_at_large_N(self):
+        b = MultiIndexBasis.build(1000, 4, mode="symmetric")
+        assert all(len(k) == 1000 for k in b.elements)
+        assert [tuple(e for e in k if e) for k in b.elements] == [
+            (), (1,), (1, 1), (2,), (1, 1, 1), (2, 1), (3,),
+            (1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
+
 
 class TestKacGalerkin:
     @pytest.mark.parametrize("N", [3, 4, 5, 6])
@@ -178,12 +201,13 @@ class TestKacGalerkin:
         assert gaps[1] == pytest.approx(5 / 12, abs=1e-9)
         assert gaps[2] == pytest.approx(5 / 12, abs=1e-9)
 
-    def test_symmetric_mode_agrees(self):
-        graph = build_graph("complete", N=4)
-        full = galerkin_gap(assemble_galerkin("kac-uniform", graph, degree=4))
-        sym = galerkin_gap(assemble_galerkin("kac-uniform", graph, degree=4,
-                                             mode="symmetric"))
-        assert sym == pytest.approx(full, abs=1e-9)
+    def test_symmetric_mode_exact_until_solve(self):
+        pair = assemble_galerkin("kac-uniform", build_graph("complete", N=7), degree=4,
+                                 mode="symmetric")
+        assert pair.asymmetry == 0.0
+        assert pair.assembly == "orbit-representative"
+        # A and B are rescaled to a unit Gram diagonal before the float solve
+        assert np.allclose(np.diag(pair.B), 1.0, rtol=0, atol=1e-15)
 
     def test_symmetric_mode_needs_complete(self):
         with pytest.raises(ValueError, match="complete"):
@@ -217,6 +241,93 @@ class TestKacGalerkin:
         g_comp = galerkin_gap(assemble_galerkin("kac-uniform", comp, degree=2))
         assert g_lat > 0
         assert g_comp > 0
+
+
+class TestSymmetricSector:
+    """Orbit-representative assembly against the full basis and the closed forms."""
+
+    @pytest.mark.parametrize("degree", [4, 6])
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_kac_agrees_with_full(self, N, degree):
+        graph = build_graph("complete", N=N)
+        full = galerkin_gap(assemble_galerkin("kac-uniform", graph, degree=degree))
+        sym = galerkin_gap(assemble_galerkin("kac-uniform", graph, degree=degree,
+                                             mode="symmetric"))
+        assert sym == pytest.approx(full, abs=1e-9)
+
+    @pytest.mark.parametrize("gamma", [Fraction(1), Fraction(2)])
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_gamma_agrees_with_full(self, N, gamma):
+        graph = build_graph("complete", N=N)
+        full = galerkin_gap(assemble_galerkin("gamma", graph, degree=4, gamma=gamma))
+        sym = galerkin_gap(assemble_galerkin("gamma", graph, degree=4, gamma=gamma,
+                                             mode="symmetric"))
+        assert sym == pytest.approx(full, abs=1e-9)
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_kac_rho_agrees_with_full(self, N):
+        graph = build_graph("complete", N=N)
+        full = galerkin_gap(assemble_galerkin("kac-rho", graph, degree=4,
+                                              rho=CARDIOID_RHO))
+        sym_pair = assemble_galerkin("kac-rho", graph, degree=4, mode="symmetric",
+                                     rho=CARDIOID_RHO)
+        assert galerkin_gap(sym_pair) == pytest.approx(full, abs=1e-9)
+        # float angle moments make the exact form symmetric only to rounding
+        assert sym_pair.asymmetry < 1e-12
+
+    @pytest.mark.parametrize("N", [10, 20, 50, 100, 1000])
+    def test_closed_forms_at_large_N(self, N):
+        graph = build_graph("complete", N=N)
+        kac = galerkin_gap(assemble_galerkin("kac-uniform", graph, degree=4,
+                                             mode="symmetric"))
+        assert kac == pytest.approx((N + 2) / (4 * N), abs=1e-8)
+        for gamma in (Fraction(1, 2), Fraction(2)):
+            gap = galerkin_gap(assemble_galerkin("gamma", graph, degree=4, gamma=gamma,
+                                                 mode="symmetric"))
+            expect = float((gamma * N + 1) / (N * (2 * gamma + 1)))
+            assert gap == pytest.approx(expect, abs=1e-8)
+
+    def test_moment_calls_independent_of_N(self, monkeypatch):
+        calls = []
+        for cls in (SphereMoments, DirichletMoments):
+            original = cls.exact
+
+            def counted(self, k, original=original):
+                calls.append(1)
+                return original(self, k)
+            monkeypatch.setattr(cls, "exact", counted)
+
+        def count(model, N, **kwargs):
+            calls.clear()
+            assemble_galerkin(model, build_graph("complete", N=N), degree=4,
+                              mode="symmetric", **kwargs)
+            return len(calls)
+
+        assert count("kac-uniform", 20) == count("kac-uniform", 1000) > 0
+        assert count("gamma", 20, gamma=2) == count("gamma", 1000, gamma=2) > 0
+
+    def test_eigenfunction_matches_full_mode(self):
+        graph = build_graph("complete", N=4)
+        f_sym = sector_polynomial(galerkin_eigensystem(
+            assemble_galerkin("kac-uniform", graph, degree=4, mode="symmetric")))
+        f_full = sector_polynomial(galerkin_eigensystem(
+            assemble_galerkin("kac-uniform", graph, degree=4)))
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((40, 4))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        a = np.array([f_sym(p) for p in x])
+        b = np.array([f_full(p) for p in x])
+        ratio = (a @ b) / (b @ b)
+        assert abs(ratio) > 1e-6
+        assert np.abs(a - ratio * b).max() < 1e-8 * np.abs(a).max()
+
+    def test_closure_violation_raises(self, monkeypatch):
+        def leaky(model, a, b, gamma=None):
+            return {(a + b, 1): Fraction(1)}       # raises the total degree
+        monkeypatch.setattr("gaplab.galerkin.pair_average_action", leaky)
+        with pytest.raises(ArithmeticError, match="closure"):
+            assemble_galerkin("kac-uniform", build_graph("complete", N=5), degree=4,
+                              mode="symmetric")
 
 
 class TestGammaGalerkin:
