@@ -1,14 +1,16 @@
-"""Reach of the symmetric sector engine: orbit-sum sectors on K_N at growing N.
+"""Reach of the sector engine: sectors on K_N at growing N.
 
-    python3 scripts/sector_reach.py [--Ns 10,100,300,1000] [--degree 4] [--out reach.json]
+    python3 scripts/sector_reach.py [--mode symmetric|full] [--Ns 10,100,300,1000]
+                                    [--degree 4] [--out reach.json]
 
-For each N it assembles and solves the symmetric (orbit-sum) sector of
-kac-uniform and of the redistribution model at gamma = 1 and 2, and prints
-one JSON object per instance: basis size, kept and deflated dimensions,
-seconds for the graph, the assembly and the solve, the gap and its
-distance from the closed form, (N+2)/(4N) for kac-uniform at
-degree >= 4 and (gamma N + 1)/(N (2 gamma + 1)) for the redistribution
-model.
+For each N it assembles and solves the sector of kac-uniform and of the
+redistribution model at gamma = 1 and 2, and prints one JSON object per
+instance: basis size, kept and deflated dimensions, seconds for the graph,
+the assembly and the solve, the gap and its distance from the closed form,
+(N+2)/(4N) for kac-uniform at degree >= 4 and (gamma N + 1)/(N (2 gamma + 1))
+for the redistribution model.  The symmetric (orbit-sum) mode defaults to
+N = 10, 100, 300, 1000; the full (monomial) mode, whose basis grows as
+C(N + degree, degree), to N = 3..10.
 """
 
 from __future__ import annotations
@@ -35,17 +37,20 @@ def closed_form(model: str, N: int, gamma) -> float:
     return float((gamma * N + 1) / (N * (2 * gamma + 1)))
 
 
-def cell(model: str, N: int, degree: int, gamma, graph, graph_s: float) -> dict:
+DEFAULT_NS = {"symmetric": "10,100,300,1000", "full": "3,4,5,6,7,8,9,10"}
+
+
+def cell(model: str, N: int, degree: int, gamma, graph, graph_s: float,
+         mode: str) -> dict:
     kwargs = {"gamma": gamma} if gamma is not None else {}
     t0 = perf_counter()
-    pair = galerkin.assemble_galerkin(model, graph, degree=degree, mode="symmetric",
-                                      **kwargs)
+    pair = galerkin.assemble_galerkin(model, graph, degree=degree, mode=mode, **kwargs)
     t1 = perf_counter()
     rep = galerkin.galerkin_eigensystem(pair)
     t2 = perf_counter()
     ref = closed_form(model, N, gamma)
     return {
-        "case": f"{model}/K{N}/deg{degree}/symmetric"
+        "case": f"{model}/K{N}/deg{degree}/{mode}"
                 + (f"/gamma{gamma}" if gamma is not None else ""),
         "N": N,
         "basis_size": len(rep.basis),
@@ -63,17 +68,18 @@ def cell(model: str, N: int, degree: int, gamma, graph, graph_s: float) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--Ns", default="10,100,300,1000")
+    ap.add_argument("--mode", choices=("symmetric", "full"), default="symmetric")
+    ap.add_argument("--Ns", default=None, help="comma-separated N (default by mode)")
     ap.add_argument("--degree", type=int, default=4)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
     rows = []
-    for N in (int(v) for v in args.Ns.split(",")):
+    for N in (int(v) for v in (args.Ns or DEFAULT_NS[args.mode]).split(",")):
         t0 = perf_counter()
         graph = build_graph("complete", N=N)
         graph_s = perf_counter() - t0
         for model, gamma in CASES:
-            rows.append(cell(model, N, args.degree, gamma, graph, graph_s))
+            rows.append(cell(model, N, args.degree, gamma, graph, graph_s, args.mode))
             print(json.dumps(rows[-1]), flush=True)
     if args.out:
         Path(args.out).write_text(json.dumps(rows, indent=1) + "\n")

@@ -352,13 +352,18 @@ def estimated_nnz(model: ModelSpec, graph: InteractionGraph, omega: int) -> int:
     return n + math.ceil(E * n * (1 + 2 * omega / graph.n_sites))
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _preflight(model: ModelSpec, graph: InteractionGraph, omega: int) -> None:
     """Refuse, before anything is allocated, an instance that cannot fit in memory."""
     n = state_count(graph.n_sites, omega)
     nnz = estimated_nnz(model, graph, omega)
     need = (_BYTES_PER_NNZ * nnz
             + n * (_BYTES_PER_STATE + _BYTES_PER_STATE_SITE * graph.n_sites))
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = physical_memory()
     if need > have:
         raise TooLargeError(
             f"{model.family} on {graph.n_sites} sites at omega={omega}: {n} states and "

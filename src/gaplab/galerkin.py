@@ -18,10 +18,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .discrete import TooLargeError, physical_memory
 from .models import InteractionGraph, RhoSpec
 
 DEFLATION_TOL = 1e-10
 ZERO_TOL = 1e-8
+#: n-by-n float64 arrays of a full-mode sector alive at once.  Assembly holds
+#: five (C, B, A and two temporaries of A = -B C and its symmetrization); the
+#: solve holds A and B beside LAPACK eigh's copy of B, its eigenvectors and
+#: its 2 n^2 workspace.  Peak RSS measured 8.2-8.8 n^2 floats at n = 1820-3003.
+FULL_MODE_DENSE_ARRAYS = 9
 
 _MODEL_ALIASES = {
     "kac": "kac-uniform",
@@ -349,14 +355,78 @@ class GalerkinPair:
         return "monomial" if self.basis.mode == "full" else "orbit-representative"
 
 
+def full_basis_size(n_vars: int, degree: int, even_only: bool = False) -> int:
+    """Monomials of total degree <= degree in n_vars variables (even totals only)."""
+    totals = range(0, degree + 1, 2 if even_only else 1)
+    return sum(comb(t + n_vars - 1, n_vars - 1) for t in totals)
+
+
+def _full_mode_preflight(n_vars: int, degree: int, even_only: bool) -> None:
+    """Refuse, before the basis is built, a full-mode sector that cannot be solved.
+
+    Its dense n-by-n forms and their solve must fit in physical memory, and
+    the base 2 degree + 1 code of a product's sorted exponents
+    (`_gram_matrix`) must fit in an int64.
+    """
+    n = full_basis_size(n_vars, degree, even_only)
+    what = f"full-mode sector of degree {degree} on {n_vars} sites ({n} monomials)"
+    hint = "on a complete graph use --basis-mode symmetric"
+    need = FULL_MODE_DENSE_ARRAYS * 8 * n * n
+    have = physical_memory()
+    if need > have:
+        raise TooLargeError(
+            f"{what}: its dense forms need about {need / 2**30:.1f} GiB, more than "
+            f"the {have / 2**30:.1f} GiB of physical memory; {hint}")
+    if (2 * degree + 1) ** min(n_vars, 2 * degree) >= 2 ** 63:
+        raise TooLargeError(
+            f"{what}: its moment keys overflow the int64 codes of the Gram "
+            f"assembly; {hint}")
+
+
+def _gram_matrix(E: np.ndarray, degree: int, oracle) -> np.ndarray:
+    """B[i, j] = oracle(E[i] + E[j]) for the int64 exponent rows E, one oracle call per key.
+
+    A product of two monomials of degree <= degree has at most 2 degree
+    nonzero exponents, each at most 2 degree, so the last w = min(V, 2 degree)
+    columns of its sorted exponents, read as base 2 degree + 1 digits, give
+    one int64 code per moment key.  Each row is coded in one numpy pass and
+    the oracle sees each code once; every entry is the oracle's float for its
+    key, as in a pairwise loop.
+    """
+    n, V = E.shape
+    w = min(V, 2 * degree)
+    digits = (2 * degree + 1) ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    memo: dict = {}
+    B = np.empty((n, n))
+    for i in range(n):
+        tails = np.sort(E[i] + E[i:], axis=1)[:, V - w:]
+        codes, first, inverse = np.unique(tails @ digits, return_index=True,
+                                          return_inverse=True)
+        vals = np.empty(len(codes))
+        for u, (code, f) in enumerate(zip(codes.tolist(), first.tolist())):
+            v = memo.get(code)
+            if v is None:
+                v = memo[code] = oracle(tails[f].tolist())
+            vals[u] = v
+        row = vals[inverse]
+        B[i, i:] = row
+        B[i:, i] = row
+    return B
+
+
 def assemble_galerkin(model: str, graph: InteractionGraph, omega=1, degree: int = 4,
                       mode: str = "full", even_only: bool = False,
                       rho: Optional[RhoSpec] = None, gamma=None) -> GalerkinPair:
     """Restrict the generator to the polynomial sector over the graph's sites.
 
-    The full mode assembles in floats over the graph's edges, monomial by
-    monomial.  The symmetric mode works on orbit sums and is exact until the
-    solve; see `_orbit_forms`.
+    The full mode assembles in floats over the graph's edges.  C takes the
+    image of each monomial edge by edge; the Gram matrix B is filled a row at
+    a time from integer-coded moment keys (`_gram_matrix`), one oracle call
+    per distinct key.  Its dense n-by-n forms bound the reach: a sector whose
+    `FULL_MODE_DENSE_ARRAYS` arrays of n^2 floats exceed physical memory is
+    refused with `TooLargeError` before the basis is built.  The symmetric
+    mode works on orbit sums and is exact until the solve; see
+    `_orbit_forms`.
     """
     name = _MODEL_ALIASES.get(model)
     if name is None:
@@ -395,6 +465,8 @@ def assemble_galerkin(model: str, graph: InteractionGraph, omega=1, degree: int 
             action_cache[key] = {k: convert(v) for k, v in action(a, b).items()}
         return action_cache[key]
 
+    if mode == "full":
+        _full_mode_preflight(V, degree, even_only)
     basis = MultiIndexBasis.build(V, degree, mode=mode, even_only=even_only)
     n = len(basis)
     scale = graph.pair_scaling
@@ -429,12 +501,7 @@ def assemble_galerkin(model: str, graph: InteractionGraph, omega=1, degree: int 
                     f"sector closure violated: image monomial {key} of {k} "
                     "lies outside the basis")
             C[row, l] += c
-    B = np.empty((n, n))
-    for i, ki in enumerate(basis.elements):
-        for j in range(i, n):
-            v = oracle(tuple(x + y for x, y in zip(ki, basis.elements[j])))
-            B[i, j] = v
-            B[j, i] = v
+    B = _gram_matrix(np.array(basis.elements, dtype=np.int64), degree, oracle)
 
     A = -B @ C
     asym = float(np.abs(A - A.T).max())

@@ -29,6 +29,8 @@ CONSERVATION_RTOL = 1e-9
 N_BOOTSTRAP = 100
 #: widen bootstrap intervals by this factor to absorb fit-model error
 CI_INFLATION = 1.25
+#: the decay fit searches the autocorrelation at lags 1..MAX_FIT_LAG
+MAX_FIT_LAG = 400
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
@@ -450,6 +452,24 @@ def _autocovariance(x: np.ndarray) -> np.ndarray:
     return np.fft.irfft(f * np.conj(f))[:n] / n
 
 
+def _window_lags(ratio: np.ndarray, window: tuple) -> np.ndarray:
+    """Fit lags l + 1 of the autocorrelation ratios C(l + 1)/C(0).
+
+    Only the first `MAX_FIT_LAG` ratios are searched.  The run starts at the
+    first ratio at or below window[1] and stops before the first later ratio
+    below window[0]; a NaN ratio compares false both ways, so it neither
+    opens nor closes the run.
+    """
+    ratio = ratio[:MAX_FIT_LAG]
+    inside = np.flatnonzero(ratio <= window[1])
+    if not inside.size:
+        raise NoDecayError("autocorrelation never enters the fit window")
+    start = int(inside[0])
+    below = np.flatnonzero(ratio[start:] < window[0])
+    stop = start + int(below[0]) if below.size else len(ratio)
+    return np.arange(start + 1, stop + 1)
+
+
 def _fit_decay_rate(series: np.ndarray, dt: float,
                     window: tuple = (0.1, 0.8)) -> float:
     """Weighted slope of log-autocovariance over the mid-decay lag window.
@@ -463,20 +483,7 @@ def _fit_decay_rate(series: np.ndarray, dt: float,
     c0 = c[0]
     if c0 <= 0:
         raise NoDecayError("zero-variance observable")
-    ratio = c[1:] / c0
-    limit = min(len(ratio), 400)
-    start = None
-    for l in range(limit):
-        if ratio[l] <= window[1]:
-            start = l
-            break
-    if start is None:
-        raise NoDecayError("autocorrelation never enters the fit window")
-    lags = []
-    for l in range(start, limit):
-        if ratio[l] < window[0]:
-            break
-        lags.append(l + 1)
+    lags = _window_lags(c[1:] / c0, window)
     if len(lags) < 2:
         raise NoDecayError(
             f"fewer than two lags with C(t)/C(0) in [{window[0]}, {window[1]}]")

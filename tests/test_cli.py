@@ -43,6 +43,11 @@ class TestGapCommands:
                      "--basis-mode", mode, "--format", "csv", "--out", str(out)]) == 0
         assert next(csv.reader(out.open())) == reporting.CSV_COLUMNS
 
+    def test_galerkin_full_mode_too_large_is_refused(self, capsys):
+        code = main(["gap-galerkin", "--model", "kac", "--N", "12", "--degree", "8"])
+        assert code == 1
+        assert "--basis-mode symmetric" in capsys.readouterr().err
+
     def test_galerkin_gamma(self, tmp_path):
         code, doc = run_json(["gap-galerkin", "--model", "gamma-exchange",
                               "--N", "4", "--degree", "2", "--gamma", "2"], tmp_path)

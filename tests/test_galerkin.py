@@ -5,13 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gaplab import galerkin
+from gaplab.discrete import TooLargeError
 from gaplab.galerkin import (DirichletMoments, MultiIndexBasis, SphereMoments,
                              assemble_galerkin, beta_moment,
-                             conditional_moment_eigenvalue, galerkin_eigensystem,
-                             galerkin_gap, k_operator_check, pair_average_action,
-                             quadratic_eigen_identity, rho_pair_action,
-                             rho_trig_moment, sector_polynomial, simplex_moment,
-                             sphere_moment, trig_moment, two_site_fourier_gap)
+                             conditional_moment_eigenvalue, full_basis_size,
+                             galerkin_eigensystem, galerkin_gap, k_operator_check,
+                             pair_average_action, quadratic_eigen_identity,
+                             rho_pair_action, rho_trig_moment, sector_polynomial,
+                             simplex_moment, sphere_moment, trig_moment,
+                             two_site_fourier_gap)
 from gaplab.models import RhoSpec, build_graph
 
 COSINE_RHO = RhoSpec(coefficients=[1.0, 0.5], exact_tail_zero=True, name="cosine")
@@ -243,6 +246,19 @@ class TestKacGalerkin:
         assert g_comp > 0
 
 
+def _count_exact_calls(monkeypatch) -> list:
+    """Record one entry per call of either moment oracle's `exact`."""
+    calls = []
+    for cls in (SphereMoments, DirichletMoments):
+        original = cls.exact
+
+        def counted(self, k, original=original):
+            calls.append(1)
+            return original(self, k)
+        monkeypatch.setattr(cls, "exact", counted)
+    return calls
+
+
 class TestSymmetricSector:
     """Orbit-representative assembly against the full basis and the closed forms."""
 
@@ -288,14 +304,7 @@ class TestSymmetricSector:
             assert gap == pytest.approx(expect, abs=1e-8)
 
     def test_moment_calls_independent_of_N(self, monkeypatch):
-        calls = []
-        for cls in (SphereMoments, DirichletMoments):
-            original = cls.exact
-
-            def counted(self, k, original=original):
-                calls.append(1)
-                return original(self, k)
-            monkeypatch.setattr(cls, "exact", counted)
+        calls = _count_exact_calls(monkeypatch)
 
         def count(model, N, **kwargs):
             calls.clear()
@@ -328,6 +337,87 @@ class TestSymmetricSector:
         with pytest.raises(ArithmeticError, match="closure"):
             assemble_galerkin("kac-uniform", build_graph("complete", N=5), degree=4,
                               mode="symmetric")
+
+
+def _pairwise_gram(E, degree, oracle):
+    """The pairwise Gram loop that `_gram_matrix` replaced: one oracle call per pair."""
+    rows = [tuple(r) for r in E.tolist()]
+    n = len(rows)
+    B = np.empty((n, n))
+    for i, ki in enumerate(rows):
+        for j in range(i, n):
+            v = oracle(tuple(x + y for x, y in zip(ki, rows[j])))
+            B[i, j] = v
+            B[j, i] = v
+    return B
+
+
+class TestFullModeGram:
+    """Gram assembly from integer-coded moment keys, pinned to the pairwise loop."""
+
+    @pytest.mark.parametrize("model,graph,degree,kwargs", [
+        *[("kac-uniform", ("complete", N), 4, {}) for N in (3, 4, 5, 6)],
+        ("kac-uniform", ("complete", 4), 6, {}),
+        ("gamma", ("complete", 3), 2, {"gamma": Fraction(2)}),
+        # V >= 2 degree: a product can have 2 degree nonzero exponents, all ones
+        ("gamma", ("complete", 5), 2, {"gamma": Fraction(2)}),
+        ("kac-uniform", ("complete", 8), 4, {}),
+        ("gamma", ("complete", 5), 4, {"gamma": Fraction(1)}),
+        ("kac-rho", ("complete", 3), 4, {"rho": CARDIOID_RHO}),
+        ("kac-uniform", ("complete", 5), 4, {"even_only": True}),
+        ("gamma", ("complete", 4), 5, {"gamma": Fraction(1, 2), "even_only": True}),
+        ("kac-uniform", ("lattice", 2), 4, {}),
+    ])
+    def test_bitwise_equal_to_pairwise_loop(self, monkeypatch, model, graph, degree,
+                                            kwargs):
+        kind, N = graph
+        g = build_graph(kind, N=N) if kind == "complete" else build_graph(kind, d=2, N=N)
+        calls = _count_exact_calls(monkeypatch)
+
+        def run():
+            calls.clear()
+            pair = assemble_galerkin(model, g, degree=degree, **kwargs)
+            return pair, galerkin_eigensystem(pair), len(calls)
+
+        new, new_rep, new_calls = run()
+        monkeypatch.setattr(galerkin, "_gram_matrix", _pairwise_gram)
+        old, old_rep, old_calls = run()
+        assert new.B.tobytes() == old.B.tobytes()
+        assert new.A.tobytes() == old.A.tobytes()
+        assert new_rep.gap == old_rep.gap
+        assert new_rep.gap_coefficients.tobytes() == old_rep.gap_coefficients.tobytes()
+        assert new_calls == old_calls > 0
+
+    @pytest.mark.parametrize("n_vars,degree", [(1, 3), (3, 4), (5, 3), (4, 6)])
+    @pytest.mark.parametrize("even_only", [False, True])
+    def test_basis_size_without_enumeration(self, n_vars, degree, even_only):
+        basis = MultiIndexBasis.build(n_vars, degree, even_only=even_only)
+        assert full_basis_size(n_vars, degree, even_only) == len(basis)
+
+    def test_refuses_what_cannot_fit_before_building(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("basis built before the preflight")
+        monkeypatch.setattr(MultiIndexBasis, "build", fail)
+        assert full_basis_size(12, 8) == 125_970
+        with pytest.raises(TooLargeError, match="--basis-mode symmetric"):
+            assemble_galerkin("kac-uniform", build_graph("complete", N=12), degree=8)
+        with pytest.raises(TooLargeError, match="125970 monomials"):
+            assemble_galerkin("gamma", build_graph("complete", N=12), degree=8, gamma=1)
+
+    @pytest.mark.parametrize("memory", ["physical", 2 ** 80])
+    def test_admitted_sizes_keep_int64_keys(self, monkeypatch, memory):
+        if memory != "physical":
+            monkeypatch.setattr(galerkin, "physical_memory", lambda: memory)
+        admitted = 0
+        for V, degree, even_only in itertools.product(range(2, 65), range(2, 41),
+                                                      (False, True)):
+            try:
+                galerkin._full_mode_preflight(V, degree, even_only)
+            except TooLargeError:
+                continue
+            admitted += 1
+            assert (2 * degree + 1) ** min(V, 2 * degree) < 2 ** 63, (V, degree)
+        assert admitted > 0
 
 
 class TestGammaGalerkin:

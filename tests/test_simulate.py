@@ -9,8 +9,10 @@ from gaplab.discrete import (build_generator, enumerate_states, gap_eigenfunctio
 from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, GammaExchangeSpec,
                            ModelSpec, RhoSpec, build_graph)
 from gaplab.reporting import SampleStreamWriter, read_sample_stream
-from gaplab.simulate import (NoDecayError, _Dynamics, _pick_edge, autocorr_gap_estimate,
-                             initial_config, rayleigh_upper_bound, rng_for, simulate)
+from gaplab.simulate import (MAX_FIT_LAG, NoDecayError, _autocovariance, _Dynamics,
+                             _fit_decay_rate, _pick_edge, _window_lags,
+                             autocorr_gap_estimate, initial_config,
+                             rayleigh_upper_bound, rng_for, simulate)
 
 ZR_LINEAR = ModelSpec("zero-range", g=G_IDENTITY)
 ZR_CONST = ModelSpec("zero-range", g=G_CONSTANT_ONE)
@@ -326,6 +328,67 @@ class TestAutocorrEstimator:
         summary, _ = simulate(model, K3, cfg, horizon=200.0, seed=8)
         assert summary.n_events > 0
         assert summary.conservation_drift < 1e-10
+
+
+def _loop_window_lags(ratio, window=(0.1, 0.8)):
+    """The scalar lag search that `_window_lags` replaced; None if the window is never entered."""
+    limit = min(len(ratio), 400)
+    start = None
+    for l in range(limit):
+        if ratio[l] <= window[1]:
+            start = l
+            break
+    if start is None:
+        return None
+    lags = []
+    for l in range(start, limit):
+        if ratio[l] < window[0]:
+            break
+        lags.append(l + 1)
+    return lags
+
+
+class TestWindowLags:
+    """The vectorized fit-window search against the scalar loop it replaced."""
+
+    @pytest.mark.parametrize("ratio", [
+        [0.95, 0.9, 0.85],                                  # never enters
+        [0.9, 0.5, 0.3, 0.05, 0.4, 0.3],                    # wanders back in
+        [0.9, 0.5, 0.05, 0.5],                              # one lag
+        [0.9, 0.05, 0.5, 0.3],                              # enters below the band
+        [0.7],                                              # one ratio in all
+        [],
+        [0.99] * 50 + list(np.linspace(0.79, 0.11, 600)),   # hits the cap
+        [0.99] * 450 + [0.5, 0.4],                          # enters past the cap
+        [np.nan, 0.9, 0.6, np.nan, 0.3, 0.09, 0.5],         # NaN opens nothing, closes nothing
+        [0.9, np.nan, np.nan, 0.2, np.nan, 0.01],
+        [0.8, 0.1, 0.0999],                                 # both edges inclusive
+    ])
+    def test_matches_loop(self, ratio):
+        ratio = np.asarray(ratio, dtype=float)
+        expect = _loop_window_lags(ratio)
+        if expect is None:
+            with pytest.raises(NoDecayError, match="never enters"):
+                _window_lags(ratio, (0.1, 0.8))
+            return
+        got = _window_lags(ratio, (0.1, 0.8))
+        assert got.tolist() == expect
+        assert len(got) <= MAX_FIT_LAG
+
+    def test_ar1_series(self):
+        rng = np.random.default_rng(12)
+        x = np.empty(5000)
+        x[0] = 0.0
+        noise = rng.standard_normal(5000)
+        for t in range(1, 5000):
+            x[t] = 0.97 * x[t - 1] + noise[t]
+        c = _autocovariance(x)
+        ratio = c[1:] / c[0]
+        expect = _loop_window_lags(ratio)
+        assert len(expect) > 10
+        assert _window_lags(ratio, (0.1, 0.8)).tolist() == expect
+        # AR(1) with coefficient 0.97 decays at -log(0.97) per step
+        assert _fit_decay_rate(x, 1.0) == pytest.approx(-math.log(0.97), rel=0.3)
 
 
 class TestRayleigh:
