@@ -25,6 +25,6 @@ from .bounds import (BoundChain, CanonicalPath, CertificateRefused, canonical_pa
                      local_gap_lower_bound, moving_particle_decomposition,
                      path_census, sandwich)
 from .simulate import (EstimatorResult, autocorr_gap_estimate, initial_config,
-                       rayleigh_upper_bound, sample_series, simulate)
+                       rayleigh_upper_bound, sample_series)
 
 __version__ = "0.1.0"

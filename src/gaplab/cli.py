@@ -165,15 +165,17 @@ def cmd_gap_exact(args) -> int:
     return 0
 
 
+#: gap-galerkin's --model ids and the sector model each one assembles
+SECTOR_MODELS = {"kac": "kac-uniform", "kac-rho": "kac-rho", "gamma-exchange": "gamma"}
+
+
 def cmd_gap_galerkin(args) -> int:
     graph = _graph_from_args(args)
+    name = SECTOR_MODELS[args.model]
     kwargs = {}
-    if args.model in ("kac", "kac-rho"):
-        name = "kac-uniform" if args.model == "kac" else "kac-rho"
-        if name == "kac-rho":
-            kwargs["rho"] = _resolve_rho(args.rho)
-    else:
-        name = "gamma"
+    if name == "kac-rho":
+        kwargs["rho"] = _resolve_rho(args.rho)
+    elif name == "gamma":
         kwargs["gamma"] = Fraction(args.gamma if args.gamma is not None else 1)
     pair = galerkin.assemble_galerkin(name, graph, degree=args.degree,
                                       mode=args.basis_mode, **kwargs)
@@ -349,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gap-galerkin", help="polynomial-sector gap")
     common(sp)
-    sp.add_argument("--model", choices=("kac", "kac-rho", "gamma-exchange"),
-                    default="kac")
+    sp.add_argument("--model", choices=tuple(SECTOR_MODELS), default="kac")
     sp.add_argument("--gamma", default=None, help="shape parameter")
     sp.add_argument("--rho", default=None,
                     help="angle density: uniform | fourier:FILE | density:EXPR")

@@ -29,14 +29,6 @@ ZERO_TOL = 1e-8
 #: its 2 n^2 workspace.  Peak RSS measured 8.2-8.8 n^2 floats at n = 1820-3003.
 FULL_MODE_DENSE_ARRAYS = 9
 
-_MODEL_ALIASES = {
-    "kac": "kac-uniform",
-    "kac-uniform": "kac-uniform",
-    "kac-rho": "kac-rho",
-    "gamma": "gamma-exchange-simple-average",
-    "gamma-exchange-simple-average": "gamma-exchange-simple-average",
-}
-
 
 def _rising(x: Fraction, n: int) -> Fraction:
     r = Fraction(1)
@@ -290,17 +282,17 @@ def rho_trig_moment(rho: RhoSpec, p: int, q: int, symmetrized: bool = False) -> 
 def pair_average_action(model: str, a: int, b: int, gamma=None) -> dict:
     """Conditional pair average of eta_x^a eta_y^b as {(p, q): rational coeff}.
 
-    Rotation averaging kills any odd pair; redistribution averaging spreads
-    the total binomially with symmetric-Beta weights.
+    `model` is "kac-uniform" or "gamma".  Rotation averaging kills any odd
+    pair; redistribution averaging spreads the total binomially with
+    symmetric-Beta weights.
     """
-    name = _MODEL_ALIASES.get(model, model)
-    if name == "kac-uniform":
+    if model == "kac-uniform":
         if a % 2 or b % 2:
             return {}
         T = trig_moment(a, b)
         M = (a + b) // 2
         return {(2 * m, 2 * (M - m)): T * comb(M, m) for m in range(M + 1)}
-    if name == "gamma-exchange-simple-average":
+    if model == "gamma":
         if gamma is None:
             raise ValueError("redistribution action needs the shape parameter")
         bm = beta_moment(a, b, gamma)
@@ -419,6 +411,8 @@ def assemble_galerkin(model: str, graph: InteractionGraph, omega=1, degree: int 
                       rho: Optional[RhoSpec] = None, gamma=None) -> GalerkinPair:
     """Restrict the generator to the polynomial sector over the graph's sites.
 
+    `model` is "kac-uniform", "kac-rho" (with `rho`) or "gamma" (with `gamma`).
+
     The full mode assembles in floats over the graph's edges.  C takes the
     image of each monomial edge by edge; the Gram matrix B is filled a row at
     a time from integer-coded moment keys (`_gram_matrix`), one oracle call
@@ -428,27 +422,25 @@ def assemble_galerkin(model: str, graph: InteractionGraph, omega=1, degree: int 
     mode works on orbit sums and is exact until the solve; see
     `_orbit_forms`.
     """
-    name = _MODEL_ALIASES.get(model)
-    if name is None:
-        raise ValueError(f"unknown sector model {model!r}")
+    if model not in ("kac-uniform", "kac-rho", "gamma"):
+        raise ValueError(f"unknown sector model {model!r} (kac-uniform, kac-rho or gamma)")
     if degree < 2:
         raise ValueError("degree must be at least 2")
     V = graph.n_sites
     if mode == "symmetric" and graph.kind != "complete":
         raise ValueError("symmetric orbits are only invariant on the complete graph")
 
-    if name in ("kac-uniform", "kac-rho"):
+    if model in ("kac-uniform", "kac-rho"):
         oracle = SphereMoments(V, omega)
     else:
         if gamma is None:
             raise ValueError("redistribution sector needs the shape parameter")
         oracle = DirichletMoments(V, gamma, omega)
 
-    if name == "kac-uniform":
+    if model == "kac-uniform":
         action = lambda a, b: pair_average_action("kac-uniform", a, b)
-    elif name == "gamma-exchange-simple-average":
-        action = lambda a, b: pair_average_action("gamma-exchange-simple-average",
-                                                  a, b, gamma=gamma)
+    elif model == "gamma":
+        action = lambda a, b: pair_average_action("gamma", a, b, gamma=gamma)
     else:
         if rho is None:
             raise ValueError("rotation sector with a density needs rho=")
@@ -472,7 +464,7 @@ def assemble_galerkin(model: str, graph: InteractionGraph, omega=1, degree: int 
     scale = graph.pair_scaling
 
     if mode == "symmetric":
-        return _orbit_forms(name, basis, oracle, cached_action, Fraction(scale),
+        return _orbit_forms(model, basis, oracle, cached_action, Fraction(scale),
                             float(omega))
 
     pos = {k: i for i, k in enumerate(basis.elements)}
@@ -507,7 +499,7 @@ def assemble_galerkin(model: str, graph: InteractionGraph, omega=1, degree: int 
     asym = float(np.abs(A - A.T).max())
     A = 0.5 * (A + A.T)
     _check_symmetric(asym, A)
-    return GalerkinPair(name, A, B, basis, float(omega), asym)
+    return GalerkinPair(model, A, B, basis, float(omega), asym)
 
 
 def _check_symmetric(asym: float, A: np.ndarray) -> None:
@@ -852,8 +844,7 @@ def quadratic_eigen_identity(gamma) -> QuadraticIdentityReport:
             a, b = k[x], k[y]
             if a == 0 and b == 0:
                 continue
-            for (p, q), c in pair_average_action("gamma-exchange-simple-average",
-                                                 a, b, gamma=g).items():
+            for (p, q), c in pair_average_action("gamma", a, b, gamma=g).items():
                 kk = list(k)
                 kk[x] = p
                 kk[y] = q

@@ -197,6 +197,11 @@ def build_graph(kind: str, d: Optional[int] = None, N: int = 2) -> InteractionGr
 # angle densities for the rotation model
 # ---------------------------------------------------------------------------
 
+def angle_midpoints(n: int) -> np.ndarray:
+    """Midpoints of n equal cells of (-pi, pi]."""
+    return -math.pi + 2 * math.pi * (np.arange(n) + 0.5) / n
+
+
 class RhoSpec:
     """Angle density on (-pi, pi], as an evaluable density or Fourier data.
 
@@ -215,16 +220,18 @@ class RhoSpec:
         self.name = name
         self.density = density
         self.exact_tail_zero = exact_tail_zero
+        #: the density at angle_midpoints(RHO_QUADRATURE_NODES); None for Fourier data
+        self.grid_values = None
         if coefficients is not None:
             self._coeffs = np.asarray(coefficients, dtype=complex)
             if len(self._coeffs) == 0:
                 raise ValueError("need at least the order-0 coefficient")
         else:
-            theta = -math.pi + 2 * math.pi * (np.arange(RHO_QUADRATURE_NODES) + 0.5) / RHO_QUADRATURE_NODES
-            vals = np.array([density(t) for t in theta])
+            theta = angle_midpoints(RHO_QUADRATURE_NODES)
+            self.grid_values = np.array([density(t) for t in theta])
             ns = np.arange(n_max + 1)
             phase = np.exp(1j * np.outer(ns, theta))
-            self._coeffs = (phase * vals).sum(axis=1) * (2 * math.pi / RHO_QUADRATURE_NODES)
+            self._coeffs = (phase * self.grid_values).sum(axis=1) * (2 * math.pi / RHO_QUADRATURE_NODES)
 
     @classmethod
     def uniform(cls) -> "RhoSpec":
@@ -260,9 +267,8 @@ class RhoSpec:
         checks.append(CheckResult("no point-mass concentration",
                                   worst < 1.0 - 1e-12, 0.0,
                                   "some |rho_hat(n)| = 1 with n >= 1" if worst >= 1.0 - 1e-12 else ""))
-        if self.density is not None:
-            theta = -math.pi + 2 * math.pi * (np.arange(RHO_QUADRATURE_NODES) + 0.5) / RHO_QUADRATURE_NODES
-            vals = np.array([self.density(t) for t in theta])
+        if self.grid_values is not None:
+            vals = self.grid_values
             neg = float(-min(0.0, vals.min()))
             checks.append(CheckResult("density nonnegative", neg < 1e-12, neg, ""))
             mass = float(vals.sum() * 2 * math.pi / RHO_QUADRATURE_NODES)
@@ -276,6 +282,11 @@ class RhoSpec:
 # energy-exchange specification
 # ---------------------------------------------------------------------------
 
+def unit_rate(_: float) -> float:
+    """The constant pair-rate factor 1, the default of both lambdas."""
+    return 1.0
+
+
 @dataclass
 class GammaExchangeSpec:
     """Pair energy-redistribution model on the positive half line.
@@ -283,12 +294,13 @@ class GammaExchangeSpec:
     The pair rate factors as lambda_s(total) * lambda_r(fraction), and the
     redistribution fraction is drawn from `kernel`: either the closed-form
     symmetric Beta kernel ("simple-average") or a row-stochastic matrix on a
-    uniform grid of [0, 1].
+    uniform grid of [0, 1].  With both lambdas `unit_rate` and the Beta
+    kernel this is the simple average for the gamma measure.
     """
 
     gamma: Fraction
-    lambda_s: Callable[[float], float] = lambda s: 1.0
-    lambda_r: Callable[[float], float] = lambda b: 1.0
+    lambda_s: Callable[[float], float] = unit_rate
+    lambda_r: Callable[[float], float] = unit_rate
     kernel: object = "simple-average"   # or (cells, cells) ndarray
     cells: int = DEFAULT_KERNEL_CELLS
 
@@ -343,15 +355,17 @@ MODEL_IDS = {
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A collision family plus its parameters; fixes the two-site operator."""
+    """A collision family plus its parameters; fixes the two-site operator.
+
+    `simple-average` is the integer conditional average with rates g; the
+    continuous simple averages are `kac-uniform` (the sphere) and
+    `gamma-exchange` with its default spec (the gamma measure).
+    """
 
     family: str
     rho: Optional[RhoSpec] = None
     exchange: Optional[GammaExchangeSpec] = None
     g: Optional[RateFunction] = None
-    # simple-average only: which site space the conditional average acts on
-    site_kind: str = "nonneg-integers-zerorange"
-    gamma: Optional[Fraction] = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -360,25 +374,14 @@ class ModelSpec:
             raise ValueError("kac-rho needs a RhoSpec")
         if self.family == "gamma-exchange" and self.exchange is None:
             raise ValueError("gamma-exchange needs a GammaExchangeSpec")
-        if self.family == "zero-range" and self.g is None:
-            raise ValueError("zero-range needs a rate function g")
-        if self.family == "simple-average":
-            if self.site_kind == "nonneg-integers-zerorange" and self.g is None:
-                raise ValueError("integer simple-average needs a rate function g")
-            if self.site_kind == "positive-half-line-gamma" and self.gamma is None:
-                raise ValueError("gamma simple-average needs a shape parameter")
+        if self.family in ("zero-range", "simple-average") and self.g is None:
+            raise ValueError(f"{self.family} needs a rate function g")
 
     def site_space(self) -> SiteSpace:
         if self.family in ("kac-uniform", "kac-rho"):
             return SiteSpace("real-line-gaussian")
         if self.family == "gamma-exchange":
             return SiteSpace("positive-half-line-gamma", gamma=self.exchange.gamma)
-        if self.family == "zero-range":
-            return SiteSpace("nonneg-integers-zerorange", g=self.g)
-        if self.site_kind == "real-line-gaussian":
-            return SiteSpace("real-line-gaussian")
-        if self.site_kind == "positive-half-line-gamma":
-            return SiteSpace("positive-half-line-gamma", gamma=Fraction(self.gamma))
         return SiteSpace("nonneg-integers-zerorange", g=self.g)
 
     def law(self) -> ConservationLaw:
@@ -387,6 +390,13 @@ class ModelSpec:
     @property
     def is_discrete(self) -> bool:
         return self.site_space().is_discrete
+
+    @property
+    def constant_rates(self) -> bool:
+        """Every pair collides at the same rate, whatever the configuration."""
+        if self.family == "gamma-exchange":
+            return self.exchange.lambda_s is unit_rate and self.exchange.lambda_r is unit_rate
+        return self.family != "zero-range"
 
 
 def model_from_id(model_id: str, *, g: Optional[RateFunction] = None,
@@ -407,8 +417,8 @@ def model_from_id(model_id: str, *, g: Optional[RateFunction] = None,
     if family == "zero-range":
         return ModelSpec("zero-range", g=g if g is not None else G_CONSTANT_ONE)
     if gamma is not None:
-        return ModelSpec("simple-average", gamma=Fraction(gamma),
-                         site_kind="positive-half-line-gamma")
+        raise ValueError("simple-average is the integer family; the simple average "
+                         "for the gamma measure is gamma-exchange")
     return ModelSpec("simple-average", g=g if g is not None else G_CONSTANT_ONE)
 
 

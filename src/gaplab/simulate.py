@@ -12,6 +12,7 @@ or accumulate the quadratic form of the generator along the trajectory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -19,7 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.special
 
-from .models import InteractionGraph, ModelSpec, RhoSpec
+from .models import (RHO_QUADRATURE_NODES, InteractionGraph, ModelSpec, RhoSpec,
+                     angle_midpoints)
 
 #: events tolerated with a clipped negative energy per million before aborting
 CLIP_BUDGET_PER_MILLION = 10
@@ -55,9 +57,7 @@ def initial_config(model: ModelSpec, graph: InteractionGraph, omega,
         x *= math.sqrt(float(omega) / float(x @ x))
         return x
     if space.kind == "positive-half-line-gamma":
-        shape = float(space.gamma) if space.gamma is not None else 1.0
-        x = rng.dirichlet([shape] * V) * float(omega)
-        return x
+        return rng.dirichlet([float(space.gamma)] * V) * float(omega)
     cfg = np.zeros(V, dtype=np.int64)
     sites = rng.integers(0, V, size=int(omega))
     for s in sites:
@@ -69,22 +69,32 @@ def initial_config(model: ModelSpec, graph: InteractionGraph, omega,
 # per-family event mechanics
 # ---------------------------------------------------------------------------
 
+def _rotation(xi, xj, c, s):
+    """The pair (xi, xj) turned by the angle of cosine c and sine s."""
+    return xi * c - xj * s, xi * s + xj * c
+
+
+def _redistribution(alpha, s):
+    """The total s split into the fractions alpha and 1 - alpha."""
+    return alpha * s, (1.0 - alpha) * s
+
+
 class _Dynamics:
-    """Rates and updates for one model family on a fixed graph.
+    """Rates, updates and pair outcomes for one model family on a fixed graph.
 
     `reset(cfg)` computes every edge rate into `rates`.  Each `apply` then
     makes one jump and recomputes only the edges that share an endpoint with
     the fired pair, so `rates` stays bitwise equal to `edge_rates(cfg)`.
+    `outcomes(cfg, x, y)` lists what a collision of (x, y) can leave, for
+    the carre du champ.
     """
 
     def __init__(self, model: ModelSpec, graph: InteractionGraph):
         self.model = model
-        self.graph = graph
         self.edges = graph.edges
         self.scale = graph.pair_scaling
         fam = model.family
-        space = model.site_space()
-        self.is_int = space.is_discrete
+        self.is_int = model.is_discrete
         self.square_law = model.law().form == "square"
         self.clips = 0
         ends = np.array(self.edges, dtype=np.intp).reshape(len(self.edges), 2)
@@ -96,33 +106,40 @@ class _Dynamics:
         counts = np.bincount(sites, minlength=graph.n_sites)
         self._incident = np.split(order // 2, np.cumsum(counts)[:-1])
         #: pair rates do not depend on the configuration
-        self.constant_rates = fam in ("kac-uniform", "kac-rho", "simple-average")
+        self.constant_rates = model.constant_rates
         self._refresh = None
-        if fam == "kac-uniform" or (fam == "simple-average"
-                                    and space.kind == "real-line-gaussian"):
-            self._jump = self._jump_uniform_rotation
-        elif fam == "kac-rho":
-            self._theta_sampler = _angle_sampler(model.rho)
-            self._jump = self._jump_rho_rotation
-        elif fam == "zero-range":
-            self._jump = self._jump_zero_range
+        if fam == "zero-range":
+            self._jump, self.outcomes = self._jump_zero_range, self._zero_range_outcomes
             self._refresh = self._refresh_zero_range
+        elif fam == "simple-average":
+            self._laws: dict = {}
+            self._jump, self.outcomes = self._jump_integer_average, self._integer_average_outcomes
         elif fam == "gamma-exchange":
             ex = model.exchange
-            self._grid = ex.grid()
-            self._K = ex.kernel_matrix()
-            self._Kcum = np.cumsum(self._K, axis=1)
-            self._simple = not isinstance(ex.kernel, np.ndarray)
             self._gamma = float(ex.gamma)
-            self._jump = self._jump_exchange
-            self._refresh = self._refresh_exchange
-        elif self.is_int:
-            self._pmf_cache: dict = {}
-            self._cdf_cache: dict = {}
-            self._jump = self._jump_integer_average
+            self._jump, self.outcomes = self._jump_exchange, self._exchange_outcomes
+            if not self.constant_rates:
+                self._refresh = self._refresh_exchange
+            self._simple = not isinstance(ex.kernel, np.ndarray)
+            if not self._simple:
+                self._grid = ex.grid()
+                self._K = ex.kernel_matrix()
+                self._Kcum = np.cumsum(self._K, axis=1)
         else:
-            self._gamma = float(space.gamma)
-            self._jump = self._jump_beta_average
+            # rotations: midpoint nodes weighted by the even part of the density
+            nodes = 64
+            theta = angle_midpoints(nodes)
+            # math.cos and math.sin as the jump uses them; np.cos may differ by an ulp
+            self._cos = np.array([math.cos(t) for t in theta])
+            self._sin = np.array([math.sin(t) for t in theta])
+            self.outcomes = self._rotation_outcomes
+            if fam == "kac-uniform":
+                self._weights = np.full(nodes, 1.0 / nodes)
+                self._jump = self._jump_uniform_rotation
+            else:
+                self._weights = _even_angle_weights(model.rho, theta)
+                self._theta_sampler = _angle_sampler(model.rho)
+                self._jump = self._jump_rho_rotation
 
     # rates -----------------------------------------------------------------
     def edge_rates(self, cfg: np.ndarray) -> np.ndarray:
@@ -210,57 +227,88 @@ class _Dynamics:
         if self._simple:
             alpha = rng.beta(self._gamma, self._gamma)
         else:
-            s = cfg[x] + cfg[y]
-            beta = min(max(cfg[x] / s, 0.0), 1.0)
-            row = min(int(beta * len(self._grid)), len(self._grid) - 1)
+            row = self._kernel_row(cfg.item(x), cfg.item(x) + cfg.item(y))
             cell = int(self._Kcum[row].searchsorted(rng.random()))
-            cell = min(cell, len(self._grid) - 1)
-            alpha = self._grid[cell]
+            alpha = self._grid[min(cell, len(self._grid) - 1)]
         self._redistribute(cfg, x, y, alpha)
 
     def _jump_integer_average(self, cfg, x, y, rng):
         # the draw Generator.choice(s + 1, p=pmf) makes, without its checks
         s = int(cfg[x] + cfg[y])
-        a = int(self._pair_cdf(s).searchsorted(rng.random(), side="right"))
+        a = int(self._pair_law(s)[1].searchsorted(rng.random(), side="right"))
         cfg[x], cfg[y] = a, s - a
 
-    def _jump_beta_average(self, cfg, x, y, rng):
-        self._redistribute(cfg, x, y, rng.beta(self._gamma, self._gamma))
-
     def _rotate(self, cfg, x, y, theta):
-        c, s = math.cos(theta), math.sin(theta)
-        xi, xj = cfg.item(x), cfg.item(y)
-        cfg[x] = xi * c - xj * s
-        cfg[y] = xi * s + xj * c
+        cfg[x], cfg[y] = _rotation(cfg.item(x), cfg.item(y), math.cos(theta), math.sin(theta))
 
     def _redistribute(self, cfg, x, y, alpha):
-        alpha = min(max(alpha, 0.0), 1.0)
-        s = cfg.item(x) + cfg.item(y)
-        nx = alpha * s
-        ny = (1.0 - alpha) * s
+        nx, ny = _redistribution(min(max(alpha, 0.0), 1.0), cfg.item(x) + cfg.item(y))
         if nx < 0.0 or ny < 0.0:
             nx, ny = max(nx, 0.0), max(ny, 0.0)
             self.clips += 1
         cfg[x], cfg[y] = nx, ny
 
-    def _pair_pmf(self, s: int) -> np.ndarray:
-        pmf = self._pmf_cache.get(s)
-        if pmf is None:
+    def _kernel_row(self, a: float, s: float) -> int:
+        """Kernel row of a pair holding a of its total s; any row when s = 0."""
+        cells = len(self._grid)
+        beta = min(max(a / s, 0.0), 1.0) if s > 0 else 0.5
+        return min(int(beta * cells), cells - 1)
+
+    # pair outcomes ---------------------------------------------------------
+    # each returns (rate, weights, new x values, new y values): the pair
+    # collides at `rate`, and leaves the values listed with those weights
+
+    def _zero_range_outcomes(self, cfg, x, y):
+        g, a, b = self.model.g, cfg.item(x), cfg.item(y)
+        weights, xs, ys = [], [], []
+        if a > 0:
+            weights.append(g(a))
+            xs.append(a - 1)
+            ys.append(b + 1)
+        if b > 0:
+            weights.append(g(b))
+            xs.append(a + 1)
+            ys.append(b - 1)
+        return self.scale, weights, xs, ys
+
+    def _integer_average_outcomes(self, cfg, x, y):
+        s = cfg.item(x) + cfg.item(y)
+        xs = range(s + 1)
+        return self.scale, self._pair_law(s)[0], xs, [s - a for a in xs]
+
+    def _exchange_outcomes(self, cfg, x, y):
+        a, b = cfg.item(x), cfg.item(y)
+        s = a + b
+        if self._simple:
+            alphas, weights = self._beta_nodes
+        else:
+            alphas, weights = self._grid, self._K[self._kernel_row(a, s)]
+        return (self._exchange_rate(a, b), weights) + _redistribution(alphas, s)
+
+    @functools.cached_property
+    def _beta_nodes(self):
+        """Gauss-Jacobi nodes and weights of the Beta(gamma, gamma) law, built on
+        first use: the event loop never needs them."""
+        x, w = scipy.special.roots_jacobi(24, self._gamma - 1, self._gamma - 1)
+        return (x + 1) / 2, w / w.sum()
+
+    def _rotation_outcomes(self, cfg, x, y):
+        return (self.scale, self._weights) + _rotation(cfg.item(x), cfg.item(y),
+                                                       self._cos, self._sin)
+
+    def _pair_law(self, s: int) -> tuple:
+        """pmf and cdf of the new value at x of an integer pair of total s."""
+        law = self._laws.get(s)
+        if law is None:
             lgf = self.model.g.log_factorials(s)
             lw = -(lgf + lgf[::-1])
             lw -= lw.max()
             pmf = np.exp(lw)
             pmf /= pmf.sum()
-            self._pmf_cache[s] = pmf
-        return pmf
-
-    def _pair_cdf(self, s: int) -> np.ndarray:
-        cdf = self._cdf_cache.get(s)
-        if cdf is None:
-            cdf = self._pair_pmf(s).cumsum()
+            cdf = pmf.cumsum()
             cdf /= cdf[-1]
-            self._cdf_cache[s] = cdf
-        return cdf
+            law = self._laws[s] = (pmf, cdf)
+        return law
 
 
 def _pick_edge(cum: np.ndarray, rates: np.ndarray, v: float) -> int:
@@ -283,10 +331,10 @@ def _angle_sampler(rho: RhoSpec) -> Callable:
     """Inverse-CDF sampler on a fine angle grid (exact for the uniform density)."""
     if rho.name == "uniform" or (rho.exact_tail_zero and rho.order == 0):
         return lambda rng: rng.uniform(-math.pi, math.pi)
-    nodes = 4096
-    theta = -math.pi + 2 * math.pi * (np.arange(nodes) + 0.5) / nodes
-    if rho.density is not None:
-        dens = np.array([rho.density(t) for t in theta])
+    nodes = RHO_QUADRATURE_NODES
+    theta = angle_midpoints(nodes)
+    if rho.grid_values is not None:
+        dens = rho.grid_values
     else:
         dens = np.full(nodes, 1.0 / (2 * math.pi))
         for n in range(1, rho.order + 1):
@@ -301,6 +349,21 @@ def _angle_sampler(rho: RhoSpec) -> Callable:
         return theta[min(i, nodes - 1)]
 
     return sample
+
+
+def _even_angle_weights(rho: RhoSpec, theta: np.ndarray) -> np.ndarray:
+    """Quadrature weights of the even part of the density at the nodes `theta`."""
+    dens = np.empty(len(theta))
+    for i, t in enumerate(theta):
+        if rho.density is not None:
+            dens[i] = 0.5 * (rho.density(t) + rho.density(-t))
+        else:
+            v = 1.0 / (2 * math.pi)
+            for n in range(1, rho.order + 1):
+                v += rho.coefficient(n).real * math.cos(n * t) / math.pi
+            dens[i] = max(v, 0.0)
+    w = dens * (2 * math.pi / len(theta))
+    return w / w.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -552,96 +615,20 @@ def autocorr_gap_estimate(model: ModelSpec, graph: InteractionGraph,
                      "dt": dt, "inflation": ci_inflation})
 
 
-def _local_dirichlet(model: ModelSpec, graph: InteractionGraph, dyn: _Dynamics,
-                     cfg: np.ndarray, f: Callable, quad) -> float:
+def _local_dirichlet(dyn: _Dynamics, cfg: np.ndarray, f: Callable) -> float:
     """Pointwise carre-du-champ: expected squared jump of f per unit time, halved."""
     total = 0.0
-    fam = model.family
     f0 = f(cfg)
-    for (x, y) in graph.edges:
-        if fam == "zero-range":
-            g = model.g
-            acc = 0.0
-            for (u, v) in ((x, y), (y, x)):
-                if cfg[u] > 0:
-                    t = cfg.copy()
-                    t[u] -= 1
-                    t[v] += 1
-                    acc += g(int(cfg[u])) * (f(t) - f0) ** 2
-            total += graph.pair_scaling * 0.5 * acc
-        elif fam in ("kac-uniform", "kac-rho"):
-            thetas, weights = quad
-            acc = 0.0
-            t = cfg.copy()
-            for th, wt in zip(thetas, weights):
-                c, s = math.cos(th), math.sin(th)
-                t[:] = cfg
-                t[x] = cfg[x] * c - cfg[y] * s
-                t[y] = cfg[x] * s + cfg[y] * c
-                acc += wt * (f(t) - f0) ** 2
-            total += graph.pair_scaling * 0.5 * acc
-        elif fam == "simple-average" and dyn.is_int:
-            s = int(cfg[x] + cfg[y])
-            pmf = dyn._pair_pmf(s)
-            t = cfg.copy()
-            acc = 0.0
-            for a in range(s + 1):
-                t[x], t[y] = a, s - a
-                acc += pmf[a] * (f(t) - f0) ** 2
-            total += graph.pair_scaling * 0.5 * acc
-        else:
-            # continuous redistribution in the pair fraction
-            s = cfg[x] + cfg[y]
-            rate = graph.pair_scaling
-            if fam == "gamma-exchange":
-                ex = model.exchange
-                beta = min(max(cfg[x] / s, 1e-12), 1 - 1e-12) if s > 0 else 0.5
-                rate *= ex.lambda_s(s) * ex.lambda_r(beta)
-                if isinstance(ex.kernel, np.ndarray):
-                    grid = dyn._grid
-                    row = dyn._K[min(int(beta * len(grid)), len(grid) - 1)]
-                    alphas, weights = grid, row
-                else:
-                    alphas, weights = quad
-            else:
-                alphas, weights = quad
-            t = cfg.copy()
-            acc = 0.0
-            for a, wt in zip(alphas, weights):
-                t[x], t[y] = a * s, (1 - a) * s
-                acc += wt * (f(t) - f0) ** 2
-            total += rate * 0.5 * acc
+    t = cfg.copy()
+    for (x, y) in dyn.edges:
+        rate, weights, xs, ys = dyn.outcomes(cfg, x, y)
+        acc = 0.0
+        for wt, a, b in zip(weights, xs, ys):
+            t[x], t[y] = a, b
+            acc += wt * (f(t) - f0) ** 2
+        t[x], t[y] = cfg[x], cfg[y]
+        total += rate * 0.5 * acc
     return total
-
-
-def _quad_for(model: ModelSpec):
-    fam = model.family
-    if fam in ("kac-uniform", "kac-rho"):
-        nodes = 64
-        theta = -math.pi + 2 * math.pi * (np.arange(nodes) + 0.5) / nodes
-        if fam == "kac-uniform":
-            w = np.full(nodes, 1.0 / nodes)
-        else:
-            rho = model.rho
-            dens = np.empty(nodes)
-            for i, t in enumerate(theta):
-                if rho.density is not None:
-                    dens[i] = 0.5 * (rho.density(t) + rho.density(-t))
-                else:
-                    v = 1.0 / (2 * math.pi)
-                    for n in range(1, rho.order + 1):
-                        v += rho.coefficient(n).real * math.cos(n * t) / math.pi
-                    dens[i] = max(v, 0.0)
-            w = dens * (2 * math.pi / nodes)
-            w /= w.sum()
-        return theta, w
-    if fam == "gamma-exchange" or (fam == "simple-average" and not model.is_discrete):
-        gshape = float(model.exchange.gamma) if fam == "gamma-exchange" else float(model.gamma)
-        x, w = scipy.special.roots_jacobi(24, gshape - 1, gshape - 1)
-        a = (x + 1) / 2
-        w = w / w.sum()
-        return a, w
-    return None
 
 
 def rayleigh_upper_bound(model: ModelSpec, graph: InteractionGraph,
@@ -657,14 +644,13 @@ def rayleigh_upper_bound(model: ModelSpec, graph: InteractionGraph,
     if burn_in is None:
         burn_in = 40.0 * dt
     dyn = _Dynamics(model, graph)
-    quad = _quad_for(model)
 
     def probe(c):
         return float(observable(c))
 
     observables = {
         "f": probe,
-        "dirichlet": lambda c: _local_dirichlet(model, graph, dyn, c, probe, quad),
+        "dirichlet": lambda c: _local_dirichlet(dyn, c, probe),
     }
     horizon = burn_in + dt * (n_samples + 1)
     _, samples = simulate(model, graph, cfg, horizon, seed=seed,

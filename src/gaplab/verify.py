@@ -21,7 +21,8 @@ import numpy as np
 
 from . import bounds, discrete, galerkin
 from .simulate import autocorr_gap_estimate
-from .models import (G_CONSTANT_ONE, G_IDENTITY, ModelSpec, RhoSpec, build_graph)
+from .models import (G_CONSTANT_ONE, G_IDENTITY, GammaExchangeSpec, ModelSpec, RhoSpec,
+                     build_graph)
 
 KAC_GAP_TOL = 1e-8
 GAMMA_GAP_TOL = 1e-8
@@ -45,10 +46,11 @@ class CheckOutcome:
 
 
 def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("GAPLAB_THREADS", "4")))
-    except ValueError:
-        return 4
+    """Pool size from GAPLAB_THREADS: 4 when unset, else a positive integer."""
+    raw = os.environ.get("GAPLAB_THREADS", "4")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"GAPLAB_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def parallel_map(fn: Callable, items: list) -> list:
@@ -332,7 +334,7 @@ def _mc_continuous_cases(seeds):
     out.append(("kac N=3", gap, hits))
     # redistribution model at unit shape: sum of squares is the eigenfunction
     gap2 = 4.0 / 9.0
-    model = ModelSpec("simple-average", gamma=1, site_kind="positive-half-line-gamma")
+    model = ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(gamma=1))
     hits = 0
     for seed in seeds:
         est = autocorr_gap_estimate(

@@ -129,6 +129,12 @@ class TestGapCommands:
         assert code == 0
         assert plain["results"] == doc["results"]
 
+    def test_mc_simple_average_with_shape_is_refused(self, capsys):
+        code = main(["gap-mc", "--model", "simple-average", "--gamma", "2",
+                     "--observable", "sum-squares"])
+        assert code == 1
+        assert "gamma-exchange" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_graph(self, tmp_path):

@@ -117,14 +117,24 @@ class TestPairActions:
         assert pair_average_action("kac-uniform", 1, 1) == {}
 
     def test_redistribution_linear(self):
-        act = pair_average_action("gamma-exchange-simple-average", 1, 0, gamma=1)
+        act = pair_average_action("gamma", 1, 0, gamma=1)
         assert act == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
 
     def test_redistribution_quadratic(self):
-        act = pair_average_action("gamma-exchange-simple-average", 2, 0, gamma=1)
+        act = pair_average_action("gamma", 2, 0, gamma=1)
         # E[beta^2] (x + y)^2 at uniform beta
         assert act == {(2, 0): Fraction(1, 3), (1, 1): Fraction(2, 3),
                        (0, 2): Fraction(1, 3)}
+
+    @pytest.mark.parametrize("model", ["kac", "kac-rho", "gamma-exchange-simple-average"])
+    def test_unknown_action_model(self, model):
+        with pytest.raises(ValueError, match="no closed-form pair action"):
+            pair_average_action(model, 2, 0, gamma=1)
+
+    @pytest.mark.parametrize("model", ["kac", "gamma-exchange", "gamma-exchange-simple-average"])
+    def test_unknown_sector_model(self, model):
+        with pytest.raises(ValueError, match="unknown sector model"):
+            assemble_galerkin(model, build_graph("complete", N=3), degree=2, gamma=1)
 
     def test_beta_moment(self):
         assert beta_moment(2, 0, 1) == Fraction(1, 3)

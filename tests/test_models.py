@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, GammaExchangeSpec,
-                           IDENTITY, ModelSpec, RhoSpec, SQUARE, build_graph,
-                           conserved_total, model_from_id, rate_from_table,
-                           validate_model)
+                           IDENTITY, MODEL_IDS, ModelSpec, RhoSpec, SQUARE,
+                           ValidationReport, build_graph, conserved_total,
+                           model_from_id, rate_from_table, validate_model)
+from gaplab.simulate import initial_config, rayleigh_upper_bound, simulate
 
 
 class TestBuildGraph:
@@ -187,7 +188,8 @@ class TestModelCatalog:
     @pytest.mark.parametrize("mid", ["kac", "kac-rho", "gamma-exchange",
                                      "zero-range", "simple-average"])
     def test_ids_resolve(self, mid):
-        spec = model_from_id(mid, g=G_CONSTANT_ONE, gamma=1)
+        spec = model_from_id(mid, g=G_CONSTANT_ONE,
+                             gamma=1 if mid == "gamma-exchange" else None)
         assert spec.family in ("kac-uniform", "kac-rho", "gamma-exchange",
                                "zero-range", "simple-average")
         spec.site_space()
@@ -201,3 +203,46 @@ class TestModelCatalog:
         assert model_from_id("kac").law().form == "square"
         assert model_from_id("zero-range", g=G_IDENTITY).law().form == "identity"
         assert model_from_id("gamma-exchange", gamma=2).law().form == "identity"
+
+    def test_simple_average_refuses_a_shape(self):
+        with pytest.raises(ValueError, match="gamma-exchange"):
+            model_from_id("simple-average", gamma=2)
+
+    def test_constant_rates(self):
+        assert model_from_id("simple-average").constant_rates
+        assert model_from_id("kac-rho").constant_rates
+        assert model_from_id("gamma-exchange", gamma=2).constant_rates
+        assert not model_from_id("zero-range").constant_rates
+        tilted = GammaExchangeSpec(gamma=2, lambda_r=lambda b: 0.5 + b)
+        assert not ModelSpec("gamma-exchange", exchange=tilted).constant_rates
+
+
+_CELLS = np.arange(32) + 0.5
+CATALOG = {
+    **{mid: model_from_id(mid) for mid in MODEL_IDS},
+    "zero-range-identity": model_from_id("zero-range", g=G_IDENTITY),
+    "kac-rho-cardioid": model_from_id("kac-rho", rho=RhoSpec(
+        density=lambda t: (1 + math.cos(t)) / (2 * math.pi), name="cardioid")),
+    "gamma-exchange-kernel": model_from_id("gamma-exchange", exchange=GammaExchangeSpec(
+        gamma=2, kernel=np.exp(-np.abs(_CELLS[:, None] - _CELLS[None, :]) / 4.0))),
+    "gamma-exchange-lambda": model_from_id("gamma-exchange", exchange=GammaExchangeSpec(
+        gamma=1, lambda_s=lambda s: 1.0 + s, lambda_r=lambda b: 0.5 + b * (1 - b))),
+}
+
+
+class TestCatalogSmoke:
+    """Every catalog entry validates, starts, simulates and takes a Rayleigh bound."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_engines_accept_model(self, name):
+        model = CATALOG[name]
+        report = validate_model(model)
+        assert isinstance(report, ValidationReport) and report.checks
+        graph = build_graph("complete", N=3)
+        omega = 3 if model.is_discrete else 1.0
+        cfg = initial_config(model, graph, omega, seed=0)
+        summary, _ = simulate(model, graph, cfg, 5.0, seed=0)
+        assert summary.n_events > 0
+        est = rayleigh_upper_bound(model, graph, lambda c: float(c[0]), omega=omega,
+                                   dt=0.5, n_samples=20, seed=0)
+        assert math.isfinite(est.estimate) and est.estimate > 0.0

@@ -3,21 +3,23 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.special
 
 from gaplab.discrete import (build_generator, enumerate_states, gap_eigenfunction,
                              stationary_weights)
-from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, GammaExchangeSpec,
-                           ModelSpec, RhoSpec, build_graph)
+from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, RHO_QUADRATURE_NODES,
+                           GammaExchangeSpec, ModelSpec, RhoSpec, build_graph)
 from gaplab.reporting import SampleStreamWriter, read_sample_stream
-from gaplab.simulate import (MAX_FIT_LAG, NoDecayError, _autocovariance, _Dynamics,
-                             _fit_decay_rate, _pick_edge, _window_lags,
-                             autocorr_gap_estimate, initial_config,
+from gaplab.simulate import (MAX_FIT_LAG, NoDecayError, _angle_sampler, _autocovariance,
+                             _Dynamics, _fit_decay_rate, _local_dirichlet, _pick_edge,
+                             _window_lags, autocorr_gap_estimate, initial_config,
                              rayleigh_upper_bound, rng_for, simulate)
 
 ZR_LINEAR = ModelSpec("zero-range", g=G_IDENTITY)
 ZR_CONST = ModelSpec("zero-range", g=G_CONSTANT_ONE)
 KAC = ModelSpec("kac-uniform")
-GAMMA_AVG = ModelSpec("simple-average", gamma=1, site_kind="positive-half-line-gamma")
+# the simple average for the gamma measure at unit shape
+GAMMA_AVG = ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(gamma=1))
 K3 = build_graph("complete", N=3)
 
 
@@ -98,9 +100,188 @@ def _reference_rates(model, graph, cfg) -> np.ndarray:
     return np.array(out)
 
 
+# ---------------------------------------------------------------------------
+# reference pair mechanics: the per-family jumps and carre du champ written
+# out family by family, independent of `_Dynamics`
+# ---------------------------------------------------------------------------
+
+def _ref_pair_pmf(g, s: int) -> np.ndarray:
+    lgf = g.log_factorials(s)
+    lw = -(lgf + lgf[::-1])
+    lw -= lw.max()
+    pmf = np.exp(lw)
+    return pmf / pmf.sum()
+
+
+def _ref_angle_sampler(rho):
+    if rho.name == "uniform" or (rho.exact_tail_zero and rho.order == 0):
+        return lambda rng: rng.uniform(-math.pi, math.pi)
+    nodes = 4096
+    theta = -math.pi + 2 * math.pi * (np.arange(nodes) + 0.5) / nodes
+    if rho.density is not None:
+        dens = np.array([rho.density(t) for t in theta])
+    else:
+        dens = np.full(nodes, 1.0 / (2 * math.pi))
+        for n in range(1, rho.order + 1):
+            c = rho.coefficient(n)
+            dens += (c.real * np.cos(n * theta) + c.imag * np.sin(n * theta)) / math.pi
+    dens = np.clip(dens, 0.0, None)
+    cdf = np.cumsum(dens)
+    cdf /= cdf[-1]
+
+    def sample(rng):
+        i = int(cdf.searchsorted(rng.random()))
+        return theta[min(i, nodes - 1)]
+
+    return sample
+
+
+class _RefMechanics:
+    """One jump of each family, with its own samplers."""
+
+    def __init__(self, model):
+        self.model = model
+        if model.family == "kac-rho":
+            self._theta_sampler = _ref_angle_sampler(model.rho)
+        if model.family == "gamma-exchange":
+            ex = model.exchange
+            self._grid = ex.grid()
+            self._K = ex.kernel_matrix()
+            self._Kcum = np.cumsum(self._K, axis=1)
+            self._simple = not isinstance(ex.kernel, np.ndarray)
+            self._gamma = float(ex.gamma)
+
+    def jump(self, cfg, x, y, rng):
+        fam = self.model.family
+        if fam == "kac-uniform":
+            self._rotate(cfg, x, y, rng.uniform(-math.pi, math.pi))
+        elif fam == "kac-rho":
+            theta = self._theta_sampler(rng)
+            if rng.random() < 0.5:
+                theta = -theta
+            self._rotate(cfg, x, y, theta)
+        elif fam == "zero-range":
+            g = self.model.g
+            rx = g(int(cfg[x])) if cfg[x] > 0 else 0.0
+            ry = g(int(cfg[y])) if cfg[y] > 0 else 0.0
+            src, dst = (x, y) if rng.random() * (rx + ry) < rx else (y, x)
+            cfg[src] -= 1
+            cfg[dst] += 1
+        elif fam == "simple-average":
+            s = int(cfg[x] + cfg[y])
+            a = int(rng.choice(s + 1, p=_ref_pair_pmf(self.model.g, s)))
+            cfg[x], cfg[y] = a, s - a
+        elif self._simple:
+            self._redistribute(cfg, x, y, rng.beta(self._gamma, self._gamma))
+        else:
+            s = cfg[x] + cfg[y]
+            beta = min(max(cfg[x] / s, 0.0), 1.0)
+            row = min(int(beta * len(self._grid)), len(self._grid) - 1)
+            cell = int(self._Kcum[row].searchsorted(rng.random()))
+            cell = min(cell, len(self._grid) - 1)
+            self._redistribute(cfg, x, y, self._grid[cell])
+
+    @staticmethod
+    def _rotate(cfg, x, y, theta):
+        c, s = math.cos(theta), math.sin(theta)
+        xi, xj = cfg.item(x), cfg.item(y)
+        cfg[x] = xi * c - xj * s
+        cfg[y] = xi * s + xj * c
+
+    @staticmethod
+    def _redistribute(cfg, x, y, alpha):
+        alpha = min(max(alpha, 0.0), 1.0)
+        s = cfg.item(x) + cfg.item(y)
+        cfg[x], cfg[y] = max(alpha * s, 0.0), max((1.0 - alpha) * s, 0.0)
+
+
+def _ref_quadrature(model):
+    """Angle nodes and weights for the rotations, Gauss-Jacobi for the Beta kernel."""
+    fam = model.family
+    if fam in ("kac-uniform", "kac-rho"):
+        nodes = 64
+        theta = -math.pi + 2 * math.pi * (np.arange(nodes) + 0.5) / nodes
+        if fam == "kac-uniform":
+            return theta, np.full(nodes, 1.0 / nodes)
+        rho = model.rho
+        dens = np.empty(nodes)
+        for i, t in enumerate(theta):
+            if rho.density is not None:
+                dens[i] = 0.5 * (rho.density(t) + rho.density(-t))
+            else:
+                v = 1.0 / (2 * math.pi)
+                for n in range(1, rho.order + 1):
+                    v += rho.coefficient(n).real * math.cos(n * t) / math.pi
+                dens[i] = max(v, 0.0)
+        w = dens * (2 * math.pi / nodes)
+        w /= w.sum()
+        return theta, w
+    if fam == "gamma-exchange":
+        gshape = float(model.exchange.gamma)
+        x, w = scipy.special.roots_jacobi(24, gshape - 1, gshape - 1)
+        return (x + 1) / 2, w / w.sum()
+    return None
+
+
+def _ref_local_dirichlet(model, graph, cfg, f) -> float:
+    """The carre du champ summed family by family."""
+    quad = _ref_quadrature(model)
+    total = 0.0
+    fam = model.family
+    f0 = f(cfg)
+    for (x, y) in graph.edges:
+        if fam == "zero-range":
+            acc = 0.0
+            for (u, v) in ((x, y), (y, x)):
+                if cfg[u] > 0:
+                    t = cfg.copy()
+                    t[u] -= 1
+                    t[v] += 1
+                    acc += model.g(int(cfg[u])) * (f(t) - f0) ** 2
+            total += graph.pair_scaling * 0.5 * acc
+        elif fam in ("kac-uniform", "kac-rho"):
+            thetas, weights = quad
+            acc = 0.0
+            t = cfg.copy()
+            for th, wt in zip(thetas, weights):
+                c, s = math.cos(th), math.sin(th)
+                t[:] = cfg
+                t[x] = cfg[x] * c - cfg[y] * s
+                t[y] = cfg[x] * s + cfg[y] * c
+                acc += wt * (f(t) - f0) ** 2
+            total += graph.pair_scaling * 0.5 * acc
+        elif fam == "simple-average":
+            s = int(cfg[x] + cfg[y])
+            pmf = _ref_pair_pmf(model.g, s)
+            t = cfg.copy()
+            acc = 0.0
+            for a in range(s + 1):
+                t[x], t[y] = a, s - a
+                acc += pmf[a] * (f(t) - f0) ** 2
+            total += graph.pair_scaling * 0.5 * acc
+        else:
+            ex = model.exchange
+            s = cfg[x] + cfg[y]
+            beta = min(max(cfg[x] / s, 1e-12), 1 - 1e-12) if s > 0 else 0.5
+            rate = graph.pair_scaling * (ex.lambda_s(s) * ex.lambda_r(beta))
+            if isinstance(ex.kernel, np.ndarray):
+                grid = ex.grid()
+                alphas = grid
+                weights = ex.kernel_matrix()[min(int(beta * len(grid)), len(grid) - 1)]
+            else:
+                alphas, weights = quad
+            t = cfg.copy()
+            acc = 0.0
+            for a, wt in zip(alphas, weights):
+                t[x], t[y] = a * s, (1 - a) * s
+                acc += wt * (f(t) - f0) ** 2
+            total += rate * 0.5 * acc
+    return total
+
+
 def _reference_run(model, graph, cfg, horizon, seed, sample_dt, observable):
     """The recompute-everything event loop: fresh rates and cumsum on every event."""
-    dyn = _Dynamics(model, graph)   # angle, Beta and kernel samplers only
+    mech = _RefMechanics(model)
     cfg = cfg.copy()
     rng = rng_for(seed)
     t, t_next, events, samples = 0.0, sample_dt, [], []
@@ -119,46 +300,40 @@ def _reference_run(model, graph, cfg, horizon, seed, sample_dt, observable):
             edge = int(np.searchsorted(np.cumsum(rates), rng.random() * total))
             edge = min(edge, len(rates) - 1)
         x, y = graph.edges[edge]
-        if model.family == "zero-range":
-            rx = model.g(int(cfg[x])) if cfg[x] > 0 else 0.0
-            ry = model.g(int(cfg[y])) if cfg[y] > 0 else 0.0
-            src, dst = (x, y) if rng.random() * (rx + ry) < rx else (y, x)
-            cfg[src] -= 1
-            cfg[dst] += 1
-        elif model.family == "simple-average" and model.is_discrete:
-            s = int(cfg[x] + cfg[y])
-            a = int(rng.choice(s + 1, p=dyn._pair_pmf(s)))
-            cfg[x], cfg[y] = a, s - a
-        else:
-            dyn._jump(cfg, x, y, rng)
+        mech.jump(cfg, x, y, rng)
         events.append((t, edge))
 
 
+_CELLS = np.arange(64) + 0.5
 GAMMA_LAMBDA = ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(
     gamma=1, lambda_s=lambda s: 1.0 + s, lambda_r=lambda b: 0.5 + b * (1 - b)))
 ORACLE_MODELS = {
     "kac-uniform": KAC,
     "kac-rho": ModelSpec("kac-rho", rho=RhoSpec(
         density=lambda t: (1 + math.cos(t)) / (2 * math.pi), name="cardioid")),
+    "kac-rho-fourier": ModelSpec("kac-rho", rho=RhoSpec(
+        coefficients=[1.0, 0.3 + 0.2j, 0.25], exact_tail_zero=True, name="fourier")),
     "gamma-exchange": ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(gamma=2)),
     "gamma-exchange-lambda": GAMMA_LAMBDA,
+    # rows peaked at the current fraction, so the row choice matters
+    "gamma-exchange-kernel": ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(
+        gamma=2, kernel=np.exp(-np.abs(_CELLS[:, None] - _CELLS[None, :]) / 8.0))),
     "zero-range-identity": ZR_LINEAR,
     "zero-range-constant": ZR_CONST,
     "simple-average-integer": ModelSpec("simple-average", g=G_IDENTITY),
-    "simple-average-gamma": GAMMA_AVG,
-    "simple-average-gaussian": ModelSpec("simple-average", site_kind="real-line-gaussian"),
 }
+ORACLE_GRAPHS = pytest.mark.parametrize(
+    "graph", [build_graph("complete", N=4), build_graph("lattice", d=2, N=3)],
+    ids=["K4", "lattice-2d-N3"])
 
 
 class TestIncrementalRates:
-    @pytest.mark.parametrize("graph", [build_graph("complete", N=4),
-                                       build_graph("lattice", d=2, N=3)],
-                             ids=["K4", "lattice-2d-N3"])
+    @ORACLE_GRAPHS
     @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
     def test_trajectory_matches_recompute_everything_loop(self, name, graph):
         model = ORACLE_MODELS[name]
         omega = 2 * graph.n_sites if model.is_discrete else 1.5
-        for seed in (0, 1):
+        for seed in (0, 1, 2):
             cfg = initial_config(model, graph, omega, seed=seed)
             observable = lambda c: float(c[0] * c[-1] + c[1])
             events, samples, final = _reference_run(model, graph, cfg, 40.0, seed,
@@ -173,6 +348,26 @@ class TestIncrementalRates:
             assert out["f"].tolist() == samples
             assert np.array_equal(summary.final_config, final)
             assert summary.final_config.dtype == final.dtype
+
+    @ORACLE_GRAPHS
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_carre_du_champ_matches_reference(self, name, graph):
+        model = ORACLE_MODELS[name]
+        omega = 2 * graph.n_sites if model.is_discrete else 1.5
+        dyn = _Dynamics(model, graph)
+        f = lambda c: float(c[0] * c[-1] + c[1] + 0.5 * c[2] ** 2)
+        for seed in (0, 1, 2):
+            cfg = initial_config(model, graph, omega, seed=seed)
+            later, _ = simulate(model, graph, cfg, 10.0, seed=seed)
+            for c in (cfg, later.final_config):
+                got, want = _local_dirichlet(dyn, c, f), _ref_local_dirichlet(model, graph, c, f)
+                assert want > 0.0
+                if name == "gamma-exchange-lambda":
+                    # the rate is (scale * lambda_s) * lambda_r here and
+                    # scale * (lambda_s * lambda_r) in the reference
+                    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+                else:
+                    assert got == want
 
     @pytest.mark.parametrize("model", [ZR_LINEAR, GAMMA_LAMBDA],
                              ids=["zero-range", "gamma-exchange-lambda"])
@@ -224,6 +419,31 @@ class TestIncrementalRates:
         with pytest.raises(ArithmeticError, match="no particle"):
             dyn.apply(cfg, 0, rng_for(0))
         assert cfg.tolist() == [0, 0, 3]
+
+
+def test_package_attribute_is_the_module():
+    import types
+
+    import gaplab
+    assert isinstance(gaplab.simulate, types.ModuleType)
+    assert gaplab.simulate.simulate is simulate
+
+
+class TestAngleGrid:
+    def test_density_evaluated_once(self):
+        calls = []
+
+        def cardioid(t):
+            calls.append(t)
+            return (1 + math.cos(t)) / (2 * math.pi)
+
+        rho = RhoSpec(density=cardioid, name="cardioid")
+        assert rho.validate().passed
+        sample = _angle_sampler(rho)
+        assert len(calls) == RHO_QUADRATURE_NODES
+        reference = _ref_angle_sampler(RhoSpec(density=cardioid, name="cardioid"))
+        r1, r2 = rng_for(4), rng_for(4)
+        assert [sample(r1) for _ in range(500)] == [reference(r2) for _ in range(500)]
 
 
 class TestReproducibility:
