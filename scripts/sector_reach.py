@@ -8,7 +8,8 @@ redistribution model at gamma = 1 and 2, and prints one JSON object per
 instance: basis size, kept and deflated dimensions, seconds for the graph,
 the assembly and the solve, the gap and its distance from the closed form,
 (N+2)/(4N) for kac-uniform at degree >= 4 and (gamma N + 1)/(N (2 gamma + 1))
-for the redistribution model.  The symmetric (orbit-sum) mode defaults to
+for the redistribution model.  Below degree 4 the kac-uniform rows carry
+null for the closed form and its distance.  The symmetric (orbit-sum) mode defaults to
 N = 10, 100, 300, 1000; the full (monomial) mode, whose basis grows as
 C(N + degree, degree), to N = 3..10.
 """
@@ -31,9 +32,10 @@ from gaplab.models import build_graph  # noqa: E402
 CASES = (("kac-uniform", None), ("gamma", Fraction(1)), ("gamma", Fraction(2)))
 
 
-def closed_form(model: str, N: int, gamma) -> float:
+def closed_form(model: str, N: int, degree: int, gamma):
+    """The sector gap in closed form; None where none is known."""
     if model == "kac-uniform":
-        return (N + 2) / (4 * N)
+        return (N + 2) / (4 * N) if degree >= 4 else None
     return float((gamma * N + 1) / (N * (2 * gamma + 1)))
 
 
@@ -48,7 +50,7 @@ def cell(model: str, N: int, degree: int, gamma, graph, graph_s: float,
     t1 = perf_counter()
     rep = galerkin.galerkin_eigensystem(pair)
     t2 = perf_counter()
-    ref = closed_form(model, N, gamma)
+    ref = closed_form(model, N, degree, gamma)
     return {
         "case": f"{model}/K{N}/deg{degree}/{mode}"
                 + (f"/gamma{gamma}" if gamma is not None else ""),
@@ -61,7 +63,7 @@ def cell(model: str, N: int, degree: int, gamma, graph, graph_s: float,
         "solve_s": t2 - t1,
         "gap": rep.gap,
         "closed_form": ref,
-        "abs_error": abs(rep.gap - ref),
+        "abs_error": abs(rep.gap - ref) if ref is not None else None,
         "gram_condition": rep.gram_condition,
     }
 

@@ -6,7 +6,7 @@ a certified calculus comparing complete-graph and lattice gaps.
 """
 
 from .models import (ConservationLaw, GammaExchangeSpec, InteractionGraph,
-                     ModelSpec, RateFunction, RhoSpec, SiteSpace, build_graph,
+                     ModelSpec, RateFunction, RhoSpec, build_graph,
                      conserved_total, model_from_id, validate_model,
                      G_CONSTANT_ONE, G_IDENTITY)
 from .discrete import (GeneratorMatrix, KernelMatrix, Measure, StateSet,

@@ -122,6 +122,13 @@ def _graph_from_args(args):
     return build_graph(args.graph, d=args.d, N=args.N)
 
 
+def _model_from_args(args):
+    """The ModelSpec of --model; a --gamma or --rho the model does not read is refused."""
+    g = _resolve_g(args.g) if "g" in args else None
+    return model_from_id(args.model, g=g, gamma=args.gamma,
+                         rho=_resolve_rho(args.rho) if args.rho else None)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -151,8 +158,7 @@ def cmd_states(args) -> int:
 
 
 def cmd_gap_exact(args) -> int:
-    model = model_from_id(args.model, g=_resolve_g(args.g),
-                          gamma=args.gamma)
+    model = _model_from_args(args)
     if not model.is_discrete:
         raise ValueError("exact diagonalization covers the integer families; "
                          "use gap-galerkin or gap-mc for continuous models")
@@ -170,13 +176,14 @@ SECTOR_MODELS = {"kac": "kac-uniform", "kac-rho": "kac-rho", "gamma-exchange": "
 
 
 def cmd_gap_galerkin(args) -> int:
+    model = _model_from_args(args)
     graph = _graph_from_args(args)
     name = SECTOR_MODELS[args.model]
     kwargs = {}
     if name == "kac-rho":
-        kwargs["rho"] = _resolve_rho(args.rho)
+        kwargs["rho"] = model.rho
     elif name == "gamma":
-        kwargs["gamma"] = Fraction(args.gamma if args.gamma is not None else 1)
+        kwargs["gamma"] = model.exchange.gamma
     pair = galerkin.assemble_galerkin(name, graph, degree=args.degree,
                                       mode=args.basis_mode, **kwargs)
     rep = galerkin.galerkin_eigensystem(pair)
@@ -188,8 +195,7 @@ def cmd_gap_galerkin(args) -> int:
 
 
 def cmd_gap_mc(args) -> int:
-    model = model_from_id(args.model, g=_resolve_g(args.g), gamma=args.gamma,
-                          rho=_resolve_rho(args.rho) if args.rho else None)
+    model = _model_from_args(args)
     graph = _graph_from_args(args)
     om = _omega_range(args.omega_range)[0]
     observable = _observable_by_name(args.observable, model, graph, om)
@@ -224,9 +230,10 @@ def _observable_by_name(name, model, graph, omega):
 
 
 def cmd_two_site(args) -> int:
-    if args.model in ("kac", "kac-rho"):
+    model = _model_from_args(args)
+    if model.family in ("kac-uniform", "kac-rho"):
         # rotation models: angle modes give the pair spectrum in closed form
-        rho = _resolve_rho(args.rho) if args.model == "kac-rho" else RhoSpec.uniform()
+        rho = model.rho if model.rho is not None else RhoSpec.uniform()
         res = galerkin.two_site_fourier_gap(rho, n_max=args.n_max)
         results = [{"model": args.model, "mode": n, "gap": rate,
                     "method": "two-site fourier"} for n, rate in res.modes]
@@ -235,7 +242,6 @@ def cmd_two_site(args) -> int:
                         "method": f"two-site fourier ({res.note})"})
         _emit(args, "two-site", results, ["two-site reduction"])
         return 0
-    model = model_from_id(args.model, g=_resolve_g(args.g), gamma=args.gamma)
     omegas = _omega_range(args.omega_range)
     table = discrete.two_site_spectrum(model, omegas)
     results = [{"model": args.model, "omega": r.omega,
@@ -264,14 +270,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_bounds(args) -> int:
     chain = bounds.certificate(_fraction(args.lambda3), _fraction(args.lambda2), args.d)
-    doc = reporting.payload({"command": "bounds", **_config_of(args)},
-                            [chain.to_json()], [s.rule for s in chain.steps])
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        reporting.write_json(out, doc)
-    finally:
-        if args.out:
-            out.close()
+    _emit(args, "bounds", [chain.to_json()], [s.rule for s in chain.steps])
     return 0
 
 

@@ -21,7 +21,8 @@ on K4 at 50,116 states solves in under 1 s with 112 MB peak RSS, and at
 dense float64 n-by-n matrix alone would take 20 GB and 2 TB.
 
 Also hosts the one-dimensional conditional kernel matrices used for the
-three-site reduction of the zero-range family.
+three-site reduction of the zero-range family; their rows are the integer
+pair law `models.pair_law`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .models import InteractionGraph, ModelSpec, RateFunction, build_graph
+from .models import InteractionGraph, ModelSpec, RateFunction, build_graph, pair_law
 
 #: hard cap on enumerated state spaces
 STATE_CAP = 2_000_000
@@ -141,13 +142,6 @@ class Measure:
 
     states: StateSet
     weights: np.ndarray
-
-    def expectation(self, values: np.ndarray) -> float:
-        return float(self.weights @ values)
-
-    def quad(self, values: np.ndarray) -> float:
-        """Second moment <values^2>."""
-        return float(self.weights @ (values * values))
 
 
 def stationary_weights(g: RateFunction, states: StateSet) -> Measure:
@@ -387,7 +381,7 @@ def build_generator(model: ModelSpec, graph: InteractionGraph, states: StateSet)
 # spectra
 # ---------------------------------------------------------------------------
 
-def _solve(gen: GeneratorMatrix, zero_tol: float, want_kappa: bool):
+def _solve(gen: GeneratorMatrix, want_kappa: bool):
     """(gap, top eigenvalue, gap eigenvector) of -S; records `gen.solve_report`.
 
     The zero eigenvalue has one mode per connected component of L's pattern,
@@ -426,50 +420,49 @@ def _solve(gen: GeneratorMatrix, zero_tol: float, want_kappa: bool):
     if top > -PSD_TOL:
         raise ArithmeticError(
             f"generator is not negative semidefinite: max eigenvalue {top:.3e}")
-    if gap <= zero_tol:
+    if gap <= ZERO_TOL:
         raise ArithmeticError(
             f"eigenvalue {gap:.3e} after {zero_modes} zero mode(s) is not above "
-            f"{zero_tol:.1e}: more zero modes than connected components")
+            f"{ZERO_TOL:.1e}: more zero modes than connected components")
     return float(gap), float(kappa), v
 
 
-def spectral_gap(gen: GeneratorMatrix, zero_tol: float = ZERO_TOL) -> float:
+def spectral_gap(gen: GeneratorMatrix) -> float:
     """Smallest eigenvalue of the negated symmetrized generator above its zero modes.
 
     Returns +inf on a one-point state space (Dirac convention).
     Raises if the generator fails nonnegativity, which signals a construction bug.
     """
-    return _solve(gen, zero_tol, want_kappa=False)[0]
+    return _solve(gen, want_kappa=False)[0]
 
 
-def gap_and_kappa(gen: GeneratorMatrix, zero_tol: float = ZERO_TOL) -> tuple[float, float]:
+def gap_and_kappa(gen: GeneratorMatrix) -> tuple[float, float]:
     """(spectral gap, largest eigenvalue) of the negated symmetrized generator."""
-    gap, kappa, _ = _solve(gen, zero_tol, want_kappa=True)
+    gap, kappa, _ = _solve(gen, want_kappa=True)
     return gap, kappa
 
 
-def gap_eigenfunction(gen: GeneratorMatrix, zero_tol: float = ZERO_TOL) -> tuple[float, np.ndarray]:
+def gap_eigenfunction(gen: GeneratorMatrix) -> tuple[float, np.ndarray]:
     """Gap eigenvalue and its eigenfunction as a table over states (unit variance)."""
-    gap, _, v = _solve(gen, zero_tol, want_kappa=False)
+    gap, _, v = _solve(gen, want_kappa=False)
     if v is None:
         raise ArithmeticError("no nonzero mode found")
     return gap, v / np.sqrt(gen.measure.weights)
 
 
-def exact_solve(model: ModelSpec, graph: InteractionGraph, omega: int,
-                cap: int = STATE_CAP) -> tuple[float, float, int, SolveReport]:
+def exact_solve(model: ModelSpec, graph: InteractionGraph,
+                omega: int) -> tuple[float, float, int, SolveReport]:
     """(gap, kappa, dimension, solve report) for a discrete model on a graph at total omega."""
     _preflight(model, graph, omega)
-    states = enumerate_states(graph.n_sites, omega, cap=cap)
+    states = enumerate_states(graph.n_sites, omega)
     gen = build_generator(model, graph, states)
     gap, kappa = gap_and_kappa(gen)
     return gap, kappa, len(states), gen.solve_report
 
 
-def exact_gap(model: ModelSpec, graph: InteractionGraph, omega: int,
-              cap: int = STATE_CAP) -> tuple[float, float, int]:
+def exact_gap(model: ModelSpec, graph: InteractionGraph, omega: int) -> tuple[float, float, int]:
     """(gap, kappa, dimension) for a discrete model on a graph at total omega."""
-    return exact_solve(model, graph, omega, cap)[:3]
+    return exact_solve(model, graph, omega)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +537,9 @@ class KernelMatrix:
 def kernel_matrix(g: RateFunction, n: int) -> KernelMatrix:
     """The n-by-n conditional kernel of one free coordinate given another.
 
-    Entry (i, j), 1-based: zero when i <= n - j, otherwise the normalized
-    product weight 1/(g(n-j)! g(i-1-(n-j))!).  Rows are exactly stochastic.
-    Assembled in log space to dodge factorial overflow.
+    Entry (i, j), 1-based: zero when i <= n - j, otherwise the integer pair
+    law P(a = n - j | total i - 1) of `models.pair_law`.  Rows are exactly
+    stochastic.  Raises `ArithmeticError` when detailed balance fails.
     """
     if n < 1:
         raise ValueError("kernel size must be >= 1")
@@ -554,32 +547,22 @@ def kernel_matrix(g: RateFunction, n: int) -> KernelMatrix:
     K = np.zeros((n, n))
     log_norm = np.empty(n)
     for i in range(1, n + 1):
-        terms = np.array([-(lgf[l] + lgf[i - 1 - l]) for l in range(i)])
-        m = terms.max()
-        log_norm[i - 1] = m + math.log(np.exp(terms - m).sum())
-        for j in range(1, n + 1):
-            m_occ = n - j
-            if i > m_occ:
-                K[i - 1, j - 1] = math.exp(-(lgf[m_occ] + lgf[i - 1 - m_occ]) - log_norm[i - 1])
+        pmf, log_norm[i - 1] = pair_law(lgf, i - 1)
+        K[i - 1, n - i:] = pmf[::-1]
     # stationary law of the indexed coordinate: occupation n-i with the other
-    # two sites holding i-1; weights in log space for the same overflow reason.
-    lpi = np.array([-lgf[n - i] + log_norm[i - 1] for i in range(1, n + 1)])
+    # two sites holding i-1; weights in log space to dodge factorial overflow
+    lpi = log_norm - lgf[::-1]
     lpi -= lpi.max()
     pi = np.exp(lpi)
     pi /= pi.sum()
     flux = pi[:, None] * K
     db = float(np.abs(flux - flux.T).max())
-    if db < 1e-7:
-        d = np.sqrt(pi)
-        S = (d[:, None] * K) / d[None, :]
-        spec = np.linalg.eigvalsh(0.5 * (S + S.T))
-    else:
-        ev = np.linalg.eigvals(K)
-        if np.abs(ev.imag).max() > 1e-7:
-            raise ArithmeticError(
-                f"reversibility violation: complex kernel eigenvalue (imag "
-                f"{np.abs(ev.imag).max():.2e}, detailed-balance residual {db:.2e})")
-        spec = np.sort(ev.real)
+    if not db < 1e-7:
+        raise ArithmeticError(f"kernel n={n} is not reversible: detailed-balance "
+                              f"residual {db:.2e}")
+    d = np.sqrt(pi)
+    S = (d[:, None] * K) / d[None, :]
+    spec = np.linalg.eigvalsh(0.5 * (S + S.T))
     return KernelMatrix(n, K, spec, pi, db)
 
 

@@ -639,20 +639,19 @@ class GalerkinGapReport:
     basis: MultiIndexBasis
 
 
-def galerkin_eigensystem(pair: GalerkinPair, deflation_tol: float = DEFLATION_TOL,
-                         zero_tol: float = ZERO_TOL) -> GalerkinGapReport:
+def galerkin_eigensystem(pair: GalerkinPair) -> GalerkinGapReport:
     """Solve the restricted Rayleigh problem after deflating the Gram null space."""
     s, U = np.linalg.eigh(pair.B)
     smax = float(s.max())
-    if s.min() < -deflation_tol * smax:
+    if s.min() < -DEFLATION_TOL * smax:
         raise ArithmeticError(
             f"Gram matrix is indefinite beyond tolerance: min eigenvalue {s.min():.3e}")
-    keep = s > deflation_tol * smax
+    keep = s > DEFLATION_TOL * smax
     W = U[:, keep] / np.sqrt(s[keep])
     Ared = W.T @ pair.A @ W
     Ared = 0.5 * (Ared + Ared.T)
     ev, Q = np.linalg.eigh(Ared)
-    nz = np.where(ev > zero_tol)[0]
+    nz = np.where(ev > ZERO_TOL)[0]
     if len(nz) == 0:
         raise ArithmeticError("no nonzero sector mode found")
     i = int(nz[0])
@@ -670,10 +669,9 @@ def galerkin_eigensystem(pair: GalerkinPair, deflation_tol: float = DEFLATION_TO
     )
 
 
-def galerkin_gap(pair: GalerkinPair, deflation_tol: float = DEFLATION_TOL,
-                 zero_tol: float = ZERO_TOL) -> float:
+def galerkin_gap(pair: GalerkinPair) -> float:
     """Smallest nonzero sector eigenvalue; exact sector gap of the restriction."""
-    return galerkin_eigensystem(pair, deflation_tol, zero_tol).gap
+    return galerkin_eigensystem(pair).gap
 
 
 def sector_polynomial(report: GalerkinGapReport):

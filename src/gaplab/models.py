@@ -1,13 +1,15 @@
-"""Model catalog: site spaces, conservation laws, interaction graphs.
+"""Model catalog: families, conservation laws, pair laws, interaction graphs.
 
-A model is a triplet (single-site space, conserved quantity, reference
-measure) together with a two-site collision mechanism.  This module fixes
-those ingredients and the geometry of who collides with whom; the exact,
-polynomial and Monte Carlo engines all consume these definitions.
+A model is a collision family with its one parameter (an angle density, an
+exchange spec or jump rates g), its conserved quantity and its two-site
+collision mechanism.  This module fixes those ingredients, the integer pair
+law and the geometry of who collides with whom; the exact, polynomial and
+Monte Carlo engines all consume these definitions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -85,33 +87,8 @@ def rate_by_name(name: str) -> RateFunction:
 
 
 # ---------------------------------------------------------------------------
-# site spaces and conservation laws
+# conservation laws and the integer pair law
 # ---------------------------------------------------------------------------
-
-SITE_KINDS = ("real-line-gaussian", "positive-half-line-gamma", "nonneg-integers-zerorange")
-
-
-@dataclass(frozen=True)
-class SiteSpace:
-    """Single-site state space plus its reference-measure parameters."""
-
-    kind: str
-    gamma: Optional[Fraction] = None      # shape parameter, gamma kind only
-    g: Optional[RateFunction] = None      # jump rates, integer kind only
-
-    def __post_init__(self):
-        if self.kind not in SITE_KINDS:
-            raise ValueError(f"unknown site-space kind {self.kind!r}")
-        if self.kind == "positive-half-line-gamma":
-            if self.gamma is None or not self.gamma > 0:
-                raise ValueError("gamma site space needs a positive shape parameter")
-        if self.kind == "nonneg-integers-zerorange" and self.g is None:
-            raise ValueError("integer site space needs a rate function g")
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.kind == "nonneg-integers-zerorange"
-
 
 @dataclass(frozen=True)
 class ConservationLaw:
@@ -141,6 +118,23 @@ def conserved_total(config, law: ConservationLaw):
     return total
 
 
+def pair_law(lgf: np.ndarray, s: int) -> tuple[np.ndarray, float]:
+    """(pmf, log normalizer) of the new value a at x of an integer pair of total s.
+
+    P(a | s) is proportional to 1/(g(a)! g(s-a)!), Caputo's simple average
+    on the integers; `lgf[k]` = log g(k)! for k = 0..s at least.  The log
+    normalizer is log sum_a 1/(g(a)! g(s-a)!).
+    """
+    head = lgf[:s + 1]
+    lw = -(head + head[::-1])
+    top = lw.max()
+    lw -= top
+    pmf = np.exp(lw)
+    total = pmf.sum()
+    pmf /= total
+    return pmf, float(top + math.log(total))
+
+
 # ---------------------------------------------------------------------------
 # interaction graphs
 # ---------------------------------------------------------------------------
@@ -164,9 +158,6 @@ class InteractionGraph:
     def n_sites(self) -> int:
         return len(self.vertices)
 
-    def index_of(self, label) -> int:
-        return self.vertices.index(label)
-
 
 def build_graph(kind: str, d: Optional[int] = None, N: int = 2) -> InteractionGraph:
     """Build a complete graph K_N or the cube {1..N}^d with nearest-neighbor edges."""
@@ -179,7 +170,6 @@ def build_graph(kind: str, d: Optional[int] = None, N: int = 2) -> InteractionGr
     if kind == "lattice":
         if d is None or d < 1:
             raise ValueError(f"invalid dimension: d = {d}")
-        import itertools
         vertices = tuple(itertools.product(range(1, N + 1), repeat=d))
         pos = {v: i for i, v in enumerate(vertices)}
         edges = []
@@ -292,8 +282,8 @@ class GammaExchangeSpec:
     """Pair energy-redistribution model on the positive half line.
 
     The pair rate factors as lambda_s(total) * lambda_r(fraction), and the
-    redistribution fraction is drawn from `kernel`: either the closed-form
-    symmetric Beta kernel ("simple-average") or a row-stochastic matrix on a
+    redistribution fraction is drawn from `kernel`: None for the closed-form
+    symmetric Beta(gamma, gamma) kernel, or a row-stochastic matrix on a
     uniform grid of [0, 1].  With both lambdas `unit_rate` and the Beta
     kernel this is the simple average for the gamma measure.
     """
@@ -301,40 +291,45 @@ class GammaExchangeSpec:
     gamma: Fraction
     lambda_s: Callable[[float], float] = unit_rate
     lambda_r: Callable[[float], float] = unit_rate
-    kernel: object = "simple-average"   # or (cells, cells) ndarray
-    cells: int = DEFAULT_KERNEL_CELLS
+    kernel: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.gamma = Fraction(self.gamma)
         if not self.gamma > 0:
             raise ValueError("shape parameter must be positive")
-        if isinstance(self.kernel, np.ndarray):
-            if self.kernel.ndim != 2 or self.kernel.shape[0] != self.kernel.shape[1]:
-                raise ValueError("discretized kernel must be a square matrix")
-            self.cells = self.kernel.shape[0]
+        if self.kernel is not None:
+            if (not isinstance(self.kernel, np.ndarray) or self.kernel.ndim != 2
+                    or self.kernel.shape[0] != self.kernel.shape[1]):
+                raise ValueError("kernel must be None (the Beta kernel) or a square matrix")
+
+    @property
+    def cells(self) -> int:
+        """Cells of the grid on [0, 1]: the kernel matrix's size, if one is given."""
+        return DEFAULT_KERNEL_CELLS if self.kernel is None else self.kernel.shape[0]
 
     def grid(self) -> np.ndarray:
         """Cell midpoints of the uniform grid on [0, 1]."""
         return (np.arange(self.cells) + 0.5) / self.cells
 
+    @functools.cached_property
+    def _beta_masses(self) -> np.ndarray:
+        """Unnormalized Beta(gamma, gamma) density at the cell midpoints."""
+        b = self.grid()
+        return (b * (1 - b)) ** (float(self.gamma) - 1)
+
     def fraction_weights(self) -> np.ndarray:
         """Invariant fraction distribution p on the grid, normalized cell masses."""
-        b = self.grid()
-        g = float(self.gamma)
-        w = (b * (1 - b)) ** (g - 1) * np.array([self.lambda_r(x) for x in b])
+        w = self._beta_masses * np.array([self.lambda_r(x) for x in self.grid()])
         return w / w.sum()
 
     def kernel_matrix(self) -> np.ndarray:
         """Row-stochastic redistribution kernel on the grid."""
-        if isinstance(self.kernel, np.ndarray):
+        if self.kernel is not None:
             rows = self.kernel.astype(float)
             sums = rows.sum(axis=1, keepdims=True)
             return rows / sums
-        # simple-average kernel: rows all equal to the symmetric Beta cell masses
-        b = self.grid()
-        g = float(self.gamma)
-        w = (b * (1 - b)) ** (g - 1)
-        w = w / w.sum()
+        # Beta kernel: every row is the symmetric Beta cell masses
+        w = self._beta_masses / self._beta_masses.sum()
         return np.tile(w, (self.cells, 1))
 
 
@@ -342,7 +337,15 @@ class GammaExchangeSpec:
 # model specification and catalog
 # ---------------------------------------------------------------------------
 
-FAMILIES = ("kac-uniform", "kac-rho", "gamma-exchange", "zero-range", "simple-average")
+#: the one parameter field each family reads; None for the uniform Kac walk
+FAMILY_FIELD = {
+    "kac-uniform": None,
+    "kac-rho": "rho",
+    "gamma-exchange": "exchange",
+    "zero-range": "g",
+    "simple-average": "g",
+}
+FAMILIES = tuple(FAMILY_FIELD)
 
 MODEL_IDS = {
     "kac": "kac-uniform",
@@ -355,8 +358,10 @@ MODEL_IDS = {
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A collision family plus its parameters; fixes the two-site operator.
+    """A collision family plus its parameter; fixes the two-site operator.
 
+    Each family reads exactly one of `rho`, `exchange` and `g` (none for
+    `kac-uniform`, see `FAMILY_FIELD`); the others must stay None.
     `simple-average` is the integer conditional average with rates g; the
     continuous simple averages are `kac-uniform` (the sphere) and
     `gamma-exchange` with its default spec (the gamma measure).
@@ -368,28 +373,24 @@ class ModelSpec:
     g: Optional[RateFunction] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_FIELD:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "kac-rho" and self.rho is None:
-            raise ValueError("kac-rho needs a RhoSpec")
-        if self.family == "gamma-exchange" and self.exchange is None:
-            raise ValueError("gamma-exchange needs a GammaExchangeSpec")
-        if self.family in ("zero-range", "simple-average") and self.g is None:
-            raise ValueError(f"{self.family} needs a rate function g")
-
-    def site_space(self) -> SiteSpace:
-        if self.family in ("kac-uniform", "kac-rho"):
-            return SiteSpace("real-line-gaussian")
-        if self.family == "gamma-exchange":
-            return SiteSpace("positive-half-line-gamma", gamma=self.exchange.gamma)
-        return SiteSpace("nonneg-integers-zerorange", g=self.g)
+        field = FAMILY_FIELD[self.family]
+        for name in ("rho", "exchange", "g"):
+            given = getattr(self, name) is not None
+            if name == field and not given:
+                raise ValueError(f"{self.family} needs {name}")
+            if name != field and given:
+                raise ValueError(f"{self.family} does not read {name}; "
+                                 f"it reads {field or 'no parameter'}")
 
     def law(self) -> ConservationLaw:
-        return SQUARE if self.site_space().kind == "real-line-gaussian" else IDENTITY
+        """Rotations conserve the sum of squares, the other families the sum."""
+        return SQUARE if self.family in ("kac-uniform", "kac-rho") else IDENTITY
 
     @property
     def is_discrete(self) -> bool:
-        return self.site_space().is_discrete
+        return FAMILY_FIELD[self.family] == "g"
 
     @property
     def constant_rates(self) -> bool:
@@ -402,10 +403,19 @@ class ModelSpec:
 def model_from_id(model_id: str, *, g: Optional[RateFunction] = None,
                   gamma=None, rho: Optional[RhoSpec] = None,
                   exchange: Optional[GammaExchangeSpec] = None) -> ModelSpec:
-    """Resolve a CLI model identifier to a ModelSpec."""
+    """Resolve a CLI model identifier to a ModelSpec.
+
+    A `gamma` for any family but gamma-exchange, or a `rho` for any family
+    but kac-rho, is refused: the model would not read it.
+    """
     if model_id not in MODEL_IDS:
         raise ValueError(f"unknown model id {model_id!r} (choose from {sorted(MODEL_IDS)})")
     family = MODEL_IDS[model_id]
+    if gamma is not None and family != "gamma-exchange":
+        raise ValueError(f"{model_id} does not read gamma; the shape parameter belongs to "
+                         "gamma-exchange, the simple average for the gamma measure")
+    if rho is not None and family != "kac-rho":
+        raise ValueError(f"{model_id} does not read rho; the angle density belongs to kac-rho")
     if family == "kac-uniform":
         return ModelSpec("kac-uniform")
     if family == "kac-rho":
@@ -414,12 +424,7 @@ def model_from_id(model_id: str, *, g: Optional[RateFunction] = None,
         if exchange is None:
             exchange = GammaExchangeSpec(gamma=Fraction(gamma if gamma is not None else 1))
         return ModelSpec("gamma-exchange", exchange=exchange)
-    if family == "zero-range":
-        return ModelSpec("zero-range", g=g if g is not None else G_CONSTANT_ONE)
-    if gamma is not None:
-        raise ValueError("simple-average is the integer family; the simple average "
-                         "for the gamma measure is gamma-exchange")
-    return ModelSpec("simple-average", g=g if g is not None else G_CONSTANT_ONE)
+    return ModelSpec(family, g=g if g is not None else G_CONSTANT_ONE)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.special
 
-from .models import (RHO_QUADRATURE_NODES, InteractionGraph, ModelSpec, RhoSpec,
-                     angle_midpoints)
+from .models import (RHO_QUADRATURE_NODES, SQUARE, InteractionGraph, ModelSpec,
+                     RhoSpec, angle_midpoints, pair_law)
 
 #: events tolerated with a clipped negative energy per million before aborting
 CLIP_BUDGET_PER_MILLION = 10
@@ -33,6 +33,10 @@ N_BOOTSTRAP = 100
 CI_INFLATION = 1.25
 #: the decay fit searches the autocorrelation at lags 1..MAX_FIT_LAG
 MAX_FIT_LAG = 400
+#: the decay fit uses the lags whose C(t)/C(0) falls in this band
+FIT_WINDOW = (0.1, 0.8)
+#: batches of the Rayleigh-quotient interval
+N_BATCHES = 20
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
@@ -51,13 +55,12 @@ def initial_config(model: ModelSpec, graph: InteractionGraph, omega,
     """A valid configuration with the requested conserved total."""
     V = graph.n_sites
     rng = rng_for(seed, stream=7)
-    space = model.site_space()
-    if space.kind == "real-line-gaussian":
+    if model.law() is SQUARE:
         x = rng.standard_normal(V)
         x *= math.sqrt(float(omega) / float(x @ x))
         return x
-    if space.kind == "positive-half-line-gamma":
-        return rng.dirichlet([float(space.gamma)] * V) * float(omega)
+    if not model.is_discrete:
+        return rng.dirichlet([float(model.exchange.gamma)] * V) * float(omega)
     cfg = np.zeros(V, dtype=np.int64)
     sites = rng.integers(0, V, size=int(omega))
     for s in sites:
@@ -120,7 +123,7 @@ class _Dynamics:
             self._jump, self.outcomes = self._jump_exchange, self._exchange_outcomes
             if not self.constant_rates:
                 self._refresh = self._refresh_exchange
-            self._simple = not isinstance(ex.kernel, np.ndarray)
+            self._simple = ex.kernel is None
             if not self._simple:
                 self._grid = ex.grid()
                 self._K = ex.kernel_matrix()
@@ -300,11 +303,7 @@ class _Dynamics:
         """pmf and cdf of the new value at x of an integer pair of total s."""
         law = self._laws.get(s)
         if law is None:
-            lgf = self.model.g.log_factorials(s)
-            lw = -(lgf + lgf[::-1])
-            lw -= lw.max()
-            pmf = np.exp(lw)
-            pmf /= pmf.sum()
+            pmf = pair_law(self.model.g.log_factorials(s), s)[0]
             cdf = pmf.cumsum()
             cdf /= cdf[-1]
             law = self._laws[s] = (pmf, cdf)
@@ -533,8 +532,7 @@ def _window_lags(ratio: np.ndarray, window: tuple) -> np.ndarray:
     return np.arange(start + 1, stop + 1)
 
 
-def _fit_decay_rate(series: np.ndarray, dt: float,
-                    window: tuple = (0.1, 0.8)) -> float:
+def _fit_decay_rate(series: np.ndarray, dt: float) -> float:
     """Weighted slope of log-autocovariance over the mid-decay lag window.
 
     The window is the contiguous run of lags from the first ratio at or below
@@ -546,10 +544,10 @@ def _fit_decay_rate(series: np.ndarray, dt: float,
     c0 = c[0]
     if c0 <= 0:
         raise NoDecayError("zero-variance observable")
-    lags = _window_lags(c[1:] / c0, window)
+    lags = _window_lags(c[1:] / c0, FIT_WINDOW)
     if len(lags) < 2:
         raise NoDecayError(
-            f"fewer than two lags with C(t)/C(0) in [{window[0]}, {window[1]}]")
+            f"fewer than two lags with C(t)/C(0) in [{FIT_WINDOW[0]}, {FIT_WINDOW[1]}]")
     tvals = np.asarray(lags, dtype=float) * dt
     y = np.log(c[lags] / c0)
     w = (c[lags] / c0) ** 2
@@ -565,13 +563,11 @@ def _fit_decay_rate(series: np.ndarray, dt: float,
 def autocorr_gap_estimate(model: ModelSpec, graph: InteractionGraph,
                           observable: Callable, *, omega, dt: float,
                           n_samples: int = 5000, burn_in: Optional[float] = None,
-                          seed: int = 0, n_boot: int = N_BOOTSTRAP,
-                          ci_inflation: float = CI_INFLATION,
-                          stream_writer=None) -> EstimatorResult:
+                          seed: int = 0, stream_writer=None) -> EstimatorResult:
     """Slowest autocorrelation decay rate of the observable, with bootstrap CI.
 
     The point estimate upper-bounds the true gap when the observable mixes
-    several modes; the interval is widened by `ci_inflation` to absorb that
+    several modes; the interval is widened by `CI_INFLATION` to absorb that
     fit-model error.  `stream_writer` receives the sampled series of the
     same trajectory, burn-in included.
     """
@@ -590,7 +586,7 @@ def autocorr_gap_estimate(model: ModelSpec, graph: InteractionGraph,
     n_blocks = int(math.ceil(n / block))
     draws = []
     failures = 0
-    for _ in range(n_boot):
+    for _ in range(N_BOOTSTRAP):
         starts = rng.integers(0, n, size=n_blocks)
         idx = (starts[:, None] + np.arange(block)[None, :]) % n
         resampled = series[idx].ravel()[:n]
@@ -598,21 +594,21 @@ def autocorr_gap_estimate(model: ModelSpec, graph: InteractionGraph,
             draws.append(_fit_decay_rate(resampled, dt))
         except NoDecayError:
             failures += 1
-    if len(draws) < max(10, n_boot // 2):
-        raise NoDecayError(f"bootstrap refits failed {failures}/{n_boot} times")
+    if len(draws) < max(10, N_BOOTSTRAP // 2):
+        raise NoDecayError(f"bootstrap refits failed {failures}/{N_BOOTSTRAP} times")
     draws = np.array(draws)
     lo, hi = np.percentile(draws, [2.5, 97.5])
     se = float(draws.std(ddof=1))
     # wider of the percentile and symmetric-normal bootstrap intervals; the
     # percentile shape alone under-covers when the draw distribution is skewed
-    half_lo = max(rate - lo, 1.96 * se) * ci_inflation
-    half_hi = max(hi - rate, 1.96 * se) * ci_inflation
+    half_lo = max(rate - lo, 1.96 * se) * CI_INFLATION
+    half_hi = max(hi - rate, 1.96 * se) * CI_INFLATION
     ess = n / (2.0 * tau)
     return EstimatorResult(
         estimate=rate, stderr=se,
         ci_low=rate - half_lo, ci_high=rate + half_hi, ess=ess,
         diagnostics={"block": block, "n_samples": n, "bootstrap_failures": failures,
-                     "dt": dt, "inflation": ci_inflation})
+                     "dt": dt, "inflation": CI_INFLATION})
 
 
 def _local_dirichlet(dyn: _Dynamics, cfg: np.ndarray, f: Callable) -> float:
@@ -634,7 +630,7 @@ def _local_dirichlet(dyn: _Dynamics, cfg: np.ndarray, f: Callable) -> float:
 def rayleigh_upper_bound(model: ModelSpec, graph: InteractionGraph,
                          observable: Callable, *, omega, dt: float,
                          n_samples: int = 4000, burn_in: Optional[float] = None,
-                         seed: int = 0, n_batches: int = 20) -> EstimatorResult:
+                         seed: int = 0) -> EstimatorResult:
     """Ratio of the trajectory-averaged quadratic form to the variance of f.
 
     Consistent for the Rayleigh quotient, hence an upper bound on the gap up
@@ -667,7 +663,7 @@ def rayleigh_upper_bound(model: ModelSpec, graph: InteractionGraph,
     ratio = float(dvals.mean()) / var
 
     # batch-mean linearization of the ratio estimator
-    k = n_batches
+    k = N_BATCHES
     size = n_samples // k
     nums = np.array([dvals[i * size:(i + 1) * size].mean() for i in range(k)])
     mean_all = fvals.mean()

@@ -135,6 +135,20 @@ class TestGapCommands:
         assert code == 1
         assert "gamma-exchange" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, hint", [
+        (["gap-exact", "--model", "zero-range", "--gamma", "2"], "gamma-exchange"),
+        (["gap-exact", "--model", "zero-range", "--rho", "uniform"], "kac-rho"),
+        (["gap-mc", "--model", "kac", "--gamma", "7", "--observable", "site-0"],
+         "gamma-exchange"),
+        (["gap-galerkin", "--model", "kac", "--gamma", "2"], "gamma-exchange"),
+        (["gap-galerkin", "--model", "gamma-exchange", "--rho", "uniform"], "kac-rho"),
+        (["two-site", "--model", "kac", "--rho", "uniform"], "kac-rho"),
+        (["two-site", "--model", "zero-range", "--gamma", "2"], "gamma-exchange"),
+    ])
+    def test_parameter_the_model_does_not_read_is_refused(self, argv, hint, capsys):
+        assert main(argv) == 1
+        assert hint in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_graph(self, tmp_path):

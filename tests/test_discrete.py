@@ -18,7 +18,9 @@ from gaplab.discrete import (TooLargeError, build_generator,
                              apply_exchange, pair_average_matrix, rank_states,
                              spectral_gap, stationary_weights, two_site_spectrum)
 from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, InteractionGraph,
-                           ModelSpec, RateFunction, build_graph)
+                           ModelSpec, RateFunction, build_graph, pair_law,
+                           rate_from_table)
+from gaplab.simulate import _Dynamics
 
 GK = G_IDENTITY
 G1 = G_CONSTANT_ONE
@@ -394,6 +396,83 @@ class TestKernelMatrix:
                                     abs=1e-9)
         ev2 = np.sort(np.linalg.eigvals(kernel_matrix(GK, n).matrix).real)
         assert ev2 == pytest.approx(sorted((-0.5) ** j for j in range(n)), abs=1e-9)
+
+
+    @pytest.mark.parametrize("g", [G1, GK], ids=lambda g: g.name)
+    def test_matches_the_loop_it_replaced(self, g):
+        # entries are exp(lw - max) / sum where the loop took exp(lw - log_norm):
+        # one rounding apart; the log normalizers, hence pi, are the same floats
+        for n in range(1, 61):
+            K_ref, pi_ref = _loop_kernel_matrix(g, n)
+            km = kernel_matrix(g, n)
+            assert ((km.matrix == 0) == (K_ref == 0)).all()
+            assert np.abs(km.matrix - K_ref).max() < 1e-14
+            assert km.stationary.tobytes() == pi_ref.tobytes()
+            S_ref = (np.sqrt(pi_ref)[:, None] * K_ref) / np.sqrt(pi_ref)[None, :]
+            spec_ref = np.linalg.eigvalsh(0.5 * (S_ref + S_ref.T))
+            assert np.abs(km.spectrum - spec_ref).max() < 1e-13
+
+    def test_detailed_balance_failure_raises(self, monkeypatch):
+        # a pair law that favours one site breaks reversibility; there is no
+        # silent fallback to a non-symmetric eigensolver
+        def tilted(lgf, s):
+            pmf, log_norm = pair_law(lgf, s)
+            pmf = pmf * np.arange(1, s + 2)
+            return pmf / pmf.sum(), log_norm
+
+        monkeypatch.setattr(discrete, "pair_law", tilted)
+        with pytest.raises(ArithmeticError, match="detailed-balance"):
+            kernel_matrix(G1, 6)
+
+
+def _loop_kernel_matrix(g, n):
+    """The entry-by-entry kernel assembly that `kernel_matrix` replaced: (K, pi)."""
+    lgf = g.log_factorials(n - 1)
+    K = np.zeros((n, n))
+    log_norm = np.empty(n)
+    for i in range(1, n + 1):
+        terms = np.array([-(lgf[l] + lgf[i - 1 - l]) for l in range(i)])
+        m = terms.max()
+        log_norm[i - 1] = m + math.log(np.exp(terms - m).sum())
+        for j in range(1, n + 1):
+            m_occ = n - j
+            if i > m_occ:
+                K[i - 1, j - 1] = math.exp(-(lgf[m_occ] + lgf[i - 1 - m_occ]) - log_norm[i - 1])
+    lpi = np.array([-lgf[n - i] + log_norm[i - 1] for i in range(1, n + 1)])
+    lpi -= lpi.max()
+    pi = np.exp(lpi)
+    return K, pi / pi.sum()
+
+
+G_TABLE = rate_from_table([(k, 1.0 + 0.5 * (k % 3) + 0.1 * k) for k in range(1, 13)],
+                          name="wiggly")
+
+
+class TestPairLaw:
+    """The integer pair law P(a | s) of models.pair_law against every engine that uses it."""
+
+    @pytest.mark.parametrize("g", [G1, GK, G_TABLE], ids=lambda g: g.name)
+    @pytest.mark.parametrize("s", range(13))
+    def test_engines_agree(self, g, s):
+        pmf, _ = pair_law(g.log_factorials(s), s)
+        # exact engine: every row of the K2 pair average at total s
+        states = enumerate_states(2, s)
+        P = pair_average_matrix(states, stationary_weights(g, states), 0, 1).toarray()
+        assert np.abs(P - pmf[None, :]).max() < 1e-14
+        # three-site reduction: the last kernel row, column j holding a = n - j
+        km = kernel_matrix(g, s + 1)
+        assert np.abs(km.matrix[-1] - pmf[::-1]).max() < 1e-14
+        # simulator: the outcome weights of a pair of total s, bit for bit
+        dyn = _Dynamics(ModelSpec("simple-average", g=g), build_graph("complete", N=2))
+        _, weights, xs, ys = dyn.outcomes(np.array([s, 0], dtype=np.int64), 0, 1)
+        assert weights.tobytes() == pmf.tobytes()
+        assert list(xs) == list(range(s + 1)) and list(ys) == list(range(s, -1, -1))
+
+    @pytest.mark.parametrize("s", range(13))
+    def test_linear_rate_normalizer(self, s):
+        # sum_a 1/(a! (s-a)!) = 2^s / s!
+        _, log_norm = pair_law(GK.log_factorials(s), s)
+        assert math.exp(log_norm) == pytest.approx(2.0 ** s / math.factorial(s), rel=1e-13)
 
 
 class TestKernelExtremes:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, GammaExchangeSpec,
-                           IDENTITY, MODEL_IDS, ModelSpec, RhoSpec, SQUARE,
+from gaplab.models import (FAMILIES, FAMILY_FIELD, G_CONSTANT_ONE, G_IDENTITY,
+                           GammaExchangeSpec, IDENTITY, MODEL_IDS, ModelSpec,
+                           RhoSpec, SQUARE,
                            ValidationReport, build_graph, conserved_total,
                            model_from_id, rate_from_table, validate_model)
 from gaplab.simulate import initial_config, rayleigh_upper_bound, simulate
@@ -184,6 +185,27 @@ class TestValidateModel:
         assert validate_model(ModelSpec("zero-range", g=G_IDENTITY)).passed
 
 
+class TestGammaExchangeSpec:
+    def test_beta_kernel_is_the_default(self):
+        spec = GammaExchangeSpec(gamma=2)
+        assert spec.kernel is None
+        assert spec.cells == 512
+        K = spec.kernel_matrix()
+        # unit rates: every Beta row is the invariant fraction law
+        assert np.abs(K - spec.fraction_weights()[None, :]).max() < 1e-15
+
+    def test_cells_follow_the_kernel(self):
+        spec = GammaExchangeSpec(gamma=1, kernel=np.ones((16, 16)))
+        assert spec.cells == 16 and len(spec.grid()) == 16
+        with pytest.raises(AttributeError):
+            spec.cells = 8
+
+    @pytest.mark.parametrize("kernel", ["simple-average", np.ones((4, 5)), np.ones(4)])
+    def test_bad_kernel_refused(self, kernel):
+        with pytest.raises(ValueError, match="Beta kernel"):
+            GammaExchangeSpec(gamma=1, kernel=kernel)
+
+
 class TestModelCatalog:
     @pytest.mark.parametrize("mid", ["kac", "kac-rho", "gamma-exchange",
                                      "zero-range", "simple-average"])
@@ -192,7 +214,6 @@ class TestModelCatalog:
                              gamma=1 if mid == "gamma-exchange" else None)
         assert spec.family in ("kac-uniform", "kac-rho", "gamma-exchange",
                                "zero-range", "simple-average")
-        spec.site_space()
         spec.law()
 
     def test_unknown_id(self):
@@ -207,6 +228,40 @@ class TestModelCatalog:
     def test_simple_average_refuses_a_shape(self):
         with pytest.raises(ValueError, match="gamma-exchange"):
             model_from_id("simple-average", gamma=2)
+
+    @pytest.mark.parametrize("mid", ["kac", "kac-rho", "zero-range"])
+    def test_foreign_shape_refused(self, mid):
+        with pytest.raises(ValueError, match="gamma-exchange"):
+            model_from_id(mid, gamma=2)
+
+    @pytest.mark.parametrize("mid", ["kac", "gamma-exchange", "zero-range", "simple-average"])
+    def test_foreign_density_refused(self, mid):
+        with pytest.raises(ValueError, match="kac-rho"):
+            model_from_id(mid, rho=RhoSpec.uniform())
+
+    @pytest.mark.parametrize("family, fields", [
+        ("kac-uniform", {"rho": RhoSpec.uniform()}),
+        ("zero-range", {"g": G_IDENTITY, "exchange": GammaExchangeSpec(gamma=3)}),
+        ("kac-rho", {"rho": RhoSpec.uniform(), "g": G_IDENTITY}),
+        ("gamma-exchange", {"exchange": GammaExchangeSpec(gamma=1), "rho": RhoSpec.uniform()}),
+        ("simple-average", {"g": G_IDENTITY, "rho": RhoSpec.uniform()}),
+    ])
+    def test_foreign_field_refused(self, family, fields):
+        with pytest.raises(ValueError, match="does not read"):
+            ModelSpec(family, **fields)
+
+    @pytest.mark.parametrize("family", ["kac-rho", "gamma-exchange", "zero-range",
+                                        "simple-average"])
+    def test_missing_field_refused(self, family):
+        with pytest.raises(ValueError, match="needs"):
+            ModelSpec(family)
+
+    def test_family_table(self):
+        assert FAMILIES == tuple(FAMILY_FIELD)
+        assert [MODEL_IDS[m] for m in MODEL_IDS if model_from_id(m).is_discrete] == [
+            "zero-range", "simple-average"]
+        assert [MODEL_IDS[m] for m in MODEL_IDS if model_from_id(m).law() is SQUARE] == [
+            "kac-uniform", "kac-rho"]
 
     def test_constant_rates(self):
         assert model_from_id("simple-average").constant_rates

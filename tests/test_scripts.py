@@ -1,0 +1,33 @@
+"""The reach scripts under scripts/ run and print one JSON row per case."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _rows(*argv):
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def test_reach():
+    rows = _rows("reach.py", "--omegas", "3")
+    assert [r["case"] for r in rows] == ["zero-range/identity/K4/om3"]
+    assert rows[0]["n"] == 20 and abs(rows[0]["gap"] - 1.0) < 1e-12
+
+
+def test_sector_reach():
+    rows = _rows("sector_reach.py", "--Ns", "3,4", "--degree", "2")
+    assert [r["case"] for r in rows] == [
+        f"{m}/K{N}/deg2/symmetric{tail}" for N in (3, 4)
+        for m, tail in (("kac-uniform", ""), ("gamma", "/gamma1"), ("gamma", "/gamma2"))]
+    for r in rows:
+        if r["case"].startswith("kac-uniform"):
+            # (N+2)/(4N) is the gap from degree 4 on; below it there is no closed form
+            assert r["closed_form"] is None and r["abs_error"] is None
+        else:
+            assert r["abs_error"] < 1e-12
