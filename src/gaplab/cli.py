@@ -37,7 +37,7 @@ def _omega_range(text: str) -> list:
 
 
 def _resolve_g(name: str):
-    if name and name.startswith("table:"):
+    if name.startswith("table:"):
         path = name.split(":", 1)[1]
         pairs = []
         with open(path) as fh:
@@ -48,7 +48,7 @@ def _resolve_g(name: str):
                 k, v = line.split(",")
                 pairs.append((int(k), float(v)))
         return rate_from_table(pairs, name=path)
-    return rate_by_name(name or "constant-one")
+    return rate_by_name(name)
 
 
 _SAFE_FUNCS = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
@@ -123,8 +123,8 @@ def _graph_from_args(args):
 
 
 def _model_from_args(args):
-    """The ModelSpec of --model; a --gamma or --rho the model does not read is refused."""
-    g = _resolve_g(args.g) if "g" in args else None
+    """The ModelSpec of --model; a --g, --gamma or --rho the model does not read is refused."""
+    g = _resolve_g(args.g) if getattr(args, "g", None) is not None else None
     return model_from_id(args.model, g=g, gamma=args.gamma,
                          rho=_resolve_rho(args.rho) if args.rho else None)
 
@@ -136,7 +136,7 @@ def _model_from_args(args):
 def cmd_graph(args) -> int:
     g = _graph_from_args(args)
     rec = {"model": "-", "graph": {"kind": g.kind, "d": g.d, "N": g.N},
-           "n_sites": g.n_sites, "n_edges": len(g.edges),
+           "n_sites": g.n_sites, "n_edges": g.n_edges,
            "pair_scaling": g.pair_scaling, "method": "graph"}
     _emit(args, "graph", [rec], [])
     return 0
@@ -197,7 +197,10 @@ def cmd_gap_galerkin(args) -> int:
 def cmd_gap_mc(args) -> int:
     model = _model_from_args(args)
     graph = _graph_from_args(args)
-    om = _omega_range(args.omega_range)[0]
+    omegas = _omega_range(args.omega_range)
+    if len(omegas) != 1:
+        raise ValueError(f"gap-mc runs one total, not --omega {args.omega_range}")
+    om = omegas[0]
     observable = _observable_by_name(args.observable, model, graph, om)
     stream = (reporting.SampleStreamWriter(
         args.stream, [args.observable],
@@ -325,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--N", type=int, default=3)
         if model:
             sp.add_argument("--model", choices=sorted(MODEL_IDS), default="zero-range")
-            sp.add_argument("--g", default="constant-one",
-                            help="rate function: constant-one | identity | table:FILE")
+            sp.add_argument("--g", default=None,
+                            help="rate function of zero-range and simple-average: "
+                                 "constant-one (default) | identity | table:FILE")
             sp.add_argument("--gamma", default=None, help="shape parameter")
             sp.add_argument("--rho", default=None,
                             help="angle density: uniform | fourier:FILE | density:EXPR")

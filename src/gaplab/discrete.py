@@ -340,7 +340,7 @@ def estimated_nnz(model: ModelSpec, graph: InteractionGraph, omega: int) -> int:
     average over the states.
     """
     n = state_count(graph.n_sites, omega)
-    E = len(graph.edges)
+    E = graph.n_edges
     if model.family == "zero-range":
         return n * (1 + 2 * E)
     return n + math.ceil(E * n * (1 + 2 * omega / graph.n_sites))

@@ -61,12 +61,10 @@ class MultiIndexBasis:
     n_vars: int
     degree: int
     mode: str
-    even_only: bool
     elements: tuple     # full: exponent tuples; symmetric: sorted signatures
 
     @classmethod
-    def build(cls, n_vars: int, degree: int, mode: str = "full",
-              even_only: bool = False) -> "MultiIndexBasis":
+    def build(cls, n_vars: int, degree: int, mode: str = "full") -> "MultiIndexBasis":
         if mode not in ("full", "symmetric"):
             raise ValueError(f"unknown basis mode {mode!r}")
         if mode == "full":
@@ -86,9 +84,7 @@ class MultiIndexBasis:
                         for total in range(degree + 1)
                         for part in _partitions(total, min(n_vars, total))]
             elements.sort(key=lambda k: (sum(k), k))
-        if even_only:
-            elements = [k for k in elements if sum(k) % 2 == 0]
-        return cls(n_vars, degree, mode, even_only, tuple(elements))
+        return cls(n_vars, degree, mode, tuple(elements))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -338,7 +334,6 @@ class GalerkinPair:
     A: np.ndarray
     B: np.ndarray
     basis: MultiIndexBasis
-    omega: float
     asymmetry: float
     basis_scale: Optional[np.ndarray] = None
 
@@ -347,20 +342,19 @@ class GalerkinPair:
         return "monomial" if self.basis.mode == "full" else "orbit-representative"
 
 
-def full_basis_size(n_vars: int, degree: int, even_only: bool = False) -> int:
-    """Monomials of total degree <= degree in n_vars variables (even totals only)."""
-    totals = range(0, degree + 1, 2 if even_only else 1)
-    return sum(comb(t + n_vars - 1, n_vars - 1) for t in totals)
+def full_basis_size(n_vars: int, degree: int) -> int:
+    """Monomials of total degree <= degree in n_vars variables."""
+    return comb(degree + n_vars, n_vars)
 
 
-def _full_mode_preflight(n_vars: int, degree: int, even_only: bool) -> None:
+def _full_mode_preflight(n_vars: int, degree: int) -> None:
     """Refuse, before the basis is built, a full-mode sector that cannot be solved.
 
     Its dense n-by-n forms and their solve must fit in physical memory, and
     the base 2 degree + 1 code of a product's sorted exponents
     (`_gram_matrix`) must fit in an int64.
     """
-    n = full_basis_size(n_vars, degree, even_only)
+    n = full_basis_size(n_vars, degree)
     what = f"full-mode sector of degree {degree} on {n_vars} sites ({n} monomials)"
     hint = "on a complete graph use --basis-mode symmetric"
     need = FULL_MODE_DENSE_ARRAYS * 8 * n * n
@@ -406,12 +400,14 @@ def _gram_matrix(E: np.ndarray, degree: int, oracle) -> np.ndarray:
     return B
 
 
-def assemble_galerkin(model: str, graph: InteractionGraph, omega=1, degree: int = 4,
-                      mode: str = "full", even_only: bool = False,
-                      rho: Optional[RhoSpec] = None, gamma=None) -> GalerkinPair:
+def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
+                      mode: str = "full", rho: Optional[RhoSpec] = None,
+                      gamma=None) -> GalerkinPair:
     """Restrict the generator to the polynomial sector over the graph's sites.
 
     `model` is "kac-uniform", "kac-rho" (with `rho`) or "gamma" (with `gamma`).
+    The moments are taken at unit total: the total scales each degree's
+    block and leaves the sector gap unchanged.
 
     The full mode assembles in floats over the graph's edges.  C takes the
     image of each monomial edge by edge; the Gram matrix B is filled a row at
@@ -431,11 +427,11 @@ def assemble_galerkin(model: str, graph: InteractionGraph, omega=1, degree: int 
         raise ValueError("symmetric orbits are only invariant on the complete graph")
 
     if model in ("kac-uniform", "kac-rho"):
-        oracle = SphereMoments(V, omega)
+        oracle = SphereMoments(V)
     else:
         if gamma is None:
             raise ValueError("redistribution sector needs the shape parameter")
-        oracle = DirichletMoments(V, gamma, omega)
+        oracle = DirichletMoments(V, gamma)
 
     if model == "kac-uniform":
         action = lambda a, b: pair_average_action("kac-uniform", a, b)
@@ -458,14 +454,13 @@ def assemble_galerkin(model: str, graph: InteractionGraph, omega=1, degree: int 
         return action_cache[key]
 
     if mode == "full":
-        _full_mode_preflight(V, degree, even_only)
-    basis = MultiIndexBasis.build(V, degree, mode=mode, even_only=even_only)
+        _full_mode_preflight(V, degree)
+    basis = MultiIndexBasis.build(V, degree, mode=mode)
     n = len(basis)
     scale = graph.pair_scaling
 
     if mode == "symmetric":
-        return _orbit_forms(model, basis, oracle, cached_action, Fraction(scale),
-                            float(omega))
+        return _orbit_forms(model, basis, oracle, cached_action, Fraction(scale))
 
     pos = {k: i for i, k in enumerate(basis.elements)}
 
@@ -499,7 +494,7 @@ def assemble_galerkin(model: str, graph: InteractionGraph, omega=1, degree: int 
     asym = float(np.abs(A - A.T).max())
     A = 0.5 * (A + A.T)
     _check_symmetric(asym, A)
-    return GalerkinPair(model, A, B, basis, float(omega), asym)
+    return GalerkinPair(model, A, B, basis, asym)
 
 
 def _check_symmetric(asym: float, A: np.ndarray) -> None:
@@ -541,8 +536,8 @@ def _overlays(support: tuple, parts: tuple, empty: int):
     yield from rec(0, ())
 
 
-def _orbit_forms(name: str, basis: MultiIndexBasis, oracle, action, scale: Fraction,
-                 omega: float) -> GalerkinPair:
+def _orbit_forms(name: str, basis: MultiIndexBasis, oracle, action,
+                 scale: Fraction) -> GalerkinPair:
     """Sector forms on orbit sums, each entry from one representative per orbit.
 
     The representative k_s of orbit s carries its nonzero parts on the first
@@ -625,7 +620,7 @@ def _orbit_forms(name: str, basis: MultiIndexBasis, oracle, action, scale: Fract
     asym = max((float(abs(A[i][j] - A[j][i])) * d[i] * d[j]
                 for i in range(n) for j in range(i + 1, n)), default=0.0)
     _check_symmetric(asym, Af)
-    return GalerkinPair(name, Af, Bf, basis, omega, asym, basis_scale=d)
+    return GalerkinPair(name, Af, Bf, basis, asym, basis_scale=d)
 
 
 @dataclass(frozen=True)

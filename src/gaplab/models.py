@@ -141,46 +141,61 @@ def pair_law(lgf: np.ndarray, s: int) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Vertex/edge structure with the per-pair rate normalization.
+    """A complete graph K_N (mean-field 1/N pair scaling) or the cube {1..N}^d
+    with nearest-neighbor edges (unit scaling).
 
-    Complete graphs carry the mean-field 1/N scaling; lattices use
-    nearest-neighbor edges at unit scaling.
+    Kind, size and dimension fix the rest: counts are arithmetic, and the
+    vertex and edge tuples are built on first read, so a caller that never
+    iterates them (the symmetric sector on K_N) never lists N(N-1)/2 edges.
     """
 
     kind: str                       # "complete" or "lattice"
     N: int                          # vertex count (complete) or linear size (lattice)
     d: int                          # lattice dimension; 1 for complete graphs
-    vertices: tuple                 # site labels (ints or coordinate tuples)
-    edges: tuple                    # unordered index pairs (a, b), a < b
-    pair_scaling: float
+
+    def __post_init__(self):
+        if self.N < 2:
+            raise ValueError(f"invalid size: N = {self.N} < 2")
+        if self.kind not in ("complete", "lattice"):
+            raise ValueError(f"unknown graph kind {self.kind!r}")
+        if self.d is None or self.d < 1 or (self.kind == "complete" and self.d != 1):
+            raise ValueError(f"invalid dimension: d = {self.d}")
 
     @property
     def n_sites(self) -> int:
-        return len(self.vertices)
+        return self.N ** self.d
+
+    @property
+    def n_edges(self) -> int:
+        if self.kind == "complete":
+            return self.N * (self.N - 1) // 2
+        return self.d * self.N ** (self.d - 1) * (self.N - 1)
+
+    @property
+    def pair_scaling(self) -> float:
+        return 1.0 / self.N if self.kind == "complete" else 1.0
+
+    @functools.cached_property
+    def vertices(self) -> tuple:
+        """Site labels: 1..N, or the lattice coordinates in lexicographic order."""
+        if self.kind == "complete":
+            return tuple(range(1, self.N + 1))
+        return tuple(itertools.product(range(1, self.N + 1), repeat=self.d))
+
+    @functools.cached_property
+    def edges(self) -> tuple:
+        """Unordered site-index pairs (a, b), a < b, in lexicographic order."""
+        if self.kind == "complete":
+            return tuple(itertools.combinations(range(self.N), 2))
+        # the site one step up axis ax lies N^(d-1-ax) places further on
+        steps = [self.N ** (self.d - 1 - ax) for ax in range(self.d)]
+        return tuple(sorted((i, i + step) for i, v in enumerate(self.vertices)
+                            for step, c in zip(steps, v) if c < self.N))
 
 
 def build_graph(kind: str, d: Optional[int] = None, N: int = 2) -> InteractionGraph:
-    """Build a complete graph K_N or the cube {1..N}^d with nearest-neighbor edges."""
-    if N < 2:
-        raise ValueError(f"invalid size: N = {N} < 2")
-    if kind == "complete":
-        vertices = tuple(range(1, N + 1))
-        edges = tuple((i, j) for i in range(N) for j in range(i + 1, N))
-        return InteractionGraph("complete", N, 1, vertices, edges, 1.0 / N)
-    if kind == "lattice":
-        if d is None or d < 1:
-            raise ValueError(f"invalid dimension: d = {d}")
-        vertices = tuple(itertools.product(range(1, N + 1), repeat=d))
-        pos = {v: i for i, v in enumerate(vertices)}
-        edges = []
-        for v in vertices:
-            for ax in range(d):
-                if v[ax] < N:
-                    u = list(v)
-                    u[ax] += 1
-                    edges.append((pos[v], pos[tuple(u)]))
-        return InteractionGraph("lattice", N, d, vertices, tuple(sorted(edges)), 1.0)
-    raise ValueError(f"unknown graph kind {kind!r}")
+    """A complete graph K_N (`d` is ignored) or the cube {1..N}^d."""
+    return InteractionGraph(kind, N, 1 if kind == "complete" else d)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +420,9 @@ def model_from_id(model_id: str, *, g: Optional[RateFunction] = None,
                   exchange: Optional[GammaExchangeSpec] = None) -> ModelSpec:
     """Resolve a CLI model identifier to a ModelSpec.
 
-    A `gamma` for any family but gamma-exchange, or a `rho` for any family
-    but kac-rho, is refused: the model would not read it.
+    A `gamma` for any family but gamma-exchange, a `rho` for any family but
+    kac-rho, or a `g` for a continuous family is refused: the model would
+    not read it.  The integer families default to g = 1.
     """
     if model_id not in MODEL_IDS:
         raise ValueError(f"unknown model id {model_id!r} (choose from {sorted(MODEL_IDS)})")
@@ -416,6 +432,9 @@ def model_from_id(model_id: str, *, g: Optional[RateFunction] = None,
                          "gamma-exchange, the simple average for the gamma measure")
     if rho is not None and family != "kac-rho":
         raise ValueError(f"{model_id} does not read rho; the angle density belongs to kac-rho")
+    if g is not None and FAMILY_FIELD[family] != "g":
+        raise ValueError(f"{model_id} does not read g; the jump rates belong to "
+                         "zero-range and simple-average")
     if family == "kac-uniform":
         return ModelSpec("kac-uniform")
     if family == "kac-rho":

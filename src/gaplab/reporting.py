@@ -45,12 +45,12 @@ def exact_record(model: str, graph, omega, gap, kappa, dim, solve) -> dict:
 
 
 def galerkin_record(model: str, N: int, degree: int, sector: str, report,
-                    assembly: str, omega=1) -> dict:
+                    assembly: str) -> dict:
     """Record for a polynomial-sector result; `report` is its galerkin.GalerkinGapReport."""
     return {
         "model": model,
         "N": N,
-        "omega": _scalar(omega),
+        "omega": 1,
         "degree": degree,
         "sector": sector,
         "gap": _scalar(report.gap),

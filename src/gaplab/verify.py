@@ -61,9 +61,9 @@ def parallel_map(fn: Callable, items: list) -> list:
 
 
 def _timed(fn):
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = fn()
-    return out, time.time() - t0
+    return out, time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -295,55 +295,40 @@ MC_DISCRETE_INSTANCES = (
 )
 
 
-def _mc_discrete_case(family, g, kind, d, N, om, seeds):
-    model = ModelSpec(family, g=g)
-    graph = build_graph(kind, d=d, N=N)
-    states = discrete.enumerate_states(graph.n_sites, om)
-    gen = discrete.build_generator(model, graph, states)
-    gap, table = discrete.gap_eigenfunction(gen)
+def _table_observable(states, table):
+    index = states.index
+    return lambda cfg: table[index[tuple(cfg.tolist())]]
 
-    def observable(cfg):
-        return table[states.index[tuple(cfg.tolist())]]
 
-    dt = 0.25 / gap
+def _mc_instances():
+    """(label, model, graph, observable, omega, exact gap) of each battery instance."""
+    for family, g, kind, d, N, om in MC_DISCRETE_INSTANCES:
+        model = ModelSpec(family, g=g)
+        graph = build_graph(kind, d=d, N=N)
+        states = discrete.enumerate_states(graph.n_sites, om)
+        gap, table = discrete.gap_eigenfunction(discrete.build_generator(model, graph, states))
+        yield (f"{family}/{g.name}/{kind} N={N} om={om}", model, graph,
+               _table_observable(states, table), om, gap)
+    k3 = build_graph("complete", N=3)
+    # rotation walk on three sites: sector eigenfunction as observable
+    rep = galerkin.galerkin_eigensystem(galerkin.assemble_galerkin("kac-uniform", k3, degree=4))
+    yield ("kac N=3", ModelSpec("kac-uniform"), k3, galerkin.sector_polynomial(rep), 1.0,
+           rep.gap)
+    # redistribution model at unit shape: sum of squares is the eigenfunction
+    yield ("gamma=1 N=3", ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(gamma=1)),
+           k3, lambda x: float(np.dot(x, x)), 1.0, 4.0 / 9.0)
+
+
+def _mc_hits(model, graph, observable, omega, gap, seeds) -> int:
+    """How many seeds give an autocorrelation interval that covers the exact `gap`."""
     hits = 0
     for seed in seeds:
         est = autocorr_gap_estimate(
-            model, graph, observable, omega=om, dt=dt, n_samples=5000,
+            model, graph, observable, omega=omega, dt=0.25 / gap, n_samples=5000,
             burn_in=30.0 / gap, seed=seed)
         if est.covers(gap):
             hits += 1
-    return gap, hits
-
-
-def _mc_continuous_cases(seeds):
-    out = []
-    # rotation walk on three sites: sector eigenfunction as observable
-    graph = build_graph("complete", N=3)
-    pair = galerkin.assemble_galerkin("kac-uniform", graph, degree=4)
-    rep = galerkin.galerkin_eigensystem(pair)
-    f = galerkin.sector_polynomial(rep)
-    gap = rep.gap
-    hits = 0
-    for seed in seeds:
-        est = autocorr_gap_estimate(
-            ModelSpec("kac-uniform"), graph, f, omega=1.0, dt=0.25 / gap,
-            n_samples=5000, burn_in=30.0 / gap, seed=seed)
-        if est.covers(gap):
-            hits += 1
-    out.append(("kac N=3", gap, hits))
-    # redistribution model at unit shape: sum of squares is the eigenfunction
-    gap2 = 4.0 / 9.0
-    model = ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(gamma=1))
-    hits = 0
-    for seed in seeds:
-        est = autocorr_gap_estimate(
-            model, graph, lambda x: float(np.dot(x, x)), omega=1.0,
-            dt=0.25 / gap2, n_samples=5000, burn_in=30.0 / gap2, seed=seed)
-        if est.covers(gap2):
-            hits += 1
-    out.append(("gamma=1 N=3", gap2, hits))
-    return out
+    return hits
 
 
 def check_mc_oracle(fast: bool = False) -> CheckOutcome:
@@ -358,17 +343,13 @@ def check_mc_oracle(fast: bool = False) -> CheckOutcome:
     need = math.floor(0.9 * n_seeds)
 
     def run():
-        rows = []
-        for inst in MC_DISCRETE_INSTANCES:
-            family, g, kind, d, N, om = inst
-            gap, hits = _mc_discrete_case(family, g, kind, d, N, om, seeds)
-            rows.append((f"{family}/{g.name}/{kind} N={N} om={om}", gap, hits))
-        rows.extend(_mc_continuous_cases(seeds))
-        return rows
+        return [(label, _mc_hits(model, graph, f, om, gap, seeds))
+                for label, model, graph, f, om, gap in _mc_instances()]
     rows, dt = _timed(run)
-    bad = [(name, hits) for name, _, hits in rows if hits < need]
+    bad = [(name, hits) for name, hits in rows if hits < need]
     ok = not bad and dt < 900.0
     detail = (f"{len(rows)} instances x {n_seeds} seeds, need >= {need} covered; "
+              f"hits {tuple(hits for _, hits in rows)}; "
               + ("all pass" if not bad else f"misses: {bad}"))
     return CheckOutcome("mc-oracle-agreement", ok, detail,
                         "estimator contract; uniform lattice constants via "

@@ -144,10 +144,20 @@ class TestGapCommands:
         (["gap-galerkin", "--model", "gamma-exchange", "--rho", "uniform"], "kac-rho"),
         (["two-site", "--model", "kac", "--rho", "uniform"], "kac-rho"),
         (["two-site", "--model", "zero-range", "--gamma", "2"], "gamma-exchange"),
+        (["gap-mc", "--model", "kac", "--g", "identity", "--observable", "site-0",
+          "--samples", "300", "--N", "3", "--omega", "1"], "zero-range and simple-average"),
+        (["gap-exact", "--model", "gamma-exchange", "--g", "identity"],
+         "zero-range and simple-average"),
+        (["two-site", "--model", "kac-rho", "--g", "constant-one"],
+         "zero-range and simple-average"),
     ])
     def test_parameter_the_model_does_not_read_is_refused(self, argv, hint, capsys):
         assert main(argv) == 1
         assert hint in capsys.readouterr().err
+
+    def test_mc_refuses_a_range_of_totals(self, capsys):
+        assert main(["gap-mc", "--model", "zero-range", "--omega", "1:3"]) == 1
+        assert "one total" in capsys.readouterr().err
 
 
 class TestOtherCommands:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,9 +18,8 @@ from gaplab.discrete import (TooLargeError, build_generator,
                              kernel_spectrum_extremes, lsv_condition_check,
                              apply_exchange, pair_average_matrix, rank_states,
                              spectral_gap, stationary_weights, two_site_spectrum)
-from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, InteractionGraph,
-                           ModelSpec, RateFunction, build_graph, pair_law,
-                           rate_from_table)
+from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, ModelSpec, RateFunction,
+                           build_graph, pair_law, rate_from_table)
 from gaplab.simulate import _Dynamics
 
 GK = G_IDENTITY
@@ -250,8 +250,12 @@ class TestSpectralGap:
 
 
 def _two_pairs():
-    """Sites {0, 1} and {2, 3} with no edge between them: totals conserved per pair."""
-    return InteractionGraph("complete", 4, 1, (0, 1, 2, 3), ((0, 1), (2, 3)), 0.5)
+    """Sites {0, 1} and {2, 3} with no edge between them: totals conserved per pair.
+
+    No InteractionGraph has these edges, so the builder gets a stand-in with
+    the three attributes it reads.
+    """
+    return SimpleNamespace(n_sites=4, edges=((0, 1), (2, 3)), pair_scaling=0.5)
 
 
 class TestSparseSolve:
@@ -321,6 +325,12 @@ class TestSparseSolve:
         # about 1.2e9 stored entries, over 100 GiB
         with pytest.raises(TooLargeError, match="physical memory"):
             exact_gap(model, k4, 220)
+
+    def test_preflight_lists_no_edges(self):
+        graph = build_graph("complete", N=2000)
+        with pytest.raises(TooLargeError, match="physical memory"):
+            exact_gap(ModelSpec("zero-range", g=GK), graph, 50)
+        assert "edges" not in graph.__dict__
 
 
 class TestTwoSiteSpectrum:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,11 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab.models import (FAMILIES, FAMILY_FIELD, G_CONSTANT_ONE, G_IDENTITY,
-                           GammaExchangeSpec, IDENTITY, MODEL_IDS, ModelSpec,
-                           RhoSpec, SQUARE,
+                           GammaExchangeSpec, IDENTITY, MODEL_IDS, InteractionGraph,
+                           ModelSpec, RhoSpec, SQUARE,
                            ValidationReport, build_graph, conserved_total,
                            model_from_id, rate_from_table, validate_model)
 from gaplab.simulate import initial_config, rayleigh_upper_bound, simulate
+
+
+def _eager_graph(kind, d, N):
+    """(vertices, edges, pair scaling) as the eager graph builder listed them."""
+    if kind == "complete":
+        vertices = tuple(range(1, N + 1))
+        edges = tuple((i, j) for i in range(N) for j in range(i + 1, N))
+        return vertices, edges, 1.0 / N
+    vertices = tuple(itertools.product(range(1, N + 1), repeat=d))
+    pos = {v: i for i, v in enumerate(vertices)}
+    edges = []
+    for v in vertices:
+        for ax in range(d):
+            if v[ax] < N:
+                u = list(v)
+                u[ax] += 1
+                edges.append((pos[v], pos[tuple(u)]))
+    return vertices, tuple(sorted(edges)), 1.0
 
 
 class TestBuildGraph:
@@ -42,6 +61,7 @@ class TestBuildGraph:
     def test_complete_edge_count(self, N):
         g = build_graph("complete", N=N)
         assert len(g.edges) == N * (N - 1) // 2
+        assert g.n_edges == len(g.edges)
 
     @given(d=st.integers(1, 3), N=st.integers(2, 5))
     @settings(max_examples=30, deadline=None)
@@ -49,10 +69,39 @@ class TestBuildGraph:
         g = build_graph("lattice", d=d, N=N)
         assert g.n_sites == N ** d
         assert len(g.edges) == d * N ** (d - 1) * (N - 1)
+        assert g.n_edges == len(g.edges)
         # every edge joins vertices at L1 distance one
         for a, b in g.edges:
             u, v = g.vertices[a], g.vertices[b]
             assert sum(abs(x - y) for x, y in zip(u, v)) == 1
+
+    def test_derived_structure_equals_the_eager_lists(self):
+        cells = [("complete", 1, N) for N in range(2, 13)]
+        cells += [("lattice", d, N) for d in (1, 2, 3) for N in range(2, 6)]
+        for kind, d, N in cells:
+            g = build_graph(kind, d=d, N=N)
+            vertices, edges, scaling = _eager_graph(kind, d, N)
+            assert g.vertices == vertices
+            assert g.edges == edges
+            assert g.pair_scaling == scaling
+            assert g.n_sites == len(vertices)
+
+    def test_counts_need_no_edge_list(self):
+        # a regression lists about 2e6 edges here, not the 5e11 of K_{10^6}
+        g = build_graph("complete", N=2000)
+        assert (g.n_sites, g.n_edges, g.pair_scaling) == (2000, 1999000, 1 / 2000)
+        assert "edges" not in g.__dict__ and "vertices" not in g.__dict__
+        assert "edges" not in build_graph("complete", N=10**6).__dict__
+
+    @pytest.mark.parametrize("kind, N, d, match", [
+        ("complete", 1, 1, "invalid size"),
+        ("torus", 3, 1, "unknown graph kind"),
+        ("lattice", 3, 0, "invalid dimension"),
+        ("complete", 3, 2, "invalid dimension"),
+    ])
+    def test_fields_checked_on_construction(self, kind, N, d, match):
+        with pytest.raises(ValueError, match=match):
+            InteractionGraph(kind, N, d)
 
 
 class TestConservedTotal:
@@ -210,7 +259,8 @@ class TestModelCatalog:
     @pytest.mark.parametrize("mid", ["kac", "kac-rho", "gamma-exchange",
                                      "zero-range", "simple-average"])
     def test_ids_resolve(self, mid):
-        spec = model_from_id(mid, g=G_CONSTANT_ONE,
+        integer = mid in ("zero-range", "simple-average")
+        spec = model_from_id(mid, g=G_CONSTANT_ONE if integer else None,
                              gamma=1 if mid == "gamma-exchange" else None)
         assert spec.family in ("kac-uniform", "kac-rho", "gamma-exchange",
                                "zero-range", "simple-average")
@@ -238,6 +288,15 @@ class TestModelCatalog:
     def test_foreign_density_refused(self, mid):
         with pytest.raises(ValueError, match="kac-rho"):
             model_from_id(mid, rho=RhoSpec.uniform())
+
+    @pytest.mark.parametrize("mid", ["kac", "kac-rho", "gamma-exchange"])
+    def test_foreign_rates_refused(self, mid):
+        with pytest.raises(ValueError, match="zero-range and simple-average"):
+            model_from_id(mid, g=G_IDENTITY)
+
+    @pytest.mark.parametrize("mid", ["zero-range", "simple-average"])
+    def test_integer_families_default_to_unit_rates(self, mid):
+        assert model_from_id(mid).g is G_CONSTANT_ONE
 
     @pytest.mark.parametrize("family, fields", [
         ("kac-uniform", {"rho": RhoSpec.uniform()}),

@@ -7,8 +7,9 @@ import scipy.special
 
 from gaplab.discrete import (build_generator, enumerate_states, gap_eigenfunction,
                              stationary_weights)
+from gaplab.galerkin import pair_average_action, rho_pair_action
 from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, RHO_QUADRATURE_NODES,
-                           GammaExchangeSpec, ModelSpec, RhoSpec, build_graph)
+                           GammaExchangeSpec, ModelSpec, RhoSpec, build_graph, pair_law)
 from gaplab.reporting import SampleStreamWriter, read_sample_stream
 from gaplab.simulate import (MAX_FIT_LAG, NoDecayError, _angle_sampler, _autocovariance,
                              _Dynamics, _fit_decay_rate, _local_dirichlet, _pick_edge,
@@ -444,6 +445,76 @@ class TestAngleGrid:
         reference = _ref_angle_sampler(RhoSpec(density=cardioid, name="cardioid"))
         r1, r2 = rng_for(4), rng_for(4)
         assert [sample(r1) for _ in range(500)] == [reference(r2) for _ in range(500)]
+
+
+# ---------------------------------------------------------------------------
+# sampled collisions against the exact conditional pair average
+# ---------------------------------------------------------------------------
+
+def _pair_polynomial(coeffs: dict, x, y) -> float:
+    """Value at (x, y) of a pair polynomial {(p, q): coefficient}."""
+    return sum(float(c) * x ** p * y ** q for (p, q), c in coeffs.items())
+
+
+def _exact_pair_moment(model, pair, a, b) -> float:
+    """E[x'^a y'^b] after one collision of the pair (x, y)."""
+    x, y = pair
+    fam = model.family
+    if fam == "kac-uniform":
+        return _pair_polynomial(pair_average_action("kac-uniform", a, b), x, y)
+    if fam == "gamma-exchange":
+        action = pair_average_action("gamma", a, b, gamma=model.exchange.gamma)
+        return _pair_polynomial(action, x, y)
+    if fam == "kac-rho":
+        return _pair_polynomial(rho_pair_action(model.rho, a, b), x, y)
+    if fam == "simple-average":
+        s = x + y
+        pmf, _ = pair_law(model.g.log_factorials(s), s)
+        k = np.arange(s + 1, dtype=float)
+        return float(pmf @ (k ** a * (s - k) ** b))
+    # zero-range: a particle leaves x with probability g(x) / (g(x) + g(y))
+    gx, gy = model.g(x), model.g(y)
+    p = gx / (gx + gy)
+    return p * (x - 1) ** a * (y + 1) ** b + (1 - p) * (x + 1) ** a * (y - 1) ** b
+
+
+SAMPLER_CASES = {
+    "kac-uniform": (KAC, (0.6, 0.8)),
+    "kac-rho-cardioid": (ModelSpec("kac-rho", rho=RhoSpec(
+        density=lambda t: (1 + math.cos(t)) / (2 * math.pi), name="cardioid")), (0.6, 0.8)),
+    "gamma-exchange-beta": (ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(gamma=2)),
+                            (0.3, 0.7)),
+    "simple-average-one": (ModelSpec("simple-average", g=G_CONSTANT_ONE), (3, 2)),
+    "simple-average-identity": (ModelSpec("simple-average", g=G_IDENTITY), (3, 2)),
+    "zero-range-one": (ZR_CONST, (3, 2)),
+    "zero-range-identity": (ZR_LINEAR, (3, 2)),
+}
+
+
+class TestSamplerMoments:
+    """Each family's collision sampler reproduces the exact conditional pair average."""
+
+    DRAWS = 20_000
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CASES))
+    def test_monomial_means(self, name):
+        model, pair = SAMPLER_CASES[name]
+        dyn = _Dynamics(model, build_graph("complete", N=2))
+        start = np.array(pair, dtype=np.int64 if model.is_discrete else float)
+        rng = rng_for(17)
+        after = np.empty((self.DRAWS, 2))
+        for i in range(self.DRAWS):
+            cfg = start.copy()
+            dyn.reset(cfg)
+            dyn.apply(cfg, 0, rng)
+            after[i] = cfg
+        x, y = after[:, 0], after[:, 1]
+        for a in range(5):
+            for b in range(1 if a == 0 else 0, 5 - a):
+                vals = x ** a * y ** b
+                se = vals.std(ddof=1) / math.sqrt(self.DRAWS)
+                exact = _exact_pair_moment(model, pair, a, b)
+                assert abs(vals.mean() - exact) <= 5 * se, (a, b, vals.mean(), exact, se)
 
 
 class TestReproducibility:
