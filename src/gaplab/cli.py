@@ -135,7 +135,7 @@ def _model_from_args(args):
 
 def cmd_graph(args) -> int:
     g = _graph_from_args(args)
-    rec = {"model": "-", "graph": {"kind": g.kind, "d": g.d, "N": g.N},
+    rec = {"model": "-", "graph": reporting.graph_header(g),
            "n_sites": g.n_sites, "n_edges": g.n_edges,
            "pair_scaling": g.pair_scaling, "method": "graph"}
     _emit(args, "graph", [rec], [])
@@ -148,7 +148,7 @@ def cmd_states(args) -> int:
     states = discrete.enumerate_states(graph.n_sites, args.omega)
     measure = discrete.stationary_weights(g, states)
     rec = {"model": f"weights[{g.name}]",
-           "graph": {"kind": graph.kind, "d": graph.d, "N": graph.N},
+           "graph": reporting.graph_header(graph),
            "omega": args.omega, "dim": len(states),
            "max_weight": float(measure.weights.max()),
            "min_weight": float(measure.weights.min()),
@@ -187,7 +187,7 @@ def cmd_gap_galerkin(args) -> int:
     pair = galerkin.assemble_galerkin(name, graph, degree=args.degree,
                                       mode=args.basis_mode, **kwargs)
     rep = galerkin.galerkin_eigensystem(pair)
-    rec = reporting.galerkin_record(args.model, graph.n_sites, args.degree,
+    rec = reporting.galerkin_record(args.model, graph, args.degree,
                                     f"{args.basis_mode} deg<={args.degree}",
                                     rep, pair.assembly)
     _emit(args, "gap-galerkin", [rec], ["Rayleigh quotient on the polynomial sector"])
@@ -286,7 +286,7 @@ def cmd_audit(args) -> int:
                              graph if graph.kind == "lattice" else None,
                              n_functions=args.functions, seed=args.seed)
     rec = {"model": f"audit[{g.name}]",
-           "graph": {"kind": graph.kind, "d": graph.d, "N": graph.N},
+           "graph": reporting.graph_header(graph),
            "omega": args.omega, "checks": rep.checks_run,
            "violations": len(rep.violations),
            "max_ratio_transfer": rep.max_ratio_transfer,

@@ -53,15 +53,18 @@ def _double_factorial(n: int) -> int:
 class MultiIndexBasis:
     """Monomial (or symmetrized-orbit) basis of total degree <= degree.
 
-    In "symmetric" mode each basis element is the orbit sum of a sorted
-    exponent signature under coordinate permutations; this is only a valid
-    invariant sector for permutation-symmetric (complete-graph) generators.
+    In "full" mode each element is a monomial's exponent tuple, n_vars long.
+    In "symmetric" mode each element is a partition, the nonzero exponents
+    in nonincreasing order, standing for the orbit sum of its monomials
+    under coordinate permutations; its length is at most the degree, not
+    n_vars.  Orbit sums are only an invariant sector for
+    permutation-symmetric (complete-graph) generators.
     """
 
     n_vars: int
     degree: int
     mode: str
-    elements: tuple     # full: exponent tuples; symmetric: sorted signatures
+    elements: tuple     # full: exponent tuples; symmetric: partitions
 
     @classmethod
     def build(cls, n_vars: int, degree: int, mode: str = "full") -> "MultiIndexBasis":
@@ -78,12 +81,10 @@ class MultiIndexBasis:
                     rec(prefix + [k], rem - k)
 
             rec([], degree)
-            elements.sort(key=lambda k: (sum(k), k))
         else:
-            elements = [part + (0,) * (n_vars - len(part))
-                        for total in range(degree + 1)
+            elements = [part for total in range(degree + 1)
                         for part in _partitions(total, min(n_vars, total))]
-            elements.sort(key=lambda k: (sum(k), k))
+        elements.sort(key=lambda k: (sum(k), k))
         return cls(n_vars, degree, mode, tuple(elements))
 
     def __len__(self) -> int:
@@ -92,12 +93,13 @@ class MultiIndexBasis:
     def monomials_of(self, element) -> tuple:
         """Expansion of a basis element into plain monomial exponent tuples.
 
-        The orbit of a signature comes in lexicographic order, one distinct
-        arrangement at a time (next-permutation on a multiset).
+        A partition is padded with zeros to n_vars sites, and its orbit comes
+        in lexicographic order, one distinct arrangement at a time
+        (next-permutation on a multiset).
         """
         if self.mode == "full":
             return (element,)
-        k = sorted(element)
+        k = sorted(element + (0,) * (self.n_vars - len(element)))
         out = [tuple(k)]
         n = len(k)
         while True:
@@ -151,7 +153,6 @@ class SphereMoments:
         if not self.omega > 0:
             raise ValueError("squared radius must be positive")
         self._cache: dict = {}
-        self._floats: dict = {}
 
     def exact(self, k: Sequence[int]) -> Fraction:
         key = _moment_key(k)
@@ -173,13 +174,6 @@ class SphereMoments:
         self._cache[key] = v
         return v
 
-    def __call__(self, k) -> float:
-        key = _moment_key(k)
-        hit = self._floats.get(key)
-        if hit is None:
-            hit = self._floats[key] = float(self.exact(key))
-        return hit
-
 
 class DirichletMoments:
     """Monomial moments of the symmetric Dirichlet law scaled to total omega."""
@@ -193,7 +187,6 @@ class DirichletMoments:
         if not self.gamma > 0 or not self.omega > 0:
             raise ValueError("shape and total must be positive")
         self._cache: dict = {}
-        self._floats: dict = {}
 
     def exact(self, k: Sequence[int]) -> Fraction:
         key = _moment_key(k)
@@ -208,20 +201,13 @@ class DirichletMoments:
         self._cache[key] = v
         return v
 
-    def __call__(self, k) -> float:
-        key = _moment_key(k)
-        hit = self._floats.get(key)
-        if hit is None:
-            hit = self._floats[key] = float(self.exact(key))
-        return hit
-
 
 def sphere_moment(k: Sequence[int], N: int, omega=1) -> float:
-    return SphereMoments(N, omega)(k)
+    return float(SphereMoments(N, omega).exact(k))
 
 
 def simplex_moment(k: Sequence[int], N: int, gamma, omega=1) -> float:
-    return DirichletMoments(N, gamma, omega)(k)
+    return float(DirichletMoments(N, gamma, omega).exact(k))
 
 
 def trig_moment(p: int, q: int) -> Fraction:
@@ -370,14 +356,14 @@ def _full_mode_preflight(n_vars: int, degree: int) -> None:
 
 
 def _gram_matrix(E: np.ndarray, degree: int, oracle) -> np.ndarray:
-    """B[i, j] = oracle(E[i] + E[j]) for the int64 exponent rows E, one oracle call per key.
+    """B[i, j] = float(oracle.exact(E[i] + E[j])) for the int64 exponent rows E, one call per key.
 
     A product of two monomials of degree <= degree has at most 2 degree
     nonzero exponents, each at most 2 degree, so the last w = min(V, 2 degree)
     columns of its sorted exponents, read as base 2 degree + 1 digits, give
     one int64 code per moment key.  Each row is coded in one numpy pass and
-    the oracle sees each code once; every entry is the oracle's float for its
-    key, as in a pairwise loop.
+    the oracle sees each code once; every entry is the float of its key's
+    exact moment, as in a pairwise loop.
     """
     n, V = E.shape
     w = min(V, 2 * degree)
@@ -392,7 +378,7 @@ def _gram_matrix(E: np.ndarray, degree: int, oracle) -> np.ndarray:
         for u, (code, f) in enumerate(zip(codes.tolist(), first.tolist())):
             v = memo.get(code)
             if v is None:
-                v = memo[code] = oracle(tails[f].tolist())
+                v = memo[code] = float(oracle.exact(tails[f].tolist()))
             vals[u] = v
         row = vals[inverse]
         B[i, i:] = row
@@ -463,25 +449,9 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
         return _orbit_forms(model, basis, oracle, cached_action, Fraction(scale))
 
     pos = {k: i for i, k in enumerate(basis.elements)}
-
-    def act_on_monomial(k):
-        img: dict = {}
-        for (x, y) in graph.edges:
-            a, b = k[x], k[y]
-            if a == 0 and b == 0:
-                continue
-            for (p, q), c in cached_action(a, b).items():
-                kk = list(k)
-                kk[x] = p
-                kk[y] = q
-                key = tuple(kk)
-                img[key] = img.get(key, 0.0) + scale * c
-            img[k] = img.get(k, 0.0) - scale
-        return img
-
     C = np.zeros((n, n))
     for l, k in enumerate(basis.elements):
-        for key, c in act_on_monomial(k).items():
+        for key, c in _pair_image(k, graph.edges, cached_action, scale).items():
             row = pos.get(key)
             if row is None:
                 raise ArithmeticError(
@@ -495,6 +465,29 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
     A = 0.5 * (A + A.T)
     _check_symmetric(asym, A)
     return GalerkinPair(model, A, B, basis, asym)
+
+
+def _pair_image(k: tuple, pairs, action, scale) -> dict:
+    """Image of the monomial x^k under scale * sum over pairs of (P_xy - 1).
+
+    `action(a, b)` is the pair average of x^a y^b as {(p, q): coeff}; pairs
+    where both exponents are zero are fixed and skipped.  The result maps
+    exponent tuples to coefficients, in the number type of `scale` and the
+    action (floats stay floats, Fractions stay exact).
+    """
+    img: dict = {}
+    for (x, y) in pairs:
+        a, b = k[x], k[y]
+        if a == 0 and b == 0:
+            continue
+        for (p, q), c in action(a, b).items():
+            kk = list(k)
+            kk[x] = p
+            kk[y] = q
+            key = tuple(kk)
+            img[key] = img.get(key, 0) + scale * c
+        img[k] = img.get(k, 0) - scale
+    return img
 
 
 def _check_symmetric(asym: float, A: np.ndarray) -> None:
@@ -540,15 +533,17 @@ def _orbit_forms(name: str, basis: MultiIndexBasis, oracle, action,
                  scale: Fraction) -> GalerkinPair:
     """Sector forms on orbit sums, each entry from one representative per orbit.
 
-    The representative k_s of orbit s carries its nonzero parts on the first
-    r_s sites.  Both forms depend on N only through arrangement counts, so
-    the work is independent of N:
+    The basis elements are partitions, read as they are: the representative
+    k_s of orbit s carries the r_s parts of its partition on the first r_s
+    sites.  Both forms depend on N only through arrangement counts, so the
+    work is independent of N:
 
     * L commutes with site permutations, so L(O_s) = sum_t C[t, s] O_t and
       C[t, s] |orb t| is the mass of orbit t in L(O_s), which is |orb s|
-      times its mass in L(x^{k_s}).  That image is pushed forward over three
-      edge classes: pairs inside the support, support x empty sites (each of
-      the N - r_s empty sites acts alike), and empty x empty (no action).
+      times its mass in L(x^{k_s}).  That image (`_pair_image`) is pushed
+      forward over three edge classes: pairs inside the support, support x
+      empty sites (each of the N - r_s empty sites acts alike, so one stands
+      for all), and empty x empty (no action).
     * B[s, t] = E[O_s O_t] = |orb s| sum_l E[x^{k_s + l}] over l in orb t;
       the moment depends on l only through how t's parts overlay the
       support of k_s, and the parts left for the empty sites are counted by
@@ -558,7 +553,7 @@ def _orbit_forms(name: str, basis: MultiIndexBasis, oracle, action,
     and converted to floats for the solve.
     """
     N = basis.n_vars
-    parts = [tuple(e for e in k if e) for k in basis.elements]
+    parts = basis.elements
     index = {p: i for i, p in enumerate(parts)}
     orbit = [_placements(Counter(p), N) for p in parts]
     n = len(parts)
@@ -566,25 +561,15 @@ def _orbit_forms(name: str, basis: MultiIndexBasis, oracle, action,
     C = []                          # column l of C as {row: Fraction}
     for l, p in enumerate(parts):
         r, empty = len(p), N - len(p)
-        mass: dict = {}
-
-        def push(img, w):
-            key = _moment_key(img)
-            mass[key] = mass.get(key, 0) + w
-
-        for i, j in itertools.combinations(range(r), 2):
-            for (a, b), c in action(p[i], p[j]).items():
-                img = list(p)
-                img[i], img[j] = a, b
-                push(img, c)
-            push(p, -1)
+        images = [_pair_image(p, itertools.combinations(range(r), 2), action, 1)]
         if empty:
-            for i in range(r):
-                for (a, b), c in action(p[i], 0).items():
-                    img = list(p) + [b]
-                    img[i] = a
-                    push(img, empty * c)
-                push(p, -empty)
+            # one zero site at index r stands for the N - r that act alike
+            images.append(_pair_image(p + (0,), [(i, r) for i in range(r)], action, empty))
+        mass: dict = {}
+        for img in images:
+            for k, c in img.items():
+                key = _moment_key(k)
+                mass[key] = mass.get(key, 0) + c
         col = {}
         for key, m in mass.items():
             row = index.get(key)
@@ -830,19 +815,11 @@ def quadratic_eigen_identity(gamma) -> QuadraticIdentityReport:
         k = [0] * V
         k[i] = 2
         f[tuple(k)] = Fraction(1)
+    pairs = list(itertools.combinations(range(V), 2))
+    action = lambda a, b: pair_average_action("gamma", a, b, gamma=g)
     image: dict = {}
-    scale = Fraction(1, V)
-    for (x, y) in itertools.combinations(range(V), 2):
-        for k, v in f.items():
-            a, b = k[x], k[y]
-            if a == 0 and b == 0:
-                continue
-            for (p, q), c in pair_average_action("gamma", a, b, gamma=g).items():
-                kk = list(k)
-                kk[x] = p
-                kk[y] = q
-                image = _poly_add(image, {tuple(kk): v * c * scale})
-            image = _poly_add(image, {k: -v * scale})
+    for k, v in f.items():
+        image = _poly_add(image, _pair_image(k, pairs, action, Fraction(1, V)), c=v)
     lam = (1 + 3 * g) / (3 * (1 + 2 * g))
     resid_poly = _poly_add(image, f, c=lam)
     reduced = _poly_eliminate_last(resid_poly, 1)

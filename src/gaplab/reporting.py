@@ -28,11 +28,16 @@ def _scalar(v):
     return v
 
 
+def graph_header(graph) -> dict:
+    """The `graph` field every record carries: kind, dimension and side length."""
+    return {"kind": graph.kind, "d": graph.d, "N": graph.N}
+
+
 def exact_record(model: str, graph, omega, gap, kappa, dim, solve) -> dict:
     """Record for an exact diagonalization result; `solve` is its discrete.SolveReport."""
     return {
         "model": model,
-        "graph": {"kind": graph.kind, "d": graph.d, "N": graph.N},
+        "graph": graph_header(graph),
         "omega": _scalar(omega),
         "gap": _scalar(gap),
         "kappa": _scalar(kappa),
@@ -44,12 +49,12 @@ def exact_record(model: str, graph, omega, gap, kappa, dim, solve) -> dict:
     }
 
 
-def galerkin_record(model: str, N: int, degree: int, sector: str, report,
+def galerkin_record(model: str, graph, degree: int, sector: str, report,
                     assembly: str) -> dict:
     """Record for a polynomial-sector result; `report` is its galerkin.GalerkinGapReport."""
     return {
         "model": model,
-        "N": N,
+        "graph": graph_header(graph),
         "omega": 1,
         "degree": degree,
         "sector": sector,
@@ -66,7 +71,7 @@ def galerkin_record(model: str, N: int, degree: int, sector: str, report,
 def mc_record(model: str, graph, omega, result, method: str = "mc-autocorr") -> dict:
     return {
         "model": model,
-        "graph": {"kind": graph.kind, "d": graph.d, "N": graph.N},
+        "graph": graph_header(graph),
         "omega": _scalar(omega),
         "gap": _scalar(result.estimate),
         "stderr": _scalar(result.stderr),

@@ -328,7 +328,7 @@ def _pick_edge(cum: np.ndarray, rates: np.ndarray, v: float) -> int:
 
 def _angle_sampler(rho: RhoSpec) -> Callable:
     """Inverse-CDF sampler on a fine angle grid (exact for the uniform density)."""
-    if rho.name == "uniform" or (rho.exact_tail_zero and rho.order == 0):
+    if rho.exact_tail_zero and rho.order == 0:
         return lambda rng: rng.uniform(-math.pi, math.pi)
     nodes = RHO_QUADRATURE_NODES
     theta = angle_midpoints(nodes)

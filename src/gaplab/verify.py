@@ -2,20 +2,17 @@
 contract, runnable as one battery.
 
 Each check returns a CheckOutcome; the CLI prints them as a table and the
-test suite asserts them individually.  Checks are pure given their inputs,
-so independent cells run on a small thread pool sized by GAPLAB_THREADS
-(the heavy lifting is in eigensolvers, which release the interpreter lock).
+test suite asserts them individually.  Checks are pure given their inputs
+and run their cells in order, in one thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,21 +40,6 @@ class CheckOutcome:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.name} ({self.elapsed:.1f}s) [{self.reference}] {self.detail}"
-
-
-def _threads() -> int:
-    """Pool size from GAPLAB_THREADS: 4 when unset, else a positive integer."""
-    raw = os.environ.get("GAPLAB_THREADS", "4")
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"GAPLAB_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def parallel_map(fn: Callable, items: list) -> list:
-    if len(items) <= 1 or _threads() == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        return list(pool.map(fn, items))
 
 
 def _timed(fn):
@@ -188,7 +170,7 @@ def check_lattice_comparison(fast: bool = False) -> CheckOutcome:
         return (args, loc, lower, loc / lower if lower > 0 else math.inf)
 
     def run():
-        return parallel_map(cell, _lattice_cells(fast))
+        return [cell(args) for args in _lattice_cells(fast)]
     rows, dt = _timed(run)
     bad = [(a, loc, lower) for a, loc, lower, _ in rows if loc < lower]
     slack = min(r[-1] for r in rows)
@@ -269,7 +251,7 @@ def check_lemma_audits(fast: bool = False) -> CheckOutcome:
                                   n_functions=n_functions, seed=20240 + om)
 
     def run():
-        return parallel_map(cell, list(AUDIT_INSTANCES))
+        return [cell(args) for args in AUDIT_INSTANCES]
     reports, dt = _timed(run)
     n_viol = sum(len(r.violations) for r in reports)
     worst = max(max(r.max_ratio_transfer, r.max_ratio_swap, r.max_ratio_path)

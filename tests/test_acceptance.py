@@ -16,22 +16,6 @@ def _run(name, fast=False):
     return outcome
 
 
-class TestThreads:
-    def test_unset_means_four(self, monkeypatch):
-        monkeypatch.delenv("GAPLAB_THREADS", raising=False)
-        assert verify._threads() == 4
-
-    def test_positive_integer(self, monkeypatch):
-        monkeypatch.setenv("GAPLAB_THREADS", "2")
-        assert verify._threads() == 2
-
-    @pytest.mark.parametrize("value", ["four", "", "0", "-3", "1.5"])
-    def test_invalid_value_is_refused(self, monkeypatch, value):
-        monkeypatch.setenv("GAPLAB_THREADS", value)
-        with pytest.raises(ValueError, match="GAPLAB_THREADS"):
-            verify._threads()
-
-
 def test_criterion_01_kac_exact_gap():
     _run("kac-exact-gap")
 

@@ -13,7 +13,8 @@ from gaplab.bounds import (CertificateRefused, canonical_path, caputo_bound,
                            lemma_audit, local_gap_lower_bound,
                            moving_particle_decomposition, path_census, sandwich,
                            RULE_LATTICE, RULE_RECURSION, RULE_SANDWICH)
-from gaplab.discrete import enumerate_states, exact_gap, stationary_weights
+from gaplab.discrete import (enumerate_states, exact_gap, pair_average_matrix,
+                             stationary_weights)
 from gaplab.models import G_CONSTANT_ONE, G_IDENTITY, ModelSpec, build_graph
 
 
@@ -134,6 +135,36 @@ class TestLemmaAudit:
         # zero random functions: nothing to check, vacuously clean
         rep = lemma_audit(states, measure, graph, n_functions=0)
         assert rep.checks_run == 0 and rep.passed
+
+    def test_path_ratio_reads_sites_in_vertex_order(self):
+        # recompute the canonical-path ratio from the public pieces: site i is
+        # graph.vertices[i], and the audit draws f from Philox keyed by the seed
+        graph = build_graph("lattice", d=2, N=3)
+        states = enumerate_states(graph.n_sites, 2)
+        measure = stationary_weights(G_IDENTITY, states)
+        rep = lemma_audit(states, measure, graph, n_functions=5, seed=3)
+        w, coords = measure.weights, graph.vertices
+        site = {v: i for i, v in enumerate(coords)}
+        E = {p: pair_average_matrix(states, measure, *p)
+             for p in itertools.combinations(range(graph.n_sites), 2)}
+        rng = np.random.Generator(np.random.Philox(key=np.array([3, 0], dtype=np.uint64)))
+        worst = 0.0
+        for _ in range(5):
+            f = rng.standard_normal(len(states))
+            f -= w @ f
+
+            def dirichlet(x, y):
+                df = E[min(x, y), max(x, y)] @ f - f
+                return float(w @ (df * df))
+
+            for a, b in itertools.permutations(range(graph.n_sites), 2):
+                path = canonical_path(coords[a], coords[b], graph.d, graph.N)
+                idx = [site[v] for v in path.vertices]
+                rhs = 96.0 * (len(idx) - 1) * sum(
+                    dirichlet(x, y) for x, y in zip(idx, idx[1:]))
+                worst = max(worst, dirichlet(a, b) / rhs)
+        assert worst > 0
+        assert rep.max_ratio_path == pytest.approx(worst, rel=1e-12)
 
     def test_deterministic_given_seed(self):
         graph = build_graph("lattice", d=1, N=3)

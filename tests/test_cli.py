@@ -43,6 +43,20 @@ class TestGapCommands:
                      "--basis-mode", mode, "--format", "csv", "--out", str(out)]) == 0
         assert next(csv.reader(out.open())) == reporting.CSV_COLUMNS
 
+    def test_galerkin_records_its_graph(self, tmp_path):
+        args = ["gap-galerkin", "--graph", "lattice", "--d", "2", "--N", "2",
+                "--model", "gamma-exchange", "--gamma", "1", "--degree", "2"]
+        code, doc = run_json(args, tmp_path)
+        assert code == 0
+        rec = doc["results"][0]
+        assert rec["graph"] == {"kind": "lattice", "d": 2, "N": 2}
+        assert "N" not in rec
+        out = tmp_path / "gap.csv"
+        assert main(args + ["--format", "csv", "--out", str(out)]) == 0
+        row = next(csv.DictReader(out.open()))
+        assert (row["graph_kind"], row["d"], row["N"]) == ("lattice", "2", "2")
+        assert float(row["gap"]) == pytest.approx(rec["gap"])
+
     def test_galerkin_full_mode_too_large_is_refused(self, capsys):
         code = main(["gap-galerkin", "--model", "kac", "--N", "12", "--degree", "8"])
         assert code == 1

@@ -170,27 +170,28 @@ class TestBasis:
 
     def test_symmetric_orbits(self):
         b = MultiIndexBasis.build(3, 2, mode="symmetric")
-        assert (2, 0, 0) in b.elements and (1, 1, 0) in b.elements
-        assert set(b.monomials_of((1, 1, 0))) == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
+        assert (2,) in b.elements and (1, 1) in b.elements
+        assert set(b.monomials_of((1, 1))) == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
 
     @pytest.mark.parametrize("N", range(1, 8))
     def test_orbit_expansion_matches_permutations(self, N):
         b = MultiIndexBasis.build(N, 4, mode="symmetric")
         for s in b.elements:
-            assert b.monomials_of(s) == tuple(sorted(set(itertools.permutations(s))))
+            padded = s + (0,) * (N - len(s))
+            assert b.monomials_of(s) == tuple(sorted(set(itertools.permutations(padded))))
 
     @pytest.mark.parametrize("N", range(1, 8))
-    def test_signatures_are_all_sorted_exponent_tuples(self, N):
+    def test_elements_are_the_partitions_of_full_monomials(self, N):
         b = MultiIndexBasis.build(N, 5, mode="symmetric")
         full = MultiIndexBasis.build(N, 5)
-        expect = sorted({tuple(sorted(k, reverse=True)) for k in full.elements},
-                        key=lambda k: (sum(k), k))
+        expect = sorted({tuple(sorted((e for e in k if e), reverse=True))
+                         for k in full.elements}, key=lambda k: (sum(k), k))
         assert list(b.elements) == expect
 
-    def test_signatures_at_large_N(self):
-        b = MultiIndexBasis.build(1000, 4, mode="symmetric")
-        assert all(len(k) == 1000 for k in b.elements)
-        assert [tuple(e for e in k if e) for k in b.elements] == [
+    def test_partitions_at_large_N(self):
+        b = MultiIndexBasis.build(10**6, 4, mode="symmetric")
+        assert all(len(k) <= 4 for k in b.elements)
+        assert list(b.elements) == [
             (), (1,), (1, 1), (2,), (1, 1, 1), (2, 1), (3,),
             (1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
 
@@ -348,13 +349,18 @@ class TestSymmetricSector:
 
 
 def _pairwise_gram(E, degree, oracle):
-    """The pairwise Gram loop that `_gram_matrix` replaced: one oracle call per pair."""
+    """The pairwise Gram loop that `_gram_matrix` replaced: one `exact` call per moment key."""
     rows = [tuple(r) for r in E.tolist()]
     n = len(rows)
     B = np.empty((n, n))
+    floats: dict = {}
     for i, ki in enumerate(rows):
         for j in range(i, n):
-            v = oracle(tuple(x + y for x, y in zip(ki, rows[j])))
+            k = tuple(x + y for x, y in zip(ki, rows[j]))
+            key = galerkin._moment_key(k)
+            v = floats.get(key)
+            if v is None:
+                v = floats[key] = float(oracle.exact(k))
             B[i, j] = v
             B[j, i] = v
     return B

@@ -115,7 +115,7 @@ def _ref_pair_pmf(g, s: int) -> np.ndarray:
 
 
 def _ref_angle_sampler(rho):
-    if rho.name == "uniform" or (rho.exact_tail_zero and rho.order == 0):
+    if rho.exact_tail_zero and rho.order == 0:
         return lambda rng: rng.uniform(-math.pi, math.pi)
     nodes = 4096
     theta = -math.pi + 2 * math.pi * (np.arange(nodes) + 0.5) / nodes
@@ -445,6 +445,17 @@ class TestAngleGrid:
         reference = _ref_angle_sampler(RhoSpec(density=cardioid, name="cardioid"))
         r1, r2 = rng_for(4), rng_for(4)
         assert [sample(r1) for _ in range(500)] == [reference(r2) for _ in range(500)]
+
+    def test_sampler_reads_the_data_not_the_name(self):
+        # `--rho fourier:FILE` names the spec after its file, so a file
+        # called "uniform" must still be sampled from its coefficients
+        named = _angle_sampler(RhoSpec(coefficients=[1.0, 0.4], name="uniform"))
+        other = _angle_sampler(RhoSpec(coefficients=[1.0, 0.4], name="other"))
+        r1, r2 = rng_for(1), rng_for(1)
+        draws = [named(r1) for _ in range(20_000)]
+        assert draws == [other(r2) for _ in range(20_000)]
+        # E[cos theta] = Re rho_hat(1)
+        assert np.mean(np.cos(draws)) == pytest.approx(0.4, abs=0.03)
 
 
 # ---------------------------------------------------------------------------
