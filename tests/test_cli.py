@@ -57,6 +57,12 @@ class TestGapCommands:
         assert (row["graph_kind"], row["d"], row["N"]) == ("lattice", "2", "2")
         assert float(row["gap"]) == pytest.approx(rec["gap"])
 
+    def test_galerkin_on_the_default_graph_records_K_N(self, tmp_path):
+        code, doc = run_json(["gap-galerkin", "--model", "kac", "--N", "4",
+                              "--degree", "4", "--basis-mode", "symmetric"], tmp_path)
+        assert code == 0
+        assert doc["results"][0]["graph"] == {"kind": "complete", "d": 1, "N": 4}
+
     def test_galerkin_full_mode_too_large_is_refused(self, capsys):
         code = main(["gap-galerkin", "--model", "kac", "--N", "12", "--degree", "8"])
         assert code == 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -194,6 +195,46 @@ class TestBasis:
         assert list(b.elements) == [
             (), (1,), (1, 1), (2,), (1, 1, 1), (2, 1), (3,),
             (1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
+
+
+    @pytest.mark.parametrize("part", [(), (3,), (1, 1), (2, 1, 1)])
+    def test_orbit_of_a_partition_fills_n_vars(self, part):
+        N = 30
+        b = MultiIndexBasis.build(N, 4, mode="symmetric")
+        orbit = b.monomials_of(part)
+        size = math.perm(N, len(part))
+        for m in Counter(part).values():
+            size //= math.factorial(m)
+        assert len(orbit) == len(set(orbit)) == size
+        assert all(len(k) == N for k in orbit)
+        assert {tuple(e for e in sorted(k, reverse=True) if e) for k in orbit} == {part}
+
+
+class TestPairImage:
+    def test_kac_square_on_one_pair(self):
+        action = lambda a, b: pair_average_action("kac-uniform", a, b)
+        img = galerkin._pair_image((2, 0), [(0, 1)], action, Fraction(1))
+        assert img == {(2, 0): Fraction(-1, 2), (0, 2): Fraction(1, 2)}
+        assert all(type(c) is Fraction for c in img.values())
+
+    def test_pairs_with_both_exponents_zero_are_fixed(self):
+        action = lambda a, b: pair_average_action("gamma", a, b, gamma=Fraction(1))
+        assert galerkin._pair_image((1, 0, 0), [(1, 2)], action, 1.0) == {}
+        img = galerkin._pair_image((1, 0, 0), [(0, 1), (0, 2), (1, 2)], action,
+                                   Fraction(1, 3))
+        assert img == {(1, 0, 0): Fraction(-1, 3), (0, 1, 0): Fraction(1, 6),
+                       (0, 0, 1): Fraction(1, 6)}
+
+    def test_float_scale_rounds_the_exact_image(self):
+        action = lambda a, b: pair_average_action("gamma", a, b, gamma=Fraction(2))
+        pairs = list(itertools.combinations(range(4), 2))
+        k = (2, 1, 0, 1)
+        exact = galerkin._pair_image(k, pairs, action, Fraction(1, 6))
+        approx = galerkin._pair_image(k, pairs, action, 1 / 6)
+        assert exact.keys() == approx.keys()
+        for key, c in exact.items():
+            assert type(approx[key]) is float
+            assert approx[key] == pytest.approx(float(c), rel=1e-14, abs=1e-15)
 
 
 class TestKacGalerkin:

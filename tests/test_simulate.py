@@ -457,6 +457,13 @@ class TestAngleGrid:
         # E[cos theta] = Re rho_hat(1)
         assert np.mean(np.cos(draws)) == pytest.approx(0.4, abs=0.03)
 
+    def test_uniform_density_draws_the_uniform_angle(self):
+        # the flat density needs no grid: its draws are rng.uniform(-pi, pi)
+        sample = _angle_sampler(RhoSpec.uniform())
+        r1, r2 = rng_for(2), rng_for(2)
+        assert [sample(r1) for _ in range(500)] == [
+            r2.uniform(-math.pi, math.pi) for _ in range(500)]
+
 
 # ---------------------------------------------------------------------------
 # sampled collisions against the exact conditional pair average
