@@ -5,7 +5,8 @@
 
 For each N it assembles and solves the sector of kac-uniform and of the
 redistribution model at gamma = 1 and 2, and prints one JSON object per
-instance: basis size, kept and deflated dimensions, seconds for the graph,
+instance: basis size, kept and deflated dimensions (in the symmetric mode
+the kept dimension is the exact rank of the Gram matrix), seconds for the graph,
 the assembly and the solve, the gap and its distance from the closed form,
 (N+2)/(4N) for kac-uniform at degree >= 4 and (gamma N + 1)/(N (2 gamma + 1))
 for the redistribution model.  Below degree 4 the kac-uniform rows carry

@@ -29,6 +29,8 @@ RULE_POSITIVITY = "Thm 2.3"
 RULE_RATE_SCALING = "Thm 3.2"
 
 PATH_ENUM_CAP = 10_000_000
+#: system sizes over which `certificate` takes the infimum of the recursion bound
+CERTIFICATE_GRID = range(2, 1025)
 
 
 class CertificateRefused(ValueError):
@@ -365,13 +367,13 @@ def _jsonable(v):
     return v
 
 
-def certificate(lam3, lam2, d: int, n_grid: Sequence[int] = range(2, 1025)) -> BoundChain:
+def certificate(lam3, lam2, d: int) -> BoundChain:
     """Chain the three-site recursion, path comparison and two-site sandwich.
 
     Produces constants c1 (uniform mean-field gap), c2 (conditional-average
     lattice gap times N^2) and c3 (model lattice gap times N^2), refusing
     when a hypothesis fails.  The infimum over system sizes is taken over the
-    declared grid together with its large-size limit.
+    sizes of CERTIFICATE_GRID together with their large-size limit.
     """
     if not lam3 > Fraction(1, 3):
         raise CertificateRefused("lambda*(3) > 1/3")
@@ -379,7 +381,7 @@ def certificate(lam3, lam2, d: int, n_grid: Sequence[int] = range(2, 1025)) -> B
         raise CertificateRefused("lambda(2) > 0")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    grid = list(n_grid)
+    grid = list(CERTIFICATE_GRID)
     c1 = 3 * lam3 - 1
     c1 = min([c1] + [caputo_bound(lam3, N) for N in grid])
     c2 = c1 / (96 * d)

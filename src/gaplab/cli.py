@@ -22,10 +22,6 @@ from .models import (MODEL_IDS, RhoSpec, build_graph, model_from_id,
 # argument helpers
 # ---------------------------------------------------------------------------
 
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _omega_range(text: str) -> list:
     """'3' -> [3]; '1:8' -> [1..8]; '1,3,5' -> [1, 3, 5]."""
     if ":" in text:
@@ -36,17 +32,19 @@ def _omega_range(text: str) -> list:
     return [int(text)]
 
 
+def _data_lines(path: str):
+    """The stripped lines of a data file, blank and '#' comment lines skipped."""
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield line
+
+
 def _resolve_g(name: str):
     if name.startswith("table:"):
         path = name.split(":", 1)[1]
-        pairs = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                k, v = line.split(",")
-                pairs.append((int(k), float(v)))
+        pairs = [(int(k), float(v)) for k, v in (line.split(",") for line in _data_lines(path))]
         return rate_from_table(pairs, name=path)
     return rate_by_name(name)
 
@@ -83,13 +81,9 @@ def _resolve_rho(spec: str) -> RhoSpec:
     if spec.startswith("fourier:"):
         path = spec.split(":", 1)[1]
         coeffs = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = [float(v) for v in line.replace(",", " ").split()]
-                coeffs.append(parts[0] if len(parts) == 1 else complex(parts[0], parts[1]))
+        for line in _data_lines(path):
+            parts = [float(v) for v in line.replace(",", " ").split()]
+            coeffs.append(parts[0] if len(parts) == 1 else complex(parts[0], parts[1]))
         return RhoSpec(coefficients=coeffs, name=path)
     if spec.startswith("density:"):
         return RhoSpec(density=_safe_expression(spec.split(":", 1)[1]), name=spec)
@@ -224,10 +218,7 @@ def _observable_by_name(name, model, graph, omega):
         return lambda cfg: float(np.sum(np.asarray(cfg, dtype=float) ** 4))
     if name == "gap-eigenfunction":
         if model.is_discrete:
-            states = discrete.enumerate_states(graph.n_sites, omega)
-            gen = discrete.build_generator(model, graph, states)
-            _, table = discrete.gap_eigenfunction(gen)
-            return lambda cfg: table[states.index[tuple(cfg.tolist())]]
+            return verify.gap_observable(model, graph, omega)[1]
         raise ValueError("gap-eigenfunction observable needs a discrete model")
     raise ValueError(f"unknown observable {name!r}")
 
@@ -272,7 +263,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    chain = bounds.certificate(_fraction(args.lambda3), _fraction(args.lambda2), args.d)
+    chain = bounds.certificate(Fraction(args.lambda3), Fraction(args.lambda2), args.d)
     _emit(args, "bounds", [chain.to_json()], [s.rule for s in chain.steps])
     return 0
 

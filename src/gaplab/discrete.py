@@ -88,9 +88,6 @@ class StateSet:
             B[:, p] = np.cumsum(B[:, p - 1])
         return B
 
-    def position(self, config) -> int:
-        return int(rank_states(self, [config])[0])
-
 
 def state_count(V: int, omega: int) -> int:
     return math.comb(omega + V - 1, V - 1)

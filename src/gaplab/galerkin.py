@@ -312,8 +312,8 @@ def rho_pair_action(rho: RhoSpec, a: int, b: int) -> dict:
 class GalerkinPair:
     """Quadratic form A of the negated generator and Gram matrix B on a basis.
 
-    With `basis_scale` set, A and B are the forms on the rescaled basis
-    functions basis_scale[i] * (basis element i).
+    With the n-by-r `basis_scale` set, A and B are the forms on the functions
+    whose basis coefficients are its columns (B-orthonormal: B is I_r).
     """
 
     model: str
@@ -460,10 +460,7 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
             C[row, l] += c
     B = _gram_matrix(np.array(basis.elements, dtype=np.int64), degree, oracle)
 
-    A = -B @ C
-    asym = float(np.abs(A - A.T).max())
-    A = 0.5 * (A + A.T)
-    _check_symmetric(asym, A)
+    A, asym = _symmetric_part(-B @ C)
     return GalerkinPair(model, A, B, basis, asym)
 
 
@@ -490,9 +487,13 @@ def _pair_image(k: tuple, pairs, action, scale) -> dict:
     return img
 
 
-def _check_symmetric(asym: float, A: np.ndarray) -> None:
+def _symmetric_part(A: np.ndarray) -> tuple:
+    """(A + A^T) / 2 and the largest |A - A^T|; a form not symmetric to rounding is refused."""
+    asym = float(np.abs(A - A.T).max())
+    A = 0.5 * (A + A.T)
     if asym > 1e-9 * max(1.0, float(np.abs(A).max())):
         raise ArithmeticError(f"assembled form is not symmetric: residual {asym:.2e}")
+    return A, asym
 
 
 def _placements(counts: Counter, sites: int) -> int:
@@ -549,8 +550,9 @@ def _orbit_forms(name: str, basis: MultiIndexBasis, oracle, action,
       support of k_s, and the parts left for the empty sites are counted by
       `_placements`.
 
-    B, C and A = -B C stay exact; A, B are then rescaled by diag(B)^(-1/2)
-    and converted to floats for the solve.
+    B and C stay exact; `_conjugate_basis` reduces B to r = rank B functions
+    T with T^T B T = diag(D), and T^T A T = -(B T)^T (C T) is exact too.  The
+    float solve sees it on T D^(-1/2), whose Gram matrix is the identity.
     """
     N = basis.n_vars
     parts = basis.elements
@@ -592,20 +594,45 @@ def _orbit_forms(name: str, basis: MultiIndexBasis, oracle, action,
             v = sum(w * oracle.exact(key) for key, w in ways.items())
             B[i][j] = B[j][i] = orbit[i] * v
 
-    A = [[Fraction(0)] * n for _ in range(n)]
-    for j, col in enumerate(C):
-        for k, c in col.items():
-            for i in range(n):
-                A[i][j] -= B[i][k] * c
+    T, D, BT = _conjugate_basis(B)
+    BTC = [[sum(b[row] * c for row, c in col.items()) for col in C] for b in BT]
+    d = 1.0 / np.sqrt([float(v) for v in D])
+    A, asym = _symmetric_part(np.outer(d, d) * np.array(
+        [[float(-sum(g[l] * v for l, v in t.items())) for t in T] for g in BTC]))
+    scale_map = np.array([[float(t.get(l, 0)) for t in T] for l in range(n)]) * d
+    return GalerkinPair(name, A, np.eye(len(D)), basis, asym, basis_scale=scale_map)
 
-    d = 1.0 / np.sqrt([float(B[i][i]) for i in range(n)])
-    Bf = np.array([[float(v) for v in row] for row in B]) * np.outer(d, d)
-    Af = np.array([[float((A[i][j] + A[j][i]) / 2) for j in range(n)]
-                   for i in range(n)]) * np.outer(d, d)
-    asym = max((float(abs(A[i][j] - A[j][i])) * d[i] * d[j]
-                for i in range(n) for j in range(i + 1, n)), default=0.0)
-    _check_symmetric(asym, Af)
-    return GalerkinPair(name, Af, Bf, basis, asym, basis_scale=d)
+
+def _conjugate_basis(B: list) -> tuple:
+    """Exact Gram-Schmidt of the basis in the inner product of B (an LDL^T).
+
+    Eliminates in basis order on the lower triangle of the Fraction matrix
+    B, positive semidefinite, skipping each zero pivot (an element in the
+    span of the earlier ones), so the r functions kept are exactly rank B.
+    Returns T, r columns {row: Fraction} with T^T B T = diag(D); the pivots
+    D > 0; and the columns B t_j, the Schur columns at the pivots, as lists.
+    """
+    n = len(B)
+    S = [row[:i + 1] for i, row in enumerate(B)]
+    Y = [{i: Fraction(1)} for i in range(n)]       # the rows of L^-1
+    kept = []
+    for k in range(n):
+        piv, col = S[k][k], [S[i][k] for i in range(k + 1, n)]
+        if piv < 0 or (piv == 0 and any(col)):
+            raise ArithmeticError(f"Gram matrix is not positive semidefinite at element {k}")
+        if piv == 0:
+            continue
+        kept.append(k)
+        for i, si in enumerate(col, start=k + 1):
+            if si:
+                f = si / piv
+                for j, sj in enumerate(col[:i - k], start=k + 1):
+                    S[i][j] -= f * sj
+                for l, v in Y[k].items():
+                    Y[i][l] = Y[i].get(l, 0) - f * v
+    # row k of L^-1 and column k of S are final once step k begins
+    return ([Y[k] for k in kept], [S[k][k] for k in kept],
+            [[0] * k + [S[i][k] for i in range(k, n)] for k in kept])
 
 
 @dataclass(frozen=True)
@@ -620,7 +647,7 @@ class GalerkinGapReport:
 
 
 def galerkin_eigensystem(pair: GalerkinPair) -> GalerkinGapReport:
-    """Solve the restricted Rayleigh problem after deflating the Gram null space."""
+    """Solve the restricted Rayleigh problem; `deflated` is basis size minus kept dimension."""
     s, U = np.linalg.eigh(pair.B)
     smax = float(s.max())
     if s.min() < -DEFLATION_TOL * smax:
@@ -637,12 +664,12 @@ def galerkin_eigensystem(pair: GalerkinPair) -> GalerkinGapReport:
     i = int(nz[0])
     coeffs = W @ Q[:, i]
     if pair.basis_scale is not None:
-        coeffs = coeffs * pair.basis_scale
+        coeffs = pair.basis_scale @ coeffs
     return GalerkinGapReport(
         gap=float(ev[i]),
         eigenvalues=ev,
         kept_dim=int(keep.sum()),
-        deflated=int((~keep).sum()),
+        deflated=len(pair.basis) - int(keep.sum()),
         gram_condition=float(s[keep].max() / s[keep].min()),
         gap_coefficients=coeffs,
         basis=pair.basis,
@@ -676,26 +703,6 @@ def sector_polynomial(report: GalerkinGapReport):
 # one-dimensional conditional operator on the three-site simplex
 # ---------------------------------------------------------------------------
 
-def _solve_fraction(B: list, C: list) -> list:
-    """Exact solve of B M = C for square Fraction matrices (Gaussian elimination)."""
-    n = len(B)
-    M = [row[:] for row in C]
-    A = [row[:] for row in B]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / A[col][col]
-        A[col] = [v * inv for v in A[col]]
-        M[col] = [v * inv for v in M[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return M
-
-
 @dataclass(frozen=True)
 class ConditionalOperatorReport:
     gamma: Fraction
@@ -721,7 +728,8 @@ def k_operator_check(gamma, degree: int = 6) -> ConditionalOperatorReport:
     """Build nu[phi(eta_2) | eta_1] on monomials via simplex moments and diagonalize.
 
     The assembly is exact-rational: the operator matrix is the Gram-solve
-    of pair moments, which comes out triangular in the monomial basis, so its
+    B^-1 C = T D^-1 T^T C (`_conjugate_basis`; B is positive definite) of
+    pair moments, which comes out triangular in the monomial basis, so its
     spectrum reads off the diagonal.
     """
     if degree < 1:
@@ -731,7 +739,9 @@ def k_operator_check(gamma, degree: int = 6) -> ConditionalOperatorReport:
     n = degree + 1
     B = [[oracle.exact((i + j, 0, 0)) for j in range(n)] for i in range(n)]
     C = [[oracle.exact((i, j, 0)) for j in range(n)] for i in range(n)]
-    M = _solve_fraction(B, C)
+    T, D, _ = _conjugate_basis(B)
+    TtC = [[sum(v * C[l][c] for l, v in t.items()) / dt for c in range(n)] for t, dt in zip(T, D)]
+    M = [[sum(t.get(i, 0) * y[c] for t, y in zip(T, TtC)) for c in range(n)] for i in range(n)]
     tri = max((abs(M[i][j]) for j in range(n) for i in range(j + 1, n)), default=Fraction(0))
     eigs = tuple(M[i][i] for i in range(n))
     closed = tuple(conditional_moment_eigenvalue(i, g) for i in range(n))

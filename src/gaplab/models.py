@@ -416,8 +416,7 @@ class ModelSpec:
 
 
 def model_from_id(model_id: str, *, g: Optional[RateFunction] = None,
-                  gamma=None, rho: Optional[RhoSpec] = None,
-                  exchange: Optional[GammaExchangeSpec] = None) -> ModelSpec:
+                  gamma=None, rho: Optional[RhoSpec] = None) -> ModelSpec:
     """Resolve a CLI model identifier to a ModelSpec.
 
     A `gamma` for any family but gamma-exchange, a `rho` for any family but
@@ -440,9 +439,8 @@ def model_from_id(model_id: str, *, g: Optional[RateFunction] = None,
     if family == "kac-rho":
         return ModelSpec("kac-rho", rho=rho if rho is not None else RhoSpec.uniform())
     if family == "gamma-exchange":
-        if exchange is None:
-            exchange = GammaExchangeSpec(gamma=Fraction(gamma if gamma is not None else 1))
-        return ModelSpec("gamma-exchange", exchange=exchange)
+        return ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(
+            gamma=Fraction(gamma if gamma is not None else 1)))
     return ModelSpec(family, g=g if g is not None else G_CONSTANT_ONE)
 
 

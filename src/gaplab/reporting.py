@@ -68,7 +68,7 @@ def galerkin_record(model: str, graph, degree: int, sector: str, report,
     }
 
 
-def mc_record(model: str, graph, omega, result, method: str = "mc-autocorr") -> dict:
+def mc_record(model: str, graph, omega, result) -> dict:
     return {
         "model": model,
         "graph": graph_header(graph),
@@ -77,7 +77,7 @@ def mc_record(model: str, graph, omega, result, method: str = "mc-autocorr") -> 
         "stderr": _scalar(result.stderr),
         "ci": [_scalar(result.ci_low), _scalar(result.ci_high)],
         "ess": _scalar(result.ess),
-        "method": method,
+        "method": "mc-autocorr",
     }
 
 
@@ -105,19 +105,18 @@ def _flatten(rec: dict) -> dict:
     return flat
 
 
-def write_csv(out, results: Sequence[dict], columns: Optional[Sequence[str]] = None) -> None:
+def write_csv(out, results: Sequence[dict]) -> None:
     """CSV with the documented gap-table column order, or inferred columns.
 
     Gap records (any record carrying a "gap" field) always use CSV_COLUMNS;
     other record kinds take their columns from the first record.
     """
     flat = [{k: _scalar(v) for k, v in _flatten(rec).items()} for rec in results]
-    if columns is None:
-        if flat and "gap" in flat[0]:
-            columns = CSV_COLUMNS
-        else:
-            columns = list(flat[0].keys()) if flat else []
-    writer = csv.DictWriter(out, fieldnames=list(columns), extrasaction="ignore")
+    if flat and "gap" in flat[0]:
+        columns = CSV_COLUMNS
+    else:
+        columns = list(flat[0].keys()) if flat else []
+    writer = csv.DictWriter(out, fieldnames=columns, extrasaction="ignore")
     writer.writeheader()
     for row in flat:
         writer.writerow({k: row.get(k, "") for k in columns})

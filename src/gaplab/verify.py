@@ -277,9 +277,12 @@ MC_DISCRETE_INSTANCES = (
 )
 
 
-def _table_observable(states, table):
+def gap_observable(model, graph, omega) -> tuple:
+    """Exact gap of a discrete model and its eigenfunction as a function on configurations."""
+    states = discrete.enumerate_states(graph.n_sites, omega)
+    gap, table = discrete.gap_eigenfunction(discrete.build_generator(model, graph, states))
     index = states.index
-    return lambda cfg: table[index[tuple(cfg.tolist())]]
+    return gap, lambda cfg: table[index[tuple(cfg.tolist())]]
 
 
 def _mc_instances():
@@ -287,10 +290,8 @@ def _mc_instances():
     for family, g, kind, d, N, om in MC_DISCRETE_INSTANCES:
         model = ModelSpec(family, g=g)
         graph = build_graph(kind, d=d, N=N)
-        states = discrete.enumerate_states(graph.n_sites, om)
-        gap, table = discrete.gap_eigenfunction(discrete.build_generator(model, graph, states))
-        yield (f"{family}/{g.name}/{kind} N={N} om={om}", model, graph,
-               _table_observable(states, table), om, gap)
+        gap, observable = gap_observable(model, graph, om)
+        yield (f"{family}/{g.name}/{kind} N={N} om={om}", model, graph, observable, om, gap)
     k3 = build_graph("complete", N=3)
     # rotation walk on three sites: sector eigenfunction as observable
     rep = galerkin.galerkin_eigensystem(galerkin.assemble_galerkin("kac-uniform", k3, degree=4))

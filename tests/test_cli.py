@@ -294,7 +294,7 @@ class TestDensityExpressions:
 class TestFileInputs:
     def test_rho_fourier_file(self, tmp_path):
         f = tmp_path / "rho.coeffs"
-        f.write_text("1.0\n0.5\n0.0\n0.0\n0.0\n")
+        f.write_text("# rho_hat(n), n = 0, 1, ...\n1.0\n\n0.5\n0.0\n0.0\n0.0\n")
         code, doc = run_json(["two-site", "--model", "kac-rho", "--n-max", "4",
                               "--rho", f"fourier:{f}"], tmp_path)
         assert code == 0

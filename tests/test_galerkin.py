@@ -257,8 +257,11 @@ class TestKacGalerkin:
                                  mode="symmetric")
         assert pair.asymmetry == 0.0
         assert pair.assembly == "orbit-representative"
-        # A and B are rescaled to a unit Gram diagonal before the float solve
-        assert np.allclose(np.diag(pair.B), 1.0, rtol=0, atol=1e-15)
+        # the exact reduction hands the float solve B-orthonormal functions:
+        # 8 of the 12 orbit sums are independent, and the Gram matrix is I
+        assert pair.basis_scale.shape == (12, 8)
+        assert np.array_equal(pair.B, np.eye(8))
+        assert galerkin_eigensystem(pair).gram_condition == 1.0
 
     def test_symmetric_mode_needs_complete(self):
         with pytest.raises(ValueError, match="complete"):
@@ -307,6 +310,35 @@ def _count_exact_calls(monkeypatch) -> list:
     return calls
 
 
+class TestConjugateBasis:
+    """Exact Gram-Schmidt in the inner product of a positive semidefinite matrix."""
+
+    def test_rank_deficient_gram(self):
+        # B = v v^T + w w^T on four elements: rank 2; element 1 is twice
+        # element 0 and element 3 is element 0 plus element 2
+        v = [Fraction(1), Fraction(2), Fraction(0), Fraction(1)]
+        w = [Fraction(1, 3), Fraction(2, 3), Fraction(5), Fraction(16, 3)]
+        B = [[v[i] * v[j] + w[i] * w[j] for j in range(4)] for i in range(4)]
+        T, D, BT = galerkin._conjugate_basis(B)
+        assert len(T) == len(D) == len(BT) == 2
+        assert all(d > 0 for d in D)
+        Tm = [[t.get(l, 0) for t in T] for l in range(4)]
+        BTm = [[sum(B[i][l] * Tm[l][j] for l in range(4)) for j in range(2)]
+               for i in range(4)]
+        assert [[BT[j][i] for j in range(2)] for i in range(4)] == BTm
+        gram = [[sum(Tm[l][i] * BTm[l][j] for l in range(4)) for j in range(2)]
+                for i in range(2)]
+        assert gram == [[D[0], 0], [0, D[1]]]
+
+    @pytest.mark.parametrize("B", [
+        [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]],
+        [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)]],
+    ])
+    def test_indefinite_gram_is_refused(self, B):
+        with pytest.raises(ArithmeticError, match="not positive semidefinite"):
+            galerkin._conjugate_basis(B)
+
+
 class TestSymmetricSector:
     """Orbit-representative assembly against the full basis and the closed forms."""
 
@@ -352,6 +384,28 @@ class TestSymmetricSector:
             assert gap == pytest.approx(expect, abs=1e-8)
         # the orbit sums read the graph's size and scaling, never its edges
         assert "edges" not in graph.__dict__
+
+    @pytest.mark.parametrize("degree,N", [(4, 10**4), (4, 10**5), (6, 10**3), (6, 10**4)])
+    @pytest.mark.parametrize("model,gamma", [("kac-uniform", None), ("gamma", Fraction(1)),
+                                             ("gamma", Fraction(2))])
+    def test_exact_rank_at_large_N(self, model, gamma, degree, N):
+        # For N >= degree the conserved total is the Gram matrix's only
+        # relation: p2 = omega on the sphere, p1 = omega on the simplex.  The
+        # rank counts the partitions of totals <= degree with no part 2
+        # (kac-uniform) or no part 1 (gamma); a float deflation at tolerance
+        # 1e-10 dropped genuine directions here.
+        banned = 2 if model == "kac-uniform" else 1
+        rank = sum(banned not in p for total in range(degree + 1)
+                   for p in galerkin._partitions(total, total))
+        assert rank == {(4, 2): 8, (4, 1): 5, (6, 2): 18, (6, 1): 11}[degree, banned]
+        kwargs = {"gamma": gamma} if gamma is not None else {}
+        rep = galerkin_eigensystem(assemble_galerkin(
+            model, build_graph("complete", N=N), degree=degree, mode="symmetric", **kwargs))
+        assert rep.kept_dim == rank
+        assert rep.deflated == len(rep.basis) - rank
+        expect = ((N + 2) / (4 * N) if gamma is None
+                  else float((gamma * N + 1) / (N * (2 * gamma + 1))))
+        assert abs(rep.gap - expect) <= 1e-13
 
     def test_moment_calls_independent_of_N(self, monkeypatch):
         calls = _count_exact_calls(monkeypatch)

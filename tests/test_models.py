@@ -337,9 +337,9 @@ CATALOG = {
     "zero-range-identity": model_from_id("zero-range", g=G_IDENTITY),
     "kac-rho-cardioid": model_from_id("kac-rho", rho=RhoSpec(
         density=lambda t: (1 + math.cos(t)) / (2 * math.pi), name="cardioid")),
-    "gamma-exchange-kernel": model_from_id("gamma-exchange", exchange=GammaExchangeSpec(
+    "gamma-exchange-kernel": ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(
         gamma=2, kernel=np.exp(-np.abs(_CELLS[:, None] - _CELLS[None, :]) / 4.0))),
-    "gamma-exchange-lambda": model_from_id("gamma-exchange", exchange=GammaExchangeSpec(
+    "gamma-exchange-lambda": ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(
         gamma=1, lambda_s=lambda s: 1.0 + s, lambda_r=lambda b: 0.5 + b * (1 - b))),
 }
 
