@@ -7,23 +7,20 @@ a certified calculus comparing complete-graph and lattice gaps.
 
 from .models import (ConservationLaw, GammaExchangeSpec, InteractionGraph,
                      ModelSpec, RateFunction, RhoSpec, build_graph,
-                     conserved_total, model_from_id, validate_model,
-                     G_CONSTANT_ONE, G_IDENTITY)
+                     model_from_id, G_CONSTANT_ONE, G_IDENTITY)
 from .discrete import (GeneratorMatrix, KernelMatrix, Measure, StateSet,
                        build_simple_average_generator, build_zero_range_generator,
                        enumerate_states, exact_gap, kernel_matrix,
-                       kernel_spectrum_extremes, lsv_condition_check,
-                       spectral_gap, stationary_weights, two_site_spectrum)
+                       kernel_spectrum_extremes, spectral_gap, stationary_weights,
+                       two_site_spectrum)
 from .galerkin import (GalerkinPair, MultiIndexBasis, assemble_galerkin,
                        galerkin_gap, galerkin_eigensystem, k_operator_check,
                        pair_average_action, quadratic_eigen_identity,
-                       rho_pair_action, rho_trig_moment, simplex_moment,
-                       sphere_moment, trig_moment, two_site_fourier_gap)
+                       rho_pair_action, rho_trig_moment, trig_moment,
+                       two_site_fourier_gap)
 from .bounds import (BoundChain, CanonicalPath, CertificateRefused, canonical_path,
-                     caputo_bound, certificate, lambda_s_scaling,
-                     lattice_constants_table, lemma_audit,
-                     local_gap_lower_bound, moving_particle_decomposition,
-                     path_census, sandwich)
+                     caputo_bound, certificate, lemma_audit,
+                     local_gap_lower_bound, path_census, sandwich)
 from .simulate import (EstimatorResult, autocorr_gap_estimate, initial_config,
                        rayleigh_upper_bound, sample_series)
 

@@ -1,9 +1,9 @@
 """Canonical-path machinery and the certified gap-bound calculus.
 
-Everything here is either combinatorics on the cube (paths, congestion,
-transposition words) or interval arithmetic combining two-site and
-three-site inputs into lattice-size-uniform lower bounds.  Inputs given as
-Fractions propagate exactly.
+Everything here is either combinatorics on the cube (paths, congestion),
+random-function audits of the comparison inequalities, or interval
+arithmetic combining two-site and three-site inputs into lattice-size-uniform
+lower bounds.  Inputs given as Fractions propagate exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,11 +26,8 @@ RULE_RECURSION = "Thm 1.1"
 RULE_LATTICE = "Thm 1.2"
 RULE_SANDWICH = "Thm 2.2"
 RULE_POSITIVITY = "Thm 2.3"
-RULE_RATE_SCALING = "Thm 3.2"
 
 PATH_ENUM_CAP = 10_000_000
-#: system sizes over which `certificate` takes the infimum of the recursion bound
-CERTIFICATE_GRID = range(2, 1025)
 
 
 class CertificateRefused(ValueError):
@@ -125,31 +122,6 @@ def path_census(d: int, N: int) -> PathCensus:
                       max_w, wbound, holds=(max_c <= cbound and max_w <= wbound))
 
 
-def moving_particle_decomposition(vertices: Sequence) -> list:
-    """Express the endpoint swap of a nearest-neighbor path as adjacent swaps.
-
-    A path of m steps yields the palindrome word of 2m - 1 transpositions
-    whose composition equals swapping the two endpoints.
-    """
-    verts = [tuple(v) if not isinstance(v, int) else (v,) for v in vertices]
-    if len(verts) < 2:
-        raise ValueError("need at least two path vertices")
-    for u, v in zip(verts, verts[1:]):
-        if sum(abs(a - b) for a, b in zip(u, v)) != 1:
-            raise ValueError(f"vertices {u} and {v} are not nearest neighbors")
-    down = list(zip(verts, verts[1:]))
-    return down + down[:-1][::-1]
-
-
-def apply_transposition_word(word: Sequence, config: Sequence, site_index: dict):
-    """Apply adjacent swaps left to right; used to validate decompositions."""
-    out = list(config)
-    for (u, v) in word:
-        iu, iv = site_index[u], site_index[v]
-        out[iu], out[iv] = out[iv], out[iu]
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # quadratic-form audits on exact discrete instances
 # ---------------------------------------------------------------------------
@@ -181,6 +153,8 @@ def lemma_audit(states: StateSet, measure: Measure,
     graph; a lattice graph additionally triggers the composite canonical-path
     inequality with its 96 constant.
     """
+    if n_functions < 1:
+        raise ValueError(f"need at least one test function, got n_functions = {n_functions}")
     t0 = time.perf_counter()
     V = states.n_sites
     n = len(states)
@@ -300,22 +274,6 @@ def local_gap_lower_bound(lam_star, d: int, N: int):
     return lam_star / (96 * d * N * N)
 
 
-def lattice_constants_table(d: int, N: int, lam2=None) -> dict:
-    """The two quoted uniform lattice constants at (d, N), kept separate.
-
-    The 384 constant folds in the universal 1/4 mean-field bound of the
-    rotation walk; the 192 constant carries a caller-supplied two-site gap.
-    They come from different bound chains and are reported verbatim.
-    """
-    out = {
-        "uniform_rotation_bound": Fraction(1, 384 * d * N * N),
-        "rule": RULE_LATTICE,
-    }
-    if lam2 is not None:
-        out["two_site_bound"] = lam2 / (192 * d * N * N)
-    return out
-
-
 def sandwich(lam2, kappa, lam_star) -> tuple:
     """Two-sided comparison interval [2 lam2 lam*, 2 kappa lam*]."""
     if not 0 <= lam2 <= kappa:
@@ -372,8 +330,9 @@ def certificate(lam3, lam2, d: int) -> BoundChain:
 
     Produces constants c1 (uniform mean-field gap), c2 (conditional-average
     lattice gap times N^2) and c3 (model lattice gap times N^2), refusing
-    when a hypothesis fails.  The infimum over system sizes is taken over the
-    sizes of CERTIFICATE_GRID together with their large-size limit.
+    when a hypothesis fails.  The recursion bound is affine in 1/N, so its
+    infimum over N >= 2 and the large-N limit is the smaller of its value at
+    N = 2 and the limit 3 lambda*(3) - 1.
     """
     if not lam3 > Fraction(1, 3):
         raise CertificateRefused("lambda*(3) > 1/3")
@@ -381,15 +340,13 @@ def certificate(lam3, lam2, d: int) -> BoundChain:
         raise CertificateRefused("lambda(2) > 0")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    grid = list(CERTIFICATE_GRID)
-    c1 = 3 * lam3 - 1
-    c1 = min([c1] + [caputo_bound(lam3, N) for N in grid])
+    c1 = min(3 * lam3 - 1, caputo_bound(lam3, 2))
     c2 = c1 / (96 * d)
     c3 = 2 * lam2 * c2
     steps = [
         BoundStep(RULE_RECURSION,
-                  "lambda*(N, omega) >= (3 lambda*(3) - 1)(1 - 2/N) + 1/N; "
-                  f"infimum over N in {{{grid[0]}..{grid[-1]}}} and the large-N limit",
+                  "lambda*(N, omega) >= (3 lambda*(3) - 1)(1 - 2/N) + 1/N "
+                  ">= min(3 lambda*(3) - 1, 1/2) for every N >= 2 (affine in 1/N)",
                   c1),
         BoundStep(RULE_LATTICE,
                   "lambda*_lattice(N, omega) >= lambda*_complete(N^d, omega) / (96 d N^2)",
@@ -400,62 +357,7 @@ def certificate(lam3, lam2, d: int) -> BoundChain:
     ]
     return BoundChain(
         inputs={"lambda3": lam3, "lambda2": lam2, "d": d,
-                "grid": f"N = {grid[0]}..{grid[-1]}",
                 "hypotheses": f"{RULE_POSITIVITY}: lambda*(3) > 1/3 and lambda(2) > 0"},
         steps=steps,
         interval=(c3, math.inf),
     )
-
-
-# ---------------------------------------------------------------------------
-# rate scaling of the pair gap in the conserved total
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RateScalingTable:
-    rows: tuple                  # (omega, lambda(2, omega))
-    infimum: float
-    degenerate_warning: bool
-    note: str
-    rule: str = RULE_RATE_SCALING
-
-
-def lambda_s_scaling(lambda_s, lam21, omega_grid: Sequence[float]) -> RateScalingTable:
-    """Scale the unit-total pair gap along the grid by lambda_s(omega)/lambda_s(1).
-
-    Flags likely degeneracy when the rate decays like a power law toward the
-    boundary of the grid, in which case the infimum over all totals may be 0.
-    """
-    if lam21 < 0:
-        raise ValueError("pair gap must be nonnegative")
-    grid = sorted(float(w) for w in omega_grid)
-    if not grid:
-        raise ValueError("empty grid")
-    vals = []
-    for om in grid:
-        v = float(lambda_s(om))
-        if not v > 0:
-            raise ValueError(f"invalid rate: lambda_s({om}) = {v} must be positive")
-        vals.append(v)
-    base = float(lambda_s(1.0))
-    if not base > 0:
-        raise ValueError("invalid rate: lambda_s(1) must be positive")
-    rows = tuple((om, v / base * lam21) for om, v in zip(grid, vals))
-    gaps = [r[1] for r in rows]
-    inf_val = min(gaps)
-    arg = gaps.index(inf_val)
-    # probe past the boundary where the infimum sits: a clear power-law decay
-    # there means the infimum over all totals is plausibly 0
-    warn = False
-    try:
-        if arg == 0 and grid[0] > 0:
-            probe = float(lambda_s(grid[0] / 4.0))
-            warn = probe > 0 and math.log(vals[0] / probe) / math.log(4.0) > 0.1
-        elif arg == len(grid) - 1:
-            probe = float(lambda_s(grid[-1] * 4.0))
-            warn = probe > 0 and math.log(vals[-1] / probe) / math.log(4.0) > 0.1
-    except (ValueError, OverflowError):
-        warn = False
-    note = ("rate decays toward the grid boundary; the infimum over all totals may be 0"
-            if warn else "infimum over the supplied grid only")
-    return RateScalingTable(rows, inf_val, warn, note)

@@ -25,8 +25,10 @@ from .models import (MODEL_IDS, RhoSpec, build_graph, model_from_id,
 def _omega_range(text: str) -> list:
     """'3' -> [3]; '1:8' -> [1..8]; '1,3,5' -> [1, 3, 5]."""
     if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(v) for v in text.split(":"))
+        if lo > hi:
+            raise ValueError(f"empty range of totals --omega {text}: {lo} > {hi}")
+        return list(range(lo, hi + 1))
     if "," in text:
         return [int(v) for v in text.split(",")]
     return [int(text)]
@@ -76,6 +78,7 @@ def _safe_expression(expr: str):
 
 
 def _resolve_rho(spec: str) -> RhoSpec:
+    """The angle density of --rho; one that fails `RhoSpec.validate` is refused."""
     if spec in (None, "uniform"):
         return RhoSpec.uniform()
     if spec.startswith("fourier:"):
@@ -84,10 +87,15 @@ def _resolve_rho(spec: str) -> RhoSpec:
         for line in _data_lines(path):
             parts = [float(v) for v in line.replace(",", " ").split()]
             coeffs.append(parts[0] if len(parts) == 1 else complex(parts[0], parts[1]))
-        return RhoSpec(coefficients=coeffs, name=path)
-    if spec.startswith("density:"):
-        return RhoSpec(density=_safe_expression(spec.split(":", 1)[1]), name=spec)
-    raise ValueError(f"unknown rho spec {spec!r} (uniform | fourier:FILE | density:EXPR)")
+        rho = RhoSpec(coefficients=coeffs, name=path)
+    elif spec.startswith("density:"):
+        rho = RhoSpec(density=_safe_expression(spec.split(":", 1)[1]), name=spec)
+    else:
+        raise ValueError(f"unknown rho spec {spec!r} (uniform | fourier:FILE | density:EXPR)")
+    report = rho.validate()
+    if not report.passed:
+        raise ValueError(f"--rho {spec!r} is not a probability density on (-pi, pi]:\n{report}")
+    return rho
 
 
 def _config_of(args) -> dict:

@@ -158,16 +158,6 @@ def stationary_weights(g: RateFunction, states: StateSet) -> Measure:
     return Measure(states, w / total)
 
 
-def apply_exchange(config, x: int, y: int):
-    """Swap the occupations of sites x and y (1-based); x == y is the identity."""
-    V = len(config)
-    if not (1 <= x <= V and 1 <= y <= V):
-        raise ValueError(f"sites must lie in 1..{V}, got ({x}, {y})")
-    out = list(config)
-    out[x - 1], out[y - 1] = out[y - 1], out[x - 1]
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # generator matrices
 # ---------------------------------------------------------------------------
@@ -592,38 +582,3 @@ def kernel_spectrum_extremes(g: RateFunction, n_max: int) -> KernelExtremes:
         history.append(mu2)
     half = history[max(0, len(history) // 2 - 1)]
     return KernelExtremes(mu1, mu2, tuple(rows), abs(mu2 - half))
-
-
-# ---------------------------------------------------------------------------
-# finite-range scan of the jump-rate growth conditions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RateGrowthReport:
-    increment_sup: float
-    per_k0: tuple                 # (k0, min gap over the scanned range)
-    best: Optional[tuple]         # (k0, C) with the smallest k0 giving C > 0
-    note: str = ("finite-range scan over 1 <= j < k <= k_max; "
-                 "suggestive only, not a proof of the growth condition")
-
-
-def lsv_condition_check(g: RateFunction, k_max: int, k0_max: int) -> RateGrowthReport:
-    """Scan the bounded-increment and uniform-gap conditions for the rate function."""
-    if not (k_max >= k0_max >= 1):
-        raise ValueError("need k_max >= k0_max >= 1")
-    vals = np.array([g(k) for k in range(1, k_max + 2)])
-    inc = float(np.abs(np.diff(vals)).max())
-    per = []
-    best = None
-    for k0 in range(1, k0_max + 1):
-        worst = math.inf
-        for j in range(1, k_max - k0 + 1):
-            diff = vals[j + k0 - 1:k_max] - vals[j - 1]
-            if len(diff):
-                worst = min(worst, float(diff.min()))
-        if worst is math.inf:
-            continue
-        per.append((k0, worst))
-        if best is None and worst > 0:
-            best = (k0, worst)
-    return RateGrowthReport(inc, tuple(per), best)

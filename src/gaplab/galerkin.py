@@ -202,14 +202,6 @@ class DirichletMoments:
         return v
 
 
-def sphere_moment(k: Sequence[int], N: int, omega=1) -> float:
-    return float(SphereMoments(N, omega).exact(k))
-
-
-def simplex_moment(k: Sequence[int], N: int, gamma, omega=1) -> float:
-    return float(DirichletMoments(N, gamma, omega).exact(k))
-
-
 def trig_moment(p: int, q: int) -> Fraction:
     """Average of cos^p sin^q over the uniform angle; zero unless both even."""
     if p < 0 or q < 0:
@@ -761,46 +753,6 @@ def k_operator_check(gamma, degree: int = 6) -> ConditionalOperatorReport:
         min_formula_value=formula, gram_condition=cond)
 
 
-# ---------------------------------------------------------------------------
-# small exact polynomial algebra, used for the closed-form eigen identity
-# ---------------------------------------------------------------------------
-
-def _poly_add(p: dict, q: dict, c=Fraction(1)) -> dict:
-    out = dict(p)
-    for k, v in q.items():
-        out[k] = out.get(k, Fraction(0)) + c * v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for k1, v1 in p.items():
-        for k2, v2 in q.items():
-            key = tuple(a + b for a, b in zip(k1, k2))
-            out[key] = out.get(key, Fraction(0)) + v1 * v2
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly_eliminate_last(p: dict, omega) -> dict:
-    """Substitute the last variable by omega minus the sum of the others."""
-    n_vars = len(next(iter(p)))
-    om = Fraction(omega)
-    base = {tuple([0] * n_vars): om}
-    for i in range(n_vars - 1):
-        mono = [0] * n_vars
-        mono[i] = 1
-        base[tuple(mono)] = Fraction(-1)
-    out: dict = {}
-    for k, v in p.items():
-        term = {k[:-1] + (0,): v}
-        for _ in range(k[-1]):
-            term = _poly_mul(term, base)
-        out = _poly_add(out, term)
-    return out
-
-
 @dataclass(frozen=True)
 class QuadraticIdentityReport:
     gamma: Fraction
@@ -812,31 +764,31 @@ class QuadraticIdentityReport:
 def quadratic_eigen_identity(gamma) -> QuadraticIdentityReport:
     """Verify the sum-of-squares eigenfunction on three sites at unit total.
 
-    Applies the pair averaging to f = sum eta_i^2, adds lambda f with
-    lambda = (1 + 3 gamma)/(3 (1 + 2 gamma)), eliminates the constraint and
-    reports the largest non-constant coefficient (exactly zero when the
-    closed form is right).  Also rechecks the conditional second moment
-    coefficient directly.
+    Applies the pair averaging to f = sum eta_i^2 and adds lambda f with
+    lambda = (1 + 3 gamma)/(3 (1 + 2 gamma)).  The result is a quadratic
+    form, constant on the simplex exactly when it is c (sum eta_i)^2, so the
+    report gives its largest coefficient deviation from that multiple
+    (exactly zero when the closed form is right).  Also rechecks the
+    conditional second moment coefficient directly.
     """
     g = Fraction(gamma)
     V = 3
-    f: dict = {}
-    for i in range(V):
-        k = [0] * V
-        k[i] = 2
-        f[tuple(k)] = Fraction(1)
     pairs = list(itertools.combinations(range(V), 2))
     action = lambda a, b: pair_average_action("gamma", a, b, gamma=g)
-    image: dict = {}
-    for k, v in f.items():
-        image = _poly_add(image, _pair_image(k, pairs, action, Fraction(1, V)), c=v)
     lam = (1 + 3 * g) / (3 * (1 + 2 * g))
-    resid_poly = _poly_add(image, f, c=lam)
-    reduced = _poly_eliminate_last(resid_poly, 1)
-    const_key = tuple([0] * V)
-    resid = max((abs(v) for k, v in reduced.items() if k != const_key), default=Fraction(0))
+    # L f + lambda f and (sum eta_i)^2, as {exponent tuple: coefficient}
+    resid: dict = {}
+    for i in range(V):
+        k = tuple(2 * (j == i) for j in range(V))
+        for key, c in _pair_image(k, pairs, action, Fraction(1, V)).items():
+            resid[key] = resid.get(key, 0) + c
+        resid[k] = resid.get(k, 0) + lam
+    square = Counter(tuple((l == i) + (l == j) for l in range(V))
+                     for i in range(V) for j in range(V))
+    c = resid.get((2,) + (0,) * (V - 1), 0)
+    dev = max(abs(resid.get(k, 0) - c * square[k]) for k in resid.keys() | square.keys())
     cond_resid = abs(beta_moment(2, 0, g) - (1 + g) / (2 * (1 + 2 * g)))
-    return QuadraticIdentityReport(g, lam, float(resid), float(cond_resid))
+    return QuadraticIdentityReport(g, lam, float(dev), float(cond_resid))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab.bounds import (CertificateRefused, canonical_path, caputo_bound,
-                           certificate, apply_transposition_word,
-                           lambda_s_scaling, lattice_constants_table,
-                           lemma_audit, local_gap_lower_bound,
-                           moving_particle_decomposition, path_census, sandwich,
+                           certificate, lemma_audit, local_gap_lower_bound,
+                           path_census, sandwich,
                            RULE_LATTICE, RULE_RECURSION, RULE_SANDWICH)
 from gaplab.discrete import (enumerate_states, exact_gap, pair_average_matrix,
                              stationary_weights)
@@ -76,46 +74,6 @@ class TestPathCensus:
         assert census.max_weighted <= d * N ** (d + 2)
 
 
-class TestMovingParticle:
-    def test_two_vertices(self):
-        assert moving_particle_decomposition([(1,), (2,)]) == [((1,), (2,))]
-
-    def test_word_length(self):
-        word = moving_particle_decomposition([(1,), (2,), (3,), (4,)])
-        assert len(word) == 5
-
-    def test_conjugation_identity(self):
-        word = moving_particle_decomposition([(1,), (2,), (3,)])
-        site_index = {(1,): 0, (2,): 1, (3,): 2}
-        for cfg in itertools.product(range(3), repeat=3):
-            direct = (cfg[2], cfg[1], cfg[0])
-            assert apply_transposition_word(word, cfg, site_index) == direct
-
-    def test_rejects_non_adjacent(self):
-        with pytest.raises(ValueError, match="nearest neighbors"):
-            moving_particle_decomposition([(1,), (3,)])
-
-    @given(d=st.integers(1, 2), N=st.integers(2, 3), omega=st.integers(1, 3),
-           data=st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_word_equals_direct_swap_on_states(self, d, N, omega, data):
-        graph = build_graph("lattice", d=d, N=N)
-        V = graph.n_sites
-        site_index = {v: i for i, v in enumerate(graph.vertices)}
-        a = data.draw(st.integers(0, V - 1))
-        b = data.draw(st.integers(0, V - 1))
-        if a == b:
-            return
-        path = canonical_path(graph.vertices[a], graph.vertices[b], d, N)
-        word = moving_particle_decomposition(path.vertices)
-        states = enumerate_states(V, omega)
-        for cfg in map(tuple, states.states):
-            out = apply_transposition_word(word, cfg, site_index)
-            direct = list(cfg)
-            direct[a], direct[b] = direct[b], direct[a]
-            assert out == tuple(direct)
-
-
 class TestLemmaAudit:
     def test_small_instance_passes(self):
         graph = build_graph("lattice", d=1, N=3)
@@ -128,13 +86,21 @@ class TestLemmaAudit:
         assert rep.observed_swap_constant <= 4.0 + 1e-9
         assert rep.max_ratio_path <= 1.0 + 1e-9
 
-    def test_constant_function_trivial(self):
+    @pytest.mark.parametrize("n_functions", [0, -3])
+    def test_no_functions_is_refused(self, n_functions):
+        # an audit of no functions checks nothing and must not read as a pass
         graph = build_graph("lattice", d=1, N=3)
         states = enumerate_states(3, 2)
         measure = stationary_weights(G_IDENTITY, states)
-        # zero random functions: nothing to check, vacuously clean
-        rep = lemma_audit(states, measure, graph, n_functions=0)
-        assert rep.checks_run == 0 and rep.passed
+        with pytest.raises(ValueError, match="at least one test function"):
+            lemma_audit(states, measure, graph, n_functions=n_functions)
+
+    def test_one_function_is_enough(self):
+        graph = build_graph("lattice", d=1, N=3)
+        states = enumerate_states(3, 2)
+        measure = stationary_weights(G_IDENTITY, states)
+        rep = lemma_audit(states, measure, graph, n_functions=1)
+        assert rep.checks_run > 0 and rep.passed
 
     def test_path_ratio_reads_sites_in_vertex_order(self):
         # recompute the canonical-path ratio from the public pieces: site i is
@@ -200,17 +166,6 @@ class TestLatticeConstants:
         assert local_gap_lower_bound(Fraction(1, 4), 1, 10) == Fraction(1, 38400)
         assert local_gap_lower_bound(Fraction(1, 4), 2, 10) == Fraction(1, 76800)
 
-    def test_constants_table(self):
-        table = lattice_constants_table(1, 10, lam2=Fraction(1, 2))
-        assert table["uniform_rotation_bound"] == Fraction(1, 38400)
-        assert table["two_site_bound"] == Fraction(1, 38400)
-        assert table["rule"] == RULE_LATTICE
-
-    def test_both_constants_kept_distinct(self):
-        t = lattice_constants_table(2, 4)
-        assert t["uniform_rotation_bound"] == Fraction(1, 384 * 2 * 16)
-        assert "two_site_bound" not in t
-
 
 class TestSandwich:
     def test_degenerate_collapse(self):
@@ -243,7 +198,26 @@ class TestSandwich:
             assert lo - 1e-9 <= lam <= hi + 1e-9
 
 
+def _grid_recursion_step(lam3):
+    """The recursion step as a minimum over N = 2..1024 and the large-N limit."""
+    return min([3 * lam3 - 1] + [caputo_bound(lam3, N) for N in range(2, 1025)])
+
+
 class TestCertificate:
+    def test_recursion_step_equals_the_grid_minimum(self):
+        lams = {Fraction(p, q) for q in range(2, 13) for p in range(q // 3 + 1, 2 * q)}
+        lams = sorted(lam for lam in lams if lam > Fraction(1, 3))
+        assert len(lams) > 50
+        for lam3 in lams:
+            got = certificate(lam3, Fraction(1), 1).value_of(RULE_RECURSION)
+            expect = _grid_recursion_step(lam3)
+            assert got == expect and type(got) is type(expect), lam3
+
+    def test_recursion_step_holds_for_every_size(self):
+        chain = certificate(Fraction(5, 12), Fraction(1, 2), 1)
+        assert "every N >= 2" in chain.steps[0].inequality
+        assert "grid" not in chain.inputs
+
     def test_rotation_chain(self):
         chain = certificate(Fraction(5, 12), Fraction(1, 2), 1)
         assert chain.value_of(RULE_RECURSION) == Fraction(1, 4)
@@ -276,26 +250,3 @@ class TestCertificate:
         assert doc["steps"][1]["value"]["fraction"] == "1/768"
         assert doc["interval"][1] == "inf"
         assert all("inequality" in s and s["inequality"] for s in doc["steps"])
-
-
-class TestRateScaling:
-    def test_constant_rate(self):
-        table = lambda_s_scaling(lambda s: 1.0, 0.5, [0.5, 1, 2, 5])
-        assert all(v == pytest.approx(0.5) for _, v in table.rows)
-        assert not table.degenerate_warning
-
-    def test_linear_rate_warns(self):
-        grid = np.linspace(0.1, 10, 25)
-        table = lambda_s_scaling(lambda s: s, 0.5, grid)
-        assert table.infimum == pytest.approx(0.1 * 0.5)
-        assert table.degenerate_warning
-
-    def test_quadratic_bounded_below_no_warning(self):
-        grid = np.linspace(0.1, 10, 25)
-        table = lambda_s_scaling(lambda s: 1 + s * s, 0.5, grid)
-        assert not table.degenerate_warning
-        assert table.infimum == pytest.approx((1 + 0.01) / 2 * 0.5)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="invalid rate"):
-            lambda_s_scaling(lambda s: s - 1.0, 0.5, [0.5, 2.0])

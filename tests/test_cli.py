@@ -5,7 +5,7 @@ import math
 import pytest
 
 from gaplab import reporting
-from gaplab.cli import main, _safe_expression
+from gaplab.cli import main, _omega_range, _safe_expression
 
 
 def run_json(args, tmp_path, name="out.json"):
@@ -175,6 +175,16 @@ class TestGapCommands:
         assert main(argv) == 1
         assert hint in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, totals", [
+        ("3", [3]), ("1:4", [1, 2, 3, 4]), ("3:3", [3]), ("1,3,5", [1, 3, 5]),
+    ])
+    def test_range_of_totals(self, text, totals):
+        assert _omega_range(text) == totals
+
+    def test_empty_range_of_totals_is_refused(self, capsys):
+        assert main(["gap-exact", "--model", "zero-range", "--omega", "5:3"]) == 1
+        assert "5 > 3" in capsys.readouterr().err
+
     def test_mc_refuses_a_range_of_totals(self, capsys):
         assert main(["gap-mc", "--model", "zero-range", "--omega", "1:3"]) == 1
         assert "one total" in capsys.readouterr().err
@@ -243,6 +253,10 @@ class TestOtherCommands:
         assert code == 0
         assert doc["results"][0]["violations"] == 0
 
+    def test_audit_of_no_functions_is_refused(self, capsys):
+        assert main(["audit", "--functions", "0"]) == 1
+        assert "at least one test function" in capsys.readouterr().err
+
     def test_verify_subset(self, capsys):
         code = main(["verify-all", "--only", "caputo-identity", "certificate-chain"])
         out = capsys.readouterr().out
@@ -289,6 +303,36 @@ class TestDensityExpressions:
         assert code == 0
         # a legitimate sector value: positive, and at most the uniform walk's gap
         assert 0 < doc["results"][0]["gap"] <= 5 / 12 + 1e-9
+
+
+class TestInvalidDensities:
+    """A --rho that is not a probability density exits 1 naming the failed checks."""
+
+    @pytest.mark.parametrize("density, failed", [
+        ("cos(theta)", "density nonnegative"),
+        ("2", "normalization rho_hat(0) = 1"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["two-site", "--model", "kac-rho"],
+        ["gap-mc", "--model", "kac-rho", "--N", "3", "--observable", "site-0",
+         "--samples", "300"],
+    ])
+    def test_invalid_density_is_refused(self, command, density, failed, capsys):
+        assert main(command + ["--rho", f"density:{density}"]) == 1
+        err = capsys.readouterr().err
+        assert "not a probability density" in err
+        assert f"[FAIL] {failed}" in err
+
+    @pytest.mark.parametrize("command", [
+        ["two-site", "--model", "kac-rho"],
+        ["gap-mc", "--model", "kac-rho", "--N", "3", "--observable", "site-0",
+         "--samples", "300"],
+    ])
+    def test_invalid_fourier_data_is_refused(self, command, tmp_path, capsys):
+        f = tmp_path / "rho.coeffs"
+        f.write_text("1.0\n1.5\n")
+        assert main(command + ["--rho", f"fourier:{f}"]) == 1
+        assert "[FAIL] coefficient bound" in capsys.readouterr().err
 
 
 class TestFileInputs:

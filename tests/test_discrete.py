@@ -15,8 +15,7 @@ from gaplab.discrete import (TooLargeError, build_generator,
                              build_zero_range_generator, enumerate_states,
                              estimated_nnz, exact_gap, exchange_permutation,
                              gap_and_kappa, gap_eigenfunction, kernel_matrix,
-                             kernel_spectrum_extremes, lsv_condition_check,
-                             apply_exchange, pair_average_matrix, rank_states,
+                             kernel_spectrum_extremes, pair_average_matrix, rank_states,
                              spectral_gap, stationary_weights, two_site_spectrum)
 from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, ModelSpec, RateFunction,
                            build_graph, pair_law, rate_from_table)
@@ -55,7 +54,15 @@ class TestEnumerateStates:
         perm = exchange_permutation(s, x, y)
         assert np.array_equal(perm[perm], np.arange(n))
         for i in range(n):
-            assert perm[i] == s.index[apply_exchange(tuple(s.states[i]), x + 1, y + 1)]
+            swapped = list(s.states[i])
+            swapped[x], swapped[y] = swapped[y], swapped[x]
+            assert perm[i] == s.index[tuple(swapped)]
+
+    def test_exchange_of_a_named_state(self):
+        s = enumerate_states(3, 3)
+        perm = exchange_permutation(s, 0, 2)
+        assert perm[s.index[(2, 0, 1)]] == s.index[(1, 0, 2)]
+        assert perm[s.index[(1, 1, 1)]] == s.index[(1, 1, 1)]
 
     def test_rank_rejects_foreign_configurations(self):
         s = enumerate_states(3, 2)
@@ -100,22 +107,6 @@ class TestStationaryWeights:
         s = enumerate_states(2, 60)
         m = stationary_weights(g, s)
         assert np.isfinite(m.weights).all()
-
-
-class TestApplyExchange:
-    def test_swap(self):
-        assert apply_exchange((2, 0, 1), 1, 3) == (1, 0, 2)
-
-    def test_identity_convention(self):
-        assert apply_exchange((2, 0, 1), 2, 2) == (2, 0, 1)
-
-    @given(st.lists(st.integers(0, 5), min_size=2, max_size=6),
-           st.data())
-    def test_involution(self, cfg, data):
-        x = data.draw(st.integers(1, len(cfg)))
-        y = data.draw(st.integers(1, len(cfg)))
-        once = apply_exchange(cfg, x, y)
-        assert apply_exchange(once, x, y) == tuple(cfg)
 
 
 def _oracle_simple_average(V, omega, g):
@@ -501,31 +492,6 @@ class TestKernelExtremes:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             kernel_spectrum_extremes(G1, 1)
-
-
-class TestRateGrowthScan:
-    def test_linear(self):
-        rep = lsv_condition_check(GK, 1000, 5)
-        assert rep.increment_sup == pytest.approx(1.0)
-        assert rep.best == (1, pytest.approx(1.0))
-
-    def test_constant_fails(self):
-        rep = lsv_condition_check(G1, 200, 5)
-        assert rep.best is None
-        assert all(c == 0.0 for _, c in rep.per_k0)
-
-    def test_oscillating(self):
-        # oracle: g(k+j) - g(k) = j + 2 sin(j/2) cos(k + j/2), so the scanned
-        # minimum approaches j - 2 sin(j/2) from above
-        g = RateFunction("wavy", lambda k: k + math.sin(k))
-        rep = lsv_condition_check(g, 500, 4)
-        assert rep.increment_sup <= 3.0
-        assert rep.best is not None
-        k0, c = rep.best
-        assert k0 == 1
-        assert 1 - 2 * math.sin(0.5) - 1e-9 <= c <= 1.0
-        table = dict(rep.per_k0)
-        assert table[2] >= 2 - 2 * math.sin(1.0) - 1e-9
 
 
 class TestIterativeEigenPath:

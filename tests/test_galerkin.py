@@ -14,8 +14,7 @@ from gaplab.galerkin import (DirichletMoments, MultiIndexBasis, SphereMoments,
                              galerkin_eigensystem, galerkin_gap, k_operator_check,
                              pair_average_action, quadratic_eigen_identity,
                              rho_pair_action, rho_trig_moment, sector_polynomial,
-                             simplex_moment, sphere_moment, trig_moment,
-                             two_site_fourier_gap)
+                             trig_moment, two_site_fourier_gap)
 from gaplab.models import RhoSpec, build_graph
 
 COSINE_RHO = RhoSpec(coefficients=[1.0, 0.5], exact_tail_zero=True, name="cosine")
@@ -64,13 +63,13 @@ class TestTrigMoments:
 
 class TestSphereMoments:
     def test_examples(self):
-        assert sphere_moment((2, 0, 0), 3) == pytest.approx(1 / 3)
-        assert sphere_moment((4,) , 3) == pytest.approx(1 / 5)
-        assert sphere_moment((1, 1), 5) == 0.0
+        assert SphereMoments(3).exact((2, 0, 0)) == pytest.approx(1 / 3)
+        assert SphereMoments(3).exact((4,)) == pytest.approx(1 / 5)
+        assert SphereMoments(5).exact((1, 1)) == 0.0
 
     def test_scaling_in_total(self):
-        assert sphere_moment((2, 2), 4, omega=3) == pytest.approx(
-            9 * sphere_moment((2, 2), 4))
+        assert SphereMoments(4, 3).exact((2, 2)) == pytest.approx(
+            9 * SphereMoments(4).exact((2, 2)))
 
     @pytest.mark.slow
     def test_monte_carlo_cross_check(self):
@@ -83,15 +82,15 @@ class TestSphereMoments:
             x /= np.linalg.norm(x, axis=1, keepdims=True)
             vals = np.prod(x ** k[None, :], axis=1)
             mc, se = vals.mean(), vals.std() / math.sqrt(n)
-            expect = sphere_moment(tuple(int(v) for v in k), N)
+            expect = float(SphereMoments(N).exact(tuple(int(v) for v in k)))
             assert abs(mc - expect) < 4 * se + 1e-12
 
 
 class TestSimplexMoments:
     def test_examples(self):
-        assert simplex_moment((1, 0, 0), 3, 1) == pytest.approx(1 / 3)
-        assert simplex_moment((2, 0, 0), 3, 1) == pytest.approx(1 / 6)
-        assert simplex_moment((2, 0, 0), 3, 1, omega=2) == pytest.approx(4 / 6)
+        assert DirichletMoments(3, 1).exact((1, 0, 0)) == pytest.approx(1 / 3)
+        assert DirichletMoments(3, 1).exact((2, 0, 0)) == pytest.approx(1 / 6)
+        assert DirichletMoments(3, 1, 2).exact((2, 0, 0)) == pytest.approx(4 / 6)
 
     @pytest.mark.slow
     def test_monte_carlo_cross_check(self):
@@ -104,7 +103,7 @@ class TestSimplexMoments:
             x = rng.dirichlet([gamma] * N, size=n)
             vals = np.prod(x ** k[None, :], axis=1)
             mc, se = vals.mean(), vals.std() / math.sqrt(n)
-            expect = simplex_moment(tuple(int(v) for v in k), N, Fraction(gamma))
+            expect = float(DirichletMoments(N, Fraction(gamma)).exact(tuple(int(v) for v in k)))
             assert abs(mc - expect) < 4 * se + 1e-12
 
 
@@ -568,6 +567,14 @@ class TestQuadraticIdentity:
         assert rep.eigenvalue == lam
         assert rep.max_residual < 1e-12
         assert rep.conditional_residual < 1e-12
+
+    @pytest.mark.parametrize("gamma", [Fraction(1, 2), Fraction(1), Fraction(2)])
+    def test_wrong_pair_law_is_detected(self, gamma, monkeypatch):
+        # averaging with Beta shape gamma + 1 breaks the identity for gamma
+        exact = galerkin.pair_average_action
+        monkeypatch.setattr(galerkin, "pair_average_action",
+                            lambda model, a, b, gamma: exact(model, a, b, gamma=gamma + 1))
+        assert quadratic_eigen_identity(gamma).max_residual > 1e-3
 
 
 class TestTwoSiteFourier:
