@@ -24,14 +24,16 @@ from .models import (MODEL_IDS, RhoSpec, build_graph, model_from_id,
 
 def _omega_range(text: str) -> list:
     """'3' -> [3]; '1:8' -> [1..8]; '1,3,5' -> [1, 3, 5]."""
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return [int(v) for v in text.split(",")]
         lo, hi = (int(v) for v in text.split(":"))
-        if lo > hi:
-            raise ValueError(f"empty range of totals --omega {text}: {lo} > {hi}")
-        return list(range(lo, hi + 1))
-    if "," in text:
-        return [int(v) for v in text.split(",")]
-    return [int(text)]
+    except ValueError:
+        raise ValueError(f"malformed --omega {text!r}: expected an integer total N, "
+                         "a range LO:HI or a list A,B,C") from None
+    if lo > hi:
+        raise ValueError(f"empty range of totals --omega {text}: {lo} > {hi}")
+    return list(range(lo, hi + 1))
 
 
 def _data_lines(path: str):

@@ -7,18 +7,19 @@ conditional-average generators are assembled directly as CSR matrices and
 symmetrized in sparse form; no n-by-n dense array is allocated except by an
 explicit `spectrum()` or `toarray()`.  One solve serves all spectral entry
 points: LAPACK `eigh` up to 400 states, ARPACK `eigsh` (implicitly restarted
-Lanczos) on the sparse symmetrized generator above, with the zero-mode
-multiplicity taken from the connected components of the generator's pattern
-and the eigenpair residual recorded on the generator.
+Lanczos) above, for one eigenvalue of the sparse symmetrized generator with
+its known zero modes (sqrt(pi) on each connected component of the
+generator's pattern) shifted to the bottom of the spectrum.  The eigenpair
+residual is recorded on the generator.
 
 Before enumerating, `exact_gap` and `build_generator` estimate the stored
 entries (zero-range n(1 + 2|E|), simple-average n + |E| n (1 + 2 omega / V))
 and the bytes they need, and raise `TooLargeError` when that exceeds the
 machine's physical memory.  Measured reach on a 2-core, 7.8 GB machine
-(scripts/reach.py, recorded in BENCH_2.json): zero-range with linear rates
-on K4 at 50,116 states solves in under 1 s with 112 MB peak RSS, and at
-508,080 states (6.5M stored entries) in 18-24 s with 540 MB, where one
-dense float64 n-by-n matrix alone would take 20 GB and 2 TB.
+(scripts/reach.py, recorded in BENCH_12.json): zero-range with linear rates
+on K4 at 50,116 states solves gap and kappa in under 0.5 s with 112 MB peak
+RSS, and at 508,080 states (6.5M stored entries) in 12-13 s with 540 MB, where
+one dense float64 n-by-n matrix alone would take 20 GB and 2 TB.
 
 Also hosts the one-dimensional conditional kernel matrices used for the
 three-site reduction of the zero-range family; their rows are the integer
@@ -166,9 +167,9 @@ def stationary_weights(g: RateFunction, states: StateSet) -> Measure:
 class SolveReport:
     """How the last spectral solve of a generator was computed."""
 
-    solver: str          # "dense" (LAPACK eigh) or "eigsh" (ARPACK Lanczos)
+    solver: str          # "dense" (LAPACK eigh) or "eigsh" (ARPACK Lanczos, zero modes shifted out)
     nnz: int             # stored entries of L
-    residual: float      # max ||S v - lambda v|| over the eigenpairs used
+    residual: float      # max ||S v - lambda v|| over the zero modes, the gap pair and the kappa pair
     zero_modes: int      # connected components of L's pattern
 
 
@@ -371,20 +372,29 @@ def build_generator(model: ModelSpec, graph: InteractionGraph, states: StateSet)
 def _solve(gen: GeneratorMatrix, want_kappa: bool):
     """(gap, top eigenvalue, gap eigenvector) of -S; records `gen.solve_report`.
 
-    The zero eigenvalue has one mode per connected component of L's pattern,
-    so the gap is the (components + 1)-th eigenvalue of -S from the bottom.
-    The top eigenvalue is computed only when `want_kappa` or when it is free.
+    The zero eigenvalue has one mode per connected component of L's pattern:
+    q_i, the normalized sqrt(pi) on component i.  Up to 400 states LAPACK
+    returns every eigenvalue and the gap is the (components + 1)-th of -S from
+    the bottom.  Above, the zero modes are shifted out rather than searched
+    for: ARPACK gets S - c Q Q^T with c = 2 max|diag S|, the Gershgorin bound
+    on -S's spectrum, so the q_i sit at -c, below everything else, and one
+    eigenvalue at the top is -gap, the top of S on the complement of Q.  Q is
+    applied through the component labels, never stored as an n-by-z array.
+    The top eigenvalue of -S is computed only when `want_kappa` or when it is
+    free.  Raises `ArithmeticError` when a q_i is not null, when S has a
+    positive eigenvalue, or when a further zero mode turns up.
     """
     # imported here, not with the module: csgraph adds ~1 MB and its import
     # time to every process that imports gaplab, most of which never solve
     from scipy.sparse.csgraph import connected_components
 
     n = gen.dim
-    zero_modes = connected_components(gen.L, directed=False)[0]
+    zero_modes, labels = connected_components(gen.L, directed=False)
     if zero_modes >= n:
         gen.solve_report = SolveReport("dense", gen.L.nnz, 0.0, zero_modes)
         return math.inf, math.inf, None
     S = gen.symmetrized()
+    null = 0.0
     if n <= 400:
         solver = "dense"
         ev, U = np.linalg.eigh(-S.toarray())
@@ -393,17 +403,29 @@ def _solve(gen: GeneratorMatrix, want_kappa: bool):
         top, gap, kappa, v = -ev[0], ev[zero_modes], ev[-1], U[:, zero_modes]
     else:
         solver = "eigsh"
-        # a fixed generic start vector: reproducible, and never the zero mode
+        q = np.sqrt(gen.measure.weights)
+        q /= np.sqrt(np.bincount(labels, q * q))[labels]
+        null = float(np.sqrt(np.bincount(labels, (S @ q) ** 2)).max())   # max ||S q_i||
+        c = 2.0 * np.abs(S.diagonal()).max()
+
+        def along_q(x):   # Q Q^T x
+            return q * np.bincount(labels, q * x)[labels]
+
+        op = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=lambda x: S @ x - c * along_q(x), dtype=float)
+        # a fixed generic start vector: reproducible, and off the zero modes
         v0 = np.random.default_rng(0).standard_normal(n)
-        lam, vec = scipy.sparse.linalg.eigsh(S, k=zero_modes + 1, which="LA", v0=v0, tol=1e-11)
-        low = int(np.argmin(lam))
-        top, gap, kappa, v = lam.max(), -lam[low], math.inf, vec[:, low]
+        lam, vec = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0 - along_q(v0), tol=1e-11)
+        top, gap, kappa, v = lam[0], -lam[0], math.inf, vec[:, 0]
         if want_kappa:
             bottom, bottom_vec = scipy.sparse.linalg.eigsh(S, k=1, which="SA", v0=v0, tol=1e-11)
             kappa = -bottom[0]
             lam, vec = np.concatenate([lam, bottom]), np.hstack([vec, bottom_vec])
-    residual = float(np.linalg.norm(S @ vec - vec * lam, axis=0).max())
+    residual = max(null, float(np.linalg.norm(S @ vec - vec * lam, axis=0).max()))
     gen.solve_report = SolveReport(solver, gen.L.nnz, residual, zero_modes)
+    if null > ZERO_TOL:
+        raise ArithmeticError(
+            f"sqrt(pi) on a connected component is not a zero mode: ||S q|| = {null:.3e}")
     if top > -PSD_TOL:
         raise ArithmeticError(
             f"generator is not negative semidefinite: max eigenvalue {top:.3e}")

@@ -393,6 +393,8 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
     each sampled frame.  `event_callback(t, edge, before, after)` fires on
     every jump.  Returns the summary and the sample dict (or None).
     """
+    if sample_dt is not None and not (math.isfinite(sample_dt) and sample_dt > 0):
+        raise ValueError(f"sampling stride must be finite and > 0, got {sample_dt}")
     dyn = _Dynamics(model, graph)
     cfg = np.array(config0, dtype=np.int64 if dyn.is_int else float)
     target = dyn.conserved(cfg)
@@ -473,6 +475,8 @@ def sample_series(model: ModelSpec, graph: InteractionGraph, config0,
 
     `stream_writer` receives every sampled frame, burn-in included.
     """
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
     horizon = burn_in + dt * (n_samples + 1)
     _, samples = simulate(model, graph, config0, horizon, seed=seed,
                           sample_dt=dt, observables={"f": observable},

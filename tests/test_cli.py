@@ -189,6 +189,25 @@ class TestGapCommands:
         assert main(["gap-mc", "--model", "zero-range", "--omega", "1:3"]) == 1
         assert "one total" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1:3:5", "1:", "a:b", "1,,3", "x"])
+    def test_malformed_totals_name_the_accepted_forms(self, text, capsys):
+        assert main(["gap-exact", "--model", "zero-range", "--omega", text]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed --omega")
+        assert "N" in err and "LO:HI" in err and "A,B,C" in err
+
+    @pytest.mark.parametrize("argv, hint", [
+        (["--dt", "0"], "finite and > 0"),
+        (["--dt", "-1"], "finite and > 0"),
+        (["--dt", "nan"], "finite and > 0"),
+        (["--samples", "0"], "at least one sample"),
+    ])
+    def test_mc_refuses_an_empty_sampling_grid(self, argv, hint, capsys):
+        assert main(["gap-mc", "--model", "zero-range", "--N", "3", "--omega", "3",
+                     *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and hint in err
+
 
 class TestOtherCommands:
     def test_graph(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.stats
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -280,6 +281,9 @@ class TestSparseSolve:
         Lf = gen.L @ f
         assert np.abs(Lf + lam * f).max() < 1e-8
         assert w @ (f * f) == pytest.approx(1.0, abs=1e-10)
+        assert abs(w @ f) < 1e-10
+        # the residual covers the zero mode sqrt(pi), which eigsh never sees
+        assert np.linalg.norm(gen.symmetrized() @ np.sqrt(w)) <= report.residual * (1 + 1e-9)
 
     def test_small_instances_solve_dense(self):
         graph = build_graph("complete", N=3)
@@ -296,12 +300,35 @@ class TestSparseSolve:
         gen = build_zero_range_generator(_two_pairs(), states, GK)
         gap, kappa = gap_and_kappa(gen)
         assert gen.solve_report.zero_modes == omega + 1
+        assert gen.solve_report.solver == ("dense" if omega == 3 else "eigsh")
         assert gap == pytest.approx(1.0, abs=1e-9)
         assert spectral_gap(gen) == pytest.approx(1.0, abs=1e-9)
         lam, f = gap_eigenfunction(gen)
         assert lam == pytest.approx(1.0, abs=1e-9)
         assert np.abs(gen.L @ f + lam * f).max() < 1e-8
         assert kappa == pytest.approx(float(omega), abs=1e-8)
+        # f has pi-mean 0 on every component, not only overall
+        _, labels = connected_components(gen.L, directed=False)
+        w = gen.measure.weights
+        assert np.abs(np.bincount(labels, w * f)).max() < 1e-10
+
+    @pytest.mark.parametrize("shift", [1e-9, 1e-3])
+    def test_zero_mode_off_null(self, shift):
+        # L - shift * I moves every eigenvalue, sqrt(pi)'s too: S sqrt(pi) =
+        # -shift sqrt(pi).  Below the zero tolerance that shows as the residual;
+        # above it the solve refuses instead of reporting gap + shift
+        graph = build_graph("complete", N=4)
+        gen = build_generator(ModelSpec("zero-range", g=GK), graph, enumerate_states(4, 14))
+        assert gen.dim == 680
+        gen.L = (gen.L - shift * scipy.sparse.identity(gen.dim, format="csr")).tocsr()
+        if shift < discrete.ZERO_TOL:
+            gap, _ = gap_and_kappa(gen)
+            assert gen.solve_report.solver == "eigsh"
+            assert gap == pytest.approx(1.0 + shift, abs=1e-10)
+            assert gen.solve_report.residual >= shift * (1 - 1e-6)
+        else:
+            with pytest.raises(ArithmeticError, match="not a zero mode"):
+                spectral_gap(gen)
 
     def test_preflight_refuses_before_enumerating(self, monkeypatch):
         model = ModelSpec("simple-average", g=GK)

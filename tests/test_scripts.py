@@ -18,6 +18,10 @@ def test_reach():
     rows = _rows("reach.py", "--omegas", "3")
     assert [r["case"] for r in rows] == ["zero-range/identity/K4/om3"]
     assert rows[0]["n"] == 20 and abs(rows[0]["gap"] - 1.0) < 1e-12
+    assert rows[0]["zero_modes"] == 1
+    rows = _rows("reach.py", "--omegas", "3", "--g", "constant-one")
+    assert [r["case"] for r in rows] == ["zero-range/constant-one/K4/om3"]
+    assert rows[0]["zero_modes"] == 1 and rows[0]["gap"] < 1.0
 
 
 def test_sector_reach():
