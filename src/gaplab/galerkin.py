@@ -674,7 +674,11 @@ def galerkin_gap(pair: GalerkinPair) -> float:
 
 
 def sector_polynomial(report: GalerkinGapReport):
-    """Gap eigenfunction as a callable on configuration vectors."""
+    """Gap eigenfunction as a callable on configuration vectors.
+
+    `f.stack(X)` evaluates it on each row of an (M, V) array in one numpy
+    pass, from integer powers; it agrees with f row by row up to rounding.
+    """
     terms = []
     for c, element in zip(report.gap_coefficients, report.basis.elements):
         if abs(c) < 1e-12:
@@ -683,11 +687,27 @@ def sector_polynomial(report: GalerkinGapReport):
             terms.append((float(c), np.array(k, dtype=float)))
     exps = np.array([k for _, k in terms])
     coefs = np.array([c for c, _ in terms])
+    degree = int(exps.max())
+    # row v * (degree + 1) + k of the power table holds x_v ** k
+    table_rows = (np.arange(exps.shape[1])[:, None] * (degree + 1) + exps.T).astype(np.intp)
 
     def f(x):
         x = np.asarray(x, dtype=float)
         return float(coefs @ np.prod(x[None, :] ** exps, axis=1))
 
+    def stack(X):
+        X = np.asarray(X, dtype=float).T
+        powers = np.empty((X.shape[0], degree + 1, X.shape[1]))
+        powers[:, 0] = 1.0
+        for k in range(1, degree + 1):
+            np.multiply(powers[:, k - 1], X, out=powers[:, k])
+        table = powers.reshape(-1, X.shape[1])
+        monomials = table[table_rows[0]]
+        for r in table_rows[1:]:
+            monomials *= table[r]
+        return coefs @ monomials
+
+    f.stack = stack
     return f
 
 

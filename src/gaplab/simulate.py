@@ -511,11 +511,18 @@ class NoDecayError(RuntimeError):
 
 
 def _autocovariance(x: np.ndarray) -> np.ndarray:
+    """Autocovariance at lags 0..L - 1 with L = min(n, MAX_FIT_LAG + 1), the
+    lags the decay fit reads.
+
+    Zero-padding to a power of two m >= n + L keeps the circular wrap of the
+    FFT off every returned lag, so they equal the full autocovariance's.
+    """
     n = len(x)
+    lags = min(n, MAX_FIT_LAG + 1)
     xc = x - x.mean()
-    m = 1 << (2 * n - 1).bit_length()
+    m = 1 << (n + lags - 1).bit_length()
     f = np.fft.rfft(xc, m)
-    return np.fft.irfft(f * np.conj(f))[:n] / n
+    return np.fft.irfft(f * np.conj(f), m)[:lags] / n
 
 
 def _window_lags(ratio: np.ndarray, window: tuple) -> np.ndarray:
@@ -616,8 +623,22 @@ def autocorr_gap_estimate(model: ModelSpec, graph: InteractionGraph,
 
 
 def _local_dirichlet(dyn: _Dynamics, cfg: np.ndarray, f: Callable) -> float:
-    """Pointwise carre-du-champ: expected squared jump of f per unit time, halved."""
+    """Pointwise carre-du-champ: expected squared jump of f per unit time, halved.
+
+    An observable with a `stack` attribute, which evaluates f on each row of
+    an (M, V) array, is evaluated once on each pair's stack of outcomes, and
+    f(cfg) comes from the same evaluator.  Any other is called per outcome.
+    """
     total = 0.0
+    stack = getattr(f, "stack", None)
+    if stack is not None:
+        f0 = stack(cfg[None, :])[0]
+        for (x, y) in dyn.edges:
+            rate, weights, xs, ys = dyn.outcomes(cfg, x, y)
+            t = np.repeat(cfg[None, :], len(weights), axis=0)
+            t[:, x], t[:, y] = xs, ys
+            total += rate * 0.5 * float(np.dot(weights, (stack(t) - f0) ** 2))
+        return total
     f0 = f(cfg)
     t = cfg.copy()
     for (x, y) in dyn.edges:
@@ -638,13 +659,19 @@ def rayleigh_upper_bound(model: ModelSpec, graph: InteractionGraph,
     """Ratio of the trajectory-averaged quadratic form to the variance of f.
 
     Consistent for the Rayleigh quotient, hence an upper bound on the gap up
-    to statistical error; the interval comes from batch-mean linearization.
+    to statistical error; the interval comes from batch-mean linearization
+    over `N_BATCHES` batches, so `n_samples` must be at least that.
     """
+    if n_samples < N_BATCHES:
+        raise ValueError(f"the batch-mean interval needs at least {N_BATCHES} samples, "
+                         f"got {n_samples}")
     cfg = initial_config(model, graph, omega, seed=seed)
     if burn_in is None:
         burn_in = 40.0 * dt
     dyn = _Dynamics(model, graph)
 
+    # wraps() copies the observable's attributes, its `stack` evaluator included
+    @functools.wraps(observable)
     def probe(c):
         return float(observable(c))
 

@@ -433,6 +433,22 @@ class TestSymmetricSector:
         assert abs(ratio) > 1e-6
         assert np.abs(a - ratio * b).max() < 1e-8 * np.abs(a).max()
 
+    @pytest.mark.parametrize("mode", ["full", "symmetric"])
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_stack_matches_rows(self, N, mode):
+        f = sector_polynomial(galerkin_eigensystem(assemble_galerkin(
+            "kac-uniform", build_graph("complete", N=N), degree=4, mode=mode)))
+        rng = np.random.default_rng(N)
+        x = rng.standard_normal((200, N))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        rows = np.array([f(p) for p in x])
+        got = f.stack(x)
+        assert got.shape == (200,)
+        # relative to the stack's largest value: near a zero of f the two
+        # summation orders leave the same absolute rounding
+        assert np.abs(got - rows).max() <= 1e-14 * np.abs(rows).max()
+        assert f.stack(x[:1])[0] == pytest.approx(rows[0], rel=1e-14, abs=1e-14)
+
     def test_closure_violation_raises(self, monkeypatch):
         def leaky(model, a, b, gamma=None):
             return {(a + b, 1): Fraction(1)}       # raises the total degree

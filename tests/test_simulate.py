@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -7,13 +8,14 @@ import scipy.special
 
 from gaplab.discrete import (build_generator, enumerate_states, gap_eigenfunction,
                              stationary_weights)
-from gaplab.galerkin import pair_average_action, rho_pair_action
+from gaplab.galerkin import (assemble_galerkin, galerkin_eigensystem, pair_average_action,
+                             rho_pair_action, sector_polynomial)
 from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, RHO_QUADRATURE_NODES,
                            GammaExchangeSpec, ModelSpec, RhoSpec, build_graph, pair_law)
 from gaplab.reporting import SampleStreamWriter, read_sample_stream
-from gaplab.simulate import (MAX_FIT_LAG, NoDecayError, _angle_sampler, _autocovariance,
-                             _Dynamics, _fit_decay_rate, _local_dirichlet, _pick_edge,
-                             _window_lags, autocorr_gap_estimate, initial_config,
+from gaplab.simulate import (MAX_FIT_LAG, N_BATCHES, NoDecayError, _angle_sampler,
+                             _autocovariance, _Dynamics, _fit_decay_rate, _local_dirichlet,
+                             _pick_edge, _window_lags, autocorr_gap_estimate, initial_config,
                              rayleigh_upper_bound, rng_for, simulate)
 
 ZR_LINEAR = ModelSpec("zero-range", g=G_IDENTITY)
@@ -29,6 +31,11 @@ def _table_observable(model, graph, omega):
     gen = build_generator(model, graph, states)
     gap, table = gap_eigenfunction(gen)
     return gap, (lambda cfg: table[states.index[tuple(int(v) for v in cfg)]])
+
+
+def _kac_k3_polynomial():
+    """The degree-4 gap eigenfunction of the Kac walk on K3, with its stack evaluator."""
+    return sector_polynomial(galerkin_eigensystem(assemble_galerkin("kac-uniform", K3, degree=4)))
 
 
 class TestConservation:
@@ -70,8 +77,6 @@ class TestLongRunInvariants:
     def test_rotation_gap_interval_half_width(self):
         # long-budget run: interval covers the sector gap with half-width
         # at most 15 percent of it
-        from gaplab.galerkin import (assemble_galerkin, galerkin_eigensystem,
-                                     sector_polynomial)
         pair = assemble_galerkin("kac-uniform", K3, degree=4)
         rep = galerkin_eigensystem(pair)
         f = sector_polynomial(rep)
@@ -369,6 +374,41 @@ class TestIncrementalRates:
                     assert got == pytest.approx(want, rel=1e-15, abs=0.0)
                 else:
                     assert got == want
+
+    @pytest.mark.parametrize("name", ["kac-uniform", "kac-rho", "gamma-exchange"])
+    def test_carre_du_champ_of_sector_polynomial(self, name):
+        # the polynomial's stack evaluator against the reference's scalar calls
+        model = ORACLE_MODELS[name]
+        dyn = _Dynamics(model, K3)
+        f = _kac_k3_polynomial()
+        for seed in (0, 1, 2):
+            cfg = initial_config(model, K3, 1.5, seed=seed)
+            later, _ = simulate(model, K3, cfg, 10.0, seed=seed)
+            for c in (cfg, later.final_config):
+                want = _ref_local_dirichlet(model, K3, c, f)
+                assert want > 0.0
+                assert _local_dirichlet(dyn, c, f) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_wrapped_sector_polynomial_keeps_stack_path(self):
+        f = _kac_k3_polynomial()
+        calls = []
+
+        @functools.wraps(f)
+        def wrapped(c):
+            calls.append(1)
+            return f(c)
+
+        def plain(c):
+            calls.append(1)
+            return f(c)
+
+        dyn = _Dynamics(KAC, K3)
+        cfg = initial_config(KAC, K3, 1.0, seed=4)
+        assert _local_dirichlet(dyn, cfg, wrapped) == _local_dirichlet(dyn, cfg, f)
+        assert not calls
+        # without the stack attribute the quadrature calls f per outcome
+        _local_dirichlet(dyn, cfg, plain)
+        assert len(calls) == 1 + 3 * 64
 
     @pytest.mark.parametrize("model", [ZR_LINEAR, GAMMA_LAMBDA],
                              ids=["zero-range", "gamma-exchange-lambda"])
@@ -700,6 +740,26 @@ class TestWindowLags:
         assert _fit_decay_rate(x, 1.0) == pytest.approx(-math.log(0.97), rel=0.3)
 
 
+def _full_autocovariance(x):
+    """Every lag of the autocovariance, from an FFT padded past 2n - 1."""
+    n = len(x)
+    xc = x - x.mean()
+    m = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(xc, m)
+    return np.fft.irfft(f * np.conj(f))[:n] / n
+
+
+class TestAutocovariance:
+    @pytest.mark.parametrize("n", [1, 2, 400, 401, 402, 5000, 25000])
+    def test_matches_full_autocovariance(self, n):
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.standard_normal(n)) * 0.05 + rng.standard_normal(n)
+        c = _autocovariance(x)
+        full = _full_autocovariance(x)
+        assert len(c) == min(n, MAX_FIT_LAG + 1)
+        assert np.abs(c - full[:len(c)]).max() <= 1e-12 * full[0]
+
+
 class TestRayleigh:
     def test_exact_eigenfunction_tight(self):
         est = rayleigh_upper_bound(GAMMA_AVG, K3, lambda x: float(np.dot(x, x)),
@@ -718,6 +778,31 @@ class TestRayleigh:
         with pytest.raises(ValueError, match="degenerate"):
             rayleigh_upper_bound(ZR_LINEAR, K3, lambda c: 3.14, omega=2,
                                  dt=0.3, n_samples=400, seed=0)
+
+    @pytest.mark.parametrize("n_samples", [5, 19])
+    def test_fewer_samples_than_batches(self, n_samples, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before checking the sample count")
+        monkeypatch.setattr("gaplab.simulate.simulate", no_run)
+        with pytest.raises(ValueError, match=f"at least {N_BATCHES} samples"):
+            rayleigh_upper_bound(ZR_LINEAR, K3, lambda c: float(c[0]), omega=3,
+                                 dt=0.3, n_samples=n_samples, seed=0)
+
+    def test_sector_polynomial_quadrature_takes_stack_path(self):
+        f = _kac_k3_polynomial()
+        calls = []
+
+        @functools.wraps(f)
+        def counted(c):
+            calls.append(1)
+            return f(c)
+
+        est = rayleigh_upper_bound(KAC, K3, counted, omega=1.0, dt=0.6,
+                                   n_samples=N_BATCHES, seed=2)
+        assert np.isfinite(est.estimate)
+        # one call per frame up to the horizon of 40 + N_BATCHES + 1 strides
+        # (the default burn-in is 40 strides); none from the quadrature
+        assert 0 < len(calls) <= 40 + N_BATCHES + 1
 
 
 class TestSampleStream:
