@@ -16,8 +16,7 @@ from .discrete import (GeneratorMatrix, KernelMatrix, Measure, StateSet,
 from .galerkin import (GalerkinPair, MultiIndexBasis, assemble_galerkin,
                        galerkin_gap, galerkin_eigensystem, k_operator_check,
                        pair_average_action, quadratic_eigen_identity,
-                       rho_pair_action, rho_trig_moment, trig_moment,
-                       two_site_fourier_gap)
+                       rho_pair_action, rho_trig_moment, two_site_fourier_gap)
 from .bounds import (BoundChain, CanonicalPath, CertificateRefused, canonical_path,
                      caputo_bound, certificate, lemma_audit,
                      local_gap_lower_bound, path_census, sandwich)

@@ -237,8 +237,7 @@ def cmd_two_site(args) -> int:
     model = _model_from_args(args)
     if model.family in ("kac-uniform", "kac-rho"):
         # rotation models: angle modes give the pair spectrum in closed form
-        rho = model.rho if model.rho is not None else RhoSpec.uniform()
-        res = galerkin.two_site_fourier_gap(rho, n_max=args.n_max)
+        res = galerkin.two_site_fourier_gap(model.angle_density(), n_max=args.n_max)
         results = [{"model": args.model, "mode": n, "gap": rate,
                     "method": "two-site fourier"} for n, rate in res.modes]
         results.append({"model": args.model, "mode": f"extremes over 1..{args.n_max}",

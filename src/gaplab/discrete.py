@@ -580,7 +580,6 @@ class KernelExtremes:
     mu1: float
     mu2: float
     table: tuple      # (n, min(Sp\{1}), max(Sp\{1}))
-    tail_change: float
 
 
 def kernel_spectrum_extremes(g: RateFunction, n_max: int) -> KernelExtremes:
@@ -589,7 +588,6 @@ def kernel_spectrum_extremes(g: RateFunction, n_max: int) -> KernelExtremes:
         raise ValueError("need n_max >= 2")
     mu1, mu2 = math.inf, -math.inf
     rows = []
-    history = []
     for n in range(2, n_max + 1):
         km = kernel_matrix(g, n)
         ev = km.spectrum
@@ -601,6 +599,4 @@ def kernel_spectrum_extremes(g: RateFunction, n_max: int) -> KernelExtremes:
         lo, hi = float(rest.min()), float(rest.max())
         mu1, mu2 = min(mu1, lo), max(mu2, hi)
         rows.append((n, lo, hi))
-        history.append(mu2)
-    half = history[max(0, len(history) // 2 - 1)]
-    return KernelExtremes(mu1, mu2, tuple(rows), abs(mu2 - half))
+    return KernelExtremes(mu1, mu2, tuple(rows))

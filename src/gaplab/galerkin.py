@@ -9,6 +9,7 @@ eigenvalue problem with exact-rational matrix entries.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -202,24 +203,18 @@ class DirichletMoments:
         return v
 
 
-def trig_moment(p: int, q: int) -> Fraction:
-    """Average of cos^p sin^q over the uniform angle; zero unless both even."""
-    if p < 0 or q < 0:
-        raise ValueError("exponents must be nonnegative")
-    if p % 2 or q % 2:
-        return Fraction(0)
-    return Fraction(_double_factorial(p - 1) * _double_factorial(q - 1),
-                    _double_factorial(p + q))
-
-
 def beta_moment(a: int, b: int, gamma) -> Fraction:
     """E[beta^a (1-beta)^b] for the symmetric Beta law with shape gamma."""
     g = Fraction(gamma)
     return _rising(g, a) * _rising(g, b) / _rising(2 * g, a + b)
 
 
+@functools.cache
 def _laurent_coefficients(p: int, q: int) -> dict:
-    """cos^p sin^q as {n: amplitude} over complex exponentials e^{in theta}."""
+    """cos^p sin^q as {n: amplitude} over complex exponentials e^{in theta}.
+
+    Cached: callers read the dict and never change it.
+    """
     coeffs = {0: 1.0 + 0.0j}
 
     def convolve(cur, factor):
@@ -253,32 +248,23 @@ def rho_trig_moment(rho: RhoSpec, p: int, q: int, symmetrized: bool = False) -> 
 # pair actions: conditional average of a pair monomial
 # ---------------------------------------------------------------------------
 
-def pair_average_action(model: str, a: int, b: int, gamma=None) -> dict:
+def pair_average_action(a: int, b: int, gamma) -> dict:
     """Conditional pair average of eta_x^a eta_y^b as {(p, q): rational coeff}.
 
-    `model` is "kac-uniform" or "gamma".  Rotation averaging kills any odd
-    pair; redistribution averaging spreads the total binomially with
-    symmetric-Beta weights.
+    Under the redistribution with a symmetric Beta(gamma, gamma) fraction the
+    total spreads binomially, weighted by the Beta moment.
     """
-    if model == "kac-uniform":
-        if a % 2 or b % 2:
-            return {}
-        T = trig_moment(a, b)
-        M = (a + b) // 2
-        return {(2 * m, 2 * (M - m)): T * comb(M, m) for m in range(M + 1)}
-    if model == "gamma":
-        if gamma is None:
-            raise ValueError("redistribution action needs the shape parameter")
-        bm = beta_moment(a, b, gamma)
-        return {(m, a + b - m): bm * comb(a + b, m) for m in range(a + b + 1)}
-    raise ValueError(f"no closed-form pair action for model {model!r}")
+    bm = beta_moment(a, b, gamma)
+    return {(m, a + b - m): bm * comb(a + b, m) for m in range(a + b + 1)}
 
 
 def rho_pair_action(rho: RhoSpec, a: int, b: int) -> dict:
     """Symmetrized rotation average of eta_x^a eta_y^b under the angle density.
 
     Expands (x cos - y sin)^a (x sin + y cos)^b and integrates each angle
-    monomial against the even part of the density.
+    monomial against the even part of the density.  At the uniform density
+    (the Kac walk) every coefficient is a dyadic rational, and the float sums
+    of the Fourier route give it without rounding (checked to a + b = 40).
     """
     if a + b > 0 and not rho.exact_tail_zero and rho.order < a + b:
         raise ValueError(
@@ -383,9 +369,11 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
                       gamma=None) -> GalerkinPair:
     """Restrict the generator to the polynomial sector over the graph's sites.
 
-    `model` is "kac-uniform", "kac-rho" (with `rho`) or "gamma" (with `gamma`).
-    The moments are taken at unit total: the total scales each degree's
-    block and leaves the sector gap unchanged.
+    `model` is "kac-uniform", "kac-rho" (with `rho`) or "gamma" (with `gamma`);
+    a parameter the model does not read is refused.  The Kac walk is the
+    rotation sector at the uniform angle density.  The moments are taken at
+    unit total: the total scales each degree's block and leaves the sector
+    gap unchanged.
 
     The full mode assembles in floats over the graph's edges.  C takes the
     image of each monomial edge by edge; the Gram matrix B is filled a row at
@@ -398,30 +386,33 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
     """
     if model not in ("kac-uniform", "kac-rho", "gamma"):
         raise ValueError(f"unknown sector model {model!r} (kac-uniform, kac-rho or gamma)")
+    if rho is not None and model != "kac-rho":
+        raise ValueError(f"sector model {model!r} does not read rho; "
+                         "the angle density belongs to kac-rho")
+    if gamma is not None and model != "gamma":
+        raise ValueError(f"sector model {model!r} does not read gamma; "
+                         "the shape parameter belongs to gamma")
     if degree < 2:
         raise ValueError("degree must be at least 2")
     V = graph.n_sites
     if mode == "symmetric" and graph.kind != "complete":
         raise ValueError("symmetric orbits are only invariant on the complete graph")
 
-    if model in ("kac-uniform", "kac-rho"):
-        oracle = SphereMoments(V)
-    else:
+    if model == "gamma":
         if gamma is None:
             raise ValueError("redistribution sector needs the shape parameter")
         oracle = DirichletMoments(V, gamma)
-
-    if model == "kac-uniform":
-        action = lambda a, b: pair_average_action("kac-uniform", a, b)
-    elif model == "gamma":
-        action = lambda a, b: pair_average_action("gamma", a, b, gamma=gamma)
+        action = lambda a, b: pair_average_action(a, b, gamma)
     else:
-        if rho is None:
+        if model == "kac-uniform":
+            rho = RhoSpec.uniform()
+        elif rho is None:
             raise ValueError("rotation sector with a density needs rho=")
+        oracle = SphereMoments(V)
         action = lambda a, b: rho_pair_action(rho, a, b)
 
     # full mode works in floats, the symmetric mode in exact rationals; a
-    # float coefficient (kac-rho) converts to Fraction without rounding
+    # float coefficient of a rotation action converts to Fraction without rounding
     convert = float if mode == "full" else Fraction
     action_cache: dict = {}
 
@@ -794,7 +785,7 @@ def quadratic_eigen_identity(gamma) -> QuadraticIdentityReport:
     g = Fraction(gamma)
     V = 3
     pairs = list(itertools.combinations(range(V), 2))
-    action = lambda a, b: pair_average_action("gamma", a, b, gamma=g)
+    action = lambda a, b: pair_average_action(a, b, g)
     lam = (1 + 3 * g) / (3 * (1 + 2 * g))
     # L f + lambda f and (sum eta_i)^2, as {exponent tuple: coefficient}
     resid: dict = {}

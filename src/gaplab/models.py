@@ -178,8 +178,8 @@ class InteractionGraph:
 
 
 def build_graph(kind: str, d: Optional[int] = None, N: int = 2) -> InteractionGraph:
-    """A complete graph K_N (`d` is ignored) or the cube {1..N}^d."""
-    return InteractionGraph(kind, N, 1 if kind == "complete" else d)
+    """A complete graph K_N (`d` None or 1) or the cube {1..N}^d."""
+    return InteractionGraph(kind, N, 1 if d is None and kind == "complete" else d)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +382,10 @@ class ModelSpec:
             if name != field and given:
                 raise ValueError(f"{self.family} does not read {name}; "
                                  f"it reads {field or 'no parameter'}")
+
+    def angle_density(self) -> Optional[RhoSpec]:
+        """The angle law of a rotation family: the Kac walk is the uniform density."""
+        return RhoSpec.uniform() if self.family == "kac-uniform" else self.rho
 
     def law(self) -> ConservationLaw:
         """Rotations conserve the sum of squares, the other families the sum."""

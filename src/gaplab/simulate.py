@@ -135,14 +135,10 @@ class _Dynamics:
             # math.cos and math.sin as the jump uses them; np.cos may differ by an ulp
             self._cos = np.array([math.cos(t) for t in theta])
             self._sin = np.array([math.sin(t) for t in theta])
-            self.outcomes = self._rotation_outcomes
-            if fam == "kac-uniform":
-                self._weights = np.full(nodes, 1.0 / nodes)
-                self._jump = self._jump_uniform_rotation
-            else:
-                self._weights = _even_angle_weights(model.rho, theta)
-                self._theta_sampler = _angle_sampler(model.rho)
-                self._jump = self._jump_rho_rotation
+            rho = model.angle_density()
+            self._weights = _even_angle_weights(rho, theta)
+            self._theta_sampler = _angle_sampler(rho)
+            self._jump, self.outcomes = self._jump_rotation, self._rotation_outcomes
 
     # rates -----------------------------------------------------------------
     def edge_rates(self, cfg: np.ndarray) -> np.ndarray:
@@ -204,14 +200,8 @@ class _Dynamics:
         if self._refresh is not None:
             self._refresh(cfg, x, y)
 
-    def _jump_uniform_rotation(self, cfg, x, y, rng):
-        self._rotate(cfg, x, y, rng.uniform(-math.pi, math.pi))
-
-    def _jump_rho_rotation(self, cfg, x, y, rng):
-        theta = self._theta_sampler(rng)
-        if rng.random() < 0.5:
-            theta = -theta
-        self._rotate(cfg, x, y, theta)
+    def _jump_rotation(self, cfg, x, y, rng):
+        self._rotate(cfg, x, y, self._theta_sampler(rng))
 
     def _jump_zero_range(self, cfg, x, y, rng):
         rx, ry = self._gs[x], self._gs[y]
@@ -327,7 +317,12 @@ def _pick_edge(cum: np.ndarray, rates: np.ndarray, v: float) -> int:
 
 
 def _angle_sampler(rho: RhoSpec) -> Callable:
-    """Inverse-CDF sampler on a fine angle grid (exact for the uniform density)."""
+    """Angle draws from the even part of the density.
+
+    The uniform density is even, and its draw is rng.uniform(-pi, pi).  Any
+    other density is drawn by inverse CDF on a fine angle grid, then given a
+    fair sign.
+    """
     if rho.exact_tail_zero and rho.order == 0:
         return lambda rng: rng.uniform(-math.pi, math.pi)
     nodes = RHO_QUADRATURE_NODES
@@ -345,7 +340,8 @@ def _angle_sampler(rho: RhoSpec) -> Callable:
 
     def sample(rng):
         i = int(cdf.searchsorted(rng.random()))
-        return theta[min(i, nodes - 1)]
+        t = theta[min(i, nodes - 1)]
+        return -t if rng.random() < 0.5 else t
 
     return sample
 

@@ -208,6 +208,17 @@ class TestGapCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and hint in err
 
+    @pytest.mark.parametrize("argv", [
+        ["graph"],
+        ["gap-exact", "--model", "zero-range", "--omega", "2"],
+        ["audit", "--omega", "2"],
+    ])
+    def test_complete_graph_refuses_a_dimension(self, argv, capsys):
+        # K_N has no dimension; a --d other than 1 must not be dropped silently
+        assert main([*argv, "--graph", "complete", "--d", "3", "--N", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "invalid dimension: d = 3" in err
+
 
 class TestOtherCommands:
     def test_graph(self, tmp_path):

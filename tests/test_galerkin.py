@@ -14,12 +14,28 @@ from gaplab.galerkin import (DirichletMoments, MultiIndexBasis, SphereMoments,
                              galerkin_eigensystem, galerkin_gap, k_operator_check,
                              pair_average_action, quadratic_eigen_identity,
                              rho_pair_action, rho_trig_moment, sector_polynomial,
-                             trig_moment, two_site_fourier_gap)
+                             two_site_fourier_gap)
 from gaplab.models import RhoSpec, build_graph
 
 COSINE_RHO = RhoSpec(coefficients=[1.0, 0.5], exact_tail_zero=True, name="cosine")
 CARDIOID_RHO = RhoSpec(density=lambda t: (1.0 + math.cos(t)) / (2.0 * math.pi),
                        name="cardioid")
+UNIFORM = RhoSpec.uniform()
+
+
+def _double_factorial(n):
+    return math.prod(range(n, 0, -2))
+
+
+def _kac_action(a, b):
+    """Closed-form uniform rotation average of x^a y^b: odd pairs vanish, and
+    an even pair averages to E[cos^a sin^b] (x^2 + y^2)^((a + b)/2)."""
+    if a % 2 or b % 2:
+        return {}
+    T = Fraction(_double_factorial(a - 1) * _double_factorial(b - 1), _double_factorial(a + b))
+    M = (a + b) // 2
+    return {(2 * m, 2 * (M - m)): T * math.comb(M, m) for m in range(M + 1)}
+
 
 def _wallis_oracle(p, q):
     """Independent recursion for the uniform angle moments."""
@@ -34,19 +50,13 @@ def _wallis_oracle(p, q):
 
 class TestTrigMoments:
     def test_examples(self):
-        assert trig_moment(2, 0) == Fraction(1, 2)
-        assert trig_moment(2, 2) == Fraction(1, 8)
-        assert trig_moment(1, 0) == 0
+        assert rho_trig_moment(UNIFORM, 2, 0) == 0.5
+        assert rho_trig_moment(UNIFORM, 2, 2) == 0.125
+        assert rho_trig_moment(UNIFORM, 1, 0) == 0.0
 
     @pytest.mark.parametrize("p,q", list(itertools.product(range(0, 7), repeat=2)))
     def test_against_wallis_recursion(self, p, q):
-        assert float(trig_moment(p, q)) == pytest.approx(_wallis_oracle(p, q), abs=1e-14)
-
-    def test_rho_reduces_to_uniform(self):
-        rho = RhoSpec.uniform()
-        for p, q in [(2, 0), (4, 2), (3, 1), (0, 6)]:
-            assert rho_trig_moment(rho, p, q) == pytest.approx(float(trig_moment(p, q)),
-                                                               abs=1e-14)
+        assert rho_trig_moment(UNIFORM, p, q) == pytest.approx(_wallis_oracle(p, q), abs=1e-14)
 
     def test_rho_cosine_against_quadrature(self):
         theta = np.linspace(-math.pi, math.pi, 20001)
@@ -109,46 +119,49 @@ class TestSimplexMoments:
 
 class TestPairActions:
     def test_rotation_quadratic(self):
-        act = pair_average_action("kac-uniform", 2, 0)
-        assert act == {(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)}
+        act = rho_pair_action(UNIFORM, 2, 0)
+        assert act == {(2, 0): 0.5, (0, 2): 0.5}
 
     def test_rotation_kills_odd(self):
-        assert pair_average_action("kac-uniform", 1, 0) == {}
-        assert pair_average_action("kac-uniform", 1, 1) == {}
+        assert rho_pair_action(UNIFORM, 1, 0) == {}
+        assert rho_pair_action(UNIFORM, 1, 1) == {}
 
     def test_redistribution_linear(self):
-        act = pair_average_action("gamma", 1, 0, gamma=1)
+        act = pair_average_action(1, 0, 1)
         assert act == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
 
     def test_redistribution_quadratic(self):
-        act = pair_average_action("gamma", 2, 0, gamma=1)
+        act = pair_average_action(2, 0, 1)
         # E[beta^2] (x + y)^2 at uniform beta
         assert act == {(2, 0): Fraction(1, 3), (1, 1): Fraction(2, 3),
                        (0, 2): Fraction(1, 3)}
-
-    @pytest.mark.parametrize("model", ["kac", "kac-rho", "gamma-exchange-simple-average"])
-    def test_unknown_action_model(self, model):
-        with pytest.raises(ValueError, match="no closed-form pair action"):
-            pair_average_action(model, 2, 0, gamma=1)
 
     @pytest.mark.parametrize("model", ["kac", "gamma-exchange", "gamma-exchange-simple-average"])
     def test_unknown_sector_model(self, model):
         with pytest.raises(ValueError, match="unknown sector model"):
             assemble_galerkin(model, build_graph("complete", N=3), degree=2, gamma=1)
 
+    @pytest.mark.parametrize("model,kwargs,name", [
+        ("kac-uniform", {"rho": UNIFORM}, "rho"),
+        ("gamma", {"gamma": 1, "rho": UNIFORM}, "rho"),
+        ("kac-uniform", {"gamma": 1}, "gamma"),
+        ("kac-rho", {"rho": COSINE_RHO, "gamma": 1}, "gamma"),
+    ])
+    def test_unread_parameter_refused(self, model, kwargs, name):
+        with pytest.raises(ValueError, match=f"does not read {name}"):
+            assemble_galerkin(model, build_graph("complete", N=3), degree=2, **kwargs)
+
     def test_beta_moment(self):
         assert beta_moment(2, 0, 1) == Fraction(1, 3)
         assert beta_moment(1, 1, Fraction(1, 2)) == Fraction(1, 8)
 
-    def test_rho_action_uniform_consistency(self):
-        rho = RhoSpec.uniform()
-        for a, b in [(2, 0), (4, 0), (2, 2), (1, 1), (3, 1)]:
-            got = rho_pair_action(rho, a, b)
-            expect = {k: float(v) for k, v in
-                      pair_average_action("kac-uniform", a, b).items()}
-            assert set(got) == set(expect)
-            for k in expect:
-                assert got[k] == pytest.approx(expect[k], abs=1e-12)
+    def test_uniform_action_is_the_closed_form(self):
+        # the Fourier route at the uniform density is the Kac action exactly:
+        # its dyadic coefficients come out of the float sums unrounded
+        for a, b in itertools.product(range(17), repeat=2):
+            if a + b <= 16:
+                got = {k: Fraction(v) for k, v in rho_pair_action(UNIFORM, a, b).items()}
+                assert got == _kac_action(a, b), (a, b)
 
     def test_rho_action_cosine_against_quadrature(self):
         # direct quadrature of the symmetrized rotation average of x^2
@@ -211,13 +224,12 @@ class TestBasis:
 
 class TestPairImage:
     def test_kac_square_on_one_pair(self):
-        action = lambda a, b: pair_average_action("kac-uniform", a, b)
-        img = galerkin._pair_image((2, 0), [(0, 1)], action, Fraction(1))
+        img = galerkin._pair_image((2, 0), [(0, 1)], _kac_action, Fraction(1))
         assert img == {(2, 0): Fraction(-1, 2), (0, 2): Fraction(1, 2)}
         assert all(type(c) is Fraction for c in img.values())
 
     def test_pairs_with_both_exponents_zero_are_fixed(self):
-        action = lambda a, b: pair_average_action("gamma", a, b, gamma=Fraction(1))
+        action = lambda a, b: pair_average_action(a, b, Fraction(1))
         assert galerkin._pair_image((1, 0, 0), [(1, 2)], action, 1.0) == {}
         img = galerkin._pair_image((1, 0, 0), [(0, 1), (0, 2), (1, 2)], action,
                                    Fraction(1, 3))
@@ -225,7 +237,7 @@ class TestPairImage:
                        (0, 0, 1): Fraction(1, 6)}
 
     def test_float_scale_rounds_the_exact_image(self):
-        action = lambda a, b: pair_average_action("gamma", a, b, gamma=Fraction(2))
+        action = lambda a, b: pair_average_action(a, b, Fraction(2))
         pairs = list(itertools.combinations(range(4), 2))
         k = (2, 1, 0, 1)
         exact = galerkin._pair_image(k, pairs, action, Fraction(1, 6))
@@ -271,7 +283,7 @@ class TestKacGalerkin:
         # rotation averaging is degree-homogeneous: the image of a pair
         # monomial carries exactly the original total degree
         for a, b in itertools.product(range(5), repeat=2):
-            for (p, q) in pair_average_action("kac-uniform", a, b):
+            for (p, q) in rho_pair_action(UNIFORM, a, b):
                 assert p + q == a + b
 
     def test_constant_in_null_space(self):
@@ -450,9 +462,9 @@ class TestSymmetricSector:
         assert f.stack(x[:1])[0] == pytest.approx(rows[0], rel=1e-14, abs=1e-14)
 
     def test_closure_violation_raises(self, monkeypatch):
-        def leaky(model, a, b, gamma=None):
-            return {(a + b, 1): Fraction(1)}       # raises the total degree
-        monkeypatch.setattr("gaplab.galerkin.pair_average_action", leaky)
+        def leaky(rho, a, b):
+            return {(a + b, 1): 1.0}       # raises the total degree
+        monkeypatch.setattr("gaplab.galerkin.rho_pair_action", leaky)
         with pytest.raises(ArithmeticError, match="closure"):
             assemble_galerkin("kac-uniform", build_graph("complete", N=5), degree=4,
                               mode="symmetric")
@@ -589,7 +601,7 @@ class TestQuadraticIdentity:
         # averaging with Beta shape gamma + 1 breaks the identity for gamma
         exact = galerkin.pair_average_action
         monkeypatch.setattr(galerkin, "pair_average_action",
-                            lambda model, a, b, gamma: exact(model, a, b, gamma=gamma + 1))
+                            lambda a, b, gamma: exact(a, b, gamma + 1))
         assert quadratic_eigen_identity(gamma).max_residual > 1e-3
 
 

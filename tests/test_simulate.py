@@ -470,6 +470,35 @@ def test_package_attribute_is_the_module():
     assert gaplab.simulate.simulate is simulate
 
 
+class TestKacIsTheUniformRotation:
+    """The Kac walk and the rotation walk at the uniform angle density are one model."""
+
+    ROTATION = ModelSpec("kac-rho", rho=RhoSpec.uniform())
+
+    @pytest.mark.parametrize("graph", [build_graph("complete", N=6),
+                                       build_graph("lattice", d=2, N=3)], ids=["K6", "L2d3"])
+    def test_same_trajectory(self, graph):
+        cfg = initial_config(KAC, graph, 6.0, seed=3)
+        kac, _ = simulate(KAC, graph, cfg, 40.0, seed=11)
+        rot, _ = simulate(self.ROTATION, graph, cfg, 40.0, seed=11)
+        assert kac.n_events == rot.n_events > 0
+        assert kac.final_config.tobytes() == rot.final_config.tobytes()
+
+    def test_same_quadrature_weights(self):
+        kac, rot = _Dynamics(KAC, K3), _Dynamics(self.ROTATION, K3)
+        assert np.array_equal(kac._weights, rot._weights)
+        assert np.all(kac._weights == 1 / 64)
+
+    @pytest.mark.parametrize("N,mode", [(4, "full"), (6, "symmetric")])
+    def test_same_sector(self, N, mode):
+        graph = build_graph("complete", N=N)
+        kac = assemble_galerkin("kac-uniform", graph, degree=4, mode=mode)
+        rot = assemble_galerkin("kac-rho", graph, degree=4, mode=mode,
+                                rho=self.ROTATION.angle_density())
+        assert np.array_equal(kac.A, rot.A) and np.array_equal(kac.B, rot.B)
+        assert galerkin_eigensystem(kac).gap == galerkin_eigensystem(rot).gap
+
+
 class TestAngleGrid:
     def test_density_evaluated_once(self):
         calls = []
@@ -484,7 +513,13 @@ class TestAngleGrid:
         assert len(calls) == RHO_QUADRATURE_NODES
         reference = _ref_angle_sampler(RhoSpec(density=cardioid, name="cardioid"))
         r1, r2 = rng_for(4), rng_for(4)
-        assert [sample(r1) for _ in range(500)] == [reference(r2) for _ in range(500)]
+
+        def signed(rng):
+            # the sampler draws the even part: a grid angle, then a fair sign
+            theta = reference(rng)
+            return -theta if rng.random() < 0.5 else theta
+
+        assert [sample(r1) for _ in range(500)] == [signed(r2) for _ in range(500)]
 
     def test_sampler_reads_the_data_not_the_name(self):
         # `--rho fourier:FILE` names the spec after its file, so a file
@@ -518,13 +553,10 @@ def _exact_pair_moment(model, pair, a, b) -> float:
     """E[x'^a y'^b] after one collision of the pair (x, y)."""
     x, y = pair
     fam = model.family
-    if fam == "kac-uniform":
-        return _pair_polynomial(pair_average_action("kac-uniform", a, b), x, y)
+    if fam in ("kac-uniform", "kac-rho"):
+        return _pair_polynomial(rho_pair_action(model.angle_density(), a, b), x, y)
     if fam == "gamma-exchange":
-        action = pair_average_action("gamma", a, b, gamma=model.exchange.gamma)
-        return _pair_polynomial(action, x, y)
-    if fam == "kac-rho":
-        return _pair_polynomial(rho_pair_action(model.rho, a, b), x, y)
+        return _pair_polynomial(pair_average_action(a, b, model.exchange.gamma), x, y)
     if fam == "simple-average":
         s = x + y
         pmf, _ = pair_law(model.g.log_factorials(s), s)
