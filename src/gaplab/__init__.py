@@ -21,6 +21,6 @@ from .bounds import (BoundChain, CanonicalPath, CertificateRefused, canonical_pa
                      caputo_bound, certificate, lemma_audit,
                      local_gap_lower_bound, path_census, sandwich)
 from .simulate import (EstimatorResult, autocorr_gap_estimate, initial_config,
-                       rayleigh_upper_bound, sample_series)
+                       rayleigh_upper_bound)
 
 __version__ = "0.1.0"

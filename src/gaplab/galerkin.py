@@ -233,14 +233,11 @@ def _laurent_coefficients(p: int, q: int) -> dict:
     return coeffs
 
 
-def rho_trig_moment(rho: RhoSpec, p: int, q: int, symmetrized: bool = False) -> float:
-    """Integral of cos^p sin^q against the angle density (or its even part)."""
+def rho_trig_moment(rho: RhoSpec, p: int, q: int) -> float:
+    """Integral of cos^p sin^q against the even part of the angle density."""
     total = 0.0 + 0.0j
     for n, c in _laurent_coefficients(p, q).items():
-        if symmetrized:
-            total += c * rho.coefficient(abs(n)).real
-        else:
-            total += c * rho.coefficient(n)
+        total += c * rho.coefficient(abs(n)).real
     return float(total.real)
 
 
@@ -273,7 +270,7 @@ def rho_pair_action(rho: RhoSpec, a: int, b: int) -> dict:
     for p in range(a + 1):
         for q in range(b + 1):
             P, Q = p + b - q, a - p + q
-            m = rho_trig_moment(rho, P, Q, symmetrized=True)
+            m = rho_trig_moment(rho, P, Q)
             if m == 0.0:
                 continue
             coeff = comb(a, p) * comb(b, q) * (-1) ** (a - p) * m

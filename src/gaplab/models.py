@@ -18,8 +18,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-#: grid resolution used when a redistribution kernel is given as a matrix
-DEFAULT_KERNEL_CELLS = 512
 #: quadrature nodes used to Fourier-transform an angle density
 RHO_QUADRATURE_NODES = 4096
 #: default number of Fourier coefficients extracted from an angle density
@@ -301,35 +299,15 @@ class GammaExchangeSpec:
                     or self.kernel.shape[0] != self.kernel.shape[1]):
                 raise ValueError("kernel must be None (the Beta kernel) or a square matrix")
 
-    @property
-    def cells(self) -> int:
-        """Cells of the grid on [0, 1]: the kernel matrix's size, if one is given."""
-        return DEFAULT_KERNEL_CELLS if self.kernel is None else self.kernel.shape[0]
-
     def grid(self) -> np.ndarray:
-        """Cell midpoints of the uniform grid on [0, 1]."""
-        return (np.arange(self.cells) + 0.5) / self.cells
-
-    @functools.cached_property
-    def _beta_masses(self) -> np.ndarray:
-        """Unnormalized Beta(gamma, gamma) density at the cell midpoints."""
-        b = self.grid()
-        return (b * (1 - b)) ** (float(self.gamma) - 1)
-
-    def fraction_weights(self) -> np.ndarray:
-        """Invariant fraction distribution p on the grid, normalized cell masses."""
-        w = self._beta_masses * np.array([self.lambda_r(x) for x in self.grid()])
-        return w / w.sum()
+        """Cell midpoints of the kernel matrix's uniform grid on [0, 1]."""
+        cells = self.kernel.shape[0]
+        return (np.arange(cells) + 0.5) / cells
 
     def kernel_matrix(self) -> np.ndarray:
-        """Row-stochastic redistribution kernel on the grid."""
-        if self.kernel is not None:
-            rows = self.kernel.astype(float)
-            sums = rows.sum(axis=1, keepdims=True)
-            return rows / sums
-        # Beta kernel: every row is the symmetric Beta cell masses
-        w = self._beta_masses / self._beta_masses.sum()
-        return np.tile(w, (self.cells, 1))
+        """The kernel matrix with each row normalized to sum to 1."""
+        rows = self.kernel.astype(float)
+        return rows / rows.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

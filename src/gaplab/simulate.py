@@ -464,25 +464,28 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
                      **{k: np.array(v) for k, v in series.items()}}
 
 
-def sample_series(model: ModelSpec, graph: InteractionGraph, config0,
-                  observable: Callable, *, dt: float, n_samples: int,
-                  burn_in: float, seed: int, stream_writer=None) -> np.ndarray:
-    """Stationary samples of one observable on a uniform grid after burn-in.
+def _stationary_samples(model: ModelSpec, graph: InteractionGraph, omega,
+                        observables: dict, *, dt: float, n_samples: int,
+                        burn_in: Optional[float], seed: int,
+                        stream_writer=None) -> dict:
+    """Each observable on a uniform grid after burn-in, from one trajectory.
 
-    `stream_writer` receives every sampled frame, burn-in included.
+    The trajectory starts from `initial_config` with the same seed, and the
+    burn-in defaults to 40 dt.  `stream_writer` receives every sampled frame,
+    burn-in included.  Returns {name: n_samples values}.
     """
+    cfg = initial_config(model, graph, omega, seed=seed)
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
+    if burn_in is None:
+        burn_in = 40.0 * dt
     horizon = burn_in + dt * (n_samples + 1)
-    _, samples = simulate(model, graph, config0, horizon, seed=seed,
-                          sample_dt=dt, observables={"f": observable},
-                          stream_writer=stream_writer)
-    vals = samples["f"]
+    _, samples = simulate(model, graph, cfg, horizon, seed=seed, sample_dt=dt,
+                          observables=observables, stream_writer=stream_writer)
     skip = int(math.ceil(burn_in / dt))
-    out = vals[skip:skip + n_samples]
-    if len(out) < n_samples:
+    if len(samples["times"]) < skip + n_samples:
         raise RuntimeError("trajectory too short for the requested samples")
-    return out
+    return {name: samples[name][skip:skip + n_samples] for name in observables}
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +581,9 @@ def autocorr_gap_estimate(model: ModelSpec, graph: InteractionGraph,
     fit-model error.  `stream_writer` receives the sampled series of the
     same trajectory, burn-in included.
     """
-    cfg = initial_config(model, graph, omega, seed=seed)
-    if burn_in is None:
-        burn_in = 40.0 * dt
-    series = sample_series(model, graph, cfg, observable, dt=dt,
-                           n_samples=n_samples, burn_in=burn_in, seed=seed,
-                           stream_writer=stream_writer)
+    series = _stationary_samples(model, graph, omega, {"f": observable}, dt=dt,
+                                 n_samples=n_samples, burn_in=burn_in, seed=seed,
+                                 stream_writer=stream_writer)["f"]
     rate = _fit_decay_rate(series, dt)
 
     rng = rng_for(seed, stream=99)
@@ -661,9 +661,6 @@ def rayleigh_upper_bound(model: ModelSpec, graph: InteractionGraph,
     if n_samples < N_BATCHES:
         raise ValueError(f"the batch-mean interval needs at least {N_BATCHES} samples, "
                          f"got {n_samples}")
-    cfg = initial_config(model, graph, omega, seed=seed)
-    if burn_in is None:
-        burn_in = 40.0 * dt
     dyn = _Dynamics(model, graph)
 
     # wraps() copies the observable's attributes, its `stack` evaluator included
@@ -675,14 +672,9 @@ def rayleigh_upper_bound(model: ModelSpec, graph: InteractionGraph,
         "f": probe,
         "dirichlet": lambda c: _local_dirichlet(dyn, c, probe),
     }
-    horizon = burn_in + dt * (n_samples + 1)
-    _, samples = simulate(model, graph, cfg, horizon, seed=seed,
-                          sample_dt=dt, observables=observables)
-    skip = int(math.ceil(burn_in / dt))
-    fvals = samples["f"][skip:skip + n_samples]
-    dvals = samples["dirichlet"][skip:skip + n_samples]
-    if len(fvals) < n_samples:
-        raise RuntimeError("trajectory too short for the requested samples")
+    samples = _stationary_samples(model, graph, omega, observables, dt=dt,
+                                  n_samples=n_samples, burn_in=burn_in, seed=seed)
+    fvals, dvals = samples["f"], samples["dirichlet"]
 
     var = float(fvals.var())
     if var <= 0:

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaplab import bounds
 from gaplab.bounds import (CertificateRefused, canonical_path, caputo_bound,
                            certificate, lemma_audit, local_gap_lower_bound,
                            path_census, sandwich,
@@ -94,6 +96,53 @@ class TestLemmaAudit:
         measure = stationary_weights(G_IDENTITY, states)
         with pytest.raises(ValueError, match="at least one test function"):
             lemma_audit(states, measure, graph, n_functions=n_functions)
+
+    def test_one_state_is_refused(self):
+        # omega = 0 leaves one state, where every centered function is 0
+        graph = build_graph("lattice", d=1, N=3)
+        states = enumerate_states(3, 0)
+        measure = stationary_weights(G_IDENTITY, states)
+        with pytest.raises(ValueError, match="at least 2 states"):
+            lemma_audit(states, measure, graph)
+
+    @pytest.mark.parametrize("g,d,N,omega", [(G_CONSTANT_ONE, 1, 3, 2), (G_IDENTITY, 2, 2, 3)])
+    def test_swap_constant_is_four_times_the_swap_ratio(self, g, d, N, omega):
+        graph = build_graph("lattice", d=d, N=N)
+        states = enumerate_states(graph.n_sites, omega)
+        rep = lemma_audit(states, stationary_weights(g, states), graph, n_functions=50, seed=7)
+        assert rep.max_ratio_swap > 0
+        assert rep.observed_swap_constant == 4 * rep.max_ratio_swap
+
+    def _audit_with_average(self, monkeypatch, average):
+        graph = build_graph("lattice", d=1, N=3)
+        states = enumerate_states(3, 3)
+        measure = stationary_weights(G_IDENTITY, states)
+        monkeypatch.setattr(bounds, "pair_average_matrix", average)
+        return lemma_audit(states, measure, graph, n_functions=20, seed=5)
+
+    def test_lazy_average_breaks_the_swap_inequality(self, monkeypatch):
+        # (I + P)/2 halves D_xy f, so nu((D f)^2) drops by 4 and the swap
+        # inequality, tight up to a factor near 1, fails for some functions
+        def lazy(states, measure, x, y):
+            P = pair_average_matrix(states, measure, x, y)
+            return 0.5 * (scipy.sparse.identity(len(states)) + P)
+
+        rep = self._audit_with_average(monkeypatch, lazy)
+        swaps = [v for v in rep.violations if v[0] == "swap"]
+        assert not rep.passed and swaps
+        for _, fi, key, ratio in swaps:
+            assert 0 <= fi < rep.n_functions
+            assert key in itertools.combinations(range(rep.n_sites), 2)
+            assert ratio > 1.0 + 1e-9
+        assert rep.max_ratio_swap == max(v[3] for v in swaps)
+
+    def test_identity_average_makes_the_swap_degenerate(self, monkeypatch):
+        # D_xy f = 0 for every f, while the exchange still moves f
+        rep = self._audit_with_average(
+            monkeypatch, lambda states, measure, x, y: scipy.sparse.identity(len(states)))
+        kinds = {v[0] for v in rep.violations}
+        assert "swap-degenerate" in kinds and "swap" not in kinds
+        assert all(v[3] > 1e-12 for v in rep.violations)
 
     def test_one_function_is_enough(self):
         graph = build_graph("lattice", d=1, N=3)

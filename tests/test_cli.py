@@ -1,11 +1,16 @@
+import argparse
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from gaplab import reporting
-from gaplab.cli import main, _omega_range, _safe_expression
+from gaplab.cli import build_parser, main, _omega_range, _safe_expression
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_json(args, tmp_path, name="out.json"):
@@ -287,6 +292,12 @@ class TestOtherCommands:
         assert main(["audit", "--functions", "0"]) == 1
         assert "at least one test function" in capsys.readouterr().err
 
+    def test_audit_of_one_state_is_refused(self, capsys):
+        # every centered function on one state is 0, so nothing would be checked
+        assert main(["audit", "--N", "3", "--omega", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least 2 states" in err
+
     def test_verify_subset(self, capsys):
         code = main(["verify-all", "--only", "caputo-identity", "certificate-chain"])
         out = capsys.readouterr().out
@@ -390,3 +401,37 @@ class TestFileInputs:
                      "--N", "3", "--omega", "4"])
         assert code == 1
         assert "no entry" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """argv of every `gaplab` line in README's fenced blocks.
+
+    The full and `--fast` battery lines are left out: the acceptance tests
+    run those criteria already.
+    """
+    commands, fenced = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("gaplab "):
+            argv = shlex.split(line, comments=True)[1:]
+            if argv[0] != "verify-all" or "--only" in argv:
+                commands.append(argv)
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+class TestReadmeExamples:
+    def test_every_command_has_an_example(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert {argv[0] for argv in README_COMMANDS} == set(sub.choices)
+
+    @pytest.mark.parametrize("argv", README_COMMANDS,
+                             ids=[f"{i:02d}-{argv[0]}" for i, argv in enumerate(README_COMMANDS)])
+    def test_example_runs(self, argv, tmp_path, capsys):
+        if argv[0] != "verify-all":   # the battery prints its lines and writes no file
+            argv = [*argv, "--out", str(tmp_path / "out")]
+        assert main(argv) == 0, capsys.readouterr().err

@@ -214,19 +214,9 @@ class TestRhoValidate:
 
 
 class TestGammaExchangeSpec:
-    def test_beta_kernel_is_the_default(self):
-        spec = GammaExchangeSpec(gamma=2)
-        assert spec.kernel is None
-        assert spec.cells == 512
-        K = spec.kernel_matrix()
-        # unit rates: every Beta row is the invariant fraction law
-        assert np.abs(K - spec.fraction_weights()[None, :]).max() < 1e-15
-
     def test_cells_follow_the_kernel(self):
         spec = GammaExchangeSpec(gamma=1, kernel=np.ones((16, 16)))
-        assert spec.cells == 16 and len(spec.grid()) == 16
-        with pytest.raises(AttributeError):
-            spec.cells = 8
+        assert len(spec.grid()) == 16
 
     @pytest.mark.parametrize("kernel", ["simple-average", np.ones((4, 5)), np.ones(4)])
     def test_bad_kernel_refused(self, kernel):

@@ -151,10 +151,11 @@ class _RefMechanics:
             self._theta_sampler = _ref_angle_sampler(model.rho)
         if model.family == "gamma-exchange":
             ex = model.exchange
-            self._grid = ex.grid()
-            self._K = ex.kernel_matrix()
-            self._Kcum = np.cumsum(self._K, axis=1)
             self._simple = not isinstance(ex.kernel, np.ndarray)
+            if not self._simple:
+                self._grid = ex.grid()
+                self._K = ex.kernel_matrix()
+                self._Kcum = np.cumsum(self._K, axis=1)
             self._gamma = float(ex.gamma)
 
     def jump(self, cfg, x, y, rng):
