@@ -5,14 +5,15 @@
 
 For each N it assembles and solves the sector of kac-uniform and of the
 redistribution model at gamma = 1 and 2, and prints one JSON object per
-instance: basis size, kept and deflated dimensions (in the symmetric mode
-the kept dimension is the exact rank of the Gram matrix), seconds for the graph,
-the assembly and the solve, the gap and its distance from the closed form,
-(N+2)/(4N) for kac-uniform at degree >= 4 and (gamma N + 1)/(N (2 gamma + 1))
-for the redistribution model.  Below degree 4 the kac-uniform rows carry
-null for the closed form and its distance.  The symmetric (orbit-sum) mode defaults to
-N = 10, 100, 300, 1000; the full (monomial) mode, whose basis grows as
-C(N + degree, degree), to N = 3..10.
+instance: basis size, kept and deflated dimensions (the kept dimension is
+the summed size of the degree blocks solved, the rest of the basis is
+deflated), seconds for the graph, the assembly and the solve, the gap and
+its distance from the closed form, (N+2)/(4N) for kac-uniform at degree >= 4
+and (gamma N + 1)/(N (2 gamma + 1)) for the redistribution model, and the
+gap eigenpair's residual and condition number.  Below degree 4 the
+kac-uniform rows carry null for the closed form and its distance.  The
+symmetric (orbit-sum) mode defaults to N = 10, 100, 300, 1000; the full
+(monomial) mode, whose basis grows as C(N + degree, degree), to N = 3..10.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def cell(model: str, N: int, degree: int, gamma, graph, graph_s: float,
         "gap": rep.gap,
         "closed_form": ref,
         "abs_error": abs(rep.gap - ref) if ref is not None else None,
-        "gram_condition": rep.gram_condition,
+        "eig_residual": rep.eig_residual,
+        "eig_condition": rep.eig_condition,
     }
 
 

@@ -1,14 +1,21 @@
 """Exact spectral computation on polynomial sectors for the continuous models.
 
-The rotation and energy-redistribution dynamics map polynomials to
-polynomials of the same degree, so the generator restricts to an invariant
-finite-dimensional sector.  Closed-form moments of the conditioned reference
-measures turn the restricted Rayleigh problem into a small generalized
-eigenvalue problem with exact-rational matrix entries.
+The rotation and energy-redistribution dynamics map a homogeneous polynomial
+to one of the same degree, so the generator's action matrix C on the
+polynomials of degree <= D is block-diagonal by degree.  As functions on the
+sphere, the polynomials of degree <= D are spanned by the homogeneous ones of
+degrees D and D - 1: multiplying by the conserved (sum x^2)^m lifts a degree
+of the same parity without changing the function, and a homogeneous
+polynomial that vanishes on the sphere vanishes identically.  On the simplex
+(sum x conserved) degree D alone spans them.  So the sector spectrum is the
+spectrum of those top blocks of C, and no moment, Gram matrix or deflation
+enters the gap.  The moment oracles below serve the one-site conditional
+operator and their own checks.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from collections import Counter
@@ -18,17 +25,20 @@ from math import comb, factorial
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .discrete import TooLargeError, physical_memory
 from .models import InteractionGraph, RhoSpec
 
-DEFLATION_TOL = 1e-10
 ZERO_TOL = 1e-8
-#: n-by-n float64 arrays of a full-mode sector alive at once.  Assembly holds
-#: five (C, B, A and two temporaries of A = -B C and its symmetrization); the
-#: solve holds A and B beside LAPACK eigh's copy of B, its eigenvectors and
-#: its 2 n^2 workspace.  Peak RSS measured 8.2-8.8 n^2 floats at n = 1820-3003.
-FULL_MODE_DENSE_ARRAYS = 9
+#: an eigenvalue's imaginary part below this times its block's largest
+#: |eigenvalue| is rounding; a larger one is refused
+EIG_TOL = 1e-9
+#: n-by-n float64 arrays alive at once in the solve of a full-mode degree
+#: block of n monomials: the block, LAPACK's copy of it, the left and right
+#: eigenvectors and the solver's workspace.  Peak RSS measured 6.4-6.9 n^2
+#: floats at n = 3003 and 4368 (kac-uniform V = 9 at degree 6, V = 12 at 5).
+BLOCK_DENSE_ARRAYS = 7
 
 
 def _rising(x: Fraction, n: int) -> Fraction:
@@ -280,85 +290,49 @@ def rho_pair_action(rho: RhoSpec, a: int, b: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# assembly and generalized eigenvalue solve
+# action matrix by degree blocks and its eigenvalue solve
 # ---------------------------------------------------------------------------
 
 @dataclass
 class GalerkinPair:
-    """Quadratic form A of the negated generator and Gram matrix B on a basis.
+    """The generator's action matrix C on the top degree blocks of a sector.
 
-    With the n-by-r `basis_scale` set, A and B are the forms on the functions
-    whose basis coefficients are its columns (B-orthonormal: B is I_r).
+    `blocks` holds (start, C_d) per degree d used: basis elements start,
+    ..., start + len(C_d) - 1 are those of total degree d, and C_d[t, s] is
+    the coefficient of element t in L(element s).  The full mode's blocks
+    are float arrays; the symmetric mode's hold exact Fractions (object
+    arrays), converted to floats by the solve.
     """
 
     model: str
-    A: np.ndarray
-    B: np.ndarray
     basis: MultiIndexBasis
-    asymmetry: float
-    basis_scale: Optional[np.ndarray] = None
+    blocks: tuple
 
     @property
     def assembly(self) -> str:
         return "monomial" if self.basis.mode == "full" else "orbit-representative"
 
 
-def full_basis_size(n_vars: int, degree: int) -> int:
-    """Monomials of total degree <= degree in n_vars variables."""
-    return comb(degree + n_vars, n_vars)
+def degree_block_size(n_vars: int, degree: int) -> int:
+    """Monomials of total degree exactly `degree` in n_vars variables."""
+    return comb(n_vars + degree - 1, degree)
 
 
 def _full_mode_preflight(n_vars: int, degree: int) -> None:
-    """Refuse, before the basis is built, a full-mode sector that cannot be solved.
+    """Refuse, before the basis is built, a full-mode sector whose top block cannot be solved.
 
-    Its dense n-by-n forms and their solve must fit in physical memory, and
-    the base 2 degree + 1 code of a product's sorted exponents
-    (`_gram_matrix`) must fit in an int64.
+    The largest block is that of degree `degree`; its `BLOCK_DENSE_ARRAYS`
+    dense n-by-n arrays must fit in physical memory.
     """
-    n = full_basis_size(n_vars, degree)
-    what = f"full-mode sector of degree {degree} on {n_vars} sites ({n} monomials)"
-    hint = "on a complete graph use --basis-mode symmetric"
-    need = FULL_MODE_DENSE_ARRAYS * 8 * n * n
+    n = degree_block_size(n_vars, degree)
+    need = BLOCK_DENSE_ARRAYS * 8 * n * n
     have = physical_memory()
     if need > have:
         raise TooLargeError(
-            f"{what}: its dense forms need about {need / 2**30:.1f} GiB, more than "
-            f"the {have / 2**30:.1f} GiB of physical memory; {hint}")
-    if (2 * degree + 1) ** min(n_vars, 2 * degree) >= 2 ** 63:
-        raise TooLargeError(
-            f"{what}: its moment keys overflow the int64 codes of the Gram "
-            f"assembly; {hint}")
-
-
-def _gram_matrix(E: np.ndarray, degree: int, oracle) -> np.ndarray:
-    """B[i, j] = float(oracle.exact(E[i] + E[j])) for the int64 exponent rows E, one call per key.
-
-    A product of two monomials of degree <= degree has at most 2 degree
-    nonzero exponents, each at most 2 degree, so the last w = min(V, 2 degree)
-    columns of its sorted exponents, read as base 2 degree + 1 digits, give
-    one int64 code per moment key.  Each row is coded in one numpy pass and
-    the oracle sees each code once; every entry is the float of its key's
-    exact moment, as in a pairwise loop.
-    """
-    n, V = E.shape
-    w = min(V, 2 * degree)
-    digits = (2 * degree + 1) ** np.arange(w - 1, -1, -1, dtype=np.int64)
-    memo: dict = {}
-    B = np.empty((n, n))
-    for i in range(n):
-        tails = np.sort(E[i] + E[i:], axis=1)[:, V - w:]
-        codes, first, inverse = np.unique(tails @ digits, return_index=True,
-                                          return_inverse=True)
-        vals = np.empty(len(codes))
-        for u, (code, f) in enumerate(zip(codes.tolist(), first.tolist())):
-            v = memo.get(code)
-            if v is None:
-                v = memo[code] = float(oracle.exact(tails[f].tolist()))
-            vals[u] = v
-        row = vals[inverse]
-        B[i, i:] = row
-        B[i:, i] = row
-    return B
+            f"full-mode sector of degree {degree} on {n_vars} sites ({n} monomials "
+            f"of degree {degree}): its top block needs about {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory; on a complete "
+            "graph use --basis-mode symmetric")
 
 
 def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
@@ -368,18 +342,16 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
 
     `model` is "kac-uniform", "kac-rho" (with `rho`) or "gamma" (with `gamma`);
     a parameter the model does not read is refused.  The Kac walk is the
-    rotation sector at the uniform angle density.  The moments are taken at
-    unit total: the total scales each degree's block and leaves the sector
-    gap unchanged.
+    rotation sector at the uniform angle density.  The basis holds every
+    element of degree <= degree, but only the blocks of C that carry the
+    sector's spectrum are built (see the module docstring): degrees D - 1
+    and D for the rotation models, D for the redistribution model.
 
-    The full mode assembles in floats over the graph's edges.  C takes the
-    image of each monomial edge by edge; the Gram matrix B is filled a row at
-    a time from integer-coded moment keys (`_gram_matrix`), one oracle call
-    per distinct key.  Its dense n-by-n forms bound the reach: a sector whose
-    `FULL_MODE_DENSE_ARRAYS` arrays of n^2 floats exceed physical memory is
+    The full mode builds each block in floats over the graph's edges
+    (`_pair_image`).  Its largest block bounds the reach: one whose
+    `BLOCK_DENSE_ARRAYS` arrays of n^2 floats exceed physical memory is
     refused with `TooLargeError` before the basis is built.  The symmetric
-    mode works on orbit sums and is exact until the solve; see
-    `_orbit_forms`.
+    mode works on orbit sums in exact rationals; see `_orbit_block`.
     """
     if model not in ("kac-uniform", "kac-rho", "gamma"):
         raise ValueError(f"unknown sector model {model!r} (kac-uniform, kac-rho or gamma)")
@@ -398,15 +370,15 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
     if model == "gamma":
         if gamma is None:
             raise ValueError("redistribution sector needs the shape parameter")
-        oracle = DirichletMoments(V, gamma)
         action = lambda a, b: pair_average_action(a, b, gamma)
+        degrees = (degree,)
     else:
         if model == "kac-uniform":
             rho = RhoSpec.uniform()
         elif rho is None:
             raise ValueError("rotation sector with a density needs rho=")
-        oracle = SphereMoments(V)
         action = lambda a, b: rho_pair_action(rho, a, b)
+        degrees = (degree - 1, degree)
 
     # full mode works in floats, the symmetric mode in exact rationals; a
     # float coefficient of a rotation action converts to Fraction without rounding
@@ -422,26 +394,17 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
     if mode == "full":
         _full_mode_preflight(V, degree)
     basis = MultiIndexBasis.build(V, degree, mode=mode)
-    n = len(basis)
-    scale = graph.pair_scaling
-
-    if mode == "symmetric":
-        return _orbit_forms(model, basis, oracle, cached_action, Fraction(scale))
-
-    pos = {k: i for i, k in enumerate(basis.elements)}
-    C = np.zeros((n, n))
-    for l, k in enumerate(basis.elements):
-        for key, c in _pair_image(k, graph.edges, cached_action, scale).items():
-            row = pos.get(key)
-            if row is None:
-                raise ArithmeticError(
-                    f"sector closure violated: image monomial {key} of {k} "
-                    "lies outside the basis")
-            C[row, l] += c
-    B = _gram_matrix(np.array(basis.elements, dtype=np.int64), degree, oracle)
-
-    A, asym = _symmetric_part(-B @ C)
-    return GalerkinPair(model, A, B, basis, asym)
+    blocks = []
+    for d in degrees:
+        start = bisect.bisect_left(basis.elements, d, key=sum)
+        elements = basis.elements[start:bisect.bisect_right(basis.elements, d, key=sum)]
+        if mode == "symmetric":
+            # K_N's pair scaling as the exact 1/N, not the float graph.pair_scaling
+            C = _orbit_block(elements, V, cached_action, Fraction(1, V))
+        else:
+            C = _monomial_block(elements, graph.edges, cached_action, graph.pair_scaling)
+        blocks.append((start, C))
+    return GalerkinPair(model, basis, tuple(blocks))
 
 
 def _pair_image(k: tuple, pairs, action, scale) -> dict:
@@ -467,13 +430,22 @@ def _pair_image(k: tuple, pairs, action, scale) -> dict:
     return img
 
 
-def _symmetric_part(A: np.ndarray) -> tuple:
-    """(A + A^T) / 2 and the largest |A - A^T|; a form not symmetric to rounding is refused."""
-    asym = float(np.abs(A - A.T).max())
-    A = 0.5 * (A + A.T)
-    if asym > 1e-9 * max(1.0, float(np.abs(A).max())):
-        raise ArithmeticError(f"assembled form is not symmetric: residual {asym:.2e}")
-    return A, asym
+def _closure_error(image, element) -> ArithmeticError:
+    return ArithmeticError(f"sector closure violated: image {image} of {element} "
+                           "lies outside its degree block")
+
+
+def _monomial_block(monomials: tuple, edges, action, scale: float) -> np.ndarray:
+    """C on the monomials of one degree, in floats, one `_pair_image` per column."""
+    pos = {k: i for i, k in enumerate(monomials)}
+    C = np.zeros((len(monomials), len(monomials)))
+    for l, k in enumerate(monomials):
+        for key, c in _pair_image(k, edges, action, scale).items():
+            row = pos.get(key)
+            if row is None:
+                raise _closure_error(key, k)
+            C[row, l] += c
+    return C
 
 
 def _placements(counts: Counter, sites: int) -> int:
@@ -486,61 +458,23 @@ def _placements(counts: Counter, sites: int) -> int:
     return out
 
 
-def _overlays(support: tuple, parts: tuple, empty: int):
-    """Ways to lay the multiset `parts` over `support` plus `empty` zero sites.
+def _orbit_block(parts: tuple, N: int, action, scale: Fraction) -> np.ndarray:
+    """C on the orbit sums of one degree's partitions, in exact rationals.
 
-    Yields (nonzero exponents of the sum, number of distinct placements
-    giving it), once for each distinct assignment of parts to support
-    positions; the parts left over fill the empty sites.
+    The partitions are read as they are: the representative k_s of orbit s
+    carries the r_s parts of its partition on the first r_s sites.  L
+    commutes with site permutations, so L(O_s) = sum_t C[t, s] O_t, and
+    C[t, s] |orb t| is the mass of orbit t in L(O_s), which is |orb s| times
+    its mass in L(x^{k_s}).  That image (`_pair_image`) is pushed forward
+    over three edge classes: pairs inside the support, support x empty sites
+    (each of the N - r_s empty sites acts alike, so one stands for all), and
+    empty x empty (no action).  N enters only through the arrangement counts
+    |orb s|, so the work is independent of N.  Returns an object array of
+    Fractions.
     """
-    left = Counter(parts)
-
-    def rec(i, acc):
-        if i == len(support):
-            ways = _placements(left, empty)
-            if ways:
-                yield acc + tuple(left.elements()), ways
-            return
-        yield from rec(i + 1, acc + (support[i],))
-        for v in [v for v, m in left.items() if m]:
-            left[v] -= 1
-            yield from rec(i + 1, acc + (support[i] + v,))
-            left[v] += 1
-
-    yield from rec(0, ())
-
-
-def _orbit_forms(name: str, basis: MultiIndexBasis, oracle, action,
-                 scale: Fraction) -> GalerkinPair:
-    """Sector forms on orbit sums, each entry from one representative per orbit.
-
-    The basis elements are partitions, read as they are: the representative
-    k_s of orbit s carries the r_s parts of its partition on the first r_s
-    sites.  Both forms depend on N only through arrangement counts, so the
-    work is independent of N:
-
-    * L commutes with site permutations, so L(O_s) = sum_t C[t, s] O_t and
-      C[t, s] |orb t| is the mass of orbit t in L(O_s), which is |orb s|
-      times its mass in L(x^{k_s}).  That image (`_pair_image`) is pushed
-      forward over three edge classes: pairs inside the support, support x
-      empty sites (each of the N - r_s empty sites acts alike, so one stands
-      for all), and empty x empty (no action).
-    * B[s, t] = E[O_s O_t] = |orb s| sum_l E[x^{k_s + l}] over l in orb t;
-      the moment depends on l only through how t's parts overlay the
-      support of k_s, and the parts left for the empty sites are counted by
-      `_placements`.
-
-    B and C stay exact; `_conjugate_basis` reduces B to r = rank B functions
-    T with T^T B T = diag(D), and T^T A T = -(B T)^T (C T) is exact too.  The
-    float solve sees it on T D^(-1/2), whose Gram matrix is the identity.
-    """
-    N = basis.n_vars
-    parts = basis.elements
     index = {p: i for i, p in enumerate(parts)}
     orbit = [_placements(Counter(p), N) for p in parts]
-    n = len(parts)
-
-    C = []                          # column l of C as {row: Fraction}
+    C = np.full((len(parts), len(parts)), Fraction(0), dtype=object)
     for l, p in enumerate(parts):
         r, empty = len(p), N - len(p)
         images = [_pair_image(p, itertools.combinations(range(r), 2), action, 1)]
@@ -552,105 +486,70 @@ def _orbit_forms(name: str, basis: MultiIndexBasis, oracle, action,
             for k, c in img.items():
                 key = _moment_key(k)
                 mass[key] = mass.get(key, 0) + c
-        col = {}
         for key, m in mass.items():
             row = index.get(key)
             if row is None:
-                raise ArithmeticError(
-                    f"sector closure violated: image orbit {key} of {p} "
-                    "lies outside the basis")
+                raise _closure_error(key, p)
             if m:
-                col[row] = scale * m * orbit[l] / orbit[row]
-        C.append(col)
-
-    B = [[Fraction(0)] * n for _ in range(n)]
-    for i, p in enumerate(parts):
-        empty = N - len(p)
-        for j in range(i, n):
-            ways: dict = {}
-            for k, w in _overlays(p, parts[j], empty):
-                key = _moment_key(k)
-                ways[key] = ways.get(key, 0) + w
-            v = sum(w * oracle.exact(key) for key, w in ways.items())
-            B[i][j] = B[j][i] = orbit[i] * v
-
-    T, D, BT = _conjugate_basis(B)
-    BTC = [[sum(b[row] * c for row, c in col.items()) for col in C] for b in BT]
-    d = 1.0 / np.sqrt([float(v) for v in D])
-    A, asym = _symmetric_part(np.outer(d, d) * np.array(
-        [[float(-sum(g[l] * v for l, v in t.items())) for t in T] for g in BTC]))
-    scale_map = np.array([[float(t.get(l, 0)) for t in T] for l in range(n)]) * d
-    return GalerkinPair(name, A, np.eye(len(D)), basis, asym, basis_scale=scale_map)
-
-
-def _conjugate_basis(B: list) -> tuple:
-    """Exact Gram-Schmidt of the basis in the inner product of B (an LDL^T).
-
-    Eliminates in basis order on the lower triangle of the Fraction matrix
-    B, positive semidefinite, skipping each zero pivot (an element in the
-    span of the earlier ones), so the r functions kept are exactly rank B.
-    Returns T, r columns {row: Fraction} with T^T B T = diag(D); the pivots
-    D > 0; and the columns B t_j, the Schur columns at the pivots, as lists.
-    """
-    n = len(B)
-    S = [row[:i + 1] for i, row in enumerate(B)]
-    Y = [{i: Fraction(1)} for i in range(n)]       # the rows of L^-1
-    kept = []
-    for k in range(n):
-        piv, col = S[k][k], [S[i][k] for i in range(k + 1, n)]
-        if piv < 0 or (piv == 0 and any(col)):
-            raise ArithmeticError(f"Gram matrix is not positive semidefinite at element {k}")
-        if piv == 0:
-            continue
-        kept.append(k)
-        for i, si in enumerate(col, start=k + 1):
-            if si:
-                f = si / piv
-                for j, sj in enumerate(col[:i - k], start=k + 1):
-                    S[i][j] -= f * sj
-                for l, v in Y[k].items():
-                    Y[i][l] = Y[i].get(l, 0) - f * v
-    # row k of L^-1 and column k of S are final once step k begins
-    return ([Y[k] for k in kept], [S[k][k] for k in kept],
-            [[0] * k + [S[i][k] for i in range(k, n)] for k in kept])
+                C[row, l] = scale * m * orbit[l] / orbit[row]
+    return C
 
 
 @dataclass(frozen=True)
 class GalerkinGapReport:
     gap: float
-    eigenvalues: np.ndarray        # spectrum on the deflated sector, ascending
-    kept_dim: int
-    deflated: int
-    gram_condition: float
+    eigenvalues: np.ndarray        # spectrum of -L on the sector, ascending
+    kept_dim: int                  # summed sizes of the blocks solved
+    deflated: int                  # basis elements outside those blocks
+    eig_residual: float            # ||C v + gap v|| for the unit gap eigenvector v
+    eig_condition: float           # condition number of the gap eigenvalue
     gap_coefficients: np.ndarray   # basis coefficients of the gap eigenfunction
     basis: MultiIndexBasis
 
 
 def galerkin_eigensystem(pair: GalerkinPair) -> GalerkinGapReport:
-    """Solve the restricted Rayleigh problem; `deflated` is basis size minus kept dimension."""
-    s, U = np.linalg.eigh(pair.B)
-    smax = float(s.max())
-    if s.min() < -DEFLATION_TOL * smax:
-        raise ArithmeticError(
-            f"Gram matrix is indefinite beyond tolerance: min eigenvalue {s.min():.3e}")
-    keep = s > DEFLATION_TOL * smax
-    W = U[:, keep] / np.sqrt(s[keep])
-    Ared = W.T @ pair.A @ W
-    Ared = 0.5 * (Ared + Ared.T)
-    ev, Q = np.linalg.eigh(Ared)
-    nz = np.where(ev > ZERO_TOL)[0]
-    if len(nz) == 0:
+    """The sector spectrum from the eigenvalues of each block of C.
+
+    The gap is the smallest eigenvalue of -C above ZERO_TOL, and its right
+    eigenvector, zero outside its block, gives `gap_coefficients`.  L is
+    self-adjoint, so a block whose eigenvalues have an imaginary part beyond
+    EIG_TOL times its largest |eigenvalue| is refused with ArithmeticError.
+    `eig_condition` is the gap's condition number 1/|y^H x|, from the unit
+    left and right eigenvectors y, x that the solver returns with it (for a
+    repeated eigenvalue, that of the one eigenpair returned).
+    """
+    spectrum, found = [], None
+    for start, C in pair.blocks:
+        C = np.asarray(C, dtype=float)
+        w, Y, X = scipy.linalg.eig(C, left=True)
+        lam = -w
+        imag = float(np.abs(lam.imag).max())
+        if imag > EIG_TOL * float(np.abs(lam).max()):
+            raise ArithmeticError(
+                f"degree block at element {start} has eigenvalue imaginary parts up to "
+                f"{imag:.2e}; the sector operator is not self-adjoint")
+        lam = lam.real
+        spectrum.append(lam)
+        above = np.flatnonzero(lam > ZERO_TOL)
+        if len(above):
+            i = above[np.argmin(lam[above])]
+            if found is None or lam[i] < found[0]:
+                found = (lam[i], start, C, i, X.real, Y.real)
+    if found is None:
         raise ArithmeticError("no nonzero sector mode found")
-    i = int(nz[0])
-    coeffs = W @ Q[:, i]
-    if pair.basis_scale is not None:
-        coeffs = pair.basis_scale @ coeffs
+    gap, start, C, i, X, Y = found
+    # real parts of unit vectors: renormalize in case rounding made the pair complex
+    x, y = X[:, i] / np.linalg.norm(X[:, i]), Y[:, i] / np.linalg.norm(Y[:, i])
+    coeffs = np.zeros(len(pair.basis))
+    coeffs[start:start + len(x)] = x
+    kept = sum(len(C) for _, C in pair.blocks)
     return GalerkinGapReport(
-        gap=float(ev[i]),
-        eigenvalues=ev,
-        kept_dim=int(keep.sum()),
-        deflated=len(pair.basis) - int(keep.sum()),
-        gram_condition=float(s[keep].max() / s[keep].min()),
+        gap=float(gap),
+        eigenvalues=np.sort(np.concatenate(spectrum)),
+        kept_dim=kept,
+        deflated=len(pair.basis) - kept,
+        eig_residual=float(np.linalg.norm(C @ x + gap * x)),
+        eig_condition=float(1.0 / abs(y @ x)),
         gap_coefficients=coeffs,
         basis=pair.basis,
     )
@@ -718,6 +617,37 @@ class ConditionalOperatorReport:
     gram_condition: float
 
 
+def _conjugate_basis(B: list) -> tuple:
+    """Exact Gram-Schmidt of the basis in the inner product of B (an LDL^T).
+
+    Eliminates in basis order on the lower triangle of the Fraction matrix
+    B, positive semidefinite, skipping each zero pivot (an element in the
+    span of the earlier ones), so the r functions kept are exactly rank B.
+    Returns T, r columns {row: Fraction} with T^T B T = diag(D), and the
+    pivots D > 0.
+    """
+    n = len(B)
+    S = [row[:i + 1] for i, row in enumerate(B)]
+    Y = [{i: Fraction(1)} for i in range(n)]       # the rows of L^-1
+    kept = []
+    for k in range(n):
+        piv, col = S[k][k], [S[i][k] for i in range(k + 1, n)]
+        if piv < 0 or (piv == 0 and any(col)):
+            raise ArithmeticError(f"Gram matrix is not positive semidefinite at element {k}")
+        if piv == 0:
+            continue
+        kept.append(k)
+        for i, si in enumerate(col, start=k + 1):
+            if si:
+                f = si / piv
+                for j, sj in enumerate(col[:i - k], start=k + 1):
+                    S[i][j] -= f * sj
+                for l, v in Y[k].items():
+                    Y[i][l] = Y[i].get(l, 0) - f * v
+    # row k of L^-1 is final once step k begins
+    return [Y[k] for k in kept], [S[k][k] for k in kept]
+
+
 def conditional_moment_eigenvalue(n: int, gamma) -> Fraction:
     """Closed-form degree-n eigenvalue of the one-site conditional operator."""
     g = Fraction(gamma)
@@ -739,7 +669,7 @@ def k_operator_check(gamma, degree: int = 6) -> ConditionalOperatorReport:
     n = degree + 1
     B = [[oracle.exact((i + j, 0, 0)) for j in range(n)] for i in range(n)]
     C = [[oracle.exact((i, j, 0)) for j in range(n)] for i in range(n)]
-    T, D, _ = _conjugate_basis(B)
+    T, D = _conjugate_basis(B)
     TtC = [[sum(v * C[l][c] for l, v in t.items()) / dt for c in range(n)] for t, dt in zip(T, D)]
     M = [[sum(t.get(i, 0) * y[c] for t, y in zip(T, TtC)) for c in range(n)] for i in range(n)]
     tri = max((abs(M[i][j]) for j in range(n) for i in range(j + 1, n)), default=Fraction(0))

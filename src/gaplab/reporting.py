@@ -13,7 +13,7 @@ import numpy as np
 
 #: fixed CSV column order for gap records
 CSV_COLUMNS = ["model", "graph_kind", "d", "N", "omega", "gap", "kappa",
-               "dim", "degree", "sector", "gram_condition", "method"]
+               "dim", "degree", "sector", "eig_residual", "eig_condition", "method"]
 
 
 def _scalar(v):
@@ -59,7 +59,8 @@ def galerkin_record(model: str, graph, degree: int, sector: str, report,
         "degree": degree,
         "sector": sector,
         "gap": _scalar(report.gap),
-        "gram_condition": _scalar(report.gram_condition),
+        "eig_residual": _scalar(report.eig_residual),
+        "eig_condition": _scalar(report.eig_condition),
         "method": "galerkin",
         "assembly": assembly,
         "basis_size": len(report.basis),

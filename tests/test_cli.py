@@ -43,6 +43,8 @@ class TestGapCommands:
         assert rec["basis_size"] == size
         assert rec["kept_dim"] == kept
         assert rec["deflated"] == size - kept
+        assert 0.0 <= rec["eig_residual"] < 1e-12
+        assert rec["eig_condition"] >= 1.0
         out = tmp_path / "gap.csv"
         assert main(["gap-galerkin", "--model", "kac", "--N", "3", "--degree", "4",
                      "--basis-mode", mode, "--format", "csv", "--out", str(out)]) == 0
@@ -110,7 +112,7 @@ class TestGapCommands:
         assert float(rows[0]["gap"]) == pytest.approx(4 / 9, abs=1e-6)
         header = out.read_text().splitlines()[0]
         assert header == ("model,graph_kind,d,N,omega,gap,kappa,dim,degree,"
-                          "sector,gram_condition,method")
+                          "sector,eig_residual,eig_condition,method")
 
     def test_exact_dirac_omega(self, tmp_path):
         code, doc = run_json(["gap-exact", "--model", "zero-range", "--g", "identity",

@@ -10,7 +10,7 @@ from gaplab import galerkin
 from gaplab.discrete import TooLargeError
 from gaplab.galerkin import (DirichletMoments, MultiIndexBasis, SphereMoments,
                              assemble_galerkin, beta_moment,
-                             conditional_moment_eigenvalue, full_basis_size,
+                             conditional_moment_eigenvalue, degree_block_size,
                              galerkin_eigensystem, galerkin_gap, k_operator_check,
                              pair_average_action, quadratic_eigen_identity,
                              rho_pair_action, rho_trig_moment, sector_polynomial,
@@ -266,13 +266,15 @@ class TestKacGalerkin:
     def test_symmetric_mode_exact_until_solve(self):
         pair = assemble_galerkin("kac-uniform", build_graph("complete", N=7), degree=4,
                                  mode="symmetric")
-        assert pair.asymmetry == 0.0
         assert pair.assembly == "orbit-representative"
-        # the exact reduction hands the float solve B-orthonormal functions:
-        # 8 of the 12 orbit sums are independent, and the Gram matrix is I
-        assert pair.basis_scale.shape == (12, 8)
-        assert np.array_equal(pair.B, np.eye(8))
-        assert galerkin_eigensystem(pair).gram_condition == 1.0
+        # the blocks of degrees 3 and 4 hold 3 + 5 of the 12 orbit sums, in
+        # exact rationals; the solve sees them as well-conditioned floats
+        assert [(start, C.shape) for start, C in pair.blocks] == [(4, (3, 3)), (7, (5, 5))]
+        assert all(type(c) is Fraction for _, C in pair.blocks for c in C.flat)
+        rep = galerkin_eigensystem(pair)
+        assert rep.kept_dim == 8 and rep.deflated == 4
+        assert rep.eig_residual < 1e-14
+        assert 1.0 <= rep.eig_condition < 2.0
 
     def test_symmetric_mode_needs_complete(self):
         with pytest.raises(ValueError, match="complete"):
@@ -287,9 +289,15 @@ class TestKacGalerkin:
                 assert p + q == a + b
 
     def test_constant_in_null_space(self):
+        # on the sphere the constant is (x1^2 + x2^2 + x3^2)^2, in the degree-4 block
         pair = assemble_galerkin("kac-uniform", build_graph("complete", N=3), degree=4)
-        i0 = pair.basis.elements.index((0, 0, 0))
-        assert np.abs(pair.A[:, i0]).max() < 1e-12
+        start, C = pair.blocks[-1]
+        square = Counter(tuple(2 * (v == i) + 2 * (v == j) for v in range(3))
+                         for i in range(3) for j in range(3))
+        one = np.array([square[k] for k in pair.basis.elements[start:start + len(C)]],
+                       dtype=float)
+        assert one.any()
+        assert np.abs(C @ one).max() < 1e-12
 
     def test_eigenfunction_callable(self):
         pair = assemble_galerkin("kac-uniform", build_graph("complete", N=3), degree=4)
@@ -321,6 +329,24 @@ def _count_exact_calls(monkeypatch) -> list:
     return calls
 
 
+def _fraction_det(M: list) -> Fraction:
+    """Determinant of a square Fraction matrix by elimination, in place."""
+    n, det = len(M), Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            det = -det
+        det *= M[k][k]
+        for i in range(k + 1, n):
+            f = M[i][k] / M[k][k]
+            for j in range(k, n):
+                M[i][j] -= f * M[k][j]
+    return det
+
+
 class TestConjugateBasis:
     """Exact Gram-Schmidt in the inner product of a positive semidefinite matrix."""
 
@@ -330,13 +356,12 @@ class TestConjugateBasis:
         v = [Fraction(1), Fraction(2), Fraction(0), Fraction(1)]
         w = [Fraction(1, 3), Fraction(2, 3), Fraction(5), Fraction(16, 3)]
         B = [[v[i] * v[j] + w[i] * w[j] for j in range(4)] for i in range(4)]
-        T, D, BT = galerkin._conjugate_basis(B)
-        assert len(T) == len(D) == len(BT) == 2
+        T, D = galerkin._conjugate_basis(B)
+        assert len(T) == len(D) == 2
         assert all(d > 0 for d in D)
         Tm = [[t.get(l, 0) for t in T] for l in range(4)]
         BTm = [[sum(B[i][l] * Tm[l][j] for l in range(4)) for j in range(2)]
                for i in range(4)]
-        assert [[BT[j][i] for j in range(2)] for i in range(4)] == BTm
         gram = [[sum(Tm[l][i] * BTm[l][j] for l in range(4)) for j in range(2)]
                 for i in range(2)]
         assert gram == [[D[0], 0], [0, D[1]]]
@@ -379,8 +404,6 @@ class TestSymmetricSector:
         sym_pair = assemble_galerkin("kac-rho", graph, degree=4, mode="symmetric",
                                      rho=CARDIOID_RHO)
         assert galerkin_gap(sym_pair) == pytest.approx(full, abs=1e-9)
-        # float angle moments make the exact form symmetric only to rounding
-        assert sym_pair.asymmetry < 1e-12
 
     @pytest.mark.parametrize("N", [10, 20, 50, 100, 1000])
     def test_closed_forms_at_large_N(self, N):
@@ -396,19 +419,23 @@ class TestSymmetricSector:
         # the orbit sums read the graph's size and scaling, never its edges
         assert "edges" not in graph.__dict__
 
-    @pytest.mark.parametrize("degree,N", [(4, 10**4), (4, 10**5), (6, 10**3), (6, 10**4)])
+    @pytest.mark.parametrize("degree,N", [(4, 10**4), (4, 10**5), (6, 10**3), (6, 10**4),
+                                          (10, 10**3), (10, 10**6), (12, 10**3),
+                                          (12, 10**6)])
     @pytest.mark.parametrize("model,gamma", [("kac-uniform", None), ("gamma", Fraction(1)),
                                              ("gamma", Fraction(2))])
     def test_exact_rank_at_large_N(self, model, gamma, degree, N):
-        # For N >= degree the conserved total is the Gram matrix's only
-        # relation: p2 = omega on the sphere, p1 = omega on the simplex.  The
-        # rank counts the partitions of totals <= degree with no part 2
-        # (kac-uniform) or no part 1 (gamma); a float deflation at tolerance
-        # 1e-10 dropped genuine directions here.
+        # For N >= degree the conserved total is the only relation among the
+        # orbit sums as functions: p2 = omega on the sphere, p1 = omega on the
+        # simplex.  Their rank counts the partitions of totals <= degree with
+        # no part 2 (kac-uniform) or no part 1 (gamma), which are as many as
+        # the partitions of degree and degree - 1, or of degree alone: the
+        # sizes of the blocks solved.
+        p = [sum(1 for _ in galerkin._partitions(t, t)) for t in range(degree + 1)]
         banned = 2 if model == "kac-uniform" else 1
-        rank = sum(banned not in p for total in range(degree + 1)
-                   for p in galerkin._partitions(total, total))
-        assert rank == {(4, 2): 8, (4, 1): 5, (6, 2): 18, (6, 1): 11}[degree, banned]
+        rank = sum(banned not in q for total in range(degree + 1)
+                   for q in galerkin._partitions(total, total))
+        assert rank == (p[degree] + p[degree - 1] if model == "kac-uniform" else p[degree])
         kwargs = {"gamma": gamma} if gamma is not None else {}
         rep = galerkin_eigensystem(assemble_galerkin(
             model, build_graph("complete", N=N), degree=degree, mode="symmetric", **kwargs))
@@ -418,17 +445,48 @@ class TestSymmetricSector:
                   else float((gamma * N + 1) / (N * (2 * gamma + 1))))
         assert abs(rep.gap - expect) <= 1e-13
 
-    def test_moment_calls_independent_of_N(self, monkeypatch):
+    @pytest.mark.parametrize("N", [10, 1000])
+    @pytest.mark.parametrize("model,gamma", [("kac-uniform", None), ("gamma", Fraction(2))])
+    def test_closed_form_is_an_exact_eigenvalue(self, model, gamma, N):
+        # K_N's operator in exact rationals: the closed form is a root of the
+        # characteristic polynomial of the top block, so det(C + lambda I) = 0.
+        # A float 1/N pair scaling (Fraction(1 / N) != Fraction(1, N)) leaves
+        # it a nonzero determinant.
+        kwargs = {"gamma": gamma} if gamma is not None else {}
+        pair = assemble_galerkin(model, build_graph("complete", N=N), degree=4,
+                                 mode="symmetric", **kwargs)
+        lam = (Fraction(N + 2, 4 * N) if gamma is None
+               else (gamma * N + 1) / (N * (2 * gamma + 1)))
+        _, C = pair.blocks[-1]
+
+        def det_at(mu):
+            return _fraction_det([[C[i, j] + mu * (i == j) for j in range(len(C))]
+                                  for i in range(len(C))])
+
+        assert det_at(lam) == 0
+        assert det_at(lam + Fraction(1, 10**12)) != 0
+
+    def test_assembly_work_independent_of_N(self, monkeypatch):
+        # the sector needs no moment, and the orbit sums take as many pair
+        # images at N = 20 as at N = 1000
         calls = _count_exact_calls(monkeypatch)
+        images = []
+        pair_image = galerkin._pair_image
+
+        def counted(*args):
+            images.append(1)
+            return pair_image(*args)
+        monkeypatch.setattr(galerkin, "_pair_image", counted)
 
         def count(model, N, **kwargs):
-            calls.clear()
+            images.clear()
             assemble_galerkin(model, build_graph("complete", N=N), degree=4,
                               mode="symmetric", **kwargs)
-            return len(calls)
+            return len(images)
 
         assert count("kac-uniform", 20) == count("kac-uniform", 1000) > 0
         assert count("gamma", 20, gamma=2) == count("gamma", 1000, gamma=2) > 0
+        assert calls == []
 
     def test_eigenfunction_matches_full_mode(self):
         graph = build_graph("complete", N=4)
@@ -470,86 +528,95 @@ class TestSymmetricSector:
                               mode="symmetric")
 
 
-def _pairwise_gram(E, degree, oracle):
-    """The pairwise Gram loop that `_gram_matrix` replaced: one `exact` call per moment key."""
-    rows = [tuple(r) for r in E.tolist()]
-    n = len(rows)
-    B = np.empty((n, n))
-    floats: dict = {}
-    for i, ki in enumerate(rows):
-        for j in range(i, n):
-            k = tuple(x + y for x, y in zip(ki, rows[j]))
-            key = galerkin._moment_key(k)
-            v = floats.get(key)
-            if v is None:
-                v = floats[key] = float(oracle.exact(k))
-            B[i, j] = v
-            B[j, i] = v
-    return B
+def _action_and_oracle(model, V, kwargs):
+    """The float pair action of a sector model and the moments of its reference measure."""
+    if model == "gamma":
+        gamma = kwargs["gamma"]
+        return ((lambda a, b: {k: float(v) for k, v in pair_average_action(a, b, gamma).items()}),
+                DirichletMoments(V, gamma))
+    rho = kwargs.get("rho", UNIFORM)
+    return (lambda a, b: rho_pair_action(rho, a, b)), SphereMoments(V)
 
 
-class TestFullModeGram:
-    """Gram assembly from integer-coded moment keys, pinned to the pairwise loop."""
+def _full_action_matrix(basis, graph, action):
+    """C over the whole degree <= D basis: the column loop, before any degree block."""
+    pos = {k: i for i, k in enumerate(basis.elements)}
+    C = np.zeros((len(basis), len(basis)))
+    for l, k in enumerate(basis.elements):
+        for key, c in galerkin._pair_image(k, graph.edges, action, graph.pair_scaling).items():
+            C[pos[key], l] += c
+    return C
+
+
+def _rayleigh_spectrum(C, basis, oracle):
+    """The sector spectrum by the Gram route: the moments' Gram matrix B, the
+    form A = -B C, and B's null space deflated in floats (tolerance 1e-10)."""
+    rows = basis.elements
+    B = np.array([[float(oracle.exact(tuple(x + y for x, y in zip(ki, kj)))) for kj in rows]
+                  for ki in rows])
+    A = -B @ C
+    s, U = np.linalg.eigh(B)
+    W = U[:, s > 1e-10 * s.max()] / np.sqrt(s[s > 1e-10 * s.max()])
+    R = W.T @ A @ W
+    return np.linalg.eigvalsh(0.5 * (R + R.T))
+
+
+class TestFullModeBlocks:
+    """Full-mode degree blocks against the whole action matrix and the Gram route."""
 
     @pytest.mark.parametrize("model,graph,degree,kwargs", [
         *[("kac-uniform", ("complete", N), 4, {}) for N in (3, 4, 5, 6)],
         ("kac-uniform", ("complete", 4), 6, {}),
         ("gamma", ("complete", 3), 2, {"gamma": Fraction(2)}),
-        # V >= 2 degree: a product can have 2 degree nonzero exponents, all ones
         ("gamma", ("complete", 5), 2, {"gamma": Fraction(2)}),
         ("kac-uniform", ("complete", 8), 4, {}),
         ("gamma", ("complete", 5), 4, {"gamma": Fraction(1)}),
         ("kac-rho", ("complete", 3), 4, {"rho": CARDIOID_RHO}),
         ("kac-uniform", ("lattice", 2), 4, {}),
     ])
-    def test_bitwise_equal_to_pairwise_loop(self, monkeypatch, model, graph, degree,
-                                            kwargs):
+    def test_blocks_carry_the_sector_spectrum(self, monkeypatch, model, graph, degree,
+                                              kwargs):
         kind, N = graph
         g = build_graph(kind, N=N) if kind == "complete" else build_graph(kind, d=2, N=N)
         calls = _count_exact_calls(monkeypatch)
-
-        def run():
-            calls.clear()
-            pair = assemble_galerkin(model, g, degree=degree, **kwargs)
-            return pair, galerkin_eigensystem(pair), len(calls)
-
-        new, new_rep, new_calls = run()
-        monkeypatch.setattr(galerkin, "_gram_matrix", _pairwise_gram)
-        old, old_rep, old_calls = run()
-        assert new.B.tobytes() == old.B.tobytes()
-        assert new.A.tobytes() == old.A.tobytes()
-        assert new_rep.gap == old_rep.gap
-        assert new_rep.gap_coefficients.tobytes() == old_rep.gap_coefficients.tobytes()
-        assert new_calls == old_calls > 0
+        pair = assemble_galerkin(model, g, degree=degree, **kwargs)
+        rep = galerkin_eigensystem(pair)
+        assert calls == []
+        action, oracle = _action_and_oracle(model, g.n_sites, kwargs)
+        C = _full_action_matrix(pair.basis, g, action)
+        for start, block in pair.blocks:
+            stop = start + len(block)
+            # the block is its slice of C, bitwise, and C keeps its degree
+            assert block.tobytes() == C[start:stop, start:stop].tobytes()
+            assert not C[:start, start:stop].any() and not C[stop:, start:stop].any()
+        # the top blocks' spectrum is the Rayleigh problem's on all of the sector
+        ref = _rayleigh_spectrum(C, pair.basis, oracle)
+        assert len(ref) == rep.kept_dim
+        assert np.abs(ref - rep.eigenvalues).max() < 1e-8
+        assert abs(ref[ref > galerkin.ZERO_TOL][0] - rep.gap) < 1e-12
 
     @pytest.mark.parametrize("n_vars,degree", [(1, 3), (3, 4), (5, 3), (4, 6)])
     def test_basis_size_without_enumeration(self, n_vars, degree):
         basis = MultiIndexBasis.build(n_vars, degree)
-        assert full_basis_size(n_vars, degree) == len(basis)
+        assert degree_block_size(n_vars, degree) == sum(sum(k) == degree for k in basis.elements)
 
     def test_refuses_what_cannot_fit_before_building(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("basis built before the preflight")
         monkeypatch.setattr(MultiIndexBasis, "build", fail)
-        assert full_basis_size(12, 8) == 125_970
+        assert degree_block_size(12, 8) == 75_582
         with pytest.raises(TooLargeError, match="--basis-mode symmetric"):
             assemble_galerkin("kac-uniform", build_graph("complete", N=12), degree=8)
-        with pytest.raises(TooLargeError, match="125970 monomials"):
+        with pytest.raises(TooLargeError, match="75582 monomials of degree 8"):
             assemble_galerkin("gamma", build_graph("complete", N=12), degree=8, gamma=1)
 
-    @pytest.mark.parametrize("memory", ["physical", 2 ** 80])
-    def test_admitted_sizes_keep_int64_keys(self, monkeypatch, memory):
-        if memory != "physical":
-            monkeypatch.setattr(galerkin, "physical_memory", lambda: memory)
-        admitted = 0
-        for V, degree in itertools.product(range(2, 65), range(2, 41)):
-            try:
-                galerkin._full_mode_preflight(V, degree)
-            except TooLargeError:
-                continue
-            admitted += 1
-            assert (2 * degree + 1) ** min(V, 2 * degree) < 2 ** 63, (V, degree)
-        assert admitted > 0
+    def test_complex_spectrum_is_refused(self):
+        # a rotation of the plane has eigenvalues +-i; a self-adjoint sector never does
+        basis = MultiIndexBasis.build(2, 1)
+        pair = galerkin.GalerkinPair("kac-uniform", basis, ((1, np.array([[0.0, 1.0],
+                                                                          [-1.0, 0.0]])),))
+        with pytest.raises(ArithmeticError, match="imaginary"):
+            galerkin_eigensystem(pair)
 
 
 class TestGammaGalerkin:

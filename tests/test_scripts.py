@@ -35,7 +35,7 @@ def test_sector_reach():
             assert r["closed_form"] is None and r["abs_error"] is None
         else:
             assert r["abs_error"] < 1e-12
-    # degree 6 at N = 1000: the exact Gram reduction keeps every direction
+    # degree 6 at N = 1000: the exact operator's blocks keep every direction
     rows = _rows("sector_reach.py", "--Ns", "1000", "--degree", "6")
     assert len(rows) == 3
     assert all(r["abs_error"] <= 1e-13 for r in rows)
