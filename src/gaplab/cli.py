@@ -254,6 +254,7 @@ def cmd_two_site(args) -> int:
     results.append({"model": args.model, "omega": "inf over range",
                     "gap": reporting._scalar(table.inf_gap),
                     "kappa": reporting._scalar(table.sup_kappa),
+                    "solver": table.solver, "max_residual": table.max_residual,
                     "method": f"two-site ({table.trend}; {table.note})"})
     _emit(args, "two-site", results, ["two-site reduction"])
     return 0

@@ -5,12 +5,12 @@ compositions arithmetically (combinatorial number system), so every pair
 move is computed for a whole edge at once.  The particle-jump and
 conditional-average generators are assembled directly as CSR matrices and
 symmetrized in sparse form; no n-by-n dense array is allocated except by an
-explicit `spectrum()` or `toarray()`.  One solve serves all spectral entry
-points: LAPACK `eigh` up to 400 states, ARPACK `eigsh` (implicitly restarted
-Lanczos) above, for one eigenvalue of the sparse symmetrized generator with
-its known zero modes (sqrt(pi) on each connected component of the
-generator's pattern) shifted to the bottom of the spectrum.  The eigenpair
-residual is recorded on the generator.
+explicit `spectrum()` or `toarray()`.  One solve serves all of the engine's
+spectral entry points: LAPACK `eigh` up to 400 states, ARPACK `eigsh`
+(implicitly restarted Lanczos) above, for one eigenvalue of the sparse
+symmetrized generator with its known zero modes (sqrt(pi) on each connected
+component of the generator's pattern) shifted to the bottom of the
+spectrum.  The eigenpair residual is recorded on the generator.
 
 Before enumerating, `exact_gap` and `build_generator` estimate the stored
 entries (zero-range n(1 + 2|E|), simple-average n + |E| n (1 + 2 omega / V))
@@ -21,9 +21,18 @@ on K4 at 50,116 states solves gap and kappa in under 0.5 s with 112 MB peak
 RSS, and at 508,080 states (6.5M stored entries) in 12-13 s with 540 MB, where
 one dense float64 n-by-n matrix alone would take 20 GB and 2 TB.
 
+The two-site sweeps over totals (`two_site_spectrum`) do not go through
+that engine.  On K2 the simple average is the projection onto constants at
+fixed total, with gap and kappa 1/2, and the zero-range pair chain is a
+birth-death chain whose symmetrized generator is tridiagonal: LAPACK
+bisection and inverse iteration give its gap and kappa at O(omega) per
+total.  Its entries hold no factorials, so linear rates reach totals in the
+thousands; the engine above refuses them past omega ~ 1075 on K2, where
+the stationary weights underflow to 0.
+
 Also hosts the one-dimensional conditional kernel matrices used for the
 three-site reduction of the zero-range family; their rows are the integer
-pair law `models.pair_law`.
+pair law `models.pair_law`, tabulated once per sweep over kernel sizes.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -156,7 +166,14 @@ def stationary_weights(g: RateFunction, states: StateSet) -> Measure:
     total = w.sum()
     if not np.isfinite(total) or total <= 0:
         raise ArithmeticError("non-finite stationary weights")
-    return Measure(states, w / total)
+    w = w / total
+    # the symmetrized generator divides by sqrt(w): a weight that underflowed
+    # to 0 would turn into NaN there, which no eigensolver reports
+    if not w.all():
+        raise ArithmeticError(
+            f"stationary weights underflow to 0: the log-weights span {-logw.min():.0f}, "
+            "and float64 reaches only about 745 below the largest")
+    return Measure(states, w)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +440,12 @@ def _solve(gen: GeneratorMatrix, want_kappa: bool):
             lam, vec = np.concatenate([lam, bottom]), np.hstack([vec, bottom_vec])
     residual = max(null, float(np.linalg.norm(S @ vec - vec * lam, axis=0).max()))
     gen.solve_report = SolveReport(solver, gen.L.nnz, residual, zero_modes)
+    # every comparison below is false on NaN, so non-finite values are refused first
+    solved = (top, gap, kappa) if want_kappa else (top, gap)
+    if not np.isfinite(solved).all():
+        raise ArithmeticError(
+            f"{solver} solve returned a non-finite eigenvalue: gap {gap}, kappa {kappa}, "
+            f"top {top}")
     if null > ZERO_TOL:
         raise ArithmeticError(
             f"sqrt(pi) on a connected component is not a zero mode: ||S q|| = {null:.3e}")
@@ -492,6 +515,8 @@ class TwoSiteTable:
     inf_gap: float
     sup_kappa: float
     trend: str
+    solver: str           # "tridiagonal" (zero-range) or "projection" (simple average)
+    max_residual: float   # max ||T v - lambda v|| over the gap and kappa pairs and ||T sqrt(pi)||
     note: str = "extremes over the swept totals only; no claim about the full infimum"
 
     def running_sup_kappa(self, omega: int) -> float:
@@ -501,18 +526,93 @@ class TwoSiteTable:
         return max(vals)
 
 
+def _pair_chain_spectrum(gv: np.ndarray, lgf: np.ndarray, omega: int,
+                         s: float) -> tuple[float, float, float]:
+    """(gap, kappa, residual) of the zero-range pair chain at total omega >= 1.
+
+    The state is the occupation a = 0..omega of the first site, and a jump
+    moves one particle, so -S is the unreduced symmetric tridiagonal T with
+    d_a = s (g(a) + g(omega - a)) and e_a = -s sqrt(g(omega - a) g(a + 1)).
+    g > 0 makes its spectrum simple with one zero mode, sqrt(pi), so the gap
+    and kappa are eigenvalues 1 and omega.  Bisection (LAPACK stebz) finds
+    them and inverse iteration (stein) their vectors, both O(omega); each
+    eigenvalue is then the vector's Rayleigh quotient, which minimizes
+    ||T v - lambda v||.  Raises `ArithmeticError` as `_solve` does: when
+    sqrt(pi) is not null, when T has an eigenvalue below `PSD_TOL`, or when
+    the gap is not above `ZERO_TOL`.
+    """
+    a = np.arange(omega + 1)
+    d = s * (gv[a] + gv[omega - a])
+    e = -s * np.sqrt(gv[omega - a[:-1]] * gv[a[1:]])
+
+    def apply(V):   # T V, column by column
+        TV = d[:, None] * V
+        TV[:-1] += e[:, None] * V[1:]
+        TV[1:] += e[:, None] * V[:-1]
+        return TV
+
+    pairs = [scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=rng,
+                                           lapack_driver="stebz")[1]
+             for rng in ((0, 1), (omega, omega))]
+    V = np.hstack(pairs)                     # zero mode, gap, kappa
+    TV = apply(V)
+    lam = (V * TV).sum(axis=0) / (V * V).sum(axis=0)
+    q = np.sqrt(pair_law(lgf, omega)[0])[:, None]
+    null = float(np.linalg.norm(apply(q)))
+    residual = max(null, float(np.linalg.norm(TV[:, 1:] - V[:, 1:] * lam[1:], axis=0).max()))
+    bottom, gap, kappa = (float(x) for x in lam)
+    if not np.isfinite([bottom, gap, kappa, residual]).all():
+        raise ArithmeticError(
+            f"pair chain at omega={omega}: non-finite eigenpair (gap {gap}, kappa {kappa})")
+    if null > ZERO_TOL:
+        raise ArithmeticError(
+            f"pair chain at omega={omega}: sqrt(pi) is not a zero mode: ||T q|| = {null:.3e}")
+    if bottom < PSD_TOL:
+        raise ArithmeticError(
+            f"pair chain at omega={omega} is not negative semidefinite: "
+            f"eigenvalue {bottom:.3e}")
+    if gap <= ZERO_TOL:
+        raise ArithmeticError(
+            f"pair chain at omega={omega}: second eigenvalue {gap:.3e} is not above "
+            f"{ZERO_TOL:.1e}")
+    return gap, kappa, residual
+
+
 def two_site_spectrum(model: ModelSpec, omegas: Sequence[int]) -> TwoSiteTable:
-    """Exact pair spectrum per total: gap and top eigenvalue of the halved pair operator."""
+    """Pair spectrum per total: gap and top eigenvalue of -S on K2, O(omega) per total.
+
+    The simple average on two sites is the L2(pi) projection onto constants at
+    fixed total, so -S = s (I - Pi) with s the K2 pair scaling: gap and kappa
+    are s for every total >= 1, with no solve.  The zero-range pair chain is a
+    birth-death chain, solved as a tridiagonal (`_pair_chain_spectrum`) from
+    one table of g up to the largest total.  Continuous families are refused.
+    """
+    if not model.is_discrete:
+        raise ValueError(f"two-site sweeps over totals need a discrete family, "
+                         f"got {model.family}")
     omegas = list(omegas)
     if not omegas:
         raise ValueError("empty omega range")
-    graph = build_graph("complete", N=2)
+    if min(omegas) < 0:
+        raise ValueError(f"totals must be nonnegative, got {min(omegas)}")
+    s = build_graph("complete", N=2).pair_scaling
+    if model.family == "zero-range":
+        solver = "tridiagonal"
+        gv = np.array([model.g(k) for k in range(max(omegas) + 1)])
+        lgf = model.g.log_factorials(max(omegas))
+    else:
+        solver = "projection"
     rows = []
+    max_residual = 0.0
     for om in omegas:
         if om == 0:
             rows.append(TwoSiteRow(0, math.inf, math.inf))
             continue
-        gap, kappa, _ = exact_gap(model, graph, om)
+        if solver == "projection":
+            gap = kappa = s
+        else:
+            gap, kappa, residual = _pair_chain_spectrum(gv, lgf, om, s)
+            max_residual = max(max_residual, residual)
         rows.append(TwoSiteRow(om, gap, kappa))
     finite = [r.gap for r in rows if math.isfinite(r.gap)]
     inf_gap = min(finite) if finite else math.inf
@@ -527,7 +627,8 @@ def two_site_spectrum(model: ModelSpec, omegas: Sequence[int]) -> TwoSiteTable:
             trend = "mixed"
     else:
         trend = "single-point"
-    return TwoSiteTable(model.family, tuple(rows), inf_gap, sup_kappa, trend)
+    return TwoSiteTable(model.family, tuple(rows), inf_gap, sup_kappa, trend,
+                        solver, max_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +644,48 @@ class KernelMatrix:
     detailed_balance_residual: float
 
 
+@dataclass(frozen=True)
+class _PairLawTable:
+    """The integer pair laws of totals 0..m-1, from which every K_n (n <= m) is sliced.
+
+    Row s of `rows` is the pmf of total s reversed and right-aligned, so the
+    kernel K_n is the block rows[:n, m - n:].
+    """
+
+    lgf: np.ndarray        # log g(k)! for k = 0..m-1
+    rows: np.ndarray       # (m, m)
+    log_norm: np.ndarray   # log normalizer of each total
+
+    @classmethod
+    def build(cls, g: RateFunction, m: int) -> "_PairLawTable":
+        lgf = g.log_factorials(m - 1)
+        rows = np.zeros((m, m))
+        log_norm = np.empty(m)
+        for t in range(m):
+            pmf, log_norm[t] = pair_law(lgf, t)
+            rows[t, m - 1 - t:] = pmf[::-1]
+        return cls(lgf, rows, log_norm)
+
+    def kernel(self, n: int) -> KernelMatrix:
+        m = len(self.lgf)
+        K = self.rows[:n, m - n:].copy()
+        # stationary law of the indexed coordinate: occupation n-i with the other
+        # two sites holding i-1; weights in log space to dodge factorial overflow
+        lpi = self.log_norm[:n] - self.lgf[n - 1::-1]
+        lpi -= lpi.max()
+        pi = np.exp(lpi)
+        pi /= pi.sum()
+        flux = pi[:, None] * K
+        db = float(np.abs(flux - flux.T).max())
+        if not db < 1e-7:
+            raise ArithmeticError(f"kernel n={n} is not reversible: detailed-balance "
+                                  f"residual {db:.2e}")
+        d = np.sqrt(pi)
+        S = (d[:, None] * K) / d[None, :]
+        spec = np.linalg.eigvalsh(0.5 * (S + S.T))
+        return KernelMatrix(n, K, spec, pi, db)
+
+
 def kernel_matrix(g: RateFunction, n: int) -> KernelMatrix:
     """The n-by-n conditional kernel of one free coordinate given another.
 
@@ -552,27 +695,7 @@ def kernel_matrix(g: RateFunction, n: int) -> KernelMatrix:
     """
     if n < 1:
         raise ValueError("kernel size must be >= 1")
-    lgf = g.log_factorials(n - 1)
-    K = np.zeros((n, n))
-    log_norm = np.empty(n)
-    for i in range(1, n + 1):
-        pmf, log_norm[i - 1] = pair_law(lgf, i - 1)
-        K[i - 1, n - i:] = pmf[::-1]
-    # stationary law of the indexed coordinate: occupation n-i with the other
-    # two sites holding i-1; weights in log space to dodge factorial overflow
-    lpi = log_norm - lgf[::-1]
-    lpi -= lpi.max()
-    pi = np.exp(lpi)
-    pi /= pi.sum()
-    flux = pi[:, None] * K
-    db = float(np.abs(flux - flux.T).max())
-    if not db < 1e-7:
-        raise ArithmeticError(f"kernel n={n} is not reversible: detailed-balance "
-                              f"residual {db:.2e}")
-    d = np.sqrt(pi)
-    S = (d[:, None] * K) / d[None, :]
-    spec = np.linalg.eigvalsh(0.5 * (S + S.T))
-    return KernelMatrix(n, K, spec, pi, db)
+    return _PairLawTable.build(g, n).kernel(n)
 
 
 @dataclass(frozen=True)
@@ -583,14 +706,18 @@ class KernelExtremes:
 
 
 def kernel_spectrum_extremes(g: RateFunction, n_max: int) -> KernelExtremes:
-    """Extremes of the kernel spectra with the top eigenvalue removed, n = 2..n_max."""
+    """Extremes of the kernel spectra with the top eigenvalue removed, n = 2..n_max.
+
+    The pair laws are tabulated once; each K_n is a slice of that table, so
+    the kernels are the ones `kernel_matrix` builds, bit for bit.
+    """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
+    laws = _PairLawTable.build(g, n_max)
     mu1, mu2 = math.inf, -math.inf
     rows = []
     for n in range(2, n_max + 1):
-        km = kernel_matrix(g, n)
-        ev = km.spectrum
+        ev = laws.kernel(n).spectrum
         top = int(np.argmin(np.abs(ev - 1.0)))
         if abs(ev[top] - 1.0) > 1e-9:
             raise ArithmeticError(

@@ -247,6 +247,20 @@ class TestOtherCommands:
         summary = doc["results"][-1]
         assert summary["gap"] == pytest.approx(1.0, abs=1e-8)
         assert summary["kappa"] == pytest.approx(5.0, abs=1e-8)
+        assert summary["solver"] == "tridiagonal"
+        assert 0.0 <= summary["max_residual"] < 1e-12
+        code, doc = run_json(["two-site", "--model", "simple-average", "--g", "identity",
+                              "--omega", "0:3"], tmp_path, name="average.json")
+        assert code == 0
+        summary = doc["results"][-1]
+        assert summary["gap"] == summary["kappa"] == 0.5
+        assert summary["solver"] == "projection" and summary["max_residual"] == 0.0
+
+    def test_two_site_refuses_a_continuous_family(self, capsys):
+        # no total is solved: without the refusal it would read as a simple average
+        assert main(["two-site", "--model", "gamma-exchange", "--gamma", "2",
+                     "--omega", "1:3"]) == 1
+        assert "gamma-exchange" in capsys.readouterr().err
 
     def test_two_site_rotation_modes(self, tmp_path):
         code, doc = run_json(["two-site", "--model", "kac-rho", "--n-max", "8",

@@ -19,7 +19,7 @@ from gaplab.discrete import (TooLargeError, build_generator,
                              kernel_spectrum_extremes, pair_average_matrix, rank_states,
                              spectral_gap, stationary_weights, two_site_spectrum)
 from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, ModelSpec, RateFunction,
-                           build_graph, pair_law, rate_from_table)
+                           build_graph, model_from_id, pair_law, rate_from_table)
 from gaplab.simulate import _Dynamics
 
 GK = G_IDENTITY
@@ -108,6 +108,16 @@ class TestStationaryWeights:
         s = enumerate_states(2, 60)
         m = stationary_weights(g, s)
         assert np.isfinite(m.weights).all()
+
+    @pytest.mark.parametrize("omega", [1080, 2000])
+    def test_underflow_is_refused(self, omega):
+        # linear rates on K2: the log-weights span log C(omega, omega/2), more
+        # than float64 holds above omega ~ 1075.  The generator would divide by
+        # the zero weights; the solve raised ArpackError or returned NaN
+        with pytest.raises(ArithmeticError, match="underflow to 0"):
+            stationary_weights(GK, enumerate_states(2, omega))
+        with pytest.raises(ArithmeticError, match="underflow to 0"):
+            exact_gap(ModelSpec("zero-range", g=GK), build_graph("complete", N=2), omega)
 
 
 def _oracle_simple_average(V, omega, g):
@@ -240,6 +250,24 @@ class TestSpectralGap:
         with pytest.raises(ArithmeticError, match="not negative semidefinite"):
             spectral_gap(gen)
 
+    @pytest.mark.parametrize("omega, solver", [(3, "dense"), (500, "eigsh")])
+    def test_non_finite_eigenvalues_detected(self, omega, solver, monkeypatch):
+        # every comparison with NaN is false, so a NaN gap passed the null,
+        # semidefiniteness and zero-mode checks and came back as the answer
+        def nan_eigh(a):
+            return np.full(len(a), np.nan), np.full(a.shape, np.nan)
+
+        def nan_eigsh(op, k, **kwargs):
+            return np.full(k, np.nan), np.full((op.shape[0], k), np.nan)
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", nan_eigsh)
+        gen = build_zero_range_generator(build_graph("complete", N=2),
+                                         enumerate_states(2, omega), GK)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            gap_and_kappa(gen)
+        assert gen.solve_report.solver == solver
+
 
 def _two_pairs():
     """Sites {0, 1} and {2, 3} with no edge between them: totals conserved per pair.
@@ -351,6 +379,10 @@ class TestSparseSolve:
         assert "edges" not in graph.__dict__
 
 
+G_INVERSE = rate_from_table([(k, 1.0 + 1.0 / k) for k in range(1, 61)],
+                            name="one-plus-inverse")
+
+
 class TestTwoSiteSpectrum:
     def test_linear_rate(self):
         table = two_site_spectrum(ModelSpec("zero-range", g=GK), range(1, 11))
@@ -358,6 +390,72 @@ class TestTwoSiteSpectrum:
             assert row.gap == pytest.approx(1.0, abs=1e-9)
             assert row.kappa == pytest.approx(float(row.omega), abs=1e-9)
         assert table.inf_gap == pytest.approx(1.0, abs=1e-9)
+        # criterion 7 checks lambda_2 = 1 <= kappa(1) with no tolerance
+        assert table.rows[0].kappa == 1.0
+
+    @pytest.mark.parametrize("g", [G1, GK, G_INVERSE], ids=lambda g: g.name)
+    def test_zero_range_matches_exact_engine(self, g):
+        model = ModelSpec("zero-range", g=g)
+        table = two_site_spectrum(model, range(61))
+        assert table.solver == "tridiagonal"
+        assert table.max_residual < 1e-12
+        k2 = build_graph("complete", N=2)
+        for row in table.rows[1:]:
+            gap, kappa, _ = exact_gap(model, k2, row.omega)
+            assert row.gap == pytest.approx(gap, rel=1e-10, abs=0)
+            assert row.kappa == pytest.approx(kappa, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("g", [G1, GK, G_INVERSE], ids=lambda g: g.name)
+    def test_simple_average_is_the_projection(self, g):
+        # on two sites the pair average is the projection onto constants at
+        # fixed total: -S = s (I - Pi), gap and kappa both the pair scaling 1/2
+        model = ModelSpec("simple-average", g=g)
+        table = two_site_spectrum(model, range(61))
+        assert table.solver == "projection" and table.max_residual == 0.0
+        assert table.rows[0].gap == table.rows[0].kappa == math.inf
+        k2 = build_graph("complete", N=2)
+        for row in table.rows[1:]:
+            assert row.gap == row.kappa == 0.5
+            gap, kappa, _ = exact_gap(model, k2, row.omega)
+            assert gap == pytest.approx(0.5, abs=1e-12)
+            assert kappa == pytest.approx(0.5, abs=1e-12)
+
+    def test_reach_beyond_the_exact_engine(self):
+        # the exact engine's weights underflow above omega ~ 1075 with linear
+        # rates; the pair chain's entries hold no factorials.  With g = 1 the
+        # chain is the reflecting walk: eigenvalues 1 - cos(pi k / (omega + 1))
+        omega = 5000
+        linear = two_site_spectrum(ModelSpec("zero-range", g=GK), [omega]).rows[0]
+        assert linear.gap == pytest.approx(1.0, rel=1e-12)
+        assert linear.kappa == pytest.approx(float(omega), rel=1e-12)
+        walk = two_site_spectrum(ModelSpec("zero-range", g=G1), [omega])
+        h = math.pi / (omega + 1)
+        assert walk.rows[0].gap == pytest.approx(2 * math.sin(h / 2) ** 2, rel=1e-9)
+        assert walk.rows[0].kappa == pytest.approx(1 + math.cos(h), rel=1e-12)
+        assert walk.max_residual < 1e-12
+
+    def test_sqrt_pi_off_null_is_refused(self, monkeypatch):
+        # a pair law that is not the chain's stationary law
+        def tilted(lgf, s):
+            pmf, log_norm = pair_law(lgf, s)
+            pmf = pmf * np.arange(1, s + 2)
+            return pmf / pmf.sum(), log_norm
+
+        monkeypatch.setattr(discrete, "pair_law", tilted)
+        with pytest.raises(ArithmeticError, match="not a zero mode"):
+            two_site_spectrum(ModelSpec("zero-range", g=G1), range(1, 4))
+
+    @pytest.mark.parametrize("model_id, kwargs", [
+        ("gamma-exchange", {"gamma": 2}), ("kac", {}), ("kac-rho", {}),
+    ])
+    def test_continuous_families_are_refused(self, model_id, kwargs):
+        model = model_from_id(model_id, **kwargs)
+        with pytest.raises(ValueError, match=model.family):
+            two_site_spectrum(model, range(1, 4))
+
+    def test_negative_total_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            two_site_spectrum(ModelSpec("simple-average", g=G1), [2, -1])
 
     def test_constant_rate_decays(self):
         # oracle: the pair chain is a reflecting nearest-neighbor walk on
@@ -519,6 +617,17 @@ class TestKernelExtremes:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             kernel_spectrum_extremes(G1, 1)
+
+    @pytest.mark.parametrize("g", [G1, GK], ids=lambda g: g.name)
+    def test_sweep_equals_one_kernel_at_a_time(self, g):
+        rows = []
+        for n in range(2, 101):
+            ev = kernel_matrix(g, n).spectrum
+            rest = np.delete(ev, int(np.argmin(np.abs(ev - 1.0))))
+            rows.append((n, float(rest.min()), float(rest.max())))
+        ext = kernel_spectrum_extremes(g, 100)
+        assert ext.table == tuple(rows)
+        assert (ext.mu1, ext.mu2) == (min(r[1] for r in rows), max(r[2] for r in rows))
 
 
 class TestIterativeEigenPath:
