@@ -539,7 +539,9 @@ def _pair_chain_spectrum(gv: np.ndarray, lgf: np.ndarray, omega: int,
     eigenvalue is then the vector's Rayleigh quotient, which minimizes
     ||T v - lambda v||.  Raises `ArithmeticError` as `_solve` does: when
     sqrt(pi) is not null, when T has an eigenvalue below `PSD_TOL`, or when
-    the gap is not above `ZERO_TOL`.
+    the gap is not above `ZERO_TOL`.  Null means ||T sqrt(pi)|| at most
+    `ZERO_TOL * max(1, kappa)`: the rounding of the summed log factorials in
+    sqrt(pi) grows with ||T|| = kappa (1.3e-8 at omega = 9000, linear rates).
     """
     a = np.arange(omega + 1)
     d = s * (gv[a] + gv[omega - a])
@@ -564,7 +566,7 @@ def _pair_chain_spectrum(gv: np.ndarray, lgf: np.ndarray, omega: int,
     if not np.isfinite([bottom, gap, kappa, residual]).all():
         raise ArithmeticError(
             f"pair chain at omega={omega}: non-finite eigenpair (gap {gap}, kappa {kappa})")
-    if null > ZERO_TOL:
+    if null > ZERO_TOL * max(1.0, kappa):
         raise ArithmeticError(
             f"pair chain at omega={omega}: sqrt(pi) is not a zero mode: ||T q|| = {null:.3e}")
     if bottom < PSD_TOL:

@@ -70,6 +70,7 @@ def galerkin_record(model: str, graph, degree: int, sector: str, report,
 
 
 def mc_record(model: str, graph, omega, result) -> dict:
+    diag = result.diagnostics
     return {
         "model": model,
         "graph": graph_header(graph),
@@ -79,6 +80,8 @@ def mc_record(model: str, graph, omega, result) -> dict:
         "ci": [_scalar(result.ci_low), _scalar(result.ci_high)],
         "ess": _scalar(result.ess),
         "method": "mc-autocorr",
+        **{k: diag[k] for k in ("events", "clipped_events", "rate_rows",
+                                "bootstrap_failures", "block")},
     }
 
 

@@ -1,13 +1,18 @@
 """Event-driven simulation of the collision dynamics and gap estimators.
 
 Pair clocks are exponential with state-dependent rates; every event
-redraws the affected pair.  The edge-rate vector lives across events: a
-jump on (x, y) recomputes only the edges that share an endpoint with it,
-the constant-rate families compute their rates once per trajectory, and the
-edge is drawn from a numpy cumulative sum.  The random stream is the same
-as a recompute-everything loop's, so a seed fixes the trajectory bit for
-bit.  The estimators fit the slowest decay of stationary autocorrelations
-or accumulate the quadratic form of the generator along the trajectory.
+redraws the affected pair.  The loop reads each configuration's rate row:
+its total, cumulative edge rates (the edge is drawn from them), edge rates
+and, for zero-range, site rates.  The constant-rate families build one row
+per trajectory.  Otherwise a jump on (x, y) derives the next row from the
+current one by recomputing only the edges that share an endpoint with it.
+A zero-range trajectory whose whole configuration space fits
+`ROW_MEMO_FLOATS` keeps every row it builds, keyed by the configuration,
+so a revisited configuration costs a dictionary lookup.  The random stream
+is the same as a recompute-everything loop's, so a seed fixes the
+trajectory bit for bit.  The estimators fit the slowest decay of stationary
+autocorrelations or accumulate the quadratic form of the generator along
+the trajectory.
 """
 
 from __future__ import annotations
@@ -37,6 +42,12 @@ MAX_FIT_LAG = 400
 FIT_WINDOW = (0.1, 0.8)
 #: batches of the Rayleigh-quotient interval
 N_BATCHES = 20
+#: float64 budget (2 MiB) of the zero-range rate-row memo: a trajectory keeps
+#: one row per configuration when every row of its configuration space fits
+ROW_MEMO_FLOATS = 1 << 18
+#: the Python objects of one memo row (tuple, three array headers, the key)
+#: in float64s: about 560-590 bytes measured with tracemalloc on K2-K4
+ROW_OBJECT_FLOATS = 72
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
@@ -61,11 +72,7 @@ def initial_config(model: ModelSpec, graph: InteractionGraph, omega,
         return x
     if not model.is_discrete:
         return rng.dirichlet([float(model.exchange.gamma)] * V) * float(omega)
-    cfg = np.zeros(V, dtype=np.int64)
-    sites = rng.integers(0, V, size=int(omega))
-    for s in sites:
-        cfg[s] += 1
-    return cfg
+    return np.bincount(rng.integers(0, V, size=int(omega)), minlength=V)
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +92,20 @@ def _redistribution(alpha, s):
 class _Dynamics:
     """Rates, updates and pair outcomes for one model family on a fixed graph.
 
-    `reset(cfg)` computes every edge rate into `rates`.  Each `apply` then
-    makes one jump and recomputes only the edges that share an endpoint with
-    the fired pair, so `rates` stays bitwise equal to `edge_rates(cfg)`.
+    A rate row is the tuple (total, cumulative rates, edge rates, site
+    rates) of one configuration; the site rates g(cfg) are kept for
+    zero-range only, and are None otherwise.  Its entries are bitwise
+    `rates.sum()`, `rates.cumsum()` and `rates = edge_rates(cfg)`.
+    `reset(cfg)` builds the row of `cfg`.  Each `apply` makes one jump and
+    returns the row of the new configuration: the same row when rates are
+    constant, else a row derived from the previous one by recomputing the
+    edges that share an endpoint with the fired pair.  A zero-range
+    trajectory whose C(omega + V - 1, V - 1) rows of 2E + V floats, plus
+    `ROW_OBJECT_FLOATS` each for their Python objects, fit
+    `ROW_MEMO_FLOATS` keeps every row in a memo keyed by `cfg.tobytes()`: a
+    revisit reads its row back, and a first visit derives from a copy of the
+    previous row, which the memo holds.  Outside the memo the row is
+    derived in place.  `rate_rows` counts the rows built since `reset`.
     `outcomes(cfg, x, y)` lists what a collision of (x, y) can leave, for
     the carre du champ.
     """
@@ -110,10 +128,11 @@ class _Dynamics:
         self._incident = np.split(order // 2, np.cumsum(counts)[:-1])
         #: pair rates do not depend on the configuration
         self.constant_rates = model.constant_rates
-        self._refresh = None
+        #: derives the next rate row; None when every configuration shares one
+        self._next_row = None
         if fam == "zero-range":
             self._jump, self.outcomes = self._jump_zero_range, self._zero_range_outcomes
-            self._refresh = self._refresh_zero_range
+            self._next_row = self._zero_range_row
         elif fam == "simple-average":
             self._laws: dict = {}
             self._jump, self.outcomes = self._jump_integer_average, self._integer_average_outcomes
@@ -122,7 +141,7 @@ class _Dynamics:
             self._gamma = float(ex.gamma)
             self._jump, self.outcomes = self._jump_exchange, self._exchange_outcomes
             if not self.constant_rates:
-                self._refresh = self._refresh_exchange
+                self._next_row = self._exchange_row
             self._simple = ex.kernel is None
             if not self._simple:
                 self._grid = ex.grid()
@@ -152,12 +171,21 @@ class _Dynamics:
         return np.array([self._exchange_rate(vals[x], vals[y]) for x, y in self.edges],
                         dtype=float)
 
-    def reset(self, cfg: np.ndarray) -> np.ndarray:
-        """Start tracking `cfg`: compute and return the live rate vector."""
+    def reset(self, cfg: np.ndarray) -> tuple:
+        """Start tracking `cfg`: build and return its rate row."""
+        rates = self.edge_rates(cfg)
+        self._memo = site_rates = None
         if self.model.family == "zero-range":
-            self._gs = self._site_rates(cfg)
-        self.rates = self.edge_rates(cfg)
-        return self.rates
+            site_rates = self._site_rates(cfg)
+            n_rows = math.comb(int(cfg.sum()) + len(cfg) - 1, len(cfg) - 1)
+            row_floats = 2 * len(rates) + len(cfg) + ROW_OBJECT_FLOATS
+            if n_rows * row_floats <= ROW_MEMO_FLOATS:
+                self._memo = {}
+        self._row = (float(rates.sum()), rates.cumsum(), rates, site_rates)
+        self.rate_rows = 1
+        if self._memo is not None:
+            self._memo[cfg.tobytes()] = self._row
+        return self._row
 
     def conserved(self, cfg: np.ndarray) -> float:
         """Configuration total of the conserved per-site quantity."""
@@ -179,32 +207,54 @@ class _Dynamics:
         """Edges sharing an endpoint with (x, y); the pair itself appears twice."""
         return np.concatenate((self._incident[x], self._incident[y]))
 
-    def _refresh_zero_range(self, cfg, x, y):
-        g, gs = self.model.g, self._gs
+    def _zero_range_row(self, cfg, x, y):
+        memo = self._memo
+        _, cum, rates, gs = self._row
+        if memo is not None:
+            key = cfg.tobytes()
+            row = memo.get(key)
+            if row is not None:
+                self._row = row
+                return row
+            cum, rates, gs = np.empty_like(cum), rates.copy(), gs.copy()
+        g = self.model.g
         gs[x] = g(int(cfg[x]))
         gs[y] = g(int(cfg[y]))
         touched = self._touched(x, y)
-        self.rates[touched] = self.scale * (gs[self.ex[touched]] + gs[self.ey[touched]])
+        rates[touched] = self.scale * (gs[self.ex[touched]] + gs[self.ey[touched]])
+        rates.cumsum(out=cum)
+        row = self._row = (float(rates.sum()), cum, rates, gs)
+        self.rate_rows += 1
+        if memo is not None:
+            memo[key] = row
+        return row
 
-    def _refresh_exchange(self, cfg, x, y):
-        rates, edges, item = self.rates, self.edges, cfg.item
+    def _exchange_row(self, cfg, x, y):
+        _, cum, rates, _ = self._row
+        edges, item = self.edges, cfg.item
         for e in self._touched(x, y).tolist():
             u, v = edges[e]
             rates[e] = self._exchange_rate(item(u), item(v))
+        rates.cumsum(out=cum)
+        row = self._row = (float(rates.sum()), cum, rates, None)
+        self.rate_rows += 1
+        return row
 
     # updates ---------------------------------------------------------------
-    def apply(self, cfg: np.ndarray, edge: int, rng: np.random.Generator) -> None:
-        """Jump on `edge`, then refresh the rates it changes (after `reset`)."""
+    def apply(self, cfg: np.ndarray, edge: int, rng: np.random.Generator) -> tuple:
+        """Jump on `edge` and return the new configuration's rate row (after `reset`)."""
         x, y = self.edges[edge]
         self._jump(cfg, x, y, rng)
-        if self._refresh is not None:
-            self._refresh(cfg, x, y)
+        if self._next_row is None:
+            return self._row
+        return self._next_row(cfg, x, y)
 
     def _jump_rotation(self, cfg, x, y, rng):
         self._rotate(cfg, x, y, self._theta_sampler(rng))
 
     def _jump_zero_range(self, cfg, x, y, rng):
-        rx, ry = self._gs[x], self._gs[y]
+        gs = self._row[3]
+        rx, ry = gs[x], gs[y]
         if not rx + ry > 0.0:
             raise ArithmeticError(
                 f"zero-range jump on sites ({x}, {y}) with occupations "
@@ -375,6 +425,8 @@ class TrajectorySummary:
     final_config: np.ndarray
     conservation_drift: float
     clipped_events: int
+    #: rate rows built; a revisit that the zero-range memo serves builds none
+    rate_rows: int
 
 
 def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
@@ -396,11 +448,8 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
     target = dyn.conserved(cfg)
     drift_bound = CONSERVATION_RTOL * max(abs(target), 1.0)
     rng = rng_for(seed)
-    rates = dyn.reset(cfg)
+    total, cum, rates, _ = dyn.reset(cfg)
     n_edges = len(rates)
-    constant = dyn.constant_rates
-    total = float(rates.sum())
-    cum = rates.cumsum()
 
     sampling = sample_dt is not None and observables
     times: list = []
@@ -411,8 +460,6 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
     drift = 0.0
 
     while True:
-        if not constant:
-            total = float(rates.sum())
         if not math.isfinite(total):
             raise ArithmeticError(
                 f"non-finite pair rate at t = {t}; configuration {cfg!r}")
@@ -434,30 +481,26 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
             t = horizon
             break
         t = t_jump
-        if n_edges > 1:
-            if not constant:
-                rates.cumsum(out=cum)
-            edge = _pick_edge(cum, rates, rng.random() * total)
-        else:
-            edge = 0
+        edge = _pick_edge(cum, rates, rng.random() * total) if n_edges > 1 else 0
         before = cfg.copy() if event_callback is not None else None
-        dyn.apply(cfg, edge, rng)
+        total, cum, rates, _ = dyn.apply(cfg, edge, rng)
         if event_callback is not None:
             event_callback(t, edge, before, cfg)
         n_events += 1
+        # integer jumps conserve exactly and never clip
         if not dyn.is_int:
             drift = max(drift, abs(dyn.conserved(cfg) - target))
             if drift > drift_bound:
                 raise ArithmeticError(
                     f"conserved total drifted by {drift:.3e} after {n_events} events")
-        if dyn.clips * 1_000_000 > CLIP_BUDGET_PER_MILLION * max(n_events, 1):
-            raise ArithmeticError(
-                f"{dyn.clips} clipped negative energies in {n_events} events")
+            if dyn.clips * 1_000_000 > CLIP_BUDGET_PER_MILLION * n_events:
+                raise ArithmeticError(
+                    f"{dyn.clips} clipped negative energies in {n_events} events")
 
     if dyn.is_int:
         drift = abs(dyn.conserved(cfg) - target)
     summary = TrajectorySummary(model.family, graph.kind, graph.n_sites, t,
-                                n_events, cfg, drift, dyn.clips)
+                                n_events, cfg, drift, dyn.clips, dyn.rate_rows)
     if not sampling:
         return summary, None
     return summary, {"times": np.array(times),
@@ -467,12 +510,13 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
 def _stationary_samples(model: ModelSpec, graph: InteractionGraph, omega,
                         observables: dict, *, dt: float, n_samples: int,
                         burn_in: Optional[float], seed: int,
-                        stream_writer=None) -> dict:
+                        stream_writer=None) -> tuple[dict, dict]:
     """Each observable on a uniform grid after burn-in, from one trajectory.
 
     The trajectory starts from `initial_config` with the same seed, and the
     burn-in defaults to 40 dt.  `stream_writer` receives every sampled frame,
-    burn-in included.  Returns {name: n_samples values}.
+    burn-in included.  Returns {name: n_samples values} and the trajectory's
+    counts: events, clipped events and rate rows built.
     """
     cfg = initial_config(model, graph, omega, seed=seed)
     if n_samples < 1:
@@ -480,12 +524,14 @@ def _stationary_samples(model: ModelSpec, graph: InteractionGraph, omega,
     if burn_in is None:
         burn_in = 40.0 * dt
     horizon = burn_in + dt * (n_samples + 1)
-    _, samples = simulate(model, graph, cfg, horizon, seed=seed, sample_dt=dt,
-                          observables=observables, stream_writer=stream_writer)
+    summary, samples = simulate(model, graph, cfg, horizon, seed=seed, sample_dt=dt,
+                                observables=observables, stream_writer=stream_writer)
     skip = int(math.ceil(burn_in / dt))
     if len(samples["times"]) < skip + n_samples:
         raise RuntimeError("trajectory too short for the requested samples")
-    return {name: samples[name][skip:skip + n_samples] for name in observables}
+    counts = {"events": summary.n_events, "clipped_events": summary.clipped_events,
+              "rate_rows": summary.rate_rows}
+    return {name: samples[name][skip:skip + n_samples] for name in observables}, counts
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +627,10 @@ def autocorr_gap_estimate(model: ModelSpec, graph: InteractionGraph,
     fit-model error.  `stream_writer` receives the sampled series of the
     same trajectory, burn-in included.
     """
-    series = _stationary_samples(model, graph, omega, {"f": observable}, dt=dt,
-                                 n_samples=n_samples, burn_in=burn_in, seed=seed,
-                                 stream_writer=stream_writer)["f"]
+    samples, counts = _stationary_samples(model, graph, omega, {"f": observable}, dt=dt,
+                                          n_samples=n_samples, burn_in=burn_in, seed=seed,
+                                          stream_writer=stream_writer)
+    series = samples["f"]
     rate = _fit_decay_rate(series, dt)
 
     rng = rng_for(seed, stream=99)
@@ -615,7 +662,7 @@ def autocorr_gap_estimate(model: ModelSpec, graph: InteractionGraph,
         estimate=rate, stderr=se,
         ci_low=rate - half_lo, ci_high=rate + half_hi, ess=ess,
         diagnostics={"block": block, "n_samples": n, "bootstrap_failures": failures,
-                     "dt": dt, "inflation": CI_INFLATION})
+                     "dt": dt, "inflation": CI_INFLATION, **counts})
 
 
 def _local_dirichlet(dyn: _Dynamics, cfg: np.ndarray, f: Callable) -> float:
@@ -672,8 +719,8 @@ def rayleigh_upper_bound(model: ModelSpec, graph: InteractionGraph,
         "f": probe,
         "dirichlet": lambda c: _local_dirichlet(dyn, c, probe),
     }
-    samples = _stationary_samples(model, graph, omega, observables, dt=dt,
-                                  n_samples=n_samples, burn_in=burn_in, seed=seed)
+    samples, counts = _stationary_samples(model, graph, omega, observables, dt=dt,
+                                          n_samples=n_samples, burn_in=burn_in, seed=seed)
     fvals, dvals = samples["f"], samples["dirichlet"]
 
     var = float(fvals.var())
@@ -695,4 +742,5 @@ def rayleigh_upper_bound(model: ModelSpec, graph: InteractionGraph,
     return EstimatorResult(
         estimate=ratio, stderr=se, ci_low=ratio - width, ci_high=ratio + width,
         ess=float(k),
-        diagnostics={"numerator": float(dvals.mean()), "variance": var, "batches": k})
+        diagnostics={"numerator": float(dvals.mean()), "variance": var, "batches": k,
+                     **counts})

@@ -133,6 +133,19 @@ class TestGapCommands:
         rec = doc["results"][0]
         assert rec["ci"][0] < 1.0 < rec["ci"][1]
 
+    def test_mc_record_counts(self, tmp_path):
+        code, doc = run_json(["gap-mc", "--model", "zero-range", "--g", "identity",
+                              "--N", "3", "--omega", "3", "--dt", "0.5",
+                              "--samples", "600", "--seed", "3"], tmp_path)
+        assert code == 0
+        rec = doc["results"][0]
+        # K3 at omega = 3 has 10 configurations, and the memo builds each row once
+        assert rec["events"] > 0
+        assert rec["rate_rows"] <= 10
+        assert rec["clipped_events"] == 0
+        assert rec["bootstrap_failures"] >= 0
+        assert 50 <= rec["block"] <= 600 // 4
+
     def test_mc_stream_file(self, tmp_path):
         from gaplab.reporting import read_sample_stream
         stream = tmp_path / "run.samples"

@@ -434,6 +434,14 @@ class TestTwoSiteSpectrum:
         assert walk.rows[0].kappa == pytest.approx(1 + math.cos(h), rel=1e-12)
         assert walk.max_residual < 1e-12
 
+    @pytest.mark.parametrize("omega", [9000, 12000])
+    def test_zero_mode_tolerance_scales_with_kappa(self, omega):
+        # ||T sqrt(pi)|| reaches 1.3e-8 at omega = 9000 with linear rates,
+        # above the absolute ZERO_TOL, while the gap is still exactly 1
+        row = two_site_spectrum(ModelSpec("zero-range", g=GK), [omega]).rows[0]
+        assert row.gap == pytest.approx(1.0, abs=1e-8)
+        assert row.kappa == pytest.approx(float(omega), abs=1e-8)
+
     def test_sqrt_pi_off_null_is_refused(self, monkeypatch):
         # a pair law that is not the chain's stationary law
         def tilted(lgf, s):

@@ -1,4 +1,4 @@
-"""The reach scripts under scripts/ run and print one JSON row per case."""
+"""The scripts under scripts/ run and print one JSON row per case."""
 
 import json
 import subprocess
@@ -39,3 +39,14 @@ def test_sector_reach():
     rows = _rows("sector_reach.py", "--Ns", "1000", "--degree", "6")
     assert len(rows) == 3
     assert all(r["abs_error"] <= 1e-13 for r in rows)
+
+
+def test_event_rate():
+    rows = _rows("event_rate.py", "--cases", "zero-range/K3/3,zero-range/K10/10",
+                 "--events", "2000", "--repeats", "1")
+    assert [r["case"] for r in rows] == ["zero-range/K3/3", "zero-range/K10/10"]
+    assert all(r["events"] > 1000 and r["us_per_event"] > 0.0 for r in rows)
+    # K3 at omega = 3: 10 memoized rows; K10 at omega = 10 is over the memo
+    # budget, so every event derives a row
+    assert rows[0]["rate_rows"] <= 10
+    assert rows[1]["rate_rows"] == rows[1]["events"] + 1

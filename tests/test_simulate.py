@@ -414,16 +414,63 @@ class TestIncrementalRates:
     @pytest.mark.parametrize("model", [ZR_LINEAR, GAMMA_LAMBDA],
                              ids=["zero-range", "gamma-exchange-lambda"])
     def test_rates_equal_fresh_after_every_event(self, model):
+        # 125,970 rows of 33 floats: over the memo budget, so rows derive in place
         graph = build_graph("lattice", d=2, N=3)
         cfg = initial_config(model, graph, 12 if model.is_discrete else 2.0, seed=3)
         dyn = _Dynamics(model, graph)
-        rates = dyn.reset(cfg)
+        total, cum, rates, site_rates = dyn.reset(cfg)
         rng = rng_for(5)
-        for _ in range(1500):
+        for i in range(1500):
             edge = int(rng.choice(np.flatnonzero(rates > 0.0)))
-            dyn.apply(cfg, edge, rng)
-            assert np.array_equal(dyn.rates, dyn.edge_rates(cfg))
-            assert np.array_equal(dyn.rates, _reference_rates(model, graph, cfg))
+            total, cum, rates, site_rates = dyn.apply(cfg, edge, rng)
+            fresh = dyn.edge_rates(cfg)
+            assert np.array_equal(rates, fresh)
+            assert np.array_equal(rates, _reference_rates(model, graph, cfg))
+            assert total == float(fresh.sum())
+            assert np.array_equal(cum, fresh.cumsum())
+            if model.family == "zero-range":
+                assert site_rates.tolist() == [model.g(v) for v in cfg.tolist()]
+            assert dyn.rate_rows == i + 2
+
+    def test_memoized_rows_equal_fresh(self, monkeypatch):
+        # K3 at omega = 4 has 15 configurations, so at most 15 rows are built
+        built = []
+
+        class Recording(_Dynamics):
+            def reset(self, cfg):
+                built.append(self)
+                return super().reset(cfg)
+
+        monkeypatch.setattr("gaplab.simulate._Dynamics", Recording)
+        cfg = initial_config(ZR_LINEAR, K3, 4, seed=1)
+        summary, _ = simulate(ZR_LINEAR, K3, cfg, 4000.0, seed=1)
+        assert summary.n_events >= 10_000
+        assert summary.rate_rows <= 15
+        (dyn,) = built
+        assert len(dyn._memo) == summary.rate_rows
+        for key, (total, cum, rates, site_rates) in dyn._memo.items():
+            c = np.frombuffer(key, dtype=np.int64)
+            fresh = dyn.edge_rates(c)
+            assert np.array_equal(rates, fresh)
+            assert total == float(fresh.sum())
+            assert np.array_equal(cum, fresh.cumsum())
+            assert site_rates.tolist() == [ZR_LINEAR.g(v) for v in c.tolist()]
+
+    @pytest.mark.parametrize("graph, memoized", [
+        (build_graph("complete", N=4), True), (build_graph("lattice", d=2, N=3), False),
+    ], ids=["K4", "lattice-2d-N3"])
+    @pytest.mark.parametrize("name", ["zero-range-constant", "zero-range-identity"])
+    def test_oracle_covers_both_sides_of_the_memo_gate(self, name, graph, memoized):
+        # the recompute-everything oracle runs K4 at omega = 8 (165 rows of 16
+        # floats, memoized) and the 3 x 3 lattice at omega = 18 (1,562,275 rows
+        # of 33 floats, derived in place)
+        model = ORACLE_MODELS[name]
+        cfg = initial_config(model, graph, 2 * graph.n_sites, seed=0)
+        summary, _ = simulate(model, graph, cfg, 400.0, seed=0)
+        if memoized:
+            assert summary.rate_rows <= math.comb(11, 3) < summary.n_events
+        else:
+            assert summary.rate_rows == summary.n_events + 1
 
     def test_overflowing_draw_skips_zero_rate_edges(self):
         # pairwise rates.sum() can exceed the sequential cumsum's last entry;
