@@ -5,15 +5,17 @@
 
 For each N it assembles and solves the sector of kac-uniform and of the
 redistribution model at gamma = 1 and 2, and prints one JSON object per
-instance: basis size, kept and deflated dimensions (the kept dimension is
-the summed size of the degree blocks solved, the rest of the basis is
-deflated), seconds for the graph, the assembly and the solve, the gap and
-its distance from the closed form, (N+2)/(4N) for kac-uniform at degree >= 4
-and (gamma N + 1)/(N (2 gamma + 1)) for the redistribution model, and the
-gap eigenpair's residual and condition number.  Below degree 4 the
-kac-uniform rows carry null for the closed form and its distance.  The
+instance: basis size (the dimension of the degree <= D sector, counted, not
+built), kept and deflated dimensions (the kept dimension is the summed size
+of the degree blocks solved, whose elements alone are listed; the rest of
+the sector is deflated), seconds for the graph, the assembly and the solve,
+the gap and its distance from the closed form, (N+2)/(4N) for kac-uniform at
+degree >= 4 and (gamma N + 1)/(N (2 gamma + 1)) for the redistribution
+model, and the gap eigenpair's residual and condition number.  Below degree
+4 the kac-uniform rows carry null for the closed form and its distance.  The
 symmetric (orbit-sum) mode defaults to N = 10, 100, 300, 1000; the full
-(monomial) mode, whose basis grows as C(N + degree, degree), to N = 3..10.
+(monomial) mode, whose top block holds C(N + degree - 1, degree) monomials,
+to N = 3..10.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def cell(model: str, N: int, degree: int, gamma, graph, graph_s: float,
         "case": f"{model}/K{N}/deg{degree}/{mode}"
                 + (f"/gamma{gamma}" if gamma is not None else ""),
         "N": N,
-        "basis_size": len(rep.basis),
+        "basis_size": rep.kept_dim + rep.deflated,
         "kept_dim": rep.kept_dim,
         "deflated": rep.deflated,
         "graph_s": graph_s,

@@ -36,6 +36,14 @@ def _omega_range(text: str) -> list:
     return list(range(lo, hi + 1))
 
 
+def _rational(flag: str, text):
+    """The Fraction a rational flag gives (None when unset); bad text names the flag."""
+    try:
+        return None if text is None else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"invalid {flag} {text!r}: expected a rational such as 3/2") from None
+
+
 def _data_lines(path: str):
     """The stripped lines of a data file, blank and '#' comment lines skipped."""
     with open(path) as fh:
@@ -129,7 +137,7 @@ def _graph_from_args(args):
 def _model_from_args(args):
     """The ModelSpec of --model; a --g, --gamma or --rho the model does not read is refused."""
     g = _resolve_g(args.g) if getattr(args, "g", None) is not None else None
-    return model_from_id(args.model, g=g, gamma=args.gamma,
+    return model_from_id(args.model, g=g, gamma=_rational("--gamma", args.gamma),
                          rho=_resolve_rho(args.rho) if args.rho else None)
 
 
@@ -273,7 +281,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    chain = bounds.certificate(Fraction(args.lambda3), Fraction(args.lambda2), args.d)
+    chain = bounds.certificate(_rational("--lambda3", args.lambda3),
+                               _rational("--lambda2", args.lambda2), args.d)
     _emit(args, "bounds", [chain.to_json()], [s.rule for s in chain.steps])
     return 0
 

@@ -15,7 +15,6 @@ operator and their own checks.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from collections import Counter
@@ -27,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .discrete import TooLargeError, physical_memory
+from .discrete import TooLargeError, enumerate_states, physical_memory
 from .models import InteractionGraph, RhoSpec
 
 ZERO_TOL = 1e-8
@@ -57,74 +56,59 @@ def _double_factorial(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# multi-index bases
+# block elements: the monomials or orbit sums of one degree
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiIndexBasis:
-    """Monomial (or symmetrized-orbit) basis of total degree <= degree.
+def _block_elements(n_vars: int, degree: int, mode: str) -> tuple:
+    """The elements of one degree block, in lexicographic order.
 
-    In "full" mode each element is a monomial's exponent tuple, n_vars long.
-    In "symmetric" mode each element is a partition, the nonzero exponents
-    in nonincreasing order, standing for the orbit sum of its monomials
-    under coordinate permutations; its length is at most the degree, not
-    n_vars.  Orbit sums are only an invariant sector for
-    permutation-symmetric (complete-graph) generators.
+    "full": the monomials' exponent tuples, n_vars long.  "symmetric": the
+    partitions, each standing for the orbit sum of its monomials under site
+    permutations, an invariant sector only on the complete graph.
     """
+    if mode == "full":
+        # by name: bench/hooks.py wraps discrete.enumerate_states as the exact engine's layer
+        return tuple(map(tuple, enumerate_states(n_vars, degree).states.tolist()))
+    return tuple(sorted(_partitions(degree, min(n_vars, degree))))
 
-    n_vars: int
-    degree: int
-    mode: str
-    elements: tuple     # full: exponent tuples; symmetric: partitions
 
-    @classmethod
-    def build(cls, n_vars: int, degree: int, mode: str = "full") -> "MultiIndexBasis":
-        if mode not in ("full", "symmetric"):
-            raise ValueError(f"unknown basis mode {mode!r}")
-        if mode == "full":
-            elements = []
+def sector_dimension(n_vars: int, degree: int, mode: str) -> int:
+    """Elements of total degree <= degree, counted, not listed.
 
-            def rec(prefix, rem):
-                if len(prefix) == n_vars:
-                    elements.append(tuple(prefix))
-                    return
-                for k in range(rem + 1):
-                    rec(prefix + [k], rem - k)
+    Full: C(n_vars + degree, degree) monomials.  Symmetric: the partitions
+    into at most n_vars parts, counted as their conjugates, parts <= n_vars.
+    """
+    if mode == "full":
+        return comb(n_vars + degree, degree)
+    count = [1] + [0] * degree
+    for part in range(1, min(n_vars, degree) + 1):
+        for t in range(part, degree + 1):
+            count[t] += count[t - part]
+    return sum(count)
 
-            rec([], degree)
-        else:
-            elements = [part for total in range(degree + 1)
-                        for part in _partitions(total, min(n_vars, total))]
-        elements.sort(key=lambda k: (sum(k), k))
-        return cls(n_vars, degree, mode, tuple(elements))
 
-    def __len__(self) -> int:
-        return len(self.elements)
+def _orbit_monomials(part: tuple, n_vars: int) -> tuple:
+    """The monomial exponent tuples of a partition's orbit sum.
 
-    def monomials_of(self, element) -> tuple:
-        """Expansion of a basis element into plain monomial exponent tuples.
-
-        A partition is padded with zeros to n_vars sites, and its orbit comes
-        in lexicographic order, one distinct arrangement at a time
-        (next-permutation on a multiset).
-        """
-        if self.mode == "full":
-            return (element,)
-        k = sorted(element + (0,) * (self.n_vars - len(element)))
-        out = [tuple(k)]
-        n = len(k)
-        while True:
-            i = n - 2
-            while i >= 0 and k[i] >= k[i + 1]:
-                i -= 1
-            if i < 0:
-                return tuple(out)
-            j = n - 1
-            while k[j] <= k[i]:
-                j -= 1
-            k[i], k[j] = k[j], k[i]
-            k[i + 1:] = reversed(k[i + 1:])
-            out.append(tuple(k))
+    The partition is padded with zeros to n_vars sites, and its orbit comes
+    in lexicographic order, one distinct arrangement at a time
+    (next-permutation on a multiset).
+    """
+    k = sorted(part + (0,) * (n_vars - len(part)))
+    out = [tuple(k)]
+    n = len(k)
+    while True:
+        i = n - 2
+        while i >= 0 and k[i] >= k[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        j = n - 1
+        while k[j] <= k[i]:
+            j -= 1
+        k[i], k[j] = k[j], k[i]
+        k[i + 1:] = reversed(k[i + 1:])
+        out.append(tuple(k))
 
 
 def _partitions(total: int, max_parts: int):
@@ -297,20 +281,25 @@ def rho_pair_action(rho: RhoSpec, a: int, b: int) -> dict:
 class GalerkinPair:
     """The generator's action matrix C on the top degree blocks of a sector.
 
-    `blocks` holds (start, C_d) per degree d used: basis elements start,
-    ..., start + len(C_d) - 1 are those of total degree d, and C_d[t, s] is
-    the coefficient of element t in L(element s).  The full mode's blocks
+    `blocks` holds (elements, C_d) per degree d solved: C_d[t, s] is the
+    coefficient of elements[t] in L(elements[s]).  The full mode's blocks
     are float arrays; the symmetric mode's hold exact Fractions (object
     arrays), converted to floats by the solve.
     """
 
-    model: str
-    basis: MultiIndexBasis
+    mode: str
+    n_vars: int
+    basis_size: int         # dimension of the degree <= D sector, counted, not built
     blocks: tuple
 
     @property
+    def basis(self) -> tuple:
+        """The elements kept: those of the blocks, in block order."""
+        return tuple(itertools.chain.from_iterable(e for e, _ in self.blocks))
+
+    @property
     def assembly(self) -> str:
-        return "monomial" if self.basis.mode == "full" else "orbit-representative"
+        return "monomial" if self.mode == "full" else "orbit-representative"
 
 
 def degree_block_size(n_vars: int, degree: int) -> int:
@@ -318,21 +307,21 @@ def degree_block_size(n_vars: int, degree: int) -> int:
     return comb(n_vars + degree - 1, degree)
 
 
-def _full_mode_preflight(n_vars: int, degree: int) -> None:
-    """Refuse, before the basis is built, a full-mode sector whose top block cannot be solved.
+def _full_mode_preflight(graph: InteractionGraph, degree: int) -> None:
+    """Refuse, before any block is built, a full-mode sector whose top block cannot be solved.
 
     The largest block is that of degree `degree`; its `BLOCK_DENSE_ARRAYS`
     dense n-by-n arrays must fit in physical memory.
     """
-    n = degree_block_size(n_vars, degree)
+    n = degree_block_size(graph.n_sites, degree)
     need = BLOCK_DENSE_ARRAYS * 8 * n * n
     have = physical_memory()
     if need > have:
+        hint = "; use --basis-mode symmetric" if graph.kind == "complete" else ""
         raise TooLargeError(
-            f"full-mode sector of degree {degree} on {n_vars} sites ({n} monomials "
+            f"full-mode sector of degree {degree} on {graph.n_sites} sites ({n} monomials "
             f"of degree {degree}): its top block needs about {need / 2**30:.1f} GiB, "
-            f"more than the {have / 2**30:.1f} GiB of physical memory; on a complete "
-            "graph use --basis-mode symmetric")
+            f"more than the {have / 2**30:.1f} GiB of physical memory{hint}")
 
 
 def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
@@ -342,16 +331,16 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
 
     `model` is "kac-uniform", "kac-rho" (with `rho`) or "gamma" (with `gamma`);
     a parameter the model does not read is refused.  The Kac walk is the
-    rotation sector at the uniform angle density.  The basis holds every
-    element of degree <= degree, but only the blocks of C that carry the
-    sector's spectrum are built (see the module docstring): degrees D - 1
-    and D for the rotation models, D for the redistribution model.
+    rotation sector at the uniform angle density.  Only the blocks of C that
+    carry the sector's spectrum are built, and only their elements listed
+    (see the module docstring): degrees D - 1 and D for the rotation models,
+    D for the redistribution model.
 
     The full mode builds each block in floats over the graph's edges
     (`_pair_image`).  Its largest block bounds the reach: one whose
     `BLOCK_DENSE_ARRAYS` arrays of n^2 floats exceed physical memory is
-    refused with `TooLargeError` before the basis is built.  The symmetric
-    mode works on orbit sums in exact rationals; see `_orbit_block`.
+    refused with `TooLargeError` before any element is listed.  The
+    symmetric mode works on orbit sums in exact rationals; see `_orbit_block`.
     """
     if model not in ("kac-uniform", "kac-rho", "gamma"):
         raise ValueError(f"unknown sector model {model!r} (kac-uniform, kac-rho or gamma)")
@@ -363,6 +352,8 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
                          "the shape parameter belongs to gamma")
     if degree < 2:
         raise ValueError("degree must be at least 2")
+    if mode not in ("full", "symmetric"):
+        raise ValueError(f"unknown basis mode {mode!r}")
     V = graph.n_sites
     if mode == "symmetric" and graph.kind != "complete":
         raise ValueError("symmetric orbits are only invariant on the complete graph")
@@ -383,28 +374,23 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
     # full mode works in floats, the symmetric mode in exact rationals; a
     # float coefficient of a rotation action converts to Fraction without rounding
     convert = float if mode == "full" else Fraction
-    action_cache: dict = {}
 
+    @functools.cache
     def cached_action(a, b):
-        key = (a, b)
-        if key not in action_cache:
-            action_cache[key] = {k: convert(v) for k, v in action(a, b).items()}
-        return action_cache[key]
+        return {k: convert(v) for k, v in action(a, b).items()}
 
     if mode == "full":
-        _full_mode_preflight(V, degree)
-    basis = MultiIndexBasis.build(V, degree, mode=mode)
+        _full_mode_preflight(graph, degree)
     blocks = []
     for d in degrees:
-        start = bisect.bisect_left(basis.elements, d, key=sum)
-        elements = basis.elements[start:bisect.bisect_right(basis.elements, d, key=sum)]
+        elements = _block_elements(V, d, mode)
         if mode == "symmetric":
             # K_N's pair scaling as the exact 1/N, not the float graph.pair_scaling
             C = _orbit_block(elements, V, cached_action, Fraction(1, V))
         else:
             C = _monomial_block(elements, graph.edges, cached_action, graph.pair_scaling)
-        blocks.append((start, C))
-    return GalerkinPair(model, basis, tuple(blocks))
+        blocks.append((elements, C))
+    return GalerkinPair(mode, V, sector_dimension(V, degree, mode), tuple(blocks))
 
 
 def _pair_image(k: tuple, pairs, action, scale) -> dict:
@@ -500,18 +486,20 @@ class GalerkinGapReport:
     gap: float
     eigenvalues: np.ndarray        # spectrum of -L on the sector, ascending
     kept_dim: int                  # summed sizes of the blocks solved
-    deflated: int                  # basis elements outside those blocks
+    deflated: int                  # elements of degree <= D outside those blocks
     eig_residual: float            # ||C v + gap v|| for the unit gap eigenvector v
     eig_condition: float           # condition number of the gap eigenvalue
-    gap_coefficients: np.ndarray   # basis coefficients of the gap eigenfunction
-    basis: MultiIndexBasis
+    mode: str
+    n_vars: int
+    gap_elements: tuple            # elements of the block that holds the gap
+    gap_coefficients: np.ndarray   # the gap eigenvector's coefficients on them
 
 
 def galerkin_eigensystem(pair: GalerkinPair) -> GalerkinGapReport:
     """The sector spectrum from the eigenvalues of each block of C.
 
     The gap is the smallest eigenvalue of -C above ZERO_TOL, and its right
-    eigenvector, zero outside its block, gives `gap_coefficients`.  L is
+    eigenvector gives `gap_coefficients` on its block's elements.  L is
     self-adjoint, so a block whose eigenvalues have an imaginary part beyond
     EIG_TOL times its largest |eigenvalue| is refused with ArithmeticError.
     `eig_condition` is the gap's condition number 1/|y^H x|, from the unit
@@ -519,14 +507,14 @@ def galerkin_eigensystem(pair: GalerkinPair) -> GalerkinGapReport:
     repeated eigenvalue, that of the one eigenpair returned).
     """
     spectrum, found = [], None
-    for start, C in pair.blocks:
+    for elements, C in pair.blocks:
         C = np.asarray(C, dtype=float)
         w, Y, X = scipy.linalg.eig(C, left=True)
         lam = -w
         imag = float(np.abs(lam.imag).max())
         if imag > EIG_TOL * float(np.abs(lam).max()):
             raise ArithmeticError(
-                f"degree block at element {start} has eigenvalue imaginary parts up to "
+                f"degree-{sum(elements[0])} block has eigenvalue imaginary parts up to "
                 f"{imag:.2e}; the sector operator is not self-adjoint")
         lam = lam.real
         spectrum.append(lam)
@@ -534,24 +522,24 @@ def galerkin_eigensystem(pair: GalerkinPair) -> GalerkinGapReport:
         if len(above):
             i = above[np.argmin(lam[above])]
             if found is None or lam[i] < found[0]:
-                found = (lam[i], start, C, i, X.real, Y.real)
+                found = (lam[i], elements, C, i, X.real, Y.real)
     if found is None:
         raise ArithmeticError("no nonzero sector mode found")
-    gap, start, C, i, X, Y = found
+    gap, elements, C, i, X, Y = found
     # real parts of unit vectors: renormalize in case rounding made the pair complex
     x, y = X[:, i] / np.linalg.norm(X[:, i]), Y[:, i] / np.linalg.norm(Y[:, i])
-    coeffs = np.zeros(len(pair.basis))
-    coeffs[start:start + len(x)] = x
     kept = sum(len(C) for _, C in pair.blocks)
     return GalerkinGapReport(
         gap=float(gap),
         eigenvalues=np.sort(np.concatenate(spectrum)),
         kept_dim=kept,
-        deflated=len(pair.basis) - kept,
+        deflated=pair.basis_size - kept,
         eig_residual=float(np.linalg.norm(C @ x + gap * x)),
         eig_condition=float(1.0 / abs(y @ x)),
-        gap_coefficients=coeffs,
-        basis=pair.basis,
+        mode=pair.mode,
+        n_vars=pair.n_vars,
+        gap_elements=elements,
+        gap_coefficients=x,
     )
 
 
@@ -567,10 +555,12 @@ def sector_polynomial(report: GalerkinGapReport):
     pass, from integer powers; it agrees with f row by row up to rounding.
     """
     terms = []
-    for c, element in zip(report.gap_coefficients, report.basis.elements):
+    for c, element in zip(report.gap_coefficients, report.gap_elements):
         if abs(c) < 1e-12:
             continue
-        for k in report.basis.monomials_of(element):
+        orbit = ((element,) if report.mode == "full"
+                 else _orbit_monomials(element, report.n_vars))
+        for k in orbit:
             terms.append((float(c), np.array(k, dtype=float)))
     exps = np.array([k for _, k in terms])
     coefs = np.array([c for c, _ in terms])

@@ -63,7 +63,7 @@ def galerkin_record(model: str, graph, degree: int, sector: str, report,
         "eig_condition": _scalar(report.eig_condition),
         "method": "galerkin",
         "assembly": assembly,
-        "basis_size": len(report.basis),
+        "basis_size": report.kept_dim + report.deflated,
         "kept_dim": report.kept_dim,
         "deflated": report.deflated,
     }

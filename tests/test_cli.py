@@ -75,6 +75,26 @@ class TestGapCommands:
         assert code == 1
         assert "--basis-mode symmetric" in capsys.readouterr().err
 
+    def test_galerkin_lattice_too_large_suggests_no_symmetric_mode(self, capsys):
+        # orbit sums are refused off the complete graph, so the refusal must not offer them
+        code = main(["gap-galerkin", "--graph", "lattice", "--d", "2", "--N", "5",
+                     "--degree", "8"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "monomials of degree 8" in err
+        assert "symmetric" not in err
+
+    @pytest.mark.parametrize("argv,flag,text", [
+        (["gap-galerkin", "--model", "gamma-exchange", "--gamma", "1/0"], "--gamma", "1/0"),
+        (["gap-galerkin", "--model", "gamma-exchange", "--gamma", "abc"], "--gamma", "abc"),
+        (["bounds", "--lambda3", "1/0", "--lambda2", "1"], "--lambda3", "1/0"),
+        (["bounds", "--lambda3", "5/12", "--lambda2", "abc"], "--lambda2", "abc"),
+    ])
+    def test_malformed_rational_names_its_flag(self, capsys, argv, flag, text):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid {flag} '{text}'")
+
     def test_galerkin_gamma(self, tmp_path):
         code, doc = run_json(["gap-galerkin", "--model", "gamma-exchange",
                               "--N", "4", "--degree", "2", "--gamma", "2"], tmp_path)

@@ -8,7 +8,7 @@ import pytest
 
 from gaplab import galerkin
 from gaplab.discrete import TooLargeError
-from gaplab.galerkin import (DirichletMoments, MultiIndexBasis, SphereMoments,
+from gaplab.galerkin import (DirichletMoments, SphereMoments,
                              assemble_galerkin, beta_moment,
                              conditional_moment_eigenvalue, degree_block_size,
                              galerkin_eigensystem, galerkin_gap, k_operator_check,
@@ -176,44 +176,63 @@ class TestPairActions:
         assert act.get((1, 1), 0.0) == pytest.approx(cross, abs=1e-8)
 
 
-class TestBasis:
+def _compositions(V, d):
+    """Exponent tuples of degree d on V sites, lexicographic: a test-only recursion."""
+    if V == 1:
+        return [(d,)]
+    return [(a,) + rest for a in range(d + 1) for rest in _compositions(V - 1, d - a)]
+
+
+def _degree_le_basis(V, D):
+    """Every monomial of degree <= D on V sites, by degree, then lexicographic."""
+    return [k for d in range(D + 1) for k in _compositions(V, d)]
+
+
+class TestBlockElements:
     def test_full_count(self):
-        b = MultiIndexBasis.build(3, 4)
-        assert len(b) == math.comb(3 + 4, 4)
+        assert galerkin.sector_dimension(3, 4, "full") == math.comb(3 + 4, 4)
+        assert sum(len(galerkin._block_elements(3, d, "full")) for d in range(5)) == 35
+
+    @pytest.mark.parametrize("V", range(1, 9))
+    def test_full_elements_are_the_lexicographic_compositions(self, V):
+        for d in range(7):
+            elements = galerkin._block_elements(V, d, "full")
+            assert elements == tuple(_compositions(V, d))
+            assert all(type(e) is int for k in elements for e in k)
 
     def test_symmetric_orbits(self):
-        b = MultiIndexBasis.build(3, 2, mode="symmetric")
-        assert (2,) in b.elements and (1, 1) in b.elements
-        assert set(b.monomials_of((1, 1))) == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
+        assert galerkin._block_elements(3, 2, "symmetric") == ((1, 1), (2,))
+        assert set(galerkin._orbit_monomials((1, 1), 3)) == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
 
     @pytest.mark.parametrize("N", range(1, 8))
     def test_orbit_expansion_matches_permutations(self, N):
-        b = MultiIndexBasis.build(N, 4, mode="symmetric")
-        for s in b.elements:
-            padded = s + (0,) * (N - len(s))
-            assert b.monomials_of(s) == tuple(sorted(set(itertools.permutations(padded))))
+        for d in range(5):
+            for s in galerkin._block_elements(N, d, "symmetric"):
+                padded = s + (0,) * (N - len(s))
+                assert galerkin._orbit_monomials(s, N) == tuple(
+                    sorted(set(itertools.permutations(padded))))
 
     @pytest.mark.parametrize("N", range(1, 8))
     def test_elements_are_the_partitions_of_full_monomials(self, N):
-        b = MultiIndexBasis.build(N, 5, mode="symmetric")
-        full = MultiIndexBasis.build(N, 5)
-        expect = sorted({tuple(sorted((e for e in k if e), reverse=True))
-                         for k in full.elements}, key=lambda k: (sum(k), k))
-        assert list(b.elements) == expect
+        for d in range(6):
+            expect = sorted({tuple(sorted((e for e in k if e), reverse=True))
+                             for k in galerkin._block_elements(N, d, "full")})
+            assert list(galerkin._block_elements(N, d, "symmetric")) == expect
+        assert galerkin.sector_dimension(N, 5, "symmetric") == sum(
+            len(galerkin._block_elements(N, d, "symmetric")) for d in range(6))
 
     def test_partitions_at_large_N(self):
-        b = MultiIndexBasis.build(10**6, 4, mode="symmetric")
-        assert all(len(k) <= 4 for k in b.elements)
-        assert list(b.elements) == [
+        elements = [k for d in range(5) for k in galerkin._block_elements(10**6, d, "symmetric")]
+        assert all(len(k) <= 4 for k in elements)
+        assert elements == [
             (), (1,), (1, 1), (2,), (1, 1, 1), (2, 1), (3,),
             (1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
-
+        assert galerkin.sector_dimension(10**6, 4, "symmetric") == 12
 
     @pytest.mark.parametrize("part", [(), (3,), (1, 1), (2, 1, 1)])
     def test_orbit_of_a_partition_fills_n_vars(self, part):
         N = 30
-        b = MultiIndexBasis.build(N, 4, mode="symmetric")
-        orbit = b.monomials_of(part)
+        orbit = galerkin._orbit_monomials(part, N)
         size = math.perm(N, len(part))
         for m in Counter(part).values():
             size //= math.factorial(m)
@@ -269,7 +288,10 @@ class TestKacGalerkin:
         assert pair.assembly == "orbit-representative"
         # the blocks of degrees 3 and 4 hold 3 + 5 of the 12 orbit sums, in
         # exact rationals; the solve sees them as well-conditioned floats
-        assert [(start, C.shape) for start, C in pair.blocks] == [(4, (3, 3)), (7, (5, 5))]
+        assert [(elements, C.shape) for elements, C in pair.blocks] == [
+            (((1, 1, 1), (2, 1), (3,)), (3, 3)),
+            (((1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)), (5, 5))]
+        assert pair.basis_size == 12 and len(pair.basis) == 8
         assert all(type(c) is Fraction for _, C in pair.blocks for c in C.flat)
         rep = galerkin_eigensystem(pair)
         assert rep.kept_dim == 8 and rep.deflated == 4
@@ -291,11 +313,10 @@ class TestKacGalerkin:
     def test_constant_in_null_space(self):
         # on the sphere the constant is (x1^2 + x2^2 + x3^2)^2, in the degree-4 block
         pair = assemble_galerkin("kac-uniform", build_graph("complete", N=3), degree=4)
-        start, C = pair.blocks[-1]
+        elements, C = pair.blocks[-1]
         square = Counter(tuple(2 * (v == i) + 2 * (v == j) for v in range(3))
                          for i in range(3) for j in range(3))
-        one = np.array([square[k] for k in pair.basis.elements[start:start + len(C)]],
-                       dtype=float)
+        one = np.array([square[k] for k in elements], dtype=float)
         assert one.any()
         assert np.abs(C @ one).max() < 1e-12
 
@@ -440,7 +461,8 @@ class TestSymmetricSector:
         rep = galerkin_eigensystem(assemble_galerkin(
             model, build_graph("complete", N=N), degree=degree, mode="symmetric", **kwargs))
         assert rep.kept_dim == rank
-        assert rep.deflated == len(rep.basis) - rank
+        # N >= degree: the orbit sums of degree <= degree are all the partitions
+        assert rep.deflated == sum(p) - rank
         expect = ((N + 2) / (4 * N) if gamma is None
                   else float((gamma * N + 1) / (N * (2 * gamma + 1))))
         assert abs(rep.gap - expect) <= 1e-13
@@ -540,9 +562,9 @@ def _action_and_oracle(model, V, kwargs):
 
 def _full_action_matrix(basis, graph, action):
     """C over the whole degree <= D basis: the column loop, before any degree block."""
-    pos = {k: i for i, k in enumerate(basis.elements)}
+    pos = {k: i for i, k in enumerate(basis)}
     C = np.zeros((len(basis), len(basis)))
-    for l, k in enumerate(basis.elements):
+    for l, k in enumerate(basis):
         for key, c in galerkin._pair_image(k, graph.edges, action, graph.pair_scaling).items():
             C[pos[key], l] += c
     return C
@@ -551,9 +573,8 @@ def _full_action_matrix(basis, graph, action):
 def _rayleigh_spectrum(C, basis, oracle):
     """The sector spectrum by the Gram route: the moments' Gram matrix B, the
     form A = -B C, and B's null space deflated in floats (tolerance 1e-10)."""
-    rows = basis.elements
-    B = np.array([[float(oracle.exact(tuple(x + y for x, y in zip(ki, kj)))) for kj in rows]
-                  for ki in rows])
+    B = np.array([[float(oracle.exact(tuple(x + y for x, y in zip(ki, kj)))) for kj in basis]
+                  for ki in basis])
     A = -B @ C
     s, U = np.linalg.eigh(B)
     W = U[:, s > 1e-10 * s.max()] / np.sqrt(s[s > 1e-10 * s.max()])
@@ -583,27 +604,32 @@ class TestFullModeBlocks:
         rep = galerkin_eigensystem(pair)
         assert calls == []
         action, oracle = _action_and_oracle(model, g.n_sites, kwargs)
-        C = _full_action_matrix(pair.basis, g, action)
-        for start, block in pair.blocks:
+        basis = _degree_le_basis(g.n_sites, degree)
+        assert rep.kept_dim + rep.deflated == len(basis)
+        C = _full_action_matrix(basis, g, action)
+        for elements, block in pair.blocks:
+            start = basis.index(elements[0])
             stop = start + len(block)
             # the block is its slice of C, bitwise, and C keeps its degree
+            assert elements == tuple(basis[start:stop])
             assert block.tobytes() == C[start:stop, start:stop].tobytes()
             assert not C[:start, start:stop].any() and not C[stop:, start:stop].any()
         # the top blocks' spectrum is the Rayleigh problem's on all of the sector
-        ref = _rayleigh_spectrum(C, pair.basis, oracle)
+        ref = _rayleigh_spectrum(C, basis, oracle)
         assert len(ref) == rep.kept_dim
         assert np.abs(ref - rep.eigenvalues).max() < 1e-8
         assert abs(ref[ref > galerkin.ZERO_TOL][0] - rep.gap) < 1e-12
 
     @pytest.mark.parametrize("n_vars,degree", [(1, 3), (3, 4), (5, 3), (4, 6)])
     def test_basis_size_without_enumeration(self, n_vars, degree):
-        basis = MultiIndexBasis.build(n_vars, degree)
-        assert degree_block_size(n_vars, degree) == sum(sum(k) == degree for k in basis.elements)
+        basis = _degree_le_basis(n_vars, degree)
+        assert degree_block_size(n_vars, degree) == sum(sum(k) == degree for k in basis)
+        assert galerkin.sector_dimension(n_vars, degree, "full") == len(basis)
 
     def test_refuses_what_cannot_fit_before_building(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("basis built before the preflight")
-        monkeypatch.setattr(MultiIndexBasis, "build", fail)
+            raise AssertionError("block elements listed before the preflight")
+        monkeypatch.setattr(galerkin, "_block_elements", fail)
         assert degree_block_size(12, 8) == 75_582
         with pytest.raises(TooLargeError, match="--basis-mode symmetric"):
             assemble_galerkin("kac-uniform", build_graph("complete", N=12), degree=8)
@@ -612,9 +638,8 @@ class TestFullModeBlocks:
 
     def test_complex_spectrum_is_refused(self):
         # a rotation of the plane has eigenvalues +-i; a self-adjoint sector never does
-        basis = MultiIndexBasis.build(2, 1)
-        pair = galerkin.GalerkinPair("kac-uniform", basis, ((1, np.array([[0.0, 1.0],
-                                                                          [-1.0, 0.0]])),))
+        rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        pair = galerkin.GalerkinPair("full", 2, 3, ((((1, 0), (0, 1)), rotation),))
         with pytest.raises(ArithmeticError, match="imaginary"):
             galerkin_eigensystem(pair)
 

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run and print one JSON row per case."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,17 @@ def test_sector_reach():
     rows = _rows("sector_reach.py", "--Ns", "1000", "--degree", "6")
     assert len(rows) == 3
     assert all(r["abs_error"] <= 1e-13 for r in rows)
+
+
+def test_sector_reach_full_mode():
+    rows = _rows("sector_reach.py", "--mode", "full", "--Ns", "3,4", "--degree", "4")
+    assert [r["case"] for r in rows] == [
+        f"{m}/K{N}/deg4/full{tail}" for N in (3, 4)
+        for m, tail in (("kac-uniform", ""), ("gamma", "/gamma1"), ("gamma", "/gamma2"))]
+    for r in rows:
+        assert r["basis_size"] == math.comb(r["N"] + 4, 4)
+        assert r["kept_dim"] + r["deflated"] == r["basis_size"]
+        assert r["abs_error"] <= 1e-12
 
 
 def test_event_rate():
