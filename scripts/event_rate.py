@@ -5,8 +5,8 @@
                                   [--repeats 3] [--out event_rate.json]
 
 A case is family/graph/total, with the graph written KN (complete graph on N
-sites) or LdN (the cube {1..N}^d).  Each case runs in a fresh process (one
-BLAS thread).  The horizon is the requested event count over the total rate
+sites) or LdN (the cube {1..N}^d).  Each case runs in a fresh process on
+one BLAS thread (scripts/runner.py).  The horizon is the requested event count over the total rate
 of the initial configuration, so linear zero-range rates on a regular graph
 give that many events on average.  The same trajectory (initial
 configuration and seed 0) runs `repeats` times; the row reports its event
@@ -16,17 +16,12 @@ event, and peak RSS in MB.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import resource
 import statistics
-import subprocess
 import sys
-from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
+import runner
+
 DEFAULT_CASES = ("zero-range/K3/5,zero-range/K10/10,zero-range/K40/40,zero-range/K100/100,"
                  "zero-range/L1-1000/1000,zero-range/L2-30/900")
 
@@ -42,10 +37,11 @@ def parse_graph(label: str):
     raise ValueError(f"graph {label!r} is neither KN nor LdN")
 
 
-def cell(case: str, g: str, events: int, repeats: int) -> dict:
+def cell(case: str, args) -> dict:
     from gaplab import simulate
     from gaplab.models import FAMILY_FIELD, MODEL_IDS, model_from_id, rate_by_name
 
+    g, events, repeats = args.g, args.events, args.repeats
     family, graph_label, total = case.split("/")
     reads_g = FAMILY_FIELD[MODEL_IDS[family]] == "g"
     model = model_from_id(family, g=rate_by_name(g) if reads_g else None)
@@ -69,34 +65,19 @@ def cell(case: str, g: str, events: int, repeats: int) -> dict:
         "rate_rows": summary.rate_rows,
         "us_per_event": 1e6 * min(times) / n,
         "us_per_event_median": 1e6 * statistics.median(times) / n,
-        "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def options(ap) -> None:
     ap.add_argument("--cases", default=DEFAULT_CASES)
     ap.add_argument("--g", choices=("identity", "constant-one"), default="identity")
     ap.add_argument("--events", type=int, default=100_000)
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--out", default=None)
-    ap.add_argument("--cell", default=None, help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-    if args.cell is not None:
-        print(json.dumps(cell(args.cell, args.g, args.events, args.repeats)))
-        return 0
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
-    rows = []
-    for case in args.cases.split(","):
-        out = subprocess.run([sys.executable, __file__, "--cell", case, "--g", args.g,
-                              "--events", str(args.events), "--repeats", str(args.repeats)],
-                             env=env, check=True, capture_output=True, text=True).stdout
-        rows.append(json.loads(out.splitlines()[-1]))
-        print(json.dumps(rows[-1]), flush=True)
-    if args.out:
-        Path(args.out).write_text(json.dumps(rows, indent=1) + "\n")
-    return 0
+
+
+def main(argv=None) -> int:
+    return runner.run(__file__, __doc__, options, lambda args: args.cases.split(","),
+                      cell, argv)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ of the degree blocks solved, whose elements alone are listed; the rest of
 the sector is deflated), seconds for the graph, the assembly and the solve,
 the gap and its distance from the closed form, (N+2)/(4N) for kac-uniform at
 degree >= 4 and (gamma N + 1)/(N (2 gamma + 1)) for the redistribution
-model, and the gap eigenpair's residual and condition number.  Below degree
+model, the gap eigenpair's residual and condition number, and peak RSS in
+MB.  Each instance runs in a fresh process on one BLAS thread
+(scripts/runner.py), so its times and peak are its own.  Below degree
 4 the kac-uniform rows carry null for the closed form and its distance.  The
 symmetric (orbit-sum) mode defaults to N = 10, 100, 300, 1000; the full
 (monomial) mode, whose top block holds C(N + degree - 1, degree) monomials,
@@ -20,18 +22,11 @@ to N = 3..10.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from gaplab import galerkin  # noqa: E402
-from gaplab.models import build_graph  # noqa: E402
+import runner
 
 CASES = (("kac-uniform", None), ("gamma", Fraction(1)), ("gamma", Fraction(2)))
 
@@ -46,9 +41,23 @@ def closed_form(model: str, N: int, degree: int, gamma):
 DEFAULT_NS = {"symmetric": "10,100,300,1000", "full": "3,4,5,6,7,8,9,10"}
 
 
-def cell(model: str, N: int, degree: int, gamma, graph, graph_s: float,
-         mode: str) -> dict:
+def cases(args) -> list:
+    """model/KN, with /gammaG for the redistribution model, for each N."""
+    return [f"{model}/K{N}" + (f"/gamma{gamma}" if gamma is not None else "")
+            for N in (args.Ns or DEFAULT_NS[args.mode]).split(",") for model, gamma in CASES]
+
+
+def cell(case: str, args) -> dict:
+    from gaplab import galerkin
+    from gaplab.models import build_graph
+
+    model, graph_label, *tail = case.split("/")
+    N, degree, mode = int(graph_label[1:]), args.degree, args.mode
+    gamma = Fraction(tail[0][len("gamma"):]) if tail else None
     kwargs = {"gamma": gamma} if gamma is not None else {}
+    t0 = perf_counter()
+    graph = build_graph("complete", N=N)
+    graph_s = perf_counter() - t0
     t0 = perf_counter()
     pair = galerkin.assemble_galerkin(model, graph, degree=degree, mode=mode, **kwargs)
     t1 = perf_counter()
@@ -73,24 +82,14 @@ def cell(model: str, N: int, degree: int, gamma, graph, graph_s: float,
     }
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def options(ap) -> None:
     ap.add_argument("--mode", choices=("symmetric", "full"), default="symmetric")
     ap.add_argument("--Ns", default=None, help="comma-separated N (default by mode)")
     ap.add_argument("--degree", type=int, default=4)
-    ap.add_argument("--out", default=None)
-    args = ap.parse_args(argv)
-    rows = []
-    for N in (int(v) for v in (args.Ns or DEFAULT_NS[args.mode]).split(",")):
-        t0 = perf_counter()
-        graph = build_graph("complete", N=N)
-        graph_s = perf_counter() - t0
-        for model, gamma in CASES:
-            rows.append(cell(model, N, args.degree, gamma, graph, graph_s, args.mode))
-            print(json.dumps(rows[-1]), flush=True)
-    if args.out:
-        Path(args.out).write_text(json.dumps(rows, indent=1) + "\n")
-    return 0
+
+
+def main(argv=None) -> int:
+    return runner.run(__file__, __doc__, options, cases, cell, argv)
 
 
 if __name__ == "__main__":

@@ -30,9 +30,9 @@ total.  Its entries hold no factorials, so linear rates reach totals in the
 thousands; the engine above refuses them past omega ~ 1075 on K2, where
 the stationary weights underflow to 0.
 
-Also hosts the one-dimensional conditional kernel matrices used for the
-three-site reduction of the zero-range family; their rows are the integer
-pair law `models.pair_law`, tabulated once per sweep over kernel sizes.
+The simple average's blocks and the one-dimensional conditional kernel
+matrices of the three-site reduction of the zero-range family read the
+integer pair law `models.pair_law`, tabulated once per measure or sweep.
 """
 
 from __future__ import annotations
@@ -146,10 +146,17 @@ def rank_states(states: StateSet, configs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Measure:
-    """Normalized stationary weights over a StateSet."""
+    """Normalized stationary weights over a StateSet, with the rates they come from."""
 
     states: StateSet
     weights: np.ndarray
+    g: RateFunction
+
+    @cached_property
+    def pair_laws(self) -> tuple:
+        """`models.pair_law` of each pair total 0..omega: the simple average's block rows."""
+        lgf = self.g.log_factorials(self.states.omega)
+        return tuple(pair_law(lgf, t)[0] for t in range(self.states.omega + 1))
 
 
 def stationary_weights(g: RateFunction, states: StateSet) -> Measure:
@@ -173,7 +180,7 @@ def stationary_weights(g: RateFunction, states: StateSet) -> Measure:
         raise ArithmeticError(
             f"stationary weights underflow to 0: the log-weights span {-logw.min():.0f}, "
             "and float64 reaches only about 745 below the largest")
-    return Measure(states, w)
+    return Measure(states, w, g)
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +249,12 @@ def _csr(n: int, rows: list, cols: list, vals: list, diag: np.ndarray) -> scipy.
     return M
 
 
-def _pair_blocks(states: StateSet, weights: np.ndarray, x: int, y: int):
+def _pair_blocks(states: StateSet, measure: Measure, x: int, y: int):
     """(rows, cols, vals) of the conditional average over the pair (x, y), 0-based sites.
 
-    States that agree off the pair form a block; every row of a block is the
-    weights on the block, normalized.  Blocks are grouped by the pair total t,
-    each represented by its state with t on y.
+    States that agree off the pair form a block; every row of a block with
+    pair total t is `measure.pair_laws[t]`, over the splits a = 0..t at x.
+    Blocks are grouped by t, each represented by its state with t on y.
     """
     S = states.states
     reps = np.flatnonzero(S[:, x] == 0)
@@ -261,18 +268,16 @@ def _pair_blocks(states: StateSet, weights: np.ndarray, x: int, y: int):
         members[:, x] = split
         members[:, y] = t - split
         T = rank_states(states, members).reshape(m, size)
-        W = weights[T]
-        P = W / W.sum(axis=1, keepdims=True)
         rows.append(np.repeat(T, size, axis=1).ravel())
         cols.append(np.tile(T, (1, size)).ravel())
-        vals.append(np.tile(P, (1, size)).ravel())
+        vals.append(np.tile(measure.pair_laws[t], m * size))
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def pair_average_matrix(states: StateSet, measure: Measure, x: int, y: int) -> scipy.sparse.csr_matrix:
     """Stochastic matrix of the conditional average over the pair (x, y), 0-based sites."""
     n = len(states)
-    rows, cols, vals = _pair_blocks(states, measure.weights, x, y)
+    rows, cols, vals = _pair_blocks(states, measure, x, y)
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
@@ -294,7 +299,7 @@ def build_simple_average_generator(graph: InteractionGraph, states: StateSet,
     diag = np.zeros(n)
     rows, cols, vals = [], [], []
     for (x, y) in graph.edges:
-        r, c, v = _pair_blocks(states, measure.weights, x, y)
+        r, c, v = _pair_blocks(states, measure, x, y)
         on = r == c
         stay = np.empty(n)
         stay[r[on]] = v[on]
@@ -386,6 +391,27 @@ def build_generator(model: ModelSpec, graph: InteractionGraph, states: StateSet)
 # spectra
 # ---------------------------------------------------------------------------
 
+def check_spectrum(what: str, eigenvalues, gap: float, null: float = 0.0,
+                   null_tol: float = ZERO_TOL) -> None:
+    """The one acceptance rule for a computed spectrum of -S; every reported gap passes it.
+
+    `eigenvalues` are those the solve found, the gap among them; `null` is
+    ||S q|| for the zero mode q the caller knows (0 if none).  Raises
+    `ArithmeticError` naming `what` unless all are finite, `null` is at most
+    `null_tol`, no eigenvalue is below `PSD_TOL` and the gap is above `ZERO_TOL`.
+    """
+    bottom = float(np.min(eigenvalues))
+    # every comparison below is false on NaN, so non-finite values are refused first
+    if not (np.isfinite(eigenvalues).all() and math.isfinite(null)):
+        raise ArithmeticError(f"{what}: non-finite eigenvalue or residual (gap {gap}, null {null})")
+    if null > null_tol:
+        raise ArithmeticError(f"{what}: sqrt(pi) is not a zero mode: ||S sqrt(pi)|| = {null:.3e}")
+    if bottom < PSD_TOL:
+        raise ArithmeticError(f"{what} is not negative semidefinite: eigenvalue {bottom:.3e}")
+    if gap <= ZERO_TOL:
+        raise ArithmeticError(f"{what}: gap {gap:.3e} is not above {ZERO_TOL:.1e}")
+
+
 def _solve(gen: GeneratorMatrix, want_kappa: bool):
     """(gap, top eigenvalue, gap eigenvector) of -S; records `gen.solve_report`.
 
@@ -398,8 +424,8 @@ def _solve(gen: GeneratorMatrix, want_kappa: bool):
     eigenvalue at the top is -gap, the top of S on the complement of Q.  Q is
     applied through the component labels, never stored as an n-by-z array.
     The top eigenvalue of -S is computed only when `want_kappa` or when it is
-    free.  Raises `ArithmeticError` when a q_i is not null, when S has a
-    positive eigenvalue, or when a further zero mode turns up.
+    free.  The spectrum found goes through `check_spectrum`, with ||S q_i||
+    null within `ZERO_TOL`.
     """
     # imported here, not with the module: csgraph adds ~1 MB and its import
     # time to every process that imports gaplab, most of which never solve
@@ -417,7 +443,7 @@ def _solve(gen: GeneratorMatrix, want_kappa: bool):
         ev, U = np.linalg.eigh(-S.toarray())
         picked = [*range(zero_modes + 1), n - 1]
         lam, vec = -ev[picked], U[:, picked]
-        top, gap, kappa, v = -ev[0], ev[zero_modes], ev[-1], U[:, zero_modes]
+        gap, kappa, v = ev[zero_modes], ev[-1], U[:, zero_modes]
     else:
         solver = "eigsh"
         q = np.sqrt(gen.measure.weights)
@@ -433,29 +459,15 @@ def _solve(gen: GeneratorMatrix, want_kappa: bool):
         # a fixed generic start vector: reproducible, and off the zero modes
         v0 = np.random.default_rng(0).standard_normal(n)
         lam, vec = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0 - along_q(v0), tol=1e-11)
-        top, gap, kappa, v = lam[0], -lam[0], math.inf, vec[:, 0]
+        gap, kappa, v = -lam[0], math.inf, vec[:, 0]
         if want_kappa:
             bottom, bottom_vec = scipy.sparse.linalg.eigsh(S, k=1, which="SA", v0=v0, tol=1e-11)
             kappa = -bottom[0]
             lam, vec = np.concatenate([lam, bottom]), np.hstack([vec, bottom_vec])
+        ev = -lam
     residual = max(null, float(np.linalg.norm(S @ vec - vec * lam, axis=0).max()))
     gen.solve_report = SolveReport(solver, gen.L.nnz, residual, zero_modes)
-    # every comparison below is false on NaN, so non-finite values are refused first
-    solved = (top, gap, kappa) if want_kappa else (top, gap)
-    if not np.isfinite(solved).all():
-        raise ArithmeticError(
-            f"{solver} solve returned a non-finite eigenvalue: gap {gap}, kappa {kappa}, "
-            f"top {top}")
-    if null > ZERO_TOL:
-        raise ArithmeticError(
-            f"sqrt(pi) on a connected component is not a zero mode: ||S q|| = {null:.3e}")
-    if top > -PSD_TOL:
-        raise ArithmeticError(
-            f"generator is not negative semidefinite: max eigenvalue {top:.3e}")
-    if gap <= ZERO_TOL:
-        raise ArithmeticError(
-            f"eigenvalue {gap:.3e} after {zero_modes} zero mode(s) is not above "
-            f"{ZERO_TOL:.1e}: more zero modes than connected components")
+    check_spectrum(f"generator ({solver} solve, {zero_modes} zero mode(s))", ev, gap, null)
     return float(gap), float(kappa), v
 
 
@@ -537,11 +549,10 @@ def _pair_chain_spectrum(gv: np.ndarray, lgf: np.ndarray, omega: int,
     and kappa are eigenvalues 1 and omega.  Bisection (LAPACK stebz) finds
     them and inverse iteration (stein) their vectors, both O(omega); each
     eigenvalue is then the vector's Rayleigh quotient, which minimizes
-    ||T v - lambda v||.  Raises `ArithmeticError` as `_solve` does: when
-    sqrt(pi) is not null, when T has an eigenvalue below `PSD_TOL`, or when
-    the gap is not above `ZERO_TOL`.  Null means ||T sqrt(pi)|| at most
-    `ZERO_TOL * max(1, kappa)`: the rounding of the summed log factorials in
-    sqrt(pi) grows with ||T|| = kappa (1.3e-8 at omega = 9000, linear rates).
+    ||T v - lambda v||.  The three eigenvalues go through `check_spectrum`,
+    with ||T sqrt(pi)|| null within `ZERO_TOL * max(1, kappa)`: the rounding
+    of the summed log factorials in sqrt(pi) grows with ||T|| = kappa (1.3e-8
+    at omega = 9000, linear rates).
     """
     a = np.arange(omega + 1)
     d = s * (gv[a] + gv[omega - a])
@@ -562,21 +573,8 @@ def _pair_chain_spectrum(gv: np.ndarray, lgf: np.ndarray, omega: int,
     q = np.sqrt(pair_law(lgf, omega)[0])[:, None]
     null = float(np.linalg.norm(apply(q)))
     residual = max(null, float(np.linalg.norm(TV[:, 1:] - V[:, 1:] * lam[1:], axis=0).max()))
-    bottom, gap, kappa = (float(x) for x in lam)
-    if not np.isfinite([bottom, gap, kappa, residual]).all():
-        raise ArithmeticError(
-            f"pair chain at omega={omega}: non-finite eigenpair (gap {gap}, kappa {kappa})")
-    if null > ZERO_TOL * max(1.0, kappa):
-        raise ArithmeticError(
-            f"pair chain at omega={omega}: sqrt(pi) is not a zero mode: ||T q|| = {null:.3e}")
-    if bottom < PSD_TOL:
-        raise ArithmeticError(
-            f"pair chain at omega={omega} is not negative semidefinite: "
-            f"eigenvalue {bottom:.3e}")
-    if gap <= ZERO_TOL:
-        raise ArithmeticError(
-            f"pair chain at omega={omega}: second eigenvalue {gap:.3e} is not above "
-            f"{ZERO_TOL:.1e}")
+    gap, kappa = float(lam[1]), float(lam[2])
+    check_spectrum(f"pair chain at omega={omega}", lam, gap, null, ZERO_TOL * max(1.0, kappa))
     return gap, kappa, residual
 
 

@@ -26,10 +26,9 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .discrete import TooLargeError, enumerate_states, physical_memory
+from .discrete import ZERO_TOL, TooLargeError, check_spectrum, enumerate_states, physical_memory
 from .models import InteractionGraph, RhoSpec
 
-ZERO_TOL = 1e-8
 #: an eigenvalue's imaginary part below this times its block's largest
 #: |eigenvalue| is rounding; a larger one is refused
 EIG_TOL = 1e-9
@@ -501,7 +500,8 @@ def galerkin_eigensystem(pair: GalerkinPair) -> GalerkinGapReport:
     The gap is the smallest eigenvalue of -C above ZERO_TOL, and its right
     eigenvector gives `gap_coefficients` on its block's elements.  L is
     self-adjoint, so a block whose eigenvalues have an imaginary part beyond
-    EIG_TOL times its largest |eigenvalue| is refused with ArithmeticError.
+    EIG_TOL times its largest |eigenvalue| is refused with ArithmeticError,
+    and the real spectrum must pass `discrete.check_spectrum`.
     `eig_condition` is the gap's condition number 1/|y^H x|, from the unit
     left and right eigenvectors y, x that the solver returns with it (for a
     repeated eigenvalue, that of the one eigenpair returned).
@@ -526,12 +526,14 @@ def galerkin_eigensystem(pair: GalerkinPair) -> GalerkinGapReport:
     if found is None:
         raise ArithmeticError("no nonzero sector mode found")
     gap, elements, C, i, X, Y = found
+    spectrum = np.sort(np.concatenate(spectrum))
+    check_spectrum("sector", spectrum, gap)
     # real parts of unit vectors: renormalize in case rounding made the pair complex
     x, y = X[:, i] / np.linalg.norm(X[:, i]), Y[:, i] / np.linalg.norm(Y[:, i])
     kept = sum(len(C) for _, C in pair.blocks)
     return GalerkinGapReport(
         gap=float(gap),
-        eigenvalues=np.sort(np.concatenate(spectrum)),
+        eigenvalues=spectrum,
         kept_dim=kept,
         deflated=pair.basis_size - kept,
         eig_residual=float(np.linalg.norm(C @ x + gap * x)),
@@ -736,12 +738,9 @@ def two_site_fourier_gap(rho: RhoSpec, n_max: int = 64) -> AngleModeResult:
     """Pair-generator spectrum on the circle: mode n relaxes at (1 - Re rho_hat(n))/2."""
     if n_max < 1:
         raise ValueError("need at least one mode")
-    modes = []
-    for n in range(1, n_max + 1):
-        rate = 0.5 * (1.0 - rho.coefficient(n).real)
-        modes.append((n, rate))
-    rates = [r for _, r in modes]
+    rates = [0.5 * (1.0 - rho.coefficient(n).real) for n in range(1, n_max + 1)]
     gap, kappa = min(rates), max(rates)
+    check_spectrum("angle-mode spectrum", rates, gap)
     if kappa > 1.0 + 1e-12:
         raise ArithmeticError(
             f"pair spectrum exceeds 1 (kappa = {kappa}); the angle data is not "
@@ -749,4 +748,4 @@ def two_site_fourier_gap(rho: RhoSpec, n_max: int = 64) -> AngleModeResult:
     truncated = not (rho.exact_tail_zero and n_max >= rho.order)
     note = ("extremes over angle modes 1..%d%s" %
             (n_max, "; higher modes not examined" if truncated else "; exact (finite spectrum tail)"))
-    return AngleModeResult(gap, min(kappa, 1.0), tuple(modes), truncated, note)
+    return AngleModeResult(gap, min(kappa, 1.0), tuple(enumerate(rates, start=1)), truncated, note)

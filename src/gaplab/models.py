@@ -207,8 +207,6 @@ class RhoSpec:
         self.name = name
         self.density = density
         self.exact_tail_zero = exact_tail_zero
-        #: the density at angle_midpoints(RHO_QUADRATURE_NODES); None for Fourier data
-        self.grid_values = None
         if coefficients is not None:
             self._coeffs = np.asarray(coefficients, dtype=complex)
             if len(self._coeffs) == 0:
@@ -219,6 +217,17 @@ class RhoSpec:
             ns = np.arange(n_max + 1)
             phase = np.exp(1j * np.outer(ns, theta))
             self._coeffs = (phase * self.grid_values).sum(axis=1) * (2 * math.pi / RHO_QUADRATURE_NODES)
+
+    @functools.cached_property
+    def grid_values(self) -> np.ndarray:
+        """The density at angle_midpoints(RHO_QUADRATURE_NODES): a density is
+        evaluated there by the constructor, Fourier data summed there on first use."""
+        theta = angle_midpoints(RHO_QUADRATURE_NODES)
+        dens = np.full(RHO_QUADRATURE_NODES, 1.0 / (2 * math.pi))
+        for n in range(1, self.order + 1):
+            c = self.coefficient(n)
+            dens += (c.real * np.cos(n * theta) + c.imag * np.sin(n * theta)) / math.pi
+        return dens
 
     @classmethod
     def uniform(cls) -> "RhoSpec":
@@ -254,14 +263,13 @@ class RhoSpec:
         checks.append(CheckResult("no point-mass concentration",
                                   worst < 1.0 - 1e-12, 0.0,
                                   "some |rho_hat(n)| >= 1 with n >= 1" if worst >= 1.0 - 1e-12 else ""))
-        if self.grid_values is not None:
-            vals = self.grid_values
-            neg = float(max(0.0, -vals.min()))
-            checks.append(CheckResult("density nonnegative", neg < 1e-12, neg, ""))
-            mass = float(vals.sum() * 2 * math.pi / RHO_QUADRATURE_NODES)
-            checks.append(CheckResult("density integrates to 1",
-                                      abs(mass - 1.0) < 1e-6, abs(mass - 1.0),
-                                      f"integral = {mass:.8g}"))
+        vals = self.grid_values
+        neg = float(max(0.0, -vals.min()))
+        checks.append(CheckResult("density nonnegative", neg < 1e-12, neg, ""))
+        mass = float(vals.sum() * 2 * math.pi / RHO_QUADRATURE_NODES)
+        checks.append(CheckResult("density integrates to 1",
+                                  abs(mass - 1.0) < 1e-6, abs(mass - 1.0),
+                                  f"integral = {mass:.8g}"))
         return ValidationReport(checks)
 
 

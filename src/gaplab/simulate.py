@@ -370,21 +370,14 @@ def _angle_sampler(rho: RhoSpec) -> Callable:
     """Angle draws from the even part of the density.
 
     The uniform density is even, and its draw is rng.uniform(-pi, pi).  Any
-    other density is drawn by inverse CDF on a fine angle grid, then given a
-    fair sign.
+    other density is drawn by inverse CDF on its angle grid
+    (`RhoSpec.grid_values`), then given a fair sign.
     """
     if rho.exact_tail_zero and rho.order == 0:
         return lambda rng: rng.uniform(-math.pi, math.pi)
     nodes = RHO_QUADRATURE_NODES
     theta = angle_midpoints(nodes)
-    if rho.grid_values is not None:
-        dens = rho.grid_values
-    else:
-        dens = np.full(nodes, 1.0 / (2 * math.pi))
-        for n in range(1, rho.order + 1):
-            c = rho.coefficient(n)
-            dens += (c.real * np.cos(n * theta) + c.imag * np.sin(n * theta)) / math.pi
-    dens = np.clip(dens, 0.0, None)
+    dens = np.clip(rho.grid_values, 0.0, None)
     cdf = np.cumsum(dens)
     cdf /= cdf[-1]
 

@@ -57,8 +57,11 @@ def test_criterion_09_lemma_audits():
 @pytest.mark.slow
 def test_criterion_10_mc_oracle_agreement():
     outcome = _run("mc-oracle-agreement")
-    # every trajectory is a pure function of its seed, so the hits repeat exactly
-    assert "hits (20, 20, 19, 19, 19, 20, 19, 18, 20, 20, 20, 20)" in outcome.detail
+    # every trajectory is a pure function of its seed, so the hits repeat exactly.
+    # Instance 8 (simple average, identity rates, K3, omega = 4) has a degenerate
+    # gap: the generator's rounding picks its observable, 19 hits with the blocks
+    # built from models.pair_law
+    assert "hits (20, 20, 19, 19, 19, 20, 19, 19, 20, 20, 20, 20)" in outcome.detail
 
 
 def test_criterion_11_certificate_chain():

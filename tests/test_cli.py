@@ -425,6 +425,20 @@ class TestInvalidDensities:
         assert "[FAIL] coefficient bound" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", [
+        ["two-site", "--model", "kac-rho"],
+        ["gap-galerkin", "--model", "kac-rho", "--N", "3"],
+        ["gap-mc", "--model", "kac-rho", "--N", "3", "--observable", "site-0",
+         "--samples", "300"],
+    ])
+    def test_signed_fourier_series_is_refused(self, command, tmp_path, capsys):
+        # every |rho_hat(n)| <= 1, but the series dips to -0.16: not a density
+        f = tmp_path / "rho.coeffs"
+        f.write_text("1.0\n0.9\n0.9\n" + "0.0\n" * 6)
+        assert main(command + ["--rho", f"fourier:{f}"]) == 1
+        assert "[FAIL] density nonnegative" in capsys.readouterr().err
+
+
 class TestFileInputs:
     def test_rho_fourier_file(self, tmp_path):
         f = tmp_path / "rho.coeffs"

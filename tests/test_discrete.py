@@ -268,6 +268,17 @@ class TestSpectralGap:
             gap_and_kappa(gen)
         assert gen.solve_report.solver == solver
 
+    @pytest.mark.parametrize("eigenvalues, gap, null, refusal", [
+        ([0.0, 0.5], 0.5, math.nan, "non-finite"),
+        ([0.0, 0.5], 0.5, 2e-8, "not a zero mode"),
+        ([-2e-9, 0.5], 0.5, 0.0, "not negative semidefinite"),
+        ([0.0, 1e-8], 1e-8, 0.0, "not above"),
+    ])
+    def test_acceptance_rule(self, eigenvalues, gap, null, refusal):
+        discrete.check_spectrum("spectrum", [-1e-9, 0.5], 0.5, 1e-8)
+        with pytest.raises(ArithmeticError, match=refusal):
+            discrete.check_spectrum("spectrum", eigenvalues, gap, null)
+
 
 def _two_pairs():
     """Sites {0, 1} and {2, 3} with no edge between them: totals conserved per pair.
@@ -601,6 +612,29 @@ class TestPairLaw:
         _, weights, xs, ys = dyn.outcomes(np.array([s, 0], dtype=np.int64), 0, 1)
         assert weights.tobytes() == pmf.tobytes()
         assert list(xs) == list(range(s + 1)) and list(ys) == list(range(s, -1, -1))
+
+    @pytest.mark.parametrize("g", [G1, GK, G_TABLE], ids=lambda g: g.name)
+    def test_generator_block_rows_are_the_pair_law(self, g):
+        # every block of the pair (x, y) with pair total t has the row pair_law(lgf, t),
+        # bit for bit: in the pair average and, scaled, off the generator's diagonal
+        graph = build_graph("complete", N=3)
+        states = enumerate_states(3, 5)
+        measure = stationary_weights(g, states)
+        gen = build_generator(ModelSpec("simple-average", g=g), graph, states)
+        lgf = g.log_factorials(states.omega)
+        for (x, y) in graph.edges:
+            P = pair_average_matrix(states, measure, x, y)
+            for i, row in enumerate(states.states):
+                t = int(row[x] + row[y])
+                members = np.repeat(row[None, :], t + 1, axis=0)
+                members[:, x] = np.arange(t + 1)
+                members[:, y] = t - members[:, x]
+                block = rank_states(states, members)
+                pmf = pair_law(lgf, t)[0]
+                assert P[i, block].toarray().ravel().tobytes() == pmf.tobytes()
+                off = block != i
+                moves = gen.L[i, block[off]].toarray().ravel()
+                assert moves.tobytes() == (graph.pair_scaling * pmf[off]).tobytes()
 
     @pytest.mark.parametrize("s", range(13))
     def test_linear_rate_normalizer(self, s):

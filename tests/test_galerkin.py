@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 
 from gaplab import galerkin
-from gaplab.discrete import TooLargeError
+from gaplab.discrete import ZERO_TOL, TooLargeError
 from gaplab.galerkin import (DirichletMoments, SphereMoments,
                              assemble_galerkin, beta_moment,
                              conditional_moment_eigenvalue, degree_block_size,
@@ -18,6 +19,12 @@ from gaplab.galerkin import (DirichletMoments, SphereMoments,
 from gaplab.models import RhoSpec, build_graph
 
 COSINE_RHO = RhoSpec(coefficients=[1.0, 0.5], exact_tail_zero=True, name="cosine")
+#: Re rho_hat(1) = 1.5: no density has these coefficients
+SIGNED_RHO = RhoSpec(coefficients=[1.0, 1.5], exact_tail_zero=True, name="signed")
+#: a von Mises density off center, so every rho_hat(n) is complex and nonzero
+VON_MISES_RHO = RhoSpec(
+    density=lambda t: math.exp(math.cos(t - 0.3)) / (2 * math.pi * scipy.special.i0(1.0)),
+    name="von-mises")
 CARDIOID_RHO = RhoSpec(density=lambda t: (1.0 + math.cos(t)) / (2.0 * math.pi),
                        name="cardioid")
 UNIFORM = RhoSpec.uniform()
@@ -618,7 +625,7 @@ class TestFullModeBlocks:
         ref = _rayleigh_spectrum(C, basis, oracle)
         assert len(ref) == rep.kept_dim
         assert np.abs(ref - rep.eigenvalues).max() < 1e-8
-        assert abs(ref[ref > galerkin.ZERO_TOL][0] - rep.gap) < 1e-12
+        assert abs(ref[ref > ZERO_TOL][0] - rep.gap) < 1e-12
 
     @pytest.mark.parametrize("n_vars,degree", [(1, 3), (3, 4), (5, 3), (4, 6)])
     def test_basis_size_without_enumeration(self, n_vars, degree):
@@ -641,6 +648,13 @@ class TestFullModeBlocks:
         rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
         pair = galerkin.GalerkinPair("full", 2, 3, ((((1, 0), (0, 1)), rotation),))
         with pytest.raises(ArithmeticError, match="imaginary"):
+            galerkin_eigensystem(pair)
+
+    def test_negative_spectrum_is_refused(self):
+        # -C has eigenvalue -1/3; the solve once skipped it and reported 0.125 as the gap
+        pair = assemble_galerkin("kac-rho", build_graph("complete", N=3), degree=4,
+                                 rho=SIGNED_RHO)
+        with pytest.raises(ArithmeticError, match="not negative semidefinite"):
             galerkin_eigensystem(pair)
 
 
@@ -730,6 +744,22 @@ class TestTwoSiteFourier:
                 lam_star = (N + 2) / (4 * N)
                 lower = 2 * res.gap * lam_star
                 assert lower == pytest.approx(res.gap * (N + 2) / (2 * N), abs=1e-14)
+
+    def test_refuses_a_negative_rate(self):
+        # Re rho_hat(1) = 1.5 gives mode 1 the rate -1/4, once returned as the gap
+        with pytest.raises(ArithmeticError, match="not negative semidefinite"):
+            two_site_fourier_gap(SIGNED_RHO, n_max=8)
+
+    @pytest.mark.parametrize("rho", [COSINE_RHO, VON_MISES_RHO], ids=["cosine", "von-mises"])
+    def test_k2_sector_spectrum_is_the_angle_modes(self, rho):
+        # on K2 the degree D - 1 and D blocks hold the angle modes k = 0..D
+        D = 6
+        pair = assemble_galerkin("kac-rho", build_graph("complete", N=2), degree=D, rho=rho)
+        sector = galerkin_eigensystem(pair).eigenvalues
+        modes = np.array([0.0] + [rate for _, rate in two_site_fourier_gap(rho, n_max=D).modes])
+        dist = np.abs(sector[:, None] - modes[None, :])
+        assert dist.min(axis=1).max() < 1e-12
+        assert dist.min(axis=0).max() < 1e-12
 
     def test_rejects_invalid_coefficients(self):
         bad = RhoSpec(coefficients=[1.0, -1.5], exact_tail_zero=True)

@@ -1,4 +1,8 @@
-"""The scripts under scripts/ run and print one JSON row per case."""
+"""The scripts under scripts/ run and print one JSON row per case.
+
+Every case runs in a fresh process (scripts/runner.py), whose peak RSS the
+row carries as `ru_maxrss_mb`.
+"""
 
 import json
 import math
@@ -12,7 +16,9 @@ ROOT = Path(__file__).resolve().parent.parent
 def _rows(*argv):
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                          check=True, capture_output=True, text=True, timeout=120).stdout
-    return [json.loads(line) for line in out.splitlines()]
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert all(r["ru_maxrss_mb"] > 0.0 for r in rows)
+    return rows
 
 
 def test_reach():
