@@ -424,8 +424,8 @@ def _solve(gen: GeneratorMatrix, want_kappa: bool):
     eigenvalue at the top is -gap, the top of S on the complement of Q.  Q is
     applied through the component labels, never stored as an n-by-z array.
     The top eigenvalue of -S is computed only when `want_kappa` or when it is
-    free.  The spectrum found goes through `check_spectrum`, with ||S q_i||
-    null within `ZERO_TOL`.
+    free.  On both paths the spectrum found goes through `check_spectrum`,
+    with ||S q_i|| null within `ZERO_TOL`.
     """
     # imported here, not with the module: csgraph adds ~1 MB and its import
     # time to every process that imports gaplab, most of which never solve
@@ -437,7 +437,9 @@ def _solve(gen: GeneratorMatrix, want_kappa: bool):
         gen.solve_report = SolveReport("dense", gen.L.nnz, 0.0, zero_modes)
         return math.inf, math.inf, None
     S = gen.symmetrized()
-    null = 0.0
+    q = np.sqrt(gen.measure.weights)
+    q /= np.sqrt(np.bincount(labels, q * q))[labels]
+    null = float(np.sqrt(np.bincount(labels, (S @ q) ** 2)).max())   # max ||S q_i||
     if n <= 400:
         solver = "dense"
         ev, U = np.linalg.eigh(-S.toarray())
@@ -446,9 +448,6 @@ def _solve(gen: GeneratorMatrix, want_kappa: bool):
         gap, kappa, v = ev[zero_modes], ev[-1], U[:, zero_modes]
     else:
         solver = "eigsh"
-        q = np.sqrt(gen.measure.weights)
-        q /= np.sqrt(np.bincount(labels, q * q))[labels]
-        null = float(np.sqrt(np.bincount(labels, (S @ q) ** 2)).max())   # max ||S q_i||
         c = 2.0 * np.abs(S.diagonal()).max()
 
         def along_q(x):   # Q Q^T x

@@ -11,6 +11,13 @@ polynomial that vanishes on the sphere vanishes identically.  On the simplex
 spectrum of those top blocks of C, and no moment, Gram matrix or deflation
 enters the gap.  The moment oracles below serve the one-site conditional
 operator and their own checks.
+
+The rotation dynamics split the full-mode blocks further.  They average over
+the even part of the angle density, so L commutes with each sign flip
+x_i -> -x_i and keeps the vector of exponent parities: each degree block
+splits into parity classes, and assembly raises if an image leaves its class.
+The spectrum is read from `eigvals` of the blocks, batched by size; only the
+block that holds the gap is factored once more, for its eigenpair.
 """
 
 from __future__ import annotations
@@ -32,11 +39,20 @@ from .models import InteractionGraph, RhoSpec
 #: an eigenvalue's imaginary part below this times its block's largest
 #: |eigenvalue| is rounding; a larger one is refused
 EIG_TOL = 1e-9
-#: n-by-n float64 arrays alive at once in the solve of a full-mode degree
-#: block of n monomials: the block, LAPACK's copy of it, the left and right
-#: eigenvectors and the solver's workspace.  Peak RSS measured 6.4-6.9 n^2
-#: floats at n = 3003 and 4368 (kac-uniform V = 9 at degree 6, V = 12 at 5).
-BLOCK_DENSE_ARRAYS = 7
+#: float64 copies of every block alive at once in a full-mode solve: the
+#: blocks themselves and the blocks of one size stacked for `eigvals`
+BLOCK_COPIES = 2
+#: n-by-n float64 arrays alive beside those for the largest block, of n
+#: elements: `eigvals`' working copy and workspace, then the shifted block
+#: factored in place.  With room to spare: one degree block (the
+#: redistribution model) is held at BLOCK_COPIES + BLOCK_DENSE_ARRAYS = 7 n^2
+#: floats, the rule of the earlier solve that kept every eigenvector, where
+#: peak RSS measured 3.1-3.2 n^2 at n = 3003 and 4368 (gamma V = 9 at
+#: degree 6, V = 12 at 5).
+BLOCK_DENSE_ARRAYS = 5
+#: bytes per site of one listed full-mode element: `enumerate_states`' rows,
+#: the element tuple and its parity key (measured 23-24 at V = 12..60)
+ELEMENT_SITE_BYTES = 32
 
 
 def _rising(x: Fraction, n: int) -> Fraction:
@@ -280,10 +296,12 @@ def rho_pair_action(rho: RhoSpec, a: int, b: int) -> dict:
 class GalerkinPair:
     """The generator's action matrix C on the top degree blocks of a sector.
 
-    `blocks` holds (elements, C_d) per degree d solved: C_d[t, s] is the
-    coefficient of elements[t] in L(elements[s]).  The full mode's blocks
-    are float arrays; the symmetric mode's hold exact Fractions (object
-    arrays), converted to floats by the solve.
+    `blocks` holds (elements, C_b) per invariant block b solved: C_b[t, s] is
+    the coefficient of elements[t] in L(elements[s]).  A block is one degree
+    d, or, for the rotation models in full mode, one parity class of degree
+    d (`_parity_classes`); blocks come by degree, then class.  The full
+    mode's blocks are float arrays; the symmetric mode's hold exact
+    Fractions (object arrays), converted to floats by the solve.
     """
 
     mode: str
@@ -306,20 +324,59 @@ def degree_block_size(n_vars: int, degree: int) -> int:
     return comb(n_vars + degree - 1, degree)
 
 
-def _full_mode_preflight(graph: InteractionGraph, degree: int) -> None:
-    """Refuse, before any block is built, a full-mode sector whose top block cannot be solved.
+def _parity_classes(monomials: tuple) -> list:
+    """The monomials grouped by their vector of exponent parities.
 
-    The largest block is that of degree `degree`; its `BLOCK_DENSE_ARRAYS`
-    dense n-by-n arrays must fit in physical memory.
+    Each class keeps the monomials' order; classes come in order of first
+    appearance.
     """
-    n = degree_block_size(graph.n_sites, degree)
-    need = BLOCK_DENSE_ARRAYS * 8 * n * n
+    classes: dict = {}
+    for k in monomials:
+        key = 0
+        for e in k:
+            key = 2 * key + (e & 1)
+        classes.setdefault(key, []).append(k)
+    return [tuple(c) for c in classes.values()]
+
+
+def _block_sizes(n_vars: int, degrees: Sequence[int], rotation: bool) -> list:
+    """(count, size) of the full-mode blocks over `degrees`, counted, not listed.
+
+    A rotation parity class of degree d with j odd exponents fixes which j
+    sites are odd; halving the exponents maps it onto the monomials of
+    degree (d - j)/2, so C(n_vars, j) classes hold that many each.  The
+    redistribution model keeps one block per degree.
+    """
+    if not rotation:
+        return [(1, degree_block_size(n_vars, d)) for d in degrees]
+    return [(comb(n_vars, j), degree_block_size(n_vars, (d - j) // 2))
+            for d in degrees for j in range(d % 2, min(d, n_vars) + 1, 2)]
+
+
+def _full_mode_preflight(graph: InteractionGraph, degrees: Sequence[int],
+                         rotation: bool) -> None:
+    """Refuse, before any block is built, a full-mode sector whose blocks cannot be solved.
+
+    The solve holds `BLOCK_COPIES` of every block and `BLOCK_DENSE_ARRAYS`
+    arrays the size of the largest, and assembly the listed elements,
+    `ELEMENT_SITE_BYTES` per site each; they must fit in physical memory.
+    The largest rotation class, the even one, holds C(V + D//2 - 1, D//2)
+    monomials; the redistribution model's only block all C(V + D - 1, D).
+    """
+    V = graph.n_sites
+    sizes = _block_sizes(V, degrees, rotation)
+    largest = max(n for _, n in sizes)
+    need = (8 * (BLOCK_COPIES * sum(c * n * n for c, n in sizes)
+                 + BLOCK_DENSE_ARRAYS * largest * largest)
+            + ELEMENT_SITE_BYTES * V * sum(c * n for c, n in sizes))
     have = physical_memory()
     if need > have:
+        top = max(degrees)
         hint = "; use --basis-mode symmetric" if graph.kind == "complete" else ""
         raise TooLargeError(
-            f"full-mode sector of degree {degree} on {graph.n_sites} sites ({n} monomials "
-            f"of degree {degree}): its top block needs about {need / 2**30:.1f} GiB, "
+            f"full-mode sector of degree {top} on {V} sites "
+            f"({degree_block_size(V, top)} monomials of degree {top}, "
+            f"{largest} in its largest block): it needs about {need / 2**30:.1f} GiB, "
             f"more than the {have / 2**30:.1f} GiB of physical memory{hint}")
 
 
@@ -336,10 +393,12 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
     D for the redistribution model.
 
     The full mode builds each block in floats over the graph's edges
-    (`_pair_image`).  Its largest block bounds the reach: one whose
-    `BLOCK_DENSE_ARRAYS` arrays of n^2 floats exceed physical memory is
-    refused with `TooLargeError` before any element is listed.  The
-    symmetric mode works on orbit sums in exact rationals; see `_orbit_block`.
+    (`_pair_image`); for the rotation models each degree splits into its
+    parity classes, and an image outside its class raises ArithmeticError.
+    A sector whose blocks the solve cannot hold in physical memory is
+    refused with `TooLargeError` before any element is listed
+    (`_full_mode_preflight`).  The symmetric mode works on orbit sums in
+    exact rationals; see `_orbit_block`.
     """
     if model not in ("kac-uniform", "kac-rho", "gamma"):
         raise ValueError(f"unknown sector model {model!r} (kac-uniform, kac-rho or gamma)")
@@ -378,17 +437,19 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
     def cached_action(a, b):
         return {k: convert(v) for k, v in action(a, b).items()}
 
+    rotation = model != "gamma"
     if mode == "full":
-        _full_mode_preflight(graph, degree)
+        _full_mode_preflight(graph, degrees, rotation)
     blocks = []
     for d in degrees:
         elements = _block_elements(V, d, mode)
         if mode == "symmetric":
             # K_N's pair scaling as the exact 1/N, not the float graph.pair_scaling
-            C = _orbit_block(elements, V, cached_action, Fraction(1, V))
-        else:
-            C = _monomial_block(elements, graph.edges, cached_action, graph.pair_scaling)
-        blocks.append((elements, C))
+            blocks.append((elements, _orbit_block(elements, V, cached_action, Fraction(1, V))))
+            continue
+        classes = _parity_classes(elements) if rotation else [elements]
+        blocks += zip(classes, _monomial_blocks(classes, graph.edges, cached_action,
+                                                 graph.pair_scaling))
     return GalerkinPair(mode, V, sector_dimension(V, degree, mode), tuple(blocks))
 
 
@@ -417,20 +478,26 @@ def _pair_image(k: tuple, pairs, action, scale) -> dict:
 
 def _closure_error(image, element) -> ArithmeticError:
     return ArithmeticError(f"sector closure violated: image {image} of {element} "
-                           "lies outside its degree block")
+                           "lies outside its block")
 
 
-def _monomial_block(monomials: tuple, edges, action, scale: float) -> np.ndarray:
-    """C on the monomials of one degree, in floats, one `_pair_image` per column."""
-    pos = {k: i for i, k in enumerate(monomials)}
-    C = np.zeros((len(monomials), len(monomials)))
-    for l, k in enumerate(monomials):
-        for key, c in _pair_image(k, edges, action, scale).items():
-            row = pos.get(key)
-            if row is None:
-                raise _closure_error(key, k)
-            C[row, l] += c
-    return C
+def _monomial_blocks(classes: Sequence[tuple], edges, action, scale: float) -> list:
+    """C on each class of monomials, in floats, one `_pair_image` per column.
+
+    An image term outside its column's class raises `_closure_error`.
+    """
+    pos = {k: (c, row) for c, monomials in enumerate(classes) for row, k in enumerate(monomials)}
+    blocks = []
+    for c, monomials in enumerate(classes):
+        C = np.zeros((len(monomials), len(monomials)))
+        for l, k in enumerate(monomials):
+            for key, v in _pair_image(k, edges, action, scale).items():
+                cls, row = pos.get(key, (None, None))
+                if cls != c:
+                    raise _closure_error(key, k)
+                C[row, l] += v
+        blocks.append(C)
+    return blocks
 
 
 def _placements(counts: Counter, sites: int) -> int:
@@ -492,47 +559,80 @@ class GalerkinGapReport:
     n_vars: int
     gap_elements: tuple            # elements of the block that holds the gap
     gap_coefficients: np.ndarray   # the gap eigenvector's coefficients on them
+    blocks: int                    # invariant blocks solved
+    block_max: int                 # elements of the largest
+
+
+def _gap_eigenpair(C: np.ndarray, gap: float) -> tuple:
+    """Unit right and left eigenvectors (x, y) of C at eigenvalue -gap, from one LU.
+
+    Inverse iteration on C + gap (1 + 1e-10) I: the gap's eigenvalue there is
+    1e-10 gap, so each solve shrinks every other direction by ~1e-10 gap over
+    its distance from the gap, and three solves from a fixed generic start
+    vector reach rounding.  The left vector solves with the transpose of the
+    same factors.  Sign rule: the largest |coefficient| of each is positive.
+    """
+    n = len(C)
+    lu = scipy.linalg.lu_factor(C + gap * (1 + 1e-10) * np.eye(n), overwrite_a=True,
+                                check_finite=False)
+    start = np.random.default_rng(0).standard_normal(n)
+    out = []
+    for trans in (0, 1):
+        v = start
+        for _ in range(3):
+            v = scipy.linalg.lu_solve(lu, v, trans=trans, check_finite=False)
+            v /= np.linalg.norm(v)
+        if not np.isfinite(v).all():
+            raise ArithmeticError(f"inverse iteration at the sector gap {gap} broke down")
+        out.append(v if v[np.argmax(np.abs(v))] > 0 else -v)
+    return tuple(out)
 
 
 def galerkin_eigensystem(pair: GalerkinPair) -> GalerkinGapReport:
     """The sector spectrum from the eigenvalues of each block of C.
 
-    The gap is the smallest eigenvalue of -C above ZERO_TOL, and its right
-    eigenvector gives `gap_coefficients` on its block's elements.  L is
+    Blocks of one size go to `np.linalg.eigvals` as one stack.  L is
     self-adjoint, so a block whose eigenvalues have an imaginary part beyond
     EIG_TOL times its largest |eigenvalue| is refused with ArithmeticError,
-    and the real spectrum must pass `discrete.check_spectrum`.
-    `eig_condition` is the gap's condition number 1/|y^H x|, from the unit
-    left and right eigenvectors y, x that the solver returns with it (for a
-    repeated eigenvalue, that of the one eigenpair returned).
+    and the real spectrum must pass `discrete.check_spectrum`.  The gap is
+    the smallest eigenvalue of -C above ZERO_TOL (on a tie, in the first
+    block holding it).  Only that block is factored again, for the unit
+    right and left gap eigenvectors x, y (`_gap_eigenpair`): x gives
+    `gap_coefficients` on the block's elements, with its largest
+    |coefficient| positive, and `eig_condition` is the gap's condition
+    number 1/|y^T x| (for a repeated eigenvalue, that of the pair found).
     """
-    spectrum, found = [], None
-    for elements, C in pair.blocks:
-        C = np.asarray(C, dtype=float)
-        w, Y, X = scipy.linalg.eig(C, left=True)
-        lam = -w
-        imag = float(np.abs(lam.imag).max())
-        if imag > EIG_TOL * float(np.abs(lam).max()):
+    blocks = [(elements, np.asarray(C, dtype=float)) for elements, C in pair.blocks]
+    by_size: dict = {}
+    for b, (_, C) in enumerate(blocks):
+        by_size.setdefault(len(C), []).append(b)
+    spectrum = []
+    lowest = np.full(len(blocks), np.inf)      # per block, the smallest eigenvalue of -C above ZERO_TOL
+    for members in by_size.values():
+        stack = (blocks[members[0]][1][None] if len(members) == 1
+                 else np.stack([blocks[b][1] for b in members]))
+        lam = -np.linalg.eigvals(stack)
+        imag = np.abs(lam.imag).max(axis=1)
+        bad = np.flatnonzero(imag > EIG_TOL * np.abs(lam).max(axis=1))
+        if len(bad):
+            elements = blocks[members[bad[0]]][0]
             raise ArithmeticError(
                 f"degree-{sum(elements[0])} block has eigenvalue imaginary parts up to "
-                f"{imag:.2e}; the sector operator is not self-adjoint")
+                f"{imag[bad[0]]:.2e}; the sector operator is not self-adjoint")
         lam = lam.real
-        spectrum.append(lam)
-        above = np.flatnonzero(lam > ZERO_TOL)
-        if len(above):
-            i = above[np.argmin(lam[above])]
-            if found is None or lam[i] < found[0]:
-                found = (lam[i], elements, C, i, X.real, Y.real)
-    if found is None:
+        spectrum.append(lam.ravel())
+        lowest[members] = np.where(lam > ZERO_TOL, lam, np.inf).min(axis=1)
+    b = int(np.argmin(lowest))
+    if not np.isfinite(lowest[b]):
         raise ArithmeticError("no nonzero sector mode found")
-    gap, elements, C, i, X, Y = found
+    gap = float(lowest[b])
     spectrum = np.sort(np.concatenate(spectrum))
     check_spectrum("sector", spectrum, gap)
-    # real parts of unit vectors: renormalize in case rounding made the pair complex
-    x, y = X[:, i] / np.linalg.norm(X[:, i]), Y[:, i] / np.linalg.norm(Y[:, i])
-    kept = sum(len(C) for _, C in pair.blocks)
+    elements, C = blocks[b]
+    x, y = _gap_eigenpair(C, gap)
+    kept = len(spectrum)
     return GalerkinGapReport(
-        gap=float(gap),
+        gap=gap,
         eigenvalues=spectrum,
         kept_dim=kept,
         deflated=pair.basis_size - kept,
@@ -542,6 +642,8 @@ def galerkin_eigensystem(pair: GalerkinPair) -> GalerkinGapReport:
         n_vars=pair.n_vars,
         gap_elements=elements,
         gap_coefficients=x,
+        blocks=len(blocks),
+        block_max=max(by_size),
     )
 
 

@@ -66,6 +66,9 @@ def galerkin_record(model: str, graph, degree: int, sector: str, report,
         "basis_size": report.kept_dim + report.deflated,
         "kept_dim": report.kept_dim,
         "deflated": report.deflated,
+        # JSON only: CSV_COLUMNS does not carry them
+        "blocks": report.blocks,
+        "block_max": report.block_max,
     }
 
 

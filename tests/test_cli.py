@@ -30,10 +30,12 @@ class TestGapCommands:
         assert doc["config"]["command"] == "gap-galerkin"
         assert doc["provenance"]["references"]
 
-    @pytest.mark.parametrize("mode,assembly,size,kept", [
-        ("full", "monomial", 35, 25), ("symmetric", "orbit-representative", 11, 7)])
+    # full mode: degrees 3 and 4 split into 8 parity classes, the largest the
+    # 6 all-even quartics; symmetric: one block per degree
+    @pytest.mark.parametrize("mode,assembly,size,kept,blocks,block_max", [
+        ("full", "monomial", 35, 25, 8, 6), ("symmetric", "orbit-representative", 11, 7, 2, 4)])
     def test_galerkin_records_how_it_was_computed(self, tmp_path, mode, assembly,
-                                                   size, kept):
+                                                   size, kept, blocks, block_max):
         code, doc = run_json(["gap-galerkin", "--model", "kac", "--N", "3",
                               "--degree", "4", "--basis-mode", mode], tmp_path)
         assert code == 0
@@ -45,6 +47,7 @@ class TestGapCommands:
         assert rec["deflated"] == size - kept
         assert 0.0 <= rec["eig_residual"] < 1e-12
         assert rec["eig_condition"] >= 1.0
+        assert (rec["blocks"], rec["block_max"]) == (blocks, block_max)
         out = tmp_path / "gap.csv"
         assert main(["gap-galerkin", "--model", "kac", "--N", "3", "--degree", "4",
                      "--basis-mode", mode, "--format", "csv", "--out", str(out)]) == 0
@@ -71,7 +74,8 @@ class TestGapCommands:
         assert doc["results"][0]["graph"] == {"kind": "complete", "d": 1, "N": 4}
 
     def test_galerkin_full_mode_too_large_is_refused(self, capsys):
-        code = main(["gap-galerkin", "--model", "kac", "--N", "12", "--degree", "8"])
+        # the even parity class of degree 10 on K16 alone holds C(20, 5) = 15,504 monomials
+        code = main(["gap-galerkin", "--model", "kac", "--N", "16", "--degree", "10"])
         assert code == 1
         assert "--basis-mode symmetric" in capsys.readouterr().err
 

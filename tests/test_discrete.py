@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -267,6 +268,19 @@ class TestSpectralGap:
         with pytest.raises(ArithmeticError, match="non-finite"):
             gap_and_kappa(gen)
         assert gen.solve_report.solver == solver
+
+    @pytest.mark.parametrize("N, omega", [(3, 6), (4, 5)])
+    def test_wrong_weights_are_refused_on_the_dense_path(self, N, omega):
+        # weights off by 1e-5 relative noise: sqrt(pi) is no zero mode of S, yet
+        # the dense solve once returned gap 0.9999999999 without checking it
+        gen = build_zero_range_generator(build_graph("complete", N=N),
+                                         enumerate_states(N, omega), GK)
+        noise = np.random.default_rng(1).standard_normal(gen.dim)
+        gen.measure = dataclasses.replace(gen.measure,
+                                          weights=gen.measure.weights * (1 + 1e-5 * noise))
+        with pytest.raises(ArithmeticError, match="not a zero mode"):
+            spectral_gap(gen)
+        assert gen.dim <= 400
 
     @pytest.mark.parametrize("eigenvalues, gap, null, refusal", [
         ([0.0, 0.5], 0.5, math.nan, "non-finite"),

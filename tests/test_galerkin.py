@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from gaplab import galerkin
@@ -318,13 +319,15 @@ class TestKacGalerkin:
                 assert p + q == a + b
 
     def test_constant_in_null_space(self):
-        # on the sphere the constant is (x1^2 + x2^2 + x3^2)^2, in the degree-4 block
+        # on the sphere the constant is (x1^2 + x2^2 + x3^2)^2, in the all-even
+        # parity class of degree 4
         pair = assemble_galerkin("kac-uniform", build_graph("complete", N=3), degree=4)
-        elements, C = pair.blocks[-1]
         square = Counter(tuple(2 * (v == i) + 2 * (v == j) for v in range(3))
                          for i in range(3) for j in range(3))
+        (elements, C), = [(e, C) for e, C in pair.blocks
+                          if sum(e[0]) == 4 and not any(x % 2 for x in e[0])]
+        assert set(square) <= set(elements)
         one = np.array([square[k] for k in elements], dtype=float)
-        assert one.any()
         assert np.abs(C @ one).max() < 1e-12
 
     def test_eigenfunction_callable(self):
@@ -614,13 +617,21 @@ class TestFullModeBlocks:
         basis = _degree_le_basis(g.n_sites, degree)
         assert rep.kept_dim + rep.deflated == len(basis)
         C = _full_action_matrix(basis, g, action)
+        pos = {k: i for i, k in enumerate(basis)}
+        covered = []
         for elements, block in pair.blocks:
-            start = basis.index(elements[0])
-            stop = start + len(block)
-            # the block is its slice of C, bitwise, and C keeps its degree
-            assert elements == tuple(basis[start:stop])
-            assert block.tobytes() == C[start:stop, start:stop].tobytes()
-            assert not C[:start, start:stop].any() and not C[stop:, start:stop].any()
+            rows = [pos[k] for k in elements]
+            outside = np.setdiff1d(np.arange(len(basis)), rows)
+            # the block is its rows and columns of C, bitwise, and C has no
+            # entry between the block and anything outside it
+            assert block.tobytes() == C[np.ix_(rows, rows)].tobytes()
+            assert not C[np.ix_(outside, rows)].any() and not C[np.ix_(rows, outside)].any()
+            covered += rows
+        # the blocks partition the kept degrees: D - 1 and D, or D alone
+        kept = (degree,) if model == "gamma" else (degree - 1, degree)
+        assert sorted(covered) == [i for i, k in enumerate(basis) if sum(k) in kept]
+        assert len(pair.blocks) == rep.blocks
+        assert max(len(e) for e, _ in pair.blocks) == rep.block_max
         # the top blocks' spectrum is the Rayleigh problem's on all of the sector
         ref = _rayleigh_spectrum(C, basis, oracle)
         assert len(ref) == rep.kept_dim
@@ -638,10 +649,75 @@ class TestFullModeBlocks:
             raise AssertionError("block elements listed before the preflight")
         monkeypatch.setattr(galerkin, "_block_elements", fail)
         assert degree_block_size(12, 8) == 75_582
-        with pytest.raises(TooLargeError, match="--basis-mode symmetric"):
-            assemble_galerkin("kac-uniform", build_graph("complete", N=12), degree=8)
+        # kac-uniform on K16 at degree 10: its even class alone holds C(20, 5) monomials
+        with pytest.raises(TooLargeError, match="15504 in its largest block.*--basis-mode symmetric"):
+            assemble_galerkin("kac-uniform", build_graph("complete", N=16), degree=10)
         with pytest.raises(TooLargeError, match="75582 monomials of degree 8"):
             assemble_galerkin("gamma", build_graph("complete", N=12), degree=8, gamma=1)
+
+    @pytest.mark.parametrize("V,D", [(3, 4), (4, 5), (9, 4), (5, 6)])
+    def test_block_sizes_are_counted_without_listing(self, V, D):
+        # C(V, j) parity classes of C(V + m - 1, m) monomials, m = (d - j)/2, per j odd sites
+        listed = Counter(len(c) for d in (D - 1, D)
+                         for c in galerkin._parity_classes(galerkin._block_elements(V, d, "full")))
+        counted = Counter()
+        for count, size in galerkin._block_sizes(V, (D - 1, D), True):
+            counted[size] += count
+        assert counted == listed
+        assert max(listed) == math.comb(V + D // 2 - 1, D // 2)
+        assert galerkin._block_sizes(V, (D,), False) == [(1, degree_block_size(V, D))]
+
+    def test_preflight_sizes_the_parity_classes(self, monkeypatch):
+        class Listed(Exception):
+            pass
+
+        def listed(*args, **kwargs):
+            raise Listed
+        monkeypatch.setattr(galerkin, "_block_elements", listed)
+        # one degree-4 block of 20,475 monomials would need ~22 GiB; its largest
+        # parity class holds C(26, 2) = 325
+        with pytest.raises(Listed):
+            assemble_galerkin("kac-uniform", build_graph("lattice", d=2, N=5), degree=4)
+
+    @pytest.mark.parametrize("graph", [*[("complete", N) for N in range(3, 9)], ("lattice", 3)])
+    def test_parity_classes_carry_the_degree_spectrum(self, graph):
+        kind, N = graph
+        g = build_graph(kind, N=N) if kind == "complete" else build_graph(kind, d=2, N=N)
+        rep = galerkin_eigensystem(assemble_galerkin("kac-uniform", g, degree=4))
+        action = lambda a, b: rho_pair_action(UNIFORM, a, b)
+        unsplit = np.concatenate([
+            -np.linalg.eigvals(galerkin._monomial_blocks(
+                [galerkin._block_elements(g.n_sites, d, "full")], g.edges, action,
+                g.pair_scaling)[0])
+            for d in (3, 4)])
+        assert np.abs(unsplit.imag).max() < 1e-12
+        assert np.abs(np.sort(unsplit.real) - rep.eigenvalues).max() < 1e-12
+        assert rep.eig_residual <= 1e-12
+
+    def test_parity_breaking_action_is_refused(self, monkeypatch):
+        def leaky(rho, a, b):
+            # keeps the degree, so only the parity split can catch it
+            return {(a + b - 1, 1): 1.0}
+        monkeypatch.setattr("gaplab.galerkin.rho_pair_action", leaky)
+        with pytest.raises(ArithmeticError, match="closure"):
+            assemble_galerkin("kac-uniform", build_graph("complete", N=3), degree=4)
+
+    @pytest.mark.parametrize("model,N,kwargs", [
+        ("kac-uniform", 3, {}), ("kac-uniform", 5, {}), ("kac-rho", 4, {"rho": CARDIOID_RHO}),
+        ("gamma", 4, {"gamma": Fraction(2)})])
+    def test_gap_pair_is_the_eigenpair_of_its_block(self, model, N, kwargs):
+        pair = assemble_galerkin(model, build_graph("complete", N=N), degree=4, **kwargs)
+        rep = galerkin_eigensystem(pair)
+        C = next(C for e, C in pair.blocks if e == rep.gap_elements)
+        w, Y, X = scipy.linalg.eig(C, left=True)
+        i = np.argmin(np.abs(w + rep.gap))
+        x, y = X[:, i].real, Y[:, i].real
+        x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        # the sign rule: the largest |coefficient| is positive
+        assert rep.gap_coefficients[np.argmax(np.abs(rep.gap_coefficients))] > 0
+        assert np.abs(np.abs(rep.gap_coefficients @ x) - 1.0) < 1e-12
+        assert rep.eig_condition == pytest.approx(1.0 / abs(y @ x), rel=1e-10)
+        assert rep.eig_residual <= 1e-12
 
     def test_complex_spectrum_is_refused(self):
         # a rotation of the plane has eigenvalues +-i; a self-adjoint sector never does

@@ -59,6 +59,23 @@ def test_sector_reach_full_mode():
         assert r["abs_error"] <= 1e-12
 
 
+def test_sector_reach_lattice():
+    rows = _rows("sector_reach.py", "--graph", "lattice", "--d", "2", "--Ns", "2,3")
+    assert [r["case"] for r in rows] == ["kac-uniform/Z2N2/deg4/full",
+                                         "kac-uniform/Z2N3/deg4/full"]
+    for r in rows:
+        # 2-d side N: C(N^2 + 4, 4) monomials, split into parity classes
+        assert r["basis_size"] == math.comb(r["N"] ** 2 + 4, 4)
+        assert 1 < r["blocks"] and r["block_max"] == math.comb(r["N"] ** 2 + 1, 2)
+        assert r["closed_form"] is None and r["eig_residual"] <= 1e-12
+    # on the 3x3 grid the gap is the degree-2 mode of half the graph Laplacian
+    assert abs(rows[1]["gap"] - (1 - math.cos(math.pi / 3))) < 1e-12
+    refused = subprocess.run([sys.executable, str(ROOT / "scripts" / "sector_reach.py"),
+                              "--graph", "lattice", "--mode", "symmetric"],
+                             capture_output=True, text=True, timeout=60)
+    assert refused.returncode != 0 and "full only" in refused.stderr
+
+
 def test_event_rate():
     rows = _rows("event_rate.py", "--cases", "zero-range/K3/3,zero-range/K10/10",
                  "--events", "2000", "--repeats", "1")
