@@ -4,8 +4,10 @@ A script hands `run` its docstring, its own options, its cases and a
 `cell(case, args)` that returns one JSON row.  Each case runs in a new
 interpreter (the script itself, with a hidden `--cell CASE`) on one BLAS
 thread, so `ru_maxrss_mb`, added to every row, is the peak of that case
-alone and no two rows share a warm cache.  Rows print as they arrive, and
-`--out FILE` writes them as one JSON list.
+alone and no two rows share a warm cache.  A case that exits non-zero
+becomes the row {"case", "error": its last stderr line, "exit_code"}, and
+the run goes on to the next case; `run` then returns 1.  Rows print as
+they arrive, and `--out FILE` writes them as one JSON list.
 """
 
 from __future__ import annotations
@@ -43,10 +45,14 @@ def run(script: str, doc: str, add_options: Callable,
     env = dict(os.environ, **CELL_ENV)
     rows = []
     for case in cases(args):
-        out = subprocess.run([sys.executable, script, *argv, "--cell", case],
-                             env=env, check=True, capture_output=True, text=True).stdout
-        rows.append(json.loads(out.splitlines()[-1]))
+        proc = subprocess.run([sys.executable, script, *argv, "--cell", case],
+                              env=env, capture_output=True, text=True)
+        if proc.returncode == 0:
+            rows.append(json.loads(proc.stdout.splitlines()[-1]))
+        else:
+            error = (proc.stderr.strip().splitlines() or [""])[-1]
+            rows.append({"case": case, "error": error, "exit_code": proc.returncode})
         print(json.dumps(rows[-1]), flush=True)
     if args.out:
         Path(args.out).write_text(json.dumps(rows, indent=1) + "\n")
-    return 0
+    return int(any("error" in row for row in rows))

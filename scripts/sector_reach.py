@@ -20,9 +20,10 @@ null for the closed form and its distance.  The symmetric (orbit-sum) mode
 defaults to N = 10, 100, 300, 1000; the full (monomial) mode, whose
 rotation blocks are the parity classes of each degree, to N = 3..10.
 
-`--graph lattice` solves kac-uniform alone on the d-dimensional lattice of
+`--graph lattice` solves the same models on the d-dimensional lattice of
 side N, in full mode (orbit sums are invariant only on K_N), for N = 3..5 by
-default; no closed form is known there, so those fields are null.
+default; no closed form is known there, so those fields are null.  A size
+the preflight refuses is an error row (scripts/runner.py).
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ def mode(args) -> str:
 
 
 def cases(args) -> list:
-    """model/KN, with /gammaG for the redistribution model, for each N; kac-uniform/ZdNN on lattices."""
+    """model/KN, or model/ZdNN on lattices, with /gammaG for the redistribution model, for each N."""
     m = mode(args)
-    Ns = (args.Ns or DEFAULT_NS["lattice" if args.graph == "lattice" else m]).split(",")
-    if args.graph == "lattice":
-        return [f"kac-uniform/Z{args.d}N{N}" for N in Ns]
-    return [f"{model}/K{N}" + (f"/gamma{gamma}" if gamma is not None else "")
+    lattice = args.graph == "lattice"
+    Ns = (args.Ns or DEFAULT_NS["lattice" if lattice else m]).split(",")
+    return [f"{model}/" + (f"Z{args.d}N{N}" if lattice else f"K{N}")
+            + (f"/gamma{gamma}" if gamma is not None else "")
             for N in Ns for model, gamma in CASES]
 
 

@@ -88,7 +88,7 @@ def _safe_expression(expr: str):
 
 
 def _resolve_rho(spec: str) -> RhoSpec:
-    """The angle density of --rho; one that fails `RhoSpec.validate` is refused."""
+    """The angle density of --rho; `RhoSpec` refuses one that is not a density."""
     if spec in (None, "uniform"):
         return RhoSpec.uniform()
     if spec.startswith("fourier:"):
@@ -97,15 +97,10 @@ def _resolve_rho(spec: str) -> RhoSpec:
         for line in _data_lines(path):
             parts = [float(v) for v in line.replace(",", " ").split()]
             coeffs.append(parts[0] if len(parts) == 1 else complex(parts[0], parts[1]))
-        rho = RhoSpec(coefficients=coeffs, name=path)
-    elif spec.startswith("density:"):
-        rho = RhoSpec(density=_safe_expression(spec.split(":", 1)[1]), name=spec)
-    else:
-        raise ValueError(f"unknown rho spec {spec!r} (uniform | fourier:FILE | density:EXPR)")
-    report = rho.validate()
-    if not report.passed:
-        raise ValueError(f"--rho {spec!r} is not a probability density on (-pi, pi]:\n{report}")
-    return rho
+        return RhoSpec(coefficients=coeffs, name=path)
+    if spec.startswith("density:"):
+        return RhoSpec(density=_safe_expression(spec.split(":", 1)[1]), name=spec)
+    raise ValueError(f"unknown rho spec {spec!r} (uniform | fourier:FILE | density:EXPR)")
 
 
 def _config_of(args) -> dict:

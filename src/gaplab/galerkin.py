@@ -837,17 +837,16 @@ class AngleModeResult:
 
 
 def two_site_fourier_gap(rho: RhoSpec, n_max: int = 64) -> AngleModeResult:
-    """Pair-generator spectrum on the circle: mode n relaxes at (1 - Re rho_hat(n))/2."""
+    """Pair-generator spectrum on the circle: mode n relaxes at (1 - Re rho_hat(n))/2.
+
+    `RhoSpec` holds only densities, whose |rho_hat(n)| < 1, so every rate lies
+    strictly between 0 and 1."""
     if n_max < 1:
         raise ValueError("need at least one mode")
     rates = [0.5 * (1.0 - rho.coefficient(n).real) for n in range(1, n_max + 1)]
     gap, kappa = min(rates), max(rates)
     check_spectrum("angle-mode spectrum", rates, gap)
-    if kappa > 1.0 + 1e-12:
-        raise ArithmeticError(
-            f"pair spectrum exceeds 1 (kappa = {kappa}); the angle data is not "
-            "a probability density")
     truncated = not (rho.exact_tail_zero and n_max >= rho.order)
     note = ("extremes over angle modes 1..%d%s" %
             (n_max, "; higher modes not examined" if truncated else "; exact (finite spectrum tail)"))
-    return AngleModeResult(gap, min(kappa, 1.0), tuple(enumerate(rates, start=1)), truncated, note)
+    return AngleModeResult(gap, kappa, tuple(enumerate(rates, start=1)), truncated, note)

@@ -195,6 +195,13 @@ class RhoSpec:
     Coefficients follow the convention rho_hat(n) = int e^{i n theta} rho dtheta,
     so rho_hat(0) = 1 for a probability density and rho_hat(-n) = conj(rho_hat(n)).
     Only n >= 0 is stored.
+
+    The constructor is the one place where a density is checked, for every
+    caller: it raises ValueError, listing each failed check, unless rho_hat(0)
+    = 1, every |rho_hat(n)| < 1 for n >= 1 (a bound of 1 is a point mass), and
+    the density on the angle grid is nonnegative and integrates to 1.  So the
+    simulator, the sector engine and the angle-mode spectrum only ever see a
+    probability density.  `values` evaluates it at any angles.
     """
 
     def __init__(self, density: Optional[Callable[[float], float]] = None,
@@ -211,26 +218,53 @@ class RhoSpec:
             self._coeffs = np.asarray(coefficients, dtype=complex)
             if len(self._coeffs) == 0:
                 raise ValueError("need at least the order-0 coefficient")
-        else:
-            theta = angle_midpoints(RHO_QUADRATURE_NODES)
-            self.grid_values = np.array([density(t) for t in theta])
+        theta = angle_midpoints(RHO_QUADRATURE_NODES)
+        #: the density at angle_midpoints(RHO_QUADRATURE_NODES)
+        self.grid_values = self.values(theta)
+        if density is not None:
             ns = np.arange(n_max + 1)
             phase = np.exp(1j * np.outer(ns, theta))
             self._coeffs = (phase * self.grid_values).sum(axis=1) * (2 * math.pi / RHO_QUADRATURE_NODES)
+        failed = [f"  [FAIL] {check}: residual {residual:.3g}" + (f" ({detail})" if detail else "")
+                  for check, passed, residual, detail in self._checks() if not passed]
+        if failed:
+            raise ValueError(f"{name!r} is not a probability density on (-pi, pi]:\n"
+                             + "\n".join(failed))
 
-    @functools.cached_property
-    def grid_values(self) -> np.ndarray:
-        """The density at angle_midpoints(RHO_QUADRATURE_NODES): a density is
-        evaluated there by the constructor, Fourier data summed there on first use."""
-        theta = angle_midpoints(RHO_QUADRATURE_NODES)
-        dens = np.full(RHO_QUADRATURE_NODES, 1.0 / (2 * math.pi))
+    def _checks(self) -> list:
+        """(name, passed, residual, detail) of each density check."""
+        c0 = self.coefficient(0)
+        worst = max((abs(self.coefficient(n)) for n in range(1, self.order + 1)), default=0.0)
+        neg = float(max(0.0, -self.grid_values.min()))
+        mass = float(self.grid_values.sum() * 2 * math.pi / RHO_QUADRATURE_NODES)
+        return [
+            ("normalization rho_hat(0) = 1", abs(c0 - 1.0) < 1e-6, abs(c0 - 1.0),
+             f"rho_hat(0) = {c0.real:.6g}"),
+            ("coefficient bound |rho_hat(n)| <= 1", worst <= 1.0 + 1e-9, max(0.0, worst - 1.0),
+             f"max |rho_hat| = {worst:.6g}"),
+            # |rho_hat(n)| = 1 for n >= 1 forces a point mass, not a density
+            ("no point-mass concentration", worst < 1.0 - 1e-12, 0.0,
+             "some |rho_hat(n)| >= 1 with n >= 1"),
+            ("density nonnegative", neg < 1e-12, neg, ""),
+            ("density integrates to 1", abs(mass - 1.0) < 1e-6, abs(mass - 1.0),
+             f"integral = {mass:.8g}"),
+        ]
+
+    def values(self, theta: np.ndarray) -> np.ndarray:
+        """The density at the angles `theta`: the density function called at
+        each, or the Fourier series summed there with its cos and sin terms."""
+        if self.density is not None:
+            return np.array([self.density(t) for t in theta])
+        dens = np.full(len(theta), self.coefficient(0).real / (2 * math.pi))
         for n in range(1, self.order + 1):
             c = self.coefficient(n)
             dens += (c.real * np.cos(n * theta) + c.imag * np.sin(n * theta)) / math.pi
         return dens
 
     @classmethod
+    @functools.cache
     def uniform(cls) -> "RhoSpec":
+        """The flat density of the Kac walk: one shared instance, checked once."""
         return cls(coefficients=[1.0], exact_tail_zero=True, name="uniform")
 
     @property
@@ -247,30 +281,6 @@ class RhoSpec:
                 f"Fourier order {a} exceeds available order {self.order} for {self.name!r}")
         c = self._coeffs[a]
         return complex(c).conjugate() if n < 0 else complex(c)
-
-    def validate(self) -> "ValidationReport":
-        checks = []
-        c0 = self.coefficient(0)
-        checks.append(CheckResult("normalization rho_hat(0) = 1",
-                                  abs(c0 - 1.0) < 1e-6, abs(c0 - 1.0),
-                                  f"rho_hat(0) = {c0.real:.6g}"))
-        mags = [abs(self.coefficient(n)) for n in range(1, self.order + 1)]
-        worst = max(mags, default=0.0)
-        checks.append(CheckResult("coefficient bound |rho_hat(n)| <= 1",
-                                  worst <= 1.0 + 1e-9, max(0.0, worst - 1.0),
-                                  f"max |rho_hat| = {worst:.6g}"))
-        # |rho_hat(n)| = 1 for n >= 1 forces a point mass, not a density
-        checks.append(CheckResult("no point-mass concentration",
-                                  worst < 1.0 - 1e-12, 0.0,
-                                  "some |rho_hat(n)| >= 1 with n >= 1" if worst >= 1.0 - 1e-12 else ""))
-        vals = self.grid_values
-        neg = float(max(0.0, -vals.min()))
-        checks.append(CheckResult("density nonnegative", neg < 1e-12, neg, ""))
-        mass = float(vals.sum() * 2 * math.pi / RHO_QUADRATURE_NODES)
-        checks.append(CheckResult("density integrates to 1",
-                                  abs(mass - 1.0) < 1e-6, abs(mass - 1.0),
-                                  f"integral = {mass:.8g}"))
-        return ValidationReport(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -416,32 +426,3 @@ def model_from_id(model_id: str, *, g: Optional[RateFunction] = None,
         return ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(
             gamma=Fraction(gamma if gamma is not None else 1)))
     return ModelSpec(family, g=g if g is not None else G_CONSTANT_ONE)
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    residual: float
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: list
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __str__(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            extra = f" ({c.detail})" if c.detail else ""
-            lines.append(f"  [{status}] {c.name}: residual {c.residual:.3g}{extra}")
-        return "\n".join(lines)

@@ -155,7 +155,8 @@ class _Dynamics:
             self._cos = np.array([math.cos(t) for t in theta])
             self._sin = np.array([math.sin(t) for t in theta])
             rho = model.angle_density()
-            self._weights = _even_angle_weights(rho, theta)
+            w = 0.5 * (rho.values(theta) + rho.values(-theta)) * (2 * math.pi / nodes)
+            self._weights = w / w.sum()
             self._theta_sampler = _angle_sampler(rho)
             self._jump, self.outcomes = self._jump_rotation, self._rotation_outcomes
 
@@ -377,8 +378,7 @@ def _angle_sampler(rho: RhoSpec) -> Callable:
         return lambda rng: rng.uniform(-math.pi, math.pi)
     nodes = RHO_QUADRATURE_NODES
     theta = angle_midpoints(nodes)
-    dens = np.clip(rho.grid_values, 0.0, None)
-    cdf = np.cumsum(dens)
+    cdf = np.cumsum(rho.grid_values)
     cdf /= cdf[-1]
 
     def sample(rng):
@@ -387,21 +387,6 @@ def _angle_sampler(rho: RhoSpec) -> Callable:
         return -t if rng.random() < 0.5 else t
 
     return sample
-
-
-def _even_angle_weights(rho: RhoSpec, theta: np.ndarray) -> np.ndarray:
-    """Quadrature weights of the even part of the density at the nodes `theta`."""
-    dens = np.empty(len(theta))
-    for i, t in enumerate(theta):
-        if rho.density is not None:
-            dens[i] = 0.5 * (rho.density(t) + rho.density(-t))
-        else:
-            v = 1.0 / (2 * math.pi)
-            for n in range(1, rho.order + 1):
-                v += rho.coefficient(n).real * math.cos(n * t) / math.pi
-            dens[i] = max(v, 0.0)
-    w = dens * (2 * math.pi / len(theta))
-    return w / w.sum()
 
 
 # ---------------------------------------------------------------------------

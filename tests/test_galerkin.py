@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -20,8 +21,6 @@ from gaplab.galerkin import (DirichletMoments, SphereMoments,
 from gaplab.models import RhoSpec, build_graph
 
 COSINE_RHO = RhoSpec(coefficients=[1.0, 0.5], exact_tail_zero=True, name="cosine")
-#: Re rho_hat(1) = 1.5: no density has these coefficients
-SIGNED_RHO = RhoSpec(coefficients=[1.0, 1.5], exact_tail_zero=True, name="signed")
 #: a von Mises density off center, so every rho_hat(n) is complex and nonzero
 VON_MISES_RHO = RhoSpec(
     density=lambda t: math.exp(math.cos(t - 0.3)) / (2 * math.pi * scipy.special.i0(1.0)),
@@ -727,9 +726,10 @@ class TestFullModeBlocks:
             galerkin_eigensystem(pair)
 
     def test_negative_spectrum_is_refused(self):
-        # -C has eigenvalue -1/3; the solve once skipped it and reported 0.125 as the gap
-        pair = assemble_galerkin("kac-rho", build_graph("complete", N=3), degree=4,
-                                 rho=SIGNED_RHO)
+        # -C has eigenvalues -1/3 and 1/8; the solve once skipped the first and
+        # reported 0.125 as the gap
+        C = np.diag([1.0 / 3.0, -0.125])
+        pair = galerkin.GalerkinPair("full", 2, 3, ((((1, 0), (0, 1)), C),))
         with pytest.raises(ArithmeticError, match="not negative semidefinite"):
             galerkin_eigensystem(pair)
 
@@ -822,9 +822,10 @@ class TestTwoSiteFourier:
                 assert lower == pytest.approx(res.gap * (N + 2) / (2 * N), abs=1e-14)
 
     def test_refuses_a_negative_rate(self):
-        # Re rho_hat(1) = 1.5 gives mode 1 the rate -1/4, once returned as the gap
-        with pytest.raises(ArithmeticError, match="not negative semidefinite"):
-            two_site_fourier_gap(SIGNED_RHO, n_max=8)
+        # Re rho_hat(1) = 1.5 would give mode 1 the rate -1/4, once returned as
+        # the gap; no density has such a coefficient, so no spec can carry it
+        with pytest.raises(ValueError, match=re.escape("[FAIL] coefficient bound")):
+            RhoSpec(coefficients=[1.0, 1.5], exact_tail_zero=True, name="signed")
 
     @pytest.mark.parametrize("rho", [COSINE_RHO, VON_MISES_RHO], ids=["cosine", "von-mises"])
     def test_k2_sector_spectrum_is_the_angle_modes(self, rho):
@@ -838,6 +839,6 @@ class TestTwoSiteFourier:
         assert dist.min(axis=0).max() < 1e-12
 
     def test_rejects_invalid_coefficients(self):
-        bad = RhoSpec(coefficients=[1.0, -1.5], exact_tail_zero=True)
-        with pytest.raises(ArithmeticError, match="not"):
-            two_site_fourier_gap(bad, n_max=4)
+        # Re rho_hat(1) = -1.5 would give mode 1 the rate 1.25, above the bound kappa <= 1
+        with pytest.raises(ValueError, match=re.escape("[FAIL] coefficient bound")):
+            RhoSpec(coefficients=[1.0, -1.5], exact_tail_zero=True)

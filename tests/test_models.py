@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from gaplab.models import (FAMILIES, FAMILY_FIELD, G_CONSTANT_ONE, G_IDENTITY,
                            GammaExchangeSpec, MODEL_IDS, InteractionGraph,
-                           ModelSpec, RhoSpec, SQUARE, build_graph, model_from_id,
-                           rate_from_table)
+                           ModelSpec, RhoSpec, SQUARE, angle_midpoints, build_graph,
+                           model_from_id, rate_from_table)
 from gaplab.simulate import initial_config, rayleigh_upper_bound, simulate
 
 
@@ -180,37 +181,52 @@ class TestRhoSpec:
             assert rho.coefficient(-n) == rho.coefficient(n).conjugate()
 
 
-class TestRhoValidate:
-    def test_uniform_rho_passes(self):
-        assert model_from_id("kac-rho").rho.validate().passed
+class TestRhoRefusal:
+    """The constructor refuses any angle data that is not a probability density."""
+
+    def test_uniform_rho_is_the_shared_spec(self):
+        assert model_from_id("kac-rho").rho is RhoSpec.uniform()
+        assert ModelSpec("kac-uniform").angle_density() is RhoSpec.uniform()
 
     def test_unnormalized_density_fails(self):
-        rho = RhoSpec(density=lambda t: 0.5 / (2 * math.pi), n_max=4)
-        report = rho.validate()
-        assert not report.passed
-        norm = next(c for c in report.checks if "normalization" in c.name)
-        assert not norm.passed
-        assert norm.residual == pytest.approx(0.5, abs=1e-6)
+        with pytest.raises(ValueError, match=r"not a probability density") as err:
+            RhoSpec(density=lambda t: 0.5 / (2 * math.pi), n_max=4)
+        assert r"[FAIL] normalization rho_hat(0) = 1: residual 0.5 " in str(err.value)
 
     def test_cardioid_coefficients_pass(self):
-        report = RhoSpec(coefficients=[1.0, 0.5], name="cardioid").validate()
-        assert report.passed, str(report)
+        rho = RhoSpec(coefficients=[1.0, 0.5], name="cardioid")
+        assert np.allclose(rho.grid_values, (1 + np.cos(angle_midpoints(4096))) / (2 * math.pi))
 
     @pytest.mark.parametrize("coefficients, failed", [
         ([1.0, 1.5], "coefficient bound"),
         ([1.0, 1.0], "no point-mass concentration"),
     ])
     def test_impossible_coefficients_fail(self, coefficients, failed):
-        report = RhoSpec(coefficients=coefficients).validate()
-        assert not report.passed
-        assert any(c.name.startswith(failed) and not c.passed for c in report.checks)
-        assert all(c.passed for c in report.checks if "normalization" in c.name)
+        with pytest.raises(ValueError, match=re.escape(f"[FAIL] {failed}")) as err:
+            RhoSpec(coefficients=coefficients)
+        assert "normalization" not in str(err.value)
 
     def test_negative_density_fails(self):
         # normalized, |rho_hat(1)| = 3/4, but negative where cos(theta) < -2/3
-        rho = RhoSpec(density=lambda t: (1 + 1.5 * math.cos(t)) / (2 * math.pi), n_max=4)
-        report = rho.validate()
-        assert [c.name for c in report.checks if not c.passed] == ["density nonnegative"]
+        with pytest.raises(ValueError) as err:
+            RhoSpec(density=lambda t: (1 + 1.5 * math.cos(t)) / (2 * math.pi), n_max=4)
+        failed = [line for line in str(err.value).splitlines() if "[FAIL]" in line]
+        assert len(failed) == 1 and failed[0].startswith("  [FAIL] density nonnegative:")
+
+    def test_signed_fourier_series_fails(self):
+        # every |rho_hat(n)| <= 1, but the series dips to -0.16: the simulator
+        # once drew from its clipped positive part without a word
+        with pytest.raises(ValueError, match=re.escape("[FAIL] density nonnegative")):
+            RhoSpec(coefficients=[1.0, 0.9, 0.9] + [0.0] * 6)
+
+    def test_values_sum_the_series_at_any_angle(self):
+        rho = RhoSpec(coefficients=[1.0, 0.3 + 0.2j, 0.1])
+        theta = np.array([-3.0, -0.5, 0.0, 1.0, 2.5])
+        expect = (1 + 2 * (0.3 * np.cos(theta) + 0.2 * np.sin(theta))
+                  + 2 * 0.1 * np.cos(2 * theta)) / (2 * math.pi)
+        assert np.allclose(rho.values(theta), expect, rtol=0, atol=1e-15)
+        density = RhoSpec(density=lambda t: (1 + math.cos(t)) / (2 * math.pi))
+        assert list(density.values(theta)) == [(1 + math.cos(t)) / (2 * math.pi) for t in theta]
 
 
 class TestGammaExchangeSpec:

@@ -61,19 +61,44 @@ def test_sector_reach_full_mode():
 
 def test_sector_reach_lattice():
     rows = _rows("sector_reach.py", "--graph", "lattice", "--d", "2", "--Ns", "2,3")
-    assert [r["case"] for r in rows] == ["kac-uniform/Z2N2/deg4/full",
-                                         "kac-uniform/Z2N3/deg4/full"]
+    assert [r["case"] for r in rows] == [
+        f"{m}/Z2N{N}/deg4/full{tail}" for N in (2, 3)
+        for m, tail in (("kac-uniform", ""), ("gamma", "/gamma1"), ("gamma", "/gamma2"))]
     for r in rows:
-        # 2-d side N: C(N^2 + 4, 4) monomials, split into parity classes
-        assert r["basis_size"] == math.comb(r["N"] ** 2 + 4, 4)
-        assert 1 < r["blocks"] and r["block_max"] == math.comb(r["N"] ** 2 + 1, 2)
+        V = r["N"] ** 2
+        # 2-d side N: C(V + 4, 4) monomials; the rotation blocks are parity
+        # classes, the redistribution model keeps its degree-4 block whole
+        assert r["basis_size"] == math.comb(V + 4, 4)
+        if r["case"].startswith("kac-uniform"):
+            assert 1 < r["blocks"] and r["block_max"] == math.comb(V + 1, 2)
+        else:
+            assert r["blocks"] == 1 and r["block_max"] == r["kept_dim"] == math.comb(V + 3, 4)
         assert r["closed_form"] is None and r["eig_residual"] <= 1e-12
-    # on the 3x3 grid the gap is the degree-2 mode of half the graph Laplacian
-    assert abs(rows[1]["gap"] - (1 - math.cos(math.pi / 3))) < 1e-12
+    # on the 3x3 grid the gap is a mode of half the graph Laplacian: x_i^2 for
+    # the rotations, (sum x)^3 x_i for the redistribution model
+    for r in rows[3:]:
+        assert abs(r["gap"] - (1 - math.cos(math.pi / 3))) < 1e-12
     refused = subprocess.run([sys.executable, str(ROOT / "scripts" / "sector_reach.py"),
                               "--graph", "lattice", "--mode", "symmetric"],
                              capture_output=True, text=True, timeout=60)
     assert refused.returncode != 0 and "full only" in refused.stderr
+
+
+def test_refused_case_is_an_error_row():
+    # K16 at degree 10 is refused by the preflight; the K2 cases after it still run
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "sector_reach.py"),
+                           "--mode", "full", "--Ns", "16,2", "--degree", "10"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["case"] for r in rows[:3]] == ["kac-uniform/K16", "gamma/K16/gamma1",
+                                             "gamma/K16/gamma2"]
+    for r in rows[:3]:
+        assert r["exit_code"] == 1 and r["error"].startswith("gaplab.discrete.TooLargeError: ")
+        assert "more than the" in r["error"]
+    assert [r["case"] for r in rows[3:]] == [
+        "kac-uniform/K2/deg10/full", "gamma/K2/deg10/full/gamma1", "gamma/K2/deg10/full/gamma2"]
+    assert all("error" not in r and r["abs_error"] <= 1e-12 for r in rows[3:])
 
 
 def test_event_rate():
