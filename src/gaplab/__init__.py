@@ -13,8 +13,8 @@ from .discrete import (GeneratorMatrix, KernelMatrix, Measure, StateSet,
                        enumerate_states, exact_gap, kernel_matrix,
                        kernel_spectrum_extremes, spectral_gap, stationary_weights,
                        two_site_spectrum)
-from .galerkin import (GalerkinPair, assemble_galerkin, galerkin_gap,
-                       galerkin_eigensystem, k_operator_check, pair_average_action,
+from .galerkin import (GalerkinPair, assemble_galerkin, galerkin_eigensystem,
+                       k_operator_check, pair_average_action,
                        quadratic_eigen_identity, rho_pair_action, rho_trig_moment,
                        two_site_fourier_gap)
 from .bounds import (BoundChain, CanonicalPath, CertificateRefused, canonical_path,

@@ -240,10 +240,10 @@ def cmd_two_site(args) -> int:
     model = _model_from_args(args)
     if model.family in ("kac-uniform", "kac-rho"):
         # rotation models: angle modes give the pair spectrum in closed form
-        res = galerkin.two_site_fourier_gap(model.angle_density(), n_max=args.n_max)
+        res = galerkin.two_site_fourier_gap(model.angle_density())
         results = [{"model": args.model, "mode": n, "gap": rate,
                     "method": "two-site fourier"} for n, rate in res.modes]
-        results.append({"model": args.model, "mode": f"extremes over 1..{args.n_max}",
+        results.append({"model": args.model, "mode": f"extremes over 1..{len(res.modes)}",
                         "gap": res.gap, "kappa": res.kappa,
                         "method": f"two-site fourier ({res.note})"})
         _emit(args, "two-site", results, ["two-site reduction"])
@@ -381,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("two-site", help="pair spectrum sweep over totals")
     common(sp, graph=False, model=True, omega=True)
-    sp.add_argument("--n-max", type=int, default=64,
-                    help="angle modes examined for the rotation models")
     sp.set_defaults(fn=cmd_two_site)
 
     sp = sub.add_parser("kernel", help="conditional kernel spectra and extremes")

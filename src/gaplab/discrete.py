@@ -104,16 +104,16 @@ def state_count(V: int, omega: int) -> int:
     return math.comb(omega + V - 1, V - 1)
 
 
-def enumerate_states(V: int, omega: int, cap: int = STATE_CAP) -> StateSet:
+def enumerate_states(V: int, omega: int) -> StateSet:
     """Lexicographically ordered compositions of omega into V nonnegative parts."""
     if V < 1:
         raise ValueError(f"need at least one site, got V = {V}")
     if omega < 0:
         raise ValueError(f"total must be nonnegative, got {omega}")
     n = state_count(V, omega)
-    if n > cap:
+    if n > STATE_CAP:
         raise TooLargeError(
-            f"{n} states for (V={V}, omega={omega}) exceeds the cap {cap}; "
+            f"{n} states for (V={V}, omega={omega}) exceeds the cap {STATE_CAP}; "
             "this regime is for the Monte Carlo estimators (gap-mc)")
     # stars and bars: lexicographic bar positions give lexicographic compositions
     bars = np.fromiter(

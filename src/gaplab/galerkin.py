@@ -33,7 +33,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .discrete import ZERO_TOL, TooLargeError, check_spectrum, enumerate_states, physical_memory
+from .discrete import (ZERO_TOL, TooLargeError, check_spectrum, enumerate_states,
+                       physical_memory, state_count)
 from .models import InteractionGraph, RhoSpec
 
 #: an eigenvalue's imaginary part below this times its block's largest
@@ -268,13 +269,13 @@ def rho_pair_action(rho: RhoSpec, a: int, b: int) -> dict:
     """Symmetrized rotation average of eta_x^a eta_y^b under the angle density.
 
     Expands (x cos - y sin)^a (x sin + y cos)^b and integrates each angle
-    monomial against the even part of the density.  At the uniform density
-    (the Kac walk) every coefficient is a dyadic rational, and the float sums
-    of the Fourier route give it without rounding (checked to a + b = 40).
+    monomial against the even part of the density, which reads rho_hat(n)
+    for n up to a + b: Fourier data gives 0 past its series, and a density
+    transformed to a lower order raises ValueError (`RhoSpec.coefficient`).
+    At the uniform density (the Kac walk) every coefficient is a dyadic
+    rational, and the float sums of the Fourier route give it without
+    rounding (checked to a + b = 40).
     """
-    if a + b > 0 and not rho.exact_tail_zero and rho.order < a + b:
-        raise ValueError(
-            f"need Fourier coefficients to order {a + b}, have {rho.order}")
     out: dict = {}
     for p in range(a + 1):
         for q in range(b + 1):
@@ -319,11 +320,6 @@ class GalerkinPair:
         return "monomial" if self.mode == "full" else "orbit-representative"
 
 
-def degree_block_size(n_vars: int, degree: int) -> int:
-    """Monomials of total degree exactly `degree` in n_vars variables."""
-    return comb(n_vars + degree - 1, degree)
-
-
 def _parity_classes(monomials: tuple) -> list:
     """The monomials grouped by their vector of exponent parities.
 
@@ -348,8 +344,8 @@ def _block_sizes(n_vars: int, degrees: Sequence[int], rotation: bool) -> list:
     redistribution model keeps one block per degree.
     """
     if not rotation:
-        return [(1, degree_block_size(n_vars, d)) for d in degrees]
-    return [(comb(n_vars, j), degree_block_size(n_vars, (d - j) // 2))
+        return [(1, state_count(n_vars, d)) for d in degrees]
+    return [(comb(n_vars, j), state_count(n_vars, (d - j) // 2))
             for d in degrees for j in range(d % 2, min(d, n_vars) + 1, 2)]
 
 
@@ -375,7 +371,7 @@ def _full_mode_preflight(graph: InteractionGraph, degrees: Sequence[int],
         hint = "; use --basis-mode symmetric" if graph.kind == "complete" else ""
         raise TooLargeError(
             f"full-mode sector of degree {top} on {V} sites "
-            f"({degree_block_size(V, top)} monomials of degree {top}, "
+            f"({state_count(V, top)} monomials of degree {top}, "
             f"{largest} in its largest block): it needs about {need / 2**30:.1f} GiB, "
             f"more than the {have / 2**30:.1f} GiB of physical memory{hint}")
 
@@ -647,11 +643,6 @@ def galerkin_eigensystem(pair: GalerkinPair) -> GalerkinGapReport:
     )
 
 
-def galerkin_gap(pair: GalerkinPair) -> float:
-    """Smallest nonzero sector eigenvalue; exact sector gap of the restriction."""
-    return galerkin_eigensystem(pair).gap
-
-
 def sector_polynomial(report: GalerkinGapReport):
     """Gap eigenfunction as a callable on configuration vectors.
 
@@ -836,17 +827,19 @@ class AngleModeResult:
     note: str
 
 
-def two_site_fourier_gap(rho: RhoSpec, n_max: int = 64) -> AngleModeResult:
+def two_site_fourier_gap(rho: RhoSpec) -> AngleModeResult:
     """Pair-generator spectrum on the circle: mode n relaxes at (1 - Re rho_hat(n))/2.
 
-    `RhoSpec` holds only densities, whose |rho_hat(n)| < 1, so every rate lies
-    strictly between 0 and 1."""
-    if n_max < 1:
-        raise ValueError("need at least one mode")
-    rates = [0.5 * (1.0 - rho.coefficient(n).real) for n in range(1, n_max + 1)]
+    Fourier data of order K lists modes 1..K + 1: every higher mode has
+    rho_hat(n) = 0 and mode K + 1's rate 1/2, so the extremes are exact.  A
+    density lists modes 1..`RHO_DENSITY_ORDER`, the order it was transformed
+    to, and is marked truncated.  `RhoSpec` holds only densities, whose
+    |rho_hat(n)| < 1, so every rate lies strictly between 0 and 1."""
+    truncated = rho.density is not None
+    top = rho.order if truncated else rho.order + 1
+    rates = [0.5 * (1.0 - rho.coefficient(n).real) for n in range(1, top + 1)]
     gap, kappa = min(rates), max(rates)
     check_spectrum("angle-mode spectrum", rates, gap)
-    truncated = not (rho.exact_tail_zero and n_max >= rho.order)
     note = ("extremes over angle modes 1..%d%s" %
-            (n_max, "; higher modes not examined" if truncated else "; exact (finite spectrum tail)"))
+            (top, "; higher modes not examined" if truncated else "; exact (finite spectrum tail)"))
     return AngleModeResult(gap, kappa, tuple(enumerate(rates, start=1)), truncated, note)

@@ -20,8 +20,8 @@ import numpy as np
 
 #: quadrature nodes used to Fourier-transform an angle density
 RHO_QUADRATURE_NODES = 4096
-#: default number of Fourier coefficients extracted from an angle density
-RHO_DEFAULT_ORDER = 64
+#: number of Fourier coefficients extracted from an angle density
+RHO_DENSITY_ORDER = 64
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +196,11 @@ class RhoSpec:
     so rho_hat(0) = 1 for a probability density and rho_hat(-n) = conj(rho_hat(n)).
     Only n >= 0 is stored.
 
+    The kind of data decides the tail.  Fourier data is the whole series:
+    rho_hat(n) is 0 past the last listed term.  A density is transformed on
+    the angle grid to order `RHO_DENSITY_ORDER`, and `coefficient` raises
+    ValueError past that order.
+
     The constructor is the one place where a density is checked, for every
     caller: it raises ValueError, listing each failed check, unless rho_hat(0)
     = 1, every |rho_hat(n)| < 1 for n >= 1 (a bound of 1 is a point mass), and
@@ -206,14 +211,11 @@ class RhoSpec:
 
     def __init__(self, density: Optional[Callable[[float], float]] = None,
                  coefficients: Optional[Sequence[complex]] = None,
-                 exact_tail_zero: bool = False,
-                 n_max: int = RHO_DEFAULT_ORDER,
                  name: str = "rho"):
         if (density is None) == (coefficients is None):
             raise ValueError("give exactly one of density= or coefficients=")
         self.name = name
         self.density = density
-        self.exact_tail_zero = exact_tail_zero
         if coefficients is not None:
             self._coeffs = np.asarray(coefficients, dtype=complex)
             if len(self._coeffs) == 0:
@@ -222,7 +224,7 @@ class RhoSpec:
         #: the density at angle_midpoints(RHO_QUADRATURE_NODES)
         self.grid_values = self.values(theta)
         if density is not None:
-            ns = np.arange(n_max + 1)
+            ns = np.arange(RHO_DENSITY_ORDER + 1)
             phase = np.exp(1j * np.outer(ns, theta))
             self._coeffs = (phase * self.grid_values).sum(axis=1) * (2 * math.pi / RHO_QUADRATURE_NODES)
         failed = [f"  [FAIL] {check}: residual {residual:.3g}" + (f" ({detail})" if detail else "")
@@ -243,7 +245,8 @@ class RhoSpec:
             ("coefficient bound |rho_hat(n)| <= 1", worst <= 1.0 + 1e-9, max(0.0, worst - 1.0),
              f"max |rho_hat| = {worst:.6g}"),
             # |rho_hat(n)| = 1 for n >= 1 forces a point mass, not a density
-            ("no point-mass concentration", worst < 1.0 - 1e-12, 0.0,
+            ("no point-mass concentration", worst < 1.0 - 1e-12,
+             max(0.0, worst - (1.0 - 1e-12)),
              "some |rho_hat(n)| >= 1 with n >= 1"),
             ("density nonnegative", neg < 1e-12, neg, ""),
             ("density integrates to 1", abs(mass - 1.0) < 1e-6, abs(mass - 1.0),
@@ -265,20 +268,22 @@ class RhoSpec:
     @functools.cache
     def uniform(cls) -> "RhoSpec":
         """The flat density of the Kac walk: one shared instance, checked once."""
-        return cls(coefficients=[1.0], exact_tail_zero=True, name="uniform")
+        return cls(coefficients=[1.0], name="uniform")
 
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
 
     def coefficient(self, n: int) -> complex:
-        """rho_hat(n); negative n via conjugate symmetry."""
+        """rho_hat(n); negative n via conjugate symmetry.
+
+        Past `order` Fourier data gives 0; a density raises ValueError."""
         a = abs(n)
         if a > self.order:
-            if self.exact_tail_zero:
-                return 0.0
-            raise ValueError(
-                f"Fourier order {a} exceeds available order {self.order} for {self.name!r}")
+            if self.density is None:
+                return 0j
+            raise ValueError(f"Fourier order {a} exceeds the order {self.order} "
+                             f"to which density {self.name!r} was transformed")
         c = self._coeffs[a]
         return complex(c).conjugate() if n < 0 else complex(c)
 

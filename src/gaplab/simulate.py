@@ -374,7 +374,7 @@ def _angle_sampler(rho: RhoSpec) -> Callable:
     other density is drawn by inverse CDF on its angle grid
     (`RhoSpec.grid_values`), then given a fair sign.
     """
-    if rho.exact_tail_zero and rho.order == 0:
+    if rho.density is None and rho.order == 0:
         return lambda rng: rng.uniform(-math.pi, math.pi)
     nodes = RHO_QUADRATURE_NODES
     theta = angle_midpoints(nodes)

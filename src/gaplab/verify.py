@@ -59,7 +59,7 @@ def check_kac_exact_gap(fast: bool = False) -> CheckOutcome:
         for N in (3, 4, 5, 6):
             graph = build_graph("complete", N=N)
             pair = galerkin.assemble_galerkin("kac-uniform", graph, degree=4)
-            gap = galerkin.galerkin_gap(pair)
+            gap = galerkin.galerkin_eigensystem(pair).gap
             expect = (N + 2) / (4 * N)
             errs[N] = abs(gap - expect)
         return errs
@@ -95,7 +95,7 @@ def check_gamma_exact_gap(fast: bool = False) -> CheckOutcome:
             for N in (3, 4, 5):
                 graph = build_graph("complete", N=N)
                 pair = galerkin.assemble_galerkin("gamma", graph, degree=2, gamma=gam)
-                gap = galerkin.galerkin_gap(pair)
+                gap = galerkin.galerkin_eigensystem(pair).gap
                 expect = float((gam * N + 1) / (N * (2 * gam + 1)))
                 worst_gap = max(worst_gap, abs(gap - expect))
         return worst_gap, worst_resid
@@ -210,13 +210,13 @@ def check_sandwich(fast: bool = False) -> CheckOutcome:
 def check_uniform_collapse(fast: bool = False) -> CheckOutcome:
     """Uniform angle density: pair gap and top both exactly 1/2, interval collapses."""
     def run():
-        res = galerkin.two_site_fourier_gap(RhoSpec.uniform(), n_max=64)
+        res = galerkin.two_site_fourier_gap(RhoSpec.uniform())
         exact_half = (res.gap == 0.5 and res.kappa == 0.5)
         worst = 0.0
         for N in (3, 4, 5, 6):
             graph = build_graph("complete", N=N)
             pair = galerkin.assemble_galerkin("kac-uniform", graph, degree=4)
-            lam_star = galerkin.galerkin_gap(pair)
+            lam_star = galerkin.galerkin_eigensystem(pair).gap
             lo, hi = bounds.sandwich(res.gap, res.kappa, lam_star)
             worst = max(worst, abs(lo - hi), abs(lo - (N + 2) / (4 * N)))
         return exact_half, worst

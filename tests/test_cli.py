@@ -300,11 +300,13 @@ class TestOtherCommands:
         assert "gamma-exchange" in capsys.readouterr().err
 
     def test_two_site_rotation_modes(self, tmp_path):
-        code, doc = run_json(["two-site", "--model", "kac-rho", "--n-max", "8",
+        code, doc = run_json(["two-site", "--model", "kac-rho",
                               "--rho", "density:(1 + cos(theta)) / (2 * pi)"],
                              tmp_path)
         assert code == 0
         summary = doc["results"][-1]
+        assert summary["mode"] == "extremes over 1..64"
+        assert "higher modes not examined" in summary["method"]
         assert summary["gap"] == pytest.approx(0.25, abs=1e-8)
         assert summary["kappa"] == pytest.approx(0.5, abs=1e-8)
 
@@ -443,14 +445,62 @@ class TestInvalidDensities:
         assert "[FAIL] density nonnegative" in capsys.readouterr().err
 
 
+class TestRhoFormsAcrossEngines:
+    """Every --rho form runs through every rotation engine, and the Fourier and
+    density cardioids give the same gaps."""
+
+    COMMANDS = {
+        "two-site": ["two-site", "--model", "kac-rho"],
+        "gap-galerkin": ["gap-galerkin", "--model", "kac-rho", "--N", "3"],
+        "gap-mc": ["gap-mc", "--model", "kac-rho", "--N", "3", "--observable", "site-0",
+                   "--samples", "300"],
+    }
+
+    @staticmethod
+    def _rho(form, tmp_path):
+        if form == "fourier":
+            # the cardioid as the whole series: no zero padding
+            f = tmp_path / "cardioid.coeffs"
+            f.write_text("1\n0.5\n")
+            return f"fourier:{f}"
+        return {"uniform": "uniform", "density": "density:(1 + cos(theta)) / (2 * pi)"}[form]
+
+    def _run(self, command, form, tmp_path):
+        out = tmp_path / f"{command}-{form}.json"
+        args = self.COMMANDS[command] + ["--rho", self._rho(form, tmp_path), "--out", str(out)]
+        assert main(args) == 0
+        return json.loads(out.read_text())["results"]
+
+    @pytest.mark.parametrize("form", ["uniform", "fourier", "density"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_form_runs(self, command, form, tmp_path):
+        assert self._run(command, form, tmp_path)
+
+    def test_fourier_and_density_cardioids_agree(self, tmp_path):
+        two_site = {form: self._run("two-site", form, tmp_path)[-1]
+                    for form in ("fourier", "density")}
+        sector = {form: self._run("gap-galerkin", form, tmp_path)[0]["gap"]
+                  for form in ("fourier", "density")}
+        assert two_site["fourier"]["gap"] == pytest.approx(0.25, abs=1e-12)
+        assert two_site["fourier"]["kappa"] == 0.5
+        assert "exact" in two_site["fourier"]["method"]
+        assert sector["fourier"] == pytest.approx(1 / 3, abs=1e-12)
+        assert abs(two_site["fourier"]["gap"] - two_site["density"]["gap"]) < 1e-12
+        assert abs(sector["fourier"] - sector["density"]) < 1e-12
+
+
 class TestFileInputs:
     def test_rho_fourier_file(self, tmp_path):
         f = tmp_path / "rho.coeffs"
         f.write_text("# rho_hat(n), n = 0, 1, ...\n1.0\n\n0.5\n0.0\n0.0\n0.0\n")
-        code, doc = run_json(["two-site", "--model", "kac-rho", "--n-max", "4",
+        code, doc = run_json(["two-site", "--model", "kac-rho",
                               "--rho", f"fourier:{f}"], tmp_path)
         assert code == 0
-        assert doc["results"][-1]["gap"] == pytest.approx(0.25, abs=1e-12)
+        # order 4 data: modes 1..5, the last one standing for every higher mode
+        summary = doc["results"][-1]
+        assert summary["mode"] == "extremes over 1..5"
+        assert summary["gap"] == pytest.approx(0.25, abs=1e-12)
+        assert summary["kappa"] == 0.5
 
     def test_g_table_file(self, tmp_path):
         f = tmp_path / "g.table"

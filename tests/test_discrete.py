@@ -42,8 +42,9 @@ class TestEnumerateStates:
             assert s.index[r] == i
 
     def test_cap(self):
-        with pytest.raises(TooLargeError):
-            enumerate_states(30, 30, cap=1000)
+        # C(59, 29) states, far past STATE_CAP: refused before any is listed
+        with pytest.raises(TooLargeError, match="exceeds the cap"):
+            enumerate_states(30, 30)
 
     @given(V=st.integers(1, 5), omega=st.integers(0, 7), data=st.data())
     @settings(max_examples=40, deadline=None)

@@ -10,17 +10,17 @@ import scipy.linalg
 import scipy.special
 
 from gaplab import galerkin
-from gaplab.discrete import ZERO_TOL, TooLargeError
+from gaplab.discrete import ZERO_TOL, TooLargeError, state_count
 from gaplab.galerkin import (DirichletMoments, SphereMoments,
                              assemble_galerkin, beta_moment,
-                             conditional_moment_eigenvalue, degree_block_size,
-                             galerkin_eigensystem, galerkin_gap, k_operator_check,
+                             conditional_moment_eigenvalue,
+                             galerkin_eigensystem, k_operator_check,
                              pair_average_action, quadratic_eigen_identity,
                              rho_pair_action, rho_trig_moment, sector_polynomial,
                              two_site_fourier_gap)
-from gaplab.models import RhoSpec, build_graph
+from gaplab.models import RHO_DENSITY_ORDER, RhoSpec, build_graph
 
-COSINE_RHO = RhoSpec(coefficients=[1.0, 0.5], exact_tail_zero=True, name="cosine")
+COSINE_RHO = RhoSpec(coefficients=[1.0, 0.5], name="cosine")
 #: a von Mises density off center, so every rho_hat(n) is complex and nonzero
 VON_MISES_RHO = RhoSpec(
     density=lambda t: math.exp(math.cos(t - 0.3)) / (2 * math.pi * scipy.special.i0(1.0)),
@@ -73,9 +73,14 @@ class TestTrigMoments:
             assert rho_trig_moment(COSINE_RHO, p, q) == pytest.approx(oracle, abs=1e-8)
 
     def test_order_error(self):
-        rho = RhoSpec(coefficients=[1.0, 0.5])
-        with pytest.raises(ValueError, match="order"):
-            rho_trig_moment(rho, 3, 0)
+        # a density is transformed to RHO_DENSITY_ORDER; a moment past it is refused
+        rho_trig_moment(CARDIOID_RHO, RHO_DENSITY_ORDER, 0)
+        with pytest.raises(ValueError, match=f"order {RHO_DENSITY_ORDER + 1}"):
+            rho_trig_moment(CARDIOID_RHO, RHO_DENSITY_ORDER + 1, 0)
+
+    def test_fourier_data_is_the_whole_series(self):
+        # cos^3 = (3 cos + cos 3)/4 against the cardioid: 3/4 rho_hat(1), as rho_hat(3) = 0
+        assert rho_trig_moment(COSINE_RHO, 3, 0) == 0.375
 
 
 class TestSphereMoments:
@@ -278,11 +283,11 @@ class TestKacGalerkin:
     @pytest.mark.parametrize("N", [3, 4, 5, 6])
     def test_exact_values(self, N):
         pair = assemble_galerkin("kac-uniform", build_graph("complete", N=N), degree=4)
-        assert galerkin_gap(pair) == pytest.approx((N + 2) / (4 * N), abs=1e-9)
+        assert galerkin_eigensystem(pair).gap == pytest.approx((N + 2) / (4 * N), abs=1e-9)
 
     def test_monotone_in_degree(self):
         graph = build_graph("complete", N=3)
-        gaps = [galerkin_gap(assemble_galerkin("kac-uniform", graph, degree=D))
+        gaps = [galerkin_eigensystem(assemble_galerkin("kac-uniform", graph, degree=D)).gap
                 for D in (2, 4, 6)]
         assert gaps[0] >= gaps[1] - 1e-12
         assert gaps[1] >= gaps[2] - 1e-12
@@ -340,8 +345,8 @@ class TestKacGalerkin:
         # fewer edges, unit scaling: local dynamics on 1d chains is slower
         lat = build_graph("lattice", d=1, N=4)
         comp = build_graph("complete", N=4)
-        g_lat = galerkin_gap(assemble_galerkin("kac-uniform", lat, degree=2))
-        g_comp = galerkin_gap(assemble_galerkin("kac-uniform", comp, degree=2))
+        g_lat = galerkin_eigensystem(assemble_galerkin("kac-uniform", lat, degree=2)).gap
+        g_comp = galerkin_eigensystem(assemble_galerkin("kac-uniform", comp, degree=2)).gap
         assert g_lat > 0
         assert g_comp > 0
 
@@ -412,38 +417,38 @@ class TestSymmetricSector:
     @pytest.mark.parametrize("N", [3, 4, 5, 6])
     def test_kac_agrees_with_full(self, N, degree):
         graph = build_graph("complete", N=N)
-        full = galerkin_gap(assemble_galerkin("kac-uniform", graph, degree=degree))
-        sym = galerkin_gap(assemble_galerkin("kac-uniform", graph, degree=degree,
-                                             mode="symmetric"))
-        assert sym == pytest.approx(full, abs=1e-9)
+        full = galerkin_eigensystem(assemble_galerkin("kac-uniform", graph, degree=degree))
+        sym = galerkin_eigensystem(assemble_galerkin("kac-uniform", graph, degree=degree,
+                                                     mode="symmetric"))
+        assert sym.gap == pytest.approx(full.gap, abs=1e-9)
 
     @pytest.mark.parametrize("gamma", [Fraction(1), Fraction(2)])
     @pytest.mark.parametrize("N", [3, 4, 5, 6])
     def test_gamma_agrees_with_full(self, N, gamma):
         graph = build_graph("complete", N=N)
-        full = galerkin_gap(assemble_galerkin("gamma", graph, degree=4, gamma=gamma))
-        sym = galerkin_gap(assemble_galerkin("gamma", graph, degree=4, gamma=gamma,
-                                             mode="symmetric"))
-        assert sym == pytest.approx(full, abs=1e-9)
+        full = galerkin_eigensystem(assemble_galerkin("gamma", graph, degree=4, gamma=gamma))
+        sym = galerkin_eigensystem(assemble_galerkin("gamma", graph, degree=4, gamma=gamma,
+                                                     mode="symmetric"))
+        assert sym.gap == pytest.approx(full.gap, abs=1e-9)
 
     @pytest.mark.parametrize("N", [3, 4, 5])
     def test_kac_rho_agrees_with_full(self, N):
         graph = build_graph("complete", N=N)
-        full = galerkin_gap(assemble_galerkin("kac-rho", graph, degree=4,
-                                              rho=CARDIOID_RHO))
+        full = galerkin_eigensystem(assemble_galerkin("kac-rho", graph, degree=4,
+                                                      rho=CARDIOID_RHO)).gap
         sym_pair = assemble_galerkin("kac-rho", graph, degree=4, mode="symmetric",
                                      rho=CARDIOID_RHO)
-        assert galerkin_gap(sym_pair) == pytest.approx(full, abs=1e-9)
+        assert galerkin_eigensystem(sym_pair).gap == pytest.approx(full, abs=1e-9)
 
     @pytest.mark.parametrize("N", [10, 20, 50, 100, 1000])
     def test_closed_forms_at_large_N(self, N):
         graph = build_graph("complete", N=N)
-        kac = galerkin_gap(assemble_galerkin("kac-uniform", graph, degree=4,
-                                             mode="symmetric"))
+        kac = galerkin_eigensystem(assemble_galerkin("kac-uniform", graph, degree=4,
+                                                     mode="symmetric")).gap
         assert kac == pytest.approx((N + 2) / (4 * N), abs=1e-8)
         for gamma in (Fraction(1, 2), Fraction(2)):
-            gap = galerkin_gap(assemble_galerkin("gamma", graph, degree=4, gamma=gamma,
-                                                 mode="symmetric"))
+            gap = galerkin_eigensystem(assemble_galerkin("gamma", graph, degree=4, gamma=gamma,
+                                                         mode="symmetric")).gap
             expect = float((gamma * N + 1) / (N * (2 * gamma + 1)))
             assert gap == pytest.approx(expect, abs=1e-8)
         # the orbit sums read the graph's size and scaling, never its edges
@@ -640,14 +645,14 @@ class TestFullModeBlocks:
     @pytest.mark.parametrize("n_vars,degree", [(1, 3), (3, 4), (5, 3), (4, 6)])
     def test_basis_size_without_enumeration(self, n_vars, degree):
         basis = _degree_le_basis(n_vars, degree)
-        assert degree_block_size(n_vars, degree) == sum(sum(k) == degree for k in basis)
+        assert state_count(n_vars, degree) == sum(sum(k) == degree for k in basis)
         assert galerkin.sector_dimension(n_vars, degree, "full") == len(basis)
 
     def test_refuses_what_cannot_fit_before_building(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("block elements listed before the preflight")
         monkeypatch.setattr(galerkin, "_block_elements", fail)
-        assert degree_block_size(12, 8) == 75_582
+        assert state_count(12, 8) == 75_582
         # kac-uniform on K16 at degree 10: its even class alone holds C(20, 5) monomials
         with pytest.raises(TooLargeError, match="15504 in its largest block.*--basis-mode symmetric"):
             assemble_galerkin("kac-uniform", build_graph("complete", N=16), degree=10)
@@ -664,7 +669,7 @@ class TestFullModeBlocks:
             counted[size] += count
         assert counted == listed
         assert max(listed) == math.comb(V + D // 2 - 1, D // 2)
-        assert galerkin._block_sizes(V, (D,), False) == [(1, degree_block_size(V, D))]
+        assert galerkin._block_sizes(V, (D,), False) == [(1, state_count(V, D))]
 
     def test_preflight_sizes_the_parity_classes(self, monkeypatch):
         class Listed(Exception):
@@ -741,7 +746,7 @@ class TestGammaGalerkin:
         pair = assemble_galerkin("gamma", build_graph("complete", N=N),
                                  degree=2, gamma=gamma)
         expect = float((gamma * N + 1) / (N * (2 * gamma + 1)))
-        assert galerkin_gap(pair) == pytest.approx(expect, abs=1e-9)
+        assert galerkin_eigensystem(pair).gap == pytest.approx(expect, abs=1e-9)
 
 
 class TestConditionalOperator:
@@ -789,13 +794,23 @@ class TestQuadraticIdentity:
 
 class TestTwoSiteFourier:
     def test_uniform_collapse(self):
-        res = two_site_fourier_gap(RhoSpec.uniform(), n_max=64)
+        res = two_site_fourier_gap(RhoSpec.uniform())
         assert res.gap == 0.5
         assert res.kappa == 0.5
         assert not res.truncated
 
     def test_cosine(self):
-        res = two_site_fourier_gap(COSINE_RHO, n_max=16)
+        # modes 1 and 2 are listed; every mode past 1 relaxes at 1/2, so kappa is exact
+        res = two_site_fourier_gap(COSINE_RHO)
+        assert res.modes == ((1, 0.25), (2, 0.5))
+        assert res.gap == pytest.approx(0.25, abs=1e-12)
+        assert res.kappa == pytest.approx(0.5, abs=1e-12)
+        assert not res.truncated and "exact" in res.note
+
+    def test_density_lists_the_modes_it_was_transformed_to(self):
+        res = two_site_fourier_gap(CARDIOID_RHO)
+        assert [n for n, _ in res.modes] == list(range(1, RHO_DENSITY_ORDER + 1))
+        assert res.truncated and "not examined" in res.note
         assert res.gap == pytest.approx(0.25, abs=1e-12)
         assert res.kappa == pytest.approx(0.5, abs=1e-12)
 
@@ -808,14 +823,14 @@ class TestTwoSiteFourier:
                 p = sum(a * np.exp(1j * k * theta) for k, a in enumerate(amps))
                 return abs(p) ** 2
             mass = float(sum(abs(a) ** 2 for a in amps) * 2 * math.pi)
-            rho = RhoSpec(density=lambda t: density(t) / mass, n_max=12)
-            res = two_site_fourier_gap(rho, n_max=12)
+            rho = RhoSpec(density=lambda t: density(t) / mass)
+            res = two_site_fourier_gap(rho)
             assert res.kappa <= 1.0 + 1e-9
 
     def test_bound_arithmetic_reproduction(self):
         # pair gap times the collapsed complete-graph value: lam(2) (N+2)/(2N)
         for rho in (RhoSpec.uniform(), COSINE_RHO):
-            res = two_site_fourier_gap(rho, n_max=16)
+            res = two_site_fourier_gap(rho)
             for N in (3, 4, 6):
                 lam_star = (N + 2) / (4 * N)
                 lower = 2 * res.gap * lam_star
@@ -825,7 +840,7 @@ class TestTwoSiteFourier:
         # Re rho_hat(1) = 1.5 would give mode 1 the rate -1/4, once returned as
         # the gap; no density has such a coefficient, so no spec can carry it
         with pytest.raises(ValueError, match=re.escape("[FAIL] coefficient bound")):
-            RhoSpec(coefficients=[1.0, 1.5], exact_tail_zero=True, name="signed")
+            RhoSpec(coefficients=[1.0, 1.5], name="signed")
 
     @pytest.mark.parametrize("rho", [COSINE_RHO, VON_MISES_RHO], ids=["cosine", "von-mises"])
     def test_k2_sector_spectrum_is_the_angle_modes(self, rho):
@@ -833,7 +848,7 @@ class TestTwoSiteFourier:
         D = 6
         pair = assemble_galerkin("kac-rho", build_graph("complete", N=2), degree=D, rho=rho)
         sector = galerkin_eigensystem(pair).eigenvalues
-        modes = np.array([0.0] + [rate for _, rate in two_site_fourier_gap(rho, n_max=D).modes])
+        modes = np.array([0.0] + [rate for _, rate in two_site_fourier_gap(rho).modes[:D]])
         dist = np.abs(sector[:, None] - modes[None, :])
         assert dist.min(axis=1).max() < 1e-12
         assert dist.min(axis=0).max() < 1e-12
@@ -841,4 +856,4 @@ class TestTwoSiteFourier:
     def test_rejects_invalid_coefficients(self):
         # Re rho_hat(1) = -1.5 would give mode 1 the rate 1.25, above the bound kappa <= 1
         with pytest.raises(ValueError, match=re.escape("[FAIL] coefficient bound")):
-            RhoSpec(coefficients=[1.0, -1.5], exact_tail_zero=True)
+            RhoSpec(coefficients=[1.0, -1.5])

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from gaplab.models import (FAMILIES, FAMILY_FIELD, G_CONSTANT_ONE, G_IDENTITY,
                            GammaExchangeSpec, MODEL_IDS, InteractionGraph,
-                           ModelSpec, RhoSpec, SQUARE, angle_midpoints, build_graph,
-                           model_from_id, rate_from_table)
+                           ModelSpec, RHO_DENSITY_ORDER, RhoSpec, SQUARE, angle_midpoints,
+                           build_graph, model_from_id, rate_from_table)
 from gaplab.simulate import initial_config, rayleigh_upper_bound, simulate
 
 
@@ -140,20 +140,29 @@ class TestRhoSpec:
         assert rho.coefficient(5) == 0.0
 
     def test_density_quadrature_uniform(self):
-        rho = RhoSpec(density=lambda t: 1 / (2 * math.pi), n_max=8)
+        rho = RhoSpec(density=lambda t: 1 / (2 * math.pi))
         assert rho.coefficient(0).real == pytest.approx(1.0, abs=1e-12)
         for n in range(1, 9):
             assert abs(rho.coefficient(n)) < 1e-12
 
     def test_cosine_density(self):
-        rho = RhoSpec(density=lambda t: (1 + math.cos(t)) / (2 * math.pi), n_max=4)
+        rho = RhoSpec(density=lambda t: (1 + math.cos(t)) / (2 * math.pi))
         assert rho.coefficient(1).real == pytest.approx(0.5, abs=1e-10)
         assert abs(rho.coefficient(2)) < 1e-10
 
     def test_order_error(self):
+        # a density is transformed to RHO_DENSITY_ORDER and refuses a higher coefficient
+        rho = RhoSpec(density=lambda t: (1 + math.cos(t)) / (2 * math.pi))
+        assert rho.order == RHO_DENSITY_ORDER
+        assert abs(rho.coefficient(-RHO_DENSITY_ORDER)) < 1e-10
+        for n in (RHO_DENSITY_ORDER + 1, -RHO_DENSITY_ORDER - 1):
+            with pytest.raises(ValueError, match=f"order {RHO_DENSITY_ORDER + 1}"):
+                rho.coefficient(n)
+
+    def test_fourier_data_is_the_whole_series(self):
         rho = RhoSpec(coefficients=[1.0, 0.3])
-        with pytest.raises(ValueError, match="order"):
-            rho.coefficient(2)
+        assert rho.order == 1
+        assert rho.coefficient(2) == 0.0 and rho.coefficient(-40) == 0.0
 
     def test_negative_index_conjugate(self):
         rho = RhoSpec(coefficients=[1.0, 0.2 + 0.1j])
@@ -174,7 +183,7 @@ class TestRhoSpec:
         mass = sum(abs(a) ** 2 for a in amps) * 2 * math.pi
         if mass < 1e-9:
             return
-        rho = RhoSpec(density=lambda t: density(t) / mass, n_max=6)
+        rho = RhoSpec(density=lambda t: density(t) / mass)
         assert rho.coefficient(0).real == pytest.approx(1.0, abs=1e-8)
         for n in range(1, 7):
             assert abs(rho.coefficient(n)) <= 1.0 + 1e-9
@@ -190,7 +199,7 @@ class TestRhoRefusal:
 
     def test_unnormalized_density_fails(self):
         with pytest.raises(ValueError, match=r"not a probability density") as err:
-            RhoSpec(density=lambda t: 0.5 / (2 * math.pi), n_max=4)
+            RhoSpec(density=lambda t: 0.5 / (2 * math.pi))
         assert r"[FAIL] normalization rho_hat(0) = 1: residual 0.5 " in str(err.value)
 
     def test_cardioid_coefficients_pass(self):
@@ -209,9 +218,17 @@ class TestRhoRefusal:
     def test_negative_density_fails(self):
         # normalized, |rho_hat(1)| = 3/4, but negative where cos(theta) < -2/3
         with pytest.raises(ValueError) as err:
-            RhoSpec(density=lambda t: (1 + 1.5 * math.cos(t)) / (2 * math.pi), n_max=4)
+            RhoSpec(density=lambda t: (1 + 1.5 * math.cos(t)) / (2 * math.pi))
         failed = [line for line in str(err.value).splitlines() if "[FAIL]" in line]
         assert len(failed) == 1 and failed[0].startswith("  [FAIL] density nonnegative:")
+
+    def test_point_mass_residual_is_measured(self):
+        # |rho_hat(1)| = 1 reaches 1e-12 past the point-mass threshold 1 - 1e-12
+        with pytest.raises(ValueError) as err:
+            RhoSpec(coefficients=[1.0, 1.0])
+        line, = [l for l in str(err.value).splitlines() if "[FAIL] no point-mass" in l]
+        residual = float(line.split("residual ")[1].split()[0])
+        assert residual == pytest.approx(1e-12, rel=1e-3)
 
     def test_signed_fourier_series_fails(self):
         # every |rho_hat(n)| <= 1, but the series dips to -0.16: the simulator

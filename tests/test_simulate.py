@@ -131,7 +131,7 @@ def _ref_density(rho, theta):
 
 
 def _ref_angle_sampler(rho):
-    if rho.exact_tail_zero and rho.order == 0:
+    if rho.density is None and rho.order == 0:
         return lambda rng: rng.uniform(-math.pi, math.pi)
     nodes = 4096
     theta = -math.pi + 2 * math.pi * (np.arange(nodes) + 0.5) / nodes
@@ -314,7 +314,7 @@ ORACLE_MODELS = {
     "kac-rho": ModelSpec("kac-rho", rho=RhoSpec(
         density=lambda t: (1 + math.cos(t)) / (2 * math.pi), name="cardioid")),
     "kac-rho-fourier": ModelSpec("kac-rho", rho=RhoSpec(
-        coefficients=[1.0, 0.3 + 0.2j, 0.25], exact_tail_zero=True, name="fourier")),
+        coefficients=[1.0, 0.3 + 0.2j, 0.25], name="fourier")),
     "gamma-exchange": ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(gamma=2)),
     "gamma-exchange-lambda": GAMMA_LAMBDA,
     # rows peaked at the current fraction, so the row choice matters
@@ -582,6 +582,13 @@ class TestAngleGrid:
         assert [sample(r1) for _ in range(500)] == [
             r2.uniform(-math.pi, math.pi) for _ in range(500)]
 
+    def test_one_coefficient_file_draws_like_the_uniform_spec(self):
+        # Fourier data is the whole series, so the file `1` is the flat density
+        shared = _angle_sampler(RhoSpec.uniform())
+        file = _angle_sampler(RhoSpec(coefficients=[1.0], name="file"))
+        r1, r2 = rng_for(2), rng_for(2)
+        assert [file(r1) for _ in range(500)] == [shared(r2) for _ in range(500)]
+
 
 # ---------------------------------------------------------------------------
 # sampled collisions against the exact conditional pair average
@@ -717,7 +724,7 @@ class TestAngleProcess:
         assert est.covers(0.5), (est.ci_low, est.ci_high)
 
     def test_two_site_mode_decay_cosine(self):
-        rho = RhoSpec(coefficients=[1.0, 0.5], exact_tail_zero=True, name="cosine")
+        rho = RhoSpec(coefficients=[1.0, 0.5], name="cosine")
         model = ModelSpec("kac-rho", rho=rho)
         graph = build_graph("complete", N=2)
         est = autocorr_gap_estimate(model, graph, lambda c: float(c[0]), omega=1.0,
