@@ -37,13 +37,6 @@ import runner
 CASES = (("kac-uniform", None), ("gamma", Fraction(1)), ("gamma", Fraction(2)))
 
 
-def closed_form(model: str, N: int, degree: int, gamma):
-    """The sector gap in closed form; None where none is known."""
-    if model == "kac-uniform":
-        return (N + 2) / (4 * N) if degree >= 4 else None
-    return float((gamma * N + 1) / (N * (2 * gamma + 1)))
-
-
 DEFAULT_NS = {"symmetric": "10,100,300,1000", "full": "3,4,5,6,7,8,9,10", "lattice": "3,4,5"}
 
 
@@ -68,7 +61,7 @@ def cases(args) -> list:
 
 
 def cell(case: str, args) -> dict:
-    from gaplab import galerkin
+    from gaplab import galerkin, verify
     from gaplab.models import build_graph
 
     model, graph_label, *tail = case.split("/")
@@ -86,7 +79,9 @@ def cell(case: str, args) -> dict:
     t1 = perf_counter()
     rep = galerkin.galerkin_eigensystem(pair)
     t2 = perf_counter()
-    ref = None if lattice else closed_form(model, N, degree, gamma)
+    # the Kac walk's closed form holds from degree 4; lattices have none
+    known = not lattice and (model == "gamma" or degree >= 4)
+    ref = float(verify.sector_closed_form(model, N, gamma)) if known else None
     return {
         "case": f"{model}/{graph_label}/deg{degree}/{basis}"
                 + (f"/gamma{gamma}" if gamma is not None else ""),

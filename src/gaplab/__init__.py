@@ -14,9 +14,8 @@ from .discrete import (GeneratorMatrix, KernelMatrix, Measure, StateSet,
                        kernel_spectrum_extremes, spectral_gap, stationary_weights,
                        two_site_spectrum)
 from .galerkin import (GalerkinPair, assemble_galerkin, galerkin_eigensystem,
-                       k_operator_check, pair_average_action,
-                       quadratic_eigen_identity, rho_pair_action, rho_trig_moment,
-                       two_site_fourier_gap)
+                       k_operator_check, pair_average_action, rho_pair_action,
+                       rho_trig_moment, two_site_fourier_gap)
 from .bounds import (BoundChain, CanonicalPath, CertificateRefused, canonical_path,
                      caputo_bound, certificate, lemma_audit,
                      local_gap_lower_bound, path_census, sandwich)

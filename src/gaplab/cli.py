@@ -44,20 +44,39 @@ def _rational(flag: str, text):
         raise ValueError(f"invalid {flag} {text!r}: expected a rational such as 3/2") from None
 
 
-def _data_lines(path: str):
-    """The stripped lines of a data file, blank and '#' comment lines skipped."""
+def _data_rows(path: str, parse, form: str) -> list:
+    """`parse` of each data line, blank and '#' lines skipped; a line it refuses
+    with ValueError raises one naming the file, the line and the expected `form`."""
+    rows = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
-            if line and not line.startswith("#"):
-                yield line
+            if not line or line.startswith("#"):
+                continue
+            try:
+                rows.append(parse(line))
+            except ValueError:
+                raise ValueError(f"{path}, line {number}: expected {form}, "
+                                 f"got {line!r}") from None
+    return rows
+
+
+def _table_row(line: str) -> tuple:
+    k, v = line.split(",")
+    return int(k), float(v)
+
+
+def _fourier_row(line: str):
+    parts = [float(v) for v in line.replace(",", " ").split()]
+    if len(parts) > 2:
+        raise ValueError
+    return parts[0] if len(parts) == 1 else complex(*parts)
 
 
 def _resolve_g(name: str):
     if name.startswith("table:"):
         path = name.split(":", 1)[1]
-        pairs = [(int(k), float(v)) for k, v in (line.split(",") for line in _data_lines(path))]
-        return rate_from_table(pairs, name=path)
+        return rate_from_table(_data_rows(path, _table_row, "'k,g(k)'"), name=path)
     return rate_by_name(name)
 
 
@@ -93,10 +112,7 @@ def _resolve_rho(spec: str) -> RhoSpec:
         return RhoSpec.uniform()
     if spec.startswith("fourier:"):
         path = spec.split(":", 1)[1]
-        coeffs = []
-        for line in _data_lines(path):
-            parts = [float(v) for v in line.replace(",", " ").split()]
-            coeffs.append(parts[0] if len(parts) == 1 else complex(parts[0], parts[1]))
+        coeffs = _data_rows(path, _fourier_row, "'re' or 're, im'")
         return RhoSpec(coefficients=coeffs, name=path)
     if spec.startswith("density:"):
         return RhoSpec(density=_safe_expression(spec.split(":", 1)[1]), name=spec)

@@ -10,7 +10,9 @@ polynomial that vanishes on the sphere vanishes identically.  On the simplex
 (sum x conserved) degree D alone spans them.  So the sector spectrum is the
 spectrum of those top blocks of C, and no moment, Gram matrix or deflation
 enters the gap.  The moment oracles below serve the one-site conditional
-operator and their own checks.
+operator, solved by one exact rational elimination, and their own checks;
+the acceptance battery reads the redistribution model's lambda*(N) from the
+symmetric mode's exact degree-2 block.
 
 The rotation dynamics split the full-mode blocks further.  They average over
 the even part of the angle density, so L commutes with each sign flip
@@ -699,38 +701,27 @@ class ConditionalOperatorReport:
     linear_eigen_residual: float
     triangular_residual: float
     min_formula_value: Fraction   # (1/3) min(2 + mu1, 2 - 2 mu2)
-    gram_condition: float
 
 
-def _conjugate_basis(B: list) -> tuple:
-    """Exact Gram-Schmidt of the basis in the inner product of B (an LDL^T).
+def _rational_solve(B: list, C: list) -> list:
+    """B^-1 C for square Fraction matrices, by Gauss-Jordan elimination on [B | C].
 
-    Eliminates in basis order on the lower triangle of the Fraction matrix
-    B, positive semidefinite, skipping each zero pivot (an element in the
-    span of the earlier ones), so the r functions kept are exactly rank B.
-    Returns T, r columns {row: Fraction} with T^T B T = diag(D), and the
-    pivots D > 0.
+    Each column pivots on its first nonzero entry at or below the diagonal;
+    a column with none means B is singular, refused with ArithmeticError.
     """
     n = len(B)
-    S = [row[:i + 1] for i, row in enumerate(B)]
-    Y = [{i: Fraction(1)} for i in range(n)]       # the rows of L^-1
-    kept = []
+    A = [list(b) + list(c) for b, c in zip(B, C)]
     for k in range(n):
-        piv, col = S[k][k], [S[i][k] for i in range(k + 1, n)]
-        if piv < 0 or (piv == 0 and any(col)):
-            raise ArithmeticError(f"Gram matrix is not positive semidefinite at element {k}")
-        if piv == 0:
-            continue
-        kept.append(k)
-        for i, si in enumerate(col, start=k + 1):
-            if si:
-                f = si / piv
-                for j, sj in enumerate(col[:i - k], start=k + 1):
-                    S[i][j] -= f * sj
-                for l, v in Y[k].items():
-                    Y[i][l] = Y[i].get(l, 0) - f * v
-    # row k of L^-1 is final once step k begins
-    return [Y[k] for k in kept], [S[k][k] for k in kept]
+        piv = next((i for i in range(k, n) if A[i][k]), None)
+        if piv is None:
+            raise ArithmeticError(f"singular matrix: no pivot in column {k}")
+        A[k], A[piv] = A[piv], A[k]
+        A[k] = [v / A[k][k] for v in A[k]]
+        for i in range(n):
+            f = A[i][k]
+            if i != k and f:
+                A[i] = [a - f * b for a, b in zip(A[i], A[k])]
+    return [row[n:] for row in A]
 
 
 def conditional_moment_eigenvalue(n: int, gamma) -> Fraction:
@@ -742,10 +733,10 @@ def conditional_moment_eigenvalue(n: int, gamma) -> Fraction:
 def k_operator_check(gamma, degree: int = 6) -> ConditionalOperatorReport:
     """Build nu[phi(eta_2) | eta_1] on monomials via simplex moments and diagonalize.
 
-    The assembly is exact-rational: the operator matrix is the Gram-solve
-    B^-1 C = T D^-1 T^T C (`_conjugate_basis`; B is positive definite) of
-    pair moments, which comes out triangular in the monomial basis, so its
-    spectrum reads off the diagonal.
+    The assembly is exact-rational: the operator matrix is M = B^-1 C, with B
+    the moments of eta_1 (positive definite) and C the pair moments, solved
+    by one Gauss-Jordan elimination (`_rational_solve`).  M comes out
+    triangular in the monomial basis, so its spectrum reads off the diagonal.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -754,9 +745,7 @@ def k_operator_check(gamma, degree: int = 6) -> ConditionalOperatorReport:
     n = degree + 1
     B = [[oracle.exact((i + j, 0, 0)) for j in range(n)] for i in range(n)]
     C = [[oracle.exact((i, j, 0)) for j in range(n)] for i in range(n)]
-    T, D = _conjugate_basis(B)
-    TtC = [[sum(v * C[l][c] for l, v in t.items()) / dt for c in range(n)] for t, dt in zip(T, D)]
-    M = [[sum(t.get(i, 0) * y[c] for t, y in zip(T, TtC)) for c in range(n)] for i in range(n)]
+    M = _rational_solve(B, C)
     tri = max((abs(M[i][j]) for j in range(n) for i in range(j + 1, n)), default=Fraction(0))
     eigs = tuple(M[i][i] for i in range(n))
     closed = tuple(conditional_moment_eigenvalue(i, g) for i in range(n))
@@ -768,50 +757,11 @@ def k_operator_check(gamma, degree: int = 6) -> ConditionalOperatorReport:
     mu1 = Fraction(-1, 2)
     mu2 = (1 + g) / (2 * (1 + 2 * g))
     formula = Fraction(1, 3) * min(2 + mu1, 2 - 2 * mu2)
-    cond = float(np.linalg.cond(np.array([[float(v) for v in row] for row in B])))
     return ConditionalOperatorReport(
         gamma=g, degree=degree, eigenvalues=eigs, closed_form=closed,
         max_residual=float(resid), mu1=min(eigs[1:]), mu2=max(eigs[1:]),
         linear_eigen_residual=float(lin), triangular_residual=float(tri),
-        min_formula_value=formula, gram_condition=cond)
-
-
-@dataclass(frozen=True)
-class QuadraticIdentityReport:
-    gamma: Fraction
-    eigenvalue: Fraction
-    max_residual: float
-    conditional_residual: float
-
-
-def quadratic_eigen_identity(gamma) -> QuadraticIdentityReport:
-    """Verify the sum-of-squares eigenfunction on three sites at unit total.
-
-    Applies the pair averaging to f = sum eta_i^2 and adds lambda f with
-    lambda = (1 + 3 gamma)/(3 (1 + 2 gamma)).  The result is a quadratic
-    form, constant on the simplex exactly when it is c (sum eta_i)^2, so the
-    report gives its largest coefficient deviation from that multiple
-    (exactly zero when the closed form is right).  Also rechecks the
-    conditional second moment coefficient directly.
-    """
-    g = Fraction(gamma)
-    V = 3
-    pairs = list(itertools.combinations(range(V), 2))
-    action = lambda a, b: pair_average_action(a, b, g)
-    lam = (1 + 3 * g) / (3 * (1 + 2 * g))
-    # L f + lambda f and (sum eta_i)^2, as {exponent tuple: coefficient}
-    resid: dict = {}
-    for i in range(V):
-        k = tuple(2 * (j == i) for j in range(V))
-        for key, c in _pair_image(k, pairs, action, Fraction(1, V)).items():
-            resid[key] = resid.get(key, 0) + c
-        resid[k] = resid.get(k, 0) + lam
-    square = Counter(tuple((l == i) + (l == j) for l in range(V))
-                     for i in range(V) for j in range(V))
-    c = resid.get((2,) + (0,) * (V - 1), 0)
-    dev = max(abs(resid.get(k, 0) - c * square[k]) for k in resid.keys() | square.keys())
-    cond_resid = abs(beta_moment(2, 0, g) - (1 + g) / (2 * (1 + 2 * g)))
-    return QuadraticIdentityReport(g, lam, float(dev), float(cond_resid))
+        min_formula_value=formula)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,11 @@ def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
 
 def initial_config(model: ModelSpec, graph: InteractionGraph, omega,
                    seed: int = 0) -> np.ndarray:
-    """A valid configuration with the requested conserved total."""
+    """A valid configuration with the requested conserved total; a total that is
+    negative, not finite, or not an integer for an integer family raises ValueError."""
+    if not (math.isfinite(omega) and omega >= 0) or (model.is_discrete and omega != int(omega)):
+        kind = "a nonnegative integer" if model.is_discrete else "finite and nonnegative"
+        raise ValueError(f"conserved total {omega!r} of {model.family} must be {kind}")
     V = graph.n_sites
     rng = rng_for(seed, stream=7)
     if model.law() is SQUARE:

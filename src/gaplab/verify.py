@@ -23,7 +23,6 @@ from .models import (G_CONSTANT_ONE, G_IDENTITY, GammaExchangeSpec, ModelSpec, R
 
 KAC_GAP_TOL = 1e-8
 GAMMA_GAP_TOL = 1e-8
-EIGEN_IDENTITY_TOL = 1e-12
 KERNEL_MU2_TOL = 1e-4
 KERNEL_MU1_TOL = 1e-9
 CONDITIONAL_SPECTRUM_TOL = 1e-9
@@ -48,6 +47,30 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
+def sector_closed_form(model: str, N: int, gamma=None) -> Fraction:
+    """The sector gap on K_N: (N + 2)/(4N) for "kac-uniform" at degree >= 4
+    (Thm 1.1), (gamma N + 1)/(N (2 gamma + 1)) for "gamma" (Thm 3.3)."""
+    if model == "kac-uniform":
+        return Fraction(N + 2, 4 * N)
+    g = Fraction(gamma)
+    return (g * N + 1) / (N * (2 * g + 1))
+
+
+def gamma_block_residual(gamma, N: int) -> Fraction:
+    """max(|C (2, 1)^T|, |trace C + lambda*(N)|) for the redistribution model's
+    exact symmetric degree-2 block C on K_N, over the orbit sums O_(1,1), O_(2).
+
+    It is 0 exactly when C kills the conserved (sum x)^2 = O_(2) + 2 O_(1,1)
+    and its other eigenvalue, its trace, is -lambda*(N): spectrum {0, -lambda}.
+    """
+    pair = galerkin.assemble_galerkin("gamma", build_graph("complete", N=N), degree=2,
+                                      mode="symmetric", gamma=gamma)
+    (elements, C), = pair.blocks
+    conserved = np.array([{(1, 1): 2, (2,): 1}[e] for e in elements], dtype=object)
+    miss = C.trace() + sector_closed_form("gamma", N, gamma)
+    return max(abs(v) for v in (miss, *C @ conserved))
+
+
 # ---------------------------------------------------------------------------
 # individual criteria
 # ---------------------------------------------------------------------------
@@ -60,8 +83,7 @@ def check_kac_exact_gap(fast: bool = False) -> CheckOutcome:
             graph = build_graph("complete", N=N)
             pair = galerkin.assemble_galerkin("kac-uniform", graph, degree=4)
             gap = galerkin.galerkin_eigensystem(pair).gap
-            expect = (N + 2) / (4 * N)
-            errs[N] = abs(gap - expect)
+            errs[N] = abs(gap - float(sector_closed_form("kac-uniform", N)))
         return errs
     errs, dt = _timed(run)
     worst = max(errs.values())
@@ -85,24 +107,24 @@ def check_caputo_identity(fast: bool = False) -> CheckOutcome:
 
 
 def check_gamma_exact_gap(fast: bool = False) -> CheckOutcome:
-    """Redistribution-model sector gap matches (gamma N + 1)/(N (2 gamma + 1))."""
+    """Redistribution-model sector gap matches (gamma N + 1)/(N (2 gamma + 1)):
+    the full-mode gap in floats, the symmetric block exactly (`gamma_block_residual`)."""
     def run():
         worst_gap = 0.0
-        worst_resid = 0.0
+        worst_resid = Fraction(0)
         for gam in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            rep = galerkin.quadratic_eigen_identity(gam)
-            worst_resid = max(worst_resid, rep.max_residual)
             for N in (3, 4, 5):
                 graph = build_graph("complete", N=N)
                 pair = galerkin.assemble_galerkin("gamma", graph, degree=2, gamma=gam)
                 gap = galerkin.galerkin_eigensystem(pair).gap
-                expect = float((gam * N + 1) / (N * (2 * gam + 1)))
+                expect = float(sector_closed_form("gamma", N, gam))
                 worst_gap = max(worst_gap, abs(gap - expect))
+                worst_resid = max(worst_resid, gamma_block_residual(gam, N))
         return worst_gap, worst_resid
     (wg, wr), dt = _timed(run)
-    ok = wg <= GAMMA_GAP_TOL and wr < EIGEN_IDENTITY_TOL
+    ok = wg <= GAMMA_GAP_TOL and wr == 0
     return CheckOutcome("gamma-exact-gap", ok,
-                        f"max gap error {wg:.2e}; eigen-identity residual {wr:.2e}",
+                        f"max gap error {wg:.2e}; exact degree-2 block residual {wr}",
                         "Thm 3.3", dt)
 
 
@@ -218,7 +240,8 @@ def check_uniform_collapse(fast: bool = False) -> CheckOutcome:
             pair = galerkin.assemble_galerkin("kac-uniform", graph, degree=4)
             lam_star = galerkin.galerkin_eigensystem(pair).gap
             lo, hi = bounds.sandwich(res.gap, res.kappa, lam_star)
-            worst = max(worst, abs(lo - hi), abs(lo - (N + 2) / (4 * N)))
+            worst = max(worst, abs(lo - hi),
+                        abs(lo - float(sector_closed_form("kac-uniform", N))))
         return exact_half, worst
     (exact_half, worst), dt = _timed(run)
     ok = exact_half and worst <= KAC_GAP_TOL
@@ -384,9 +407,10 @@ ACCEPTANCE_CHECKS = (
 
 
 def run_all(fast: bool = False, only: Optional[list] = None) -> list:
-    outcomes = []
-    for name, fn in ACCEPTANCE_CHECKS:
-        if only and name not in only:
-            continue
-        outcomes.append(fn(fast=fast))
-    return outcomes
+    """Every check's outcome, or those named in `only`; an unknown name raises ValueError."""
+    names = [name for name, _ in ACCEPTANCE_CHECKS]
+    unknown = [name for name in only or () if name not in names]
+    if unknown:
+        raise ValueError(f"unknown check(s) {', '.join(unknown)}; "
+                         f"the checks are {', '.join(names)}")
+    return [fn(fast=fast) for name, fn in ACCEPTANCE_CHECKS if not only or name in only]

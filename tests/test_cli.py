@@ -360,6 +360,13 @@ class TestOtherCommands:
         assert "caputo-identity" in out and "certificate-chain" in out
         assert "2/2 checks passed" in out
 
+    def test_verify_unknown_check_is_refused(self, capsys):
+        assert main(["verify-all", "--only", "kac-exact-gapp"]) == 1
+        captured = capsys.readouterr()
+        assert "checks passed" not in captured.out
+        assert "unknown check(s) kac-exact-gapp" in captured.err
+        assert "kac-exact-gap, caputo-identity" in captured.err
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_two(self):
@@ -510,6 +517,24 @@ class TestFileInputs:
                              tmp_path)
         assert code == 0
         assert doc["results"][0]["gap"] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("row", ["0.2 0.1 0.7", "0.2, 0.1, 0.7", "half"])
+    def test_rho_fourier_malformed_line_is_refused(self, row, tmp_path, capsys):
+        # three numbers once read as 0.2 + 0.1i, dropping the third
+        f = tmp_path / "rho.coeffs"
+        f.write_text(f"# rho_hat(n)\n1\n{row}\n")
+        assert main(["two-site", "--model", "kac-rho", "--rho", f"fourier:{f}"]) == 1
+        err = capsys.readouterr().err
+        assert f"{f}, line 3: expected 're' or 're, im', got {row!r}" in err
+
+    @pytest.mark.parametrize("row", ["2,2,3", "2", "two,2.0"])
+    def test_g_table_malformed_line_is_refused(self, row, tmp_path, capsys):
+        f = tmp_path / "g.table"
+        f.write_text(f"1,1.0\n{row}\n")
+        code = main(["gap-exact", "--model", "zero-range", "--g", f"table:{f}",
+                     "--N", "3", "--omega", "2"])
+        assert code == 1
+        assert f"{f}, line 2: expected 'k,g(k)', got {row!r}" in capsys.readouterr().err
 
     def test_g_table_out_of_range_is_computation_error(self, tmp_path, capsys):
         f = tmp_path / "g.table"

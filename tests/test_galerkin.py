@@ -9,14 +9,13 @@ import pytest
 import scipy.linalg
 import scipy.special
 
-from gaplab import galerkin
+from gaplab import galerkin, verify
 from gaplab.discrete import ZERO_TOL, TooLargeError, state_count
 from gaplab.galerkin import (DirichletMoments, SphereMoments,
                              assemble_galerkin, beta_moment,
                              conditional_moment_eigenvalue,
                              galerkin_eigensystem, k_operator_check,
-                             pair_average_action, quadratic_eigen_identity,
-                             rho_pair_action, rho_trig_moment, sector_polynomial,
+                             pair_average_action, rho_pair_action, rho_trig_moment, sector_polynomial,
                              two_site_fourier_gap)
 from gaplab.models import RHO_DENSITY_ORDER, RhoSpec, build_graph
 
@@ -382,32 +381,12 @@ def _fraction_det(M: list) -> Fraction:
     return det
 
 
-class TestConjugateBasis:
-    """Exact Gram-Schmidt in the inner product of a positive semidefinite matrix."""
-
-    def test_rank_deficient_gram(self):
-        # B = v v^T + w w^T on four elements: rank 2; element 1 is twice
-        # element 0 and element 3 is element 0 plus element 2
-        v = [Fraction(1), Fraction(2), Fraction(0), Fraction(1)]
-        w = [Fraction(1, 3), Fraction(2, 3), Fraction(5), Fraction(16, 3)]
-        B = [[v[i] * v[j] + w[i] * w[j] for j in range(4)] for i in range(4)]
-        T, D = galerkin._conjugate_basis(B)
-        assert len(T) == len(D) == 2
-        assert all(d > 0 for d in D)
-        Tm = [[t.get(l, 0) for t in T] for l in range(4)]
-        BTm = [[sum(B[i][l] * Tm[l][j] for l in range(4)) for j in range(2)]
-               for i in range(4)]
-        gram = [[sum(Tm[l][i] * BTm[l][j] for l in range(4)) for j in range(2)]
-                for i in range(2)]
-        assert gram == [[D[0], 0], [0, D[1]]]
-
-    @pytest.mark.parametrize("B", [
-        [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]],
-        [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)]],
-    ])
-    def test_indefinite_gram_is_refused(self, B):
-        with pytest.raises(ArithmeticError, match="not positive semidefinite"):
-            galerkin._conjugate_basis(B)
+class TestRationalSolve:
+    def test_singular_matrix_is_refused(self):
+        # row 1 is twice row 0, so column 1 has no pivot left
+        B = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+        with pytest.raises(ArithmeticError, match="singular matrix: no pivot in column 1"):
+            galerkin._rational_solve(B, [[Fraction(1)], [Fraction(0)]])
 
 
 class TestSymmetricSector:
@@ -771,25 +750,42 @@ class TestConditionalOperator:
         assert conditional_moment_eigenvalue(2, Fraction(1)) == Fraction(1, 3)
 
 
-class TestQuadraticIdentity:
+class TestGammaBlockIdentity:
+    """Criterion 3's exact identity: the symmetric degree-2 block of the
+    redistribution model on K_N has eigenvalues {0, -lambda*(N)} in rationals."""
+
     @pytest.mark.parametrize("gamma,lam", [
         (Fraction(1), Fraction(4, 9)),
         (Fraction(1, 2), Fraction(5, 12)),
         (Fraction(2), Fraction(7, 15)),
     ])
-    def test_eigen_identity(self, gamma, lam):
-        rep = quadratic_eigen_identity(gamma)
-        assert rep.eigenvalue == lam
-        assert rep.max_residual < 1e-12
-        assert rep.conditional_residual < 1e-12
+    def test_closed_form_at_three_sites(self, gamma, lam):
+        assert verify.sector_closed_form("gamma", 3, gamma) == lam
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 10**6])
+    @pytest.mark.parametrize("gamma", [Fraction(1, 2), Fraction(1), Fraction(2)])
+    def test_block_identity(self, gamma, N):
+        assert verify.gamma_block_residual(gamma, N) == 0
+
+    def test_criterion_is_exact(self):
+        outcome = verify.check_gamma_exact_gap()
+        assert outcome.passed
+        assert outcome.detail.endswith("exact degree-2 block residual 0")
 
     @pytest.mark.parametrize("gamma", [Fraction(1, 2), Fraction(1), Fraction(2)])
     def test_wrong_pair_law_is_detected(self, gamma, monkeypatch):
-        # averaging with Beta shape gamma + 1 breaks the identity for gamma
+        # averaging with Beta shape gamma + 1 conserves (sum x)^2 still, but
+        # puts the trace at the closed form of gamma + 1: 13/28 against 9/20
+        # at gamma = 2, N = 4
         exact = galerkin.pair_average_action
         monkeypatch.setattr(galerkin, "pair_average_action",
                             lambda a, b, gamma: exact(a, b, gamma + 1))
-        assert quadratic_eigen_identity(gamma).max_residual > 1e-3
+        miss = (verify.sector_closed_form("gamma", 4, gamma + 1)
+                - verify.sector_closed_form("gamma", 4, gamma))
+        assert verify.gamma_block_residual(gamma, 4) == abs(miss) > 0
+        if gamma == 2:
+            assert miss == Fraction(1, 70)
+        assert not verify.check_gamma_exact_gap().passed
 
 
 class TestTwoSiteFourier:

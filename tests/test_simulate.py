@@ -38,6 +38,30 @@ def _kac_k3_polynomial():
     return sector_polynomial(galerkin_eigensystem(assemble_galerkin("kac-uniform", K3, degree=4)))
 
 
+class TestInitialTotal:
+    """`initial_config` refuses a total no configuration of the family has."""
+
+    @pytest.mark.parametrize("omega", [-2.0, math.nan, math.inf])
+    def test_rotation_total(self, omega):
+        with pytest.raises(ValueError, match="total .* must be finite and nonnegative"):
+            initial_config(KAC, K3, omega)
+
+    @pytest.mark.parametrize("omega", [-2.0, math.nan, math.inf])
+    def test_redistribution_total(self, omega):
+        with pytest.raises(ValueError, match="total .* must be finite and nonnegative"):
+            initial_config(GAMMA_AVG, K3, omega)
+
+    @pytest.mark.parametrize("omega", [-2, 2.5, math.nan, math.inf])
+    def test_integer_total(self, omega):
+        # int(2.5) once ran a total of 2
+        with pytest.raises(ValueError, match="total .* must be a nonnegative integer"):
+            initial_config(ZR_LINEAR, K3, omega)
+
+    def test_valid_totals(self):
+        assert initial_config(ZR_LINEAR, K3, 4.0).sum() == 4
+        assert initial_config(KAC, K3, 0.0).tolist() == [0.0, 0.0, 0.0]
+
+
 class TestConservation:
     def test_integer_exact(self):
         cfg = initial_config(ZR_LINEAR, K3, 5, seed=1)
