@@ -182,9 +182,6 @@ def cmd_states(args) -> int:
 
 def cmd_gap_exact(args) -> int:
     model = _model_from_args(args)
-    if not model.is_discrete:
-        raise ValueError("exact diagonalization covers the integer families; "
-                         "use gap-galerkin or gap-mc for continuous models")
     graph = _graph_from_args(args)
     results = []
     for om in _omega_range(args.omega_range):
@@ -201,14 +198,9 @@ SECTOR_MODELS = {"kac": "kac-uniform", "kac-rho": "kac-rho", "gamma-exchange": "
 def cmd_gap_galerkin(args) -> int:
     model = _model_from_args(args)
     graph = _graph_from_args(args)
-    name = SECTOR_MODELS[args.model]
-    kwargs = {}
-    if name == "kac-rho":
-        kwargs["rho"] = model.rho
-    elif name == "gamma":
-        kwargs["gamma"] = model.exchange.gamma
-    pair = galerkin.assemble_galerkin(name, graph, degree=args.degree,
-                                      mode=args.basis_mode, **kwargs)
+    pair = galerkin.assemble_galerkin(SECTOR_MODELS[args.model], graph, degree=args.degree,
+                                      mode=args.basis_mode, rho=model.rho,
+                                      gamma=model.exchange.gamma if model.exchange else None)
     rep = galerkin.galerkin_eigensystem(pair)
     rec = reporting.galerkin_record(args.model, graph, args.degree,
                                     f"{args.basis_mode} deg<={args.degree}",

@@ -362,7 +362,11 @@ def physical_memory() -> int:
 
 
 def _preflight(model: ModelSpec, graph: InteractionGraph, omega: int) -> None:
-    """Refuse, before anything is allocated, an instance that cannot fit in memory."""
+    """Refuse, before anything is allocated, a continuous family or an instance
+    too large for memory."""
+    if not model.is_discrete:
+        raise ValueError("exact diagonalization covers the integer families; "
+                         "use gap-galerkin or gap-mc for continuous models")
     n = state_count(graph.n_sites, omega)
     nnz = estimated_nnz(model, graph, omega)
     need = (_BYTES_PER_NNZ * nnz
@@ -378,8 +382,6 @@ def _preflight(model: ModelSpec, graph: InteractionGraph, omega: int) -> None:
 
 def build_generator(model: ModelSpec, graph: InteractionGraph, states: StateSet) -> GeneratorMatrix:
     """Dispatch on the (discrete) model family."""
-    if not model.is_discrete:
-        raise ValueError(f"exact generators need a discrete family, got {model.family}")
     _preflight(model, graph, states.omega)
     if model.family == "zero-range":
         return build_zero_range_generator(graph, states, model.g)

@@ -37,7 +37,7 @@ import scipy.linalg
 
 from .discrete import (ZERO_TOL, TooLargeError, check_spectrum, enumerate_states,
                        physical_memory, state_count)
-from .models import InteractionGraph, RhoSpec
+from .models import GammaExchangeSpec, InteractionGraph, ModelSpec, RhoSpec
 
 #: an eigenvalue's imaginary part below this times its block's largest
 #: |eigenvalue| is rounding; a larger one is refused
@@ -383,12 +383,12 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
                       gamma=None) -> GalerkinPair:
     """Restrict the generator to the polynomial sector over the graph's sites.
 
-    `model` is "kac-uniform", "kac-rho" (with `rho`) or "gamma" (with `gamma`);
-    a parameter the model does not read is refused.  The Kac walk is the
-    rotation sector at the uniform angle density.  Only the blocks of C that
-    carry the sector's spectrum are built, and only their elements listed
-    (see the module docstring): degrees D - 1 and D for the rotation models,
-    D for the redistribution model.
+    `model` is "kac-uniform", "kac-rho" (with `rho`) or "gamma" (with `gamma`),
+    read as the `ModelSpec` of its family, which refuses the parameters as
+    for any caller.  The Kac walk is the rotation sector at the uniform
+    angle density.  Only the blocks of C that carry the sector's spectrum
+    are built, and only their elements listed (see the module docstring):
+    degrees D - 1 and D for the rotation models, D for the redistribution model.
 
     The full mode builds each block in floats over the graph's edges
     (`_pair_image`); for the rotation models each degree splits into its
@@ -398,14 +398,11 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
     (`_full_mode_preflight`).  The symmetric mode works on orbit sums in
     exact rationals; see `_orbit_block`.
     """
-    if model not in ("kac-uniform", "kac-rho", "gamma"):
+    family = {"kac-uniform": "kac-uniform", "kac-rho": "kac-rho",
+              "gamma": "gamma-exchange"}.get(model)
+    if family is None:
         raise ValueError(f"unknown sector model {model!r} (kac-uniform, kac-rho or gamma)")
-    if rho is not None and model != "kac-rho":
-        raise ValueError(f"sector model {model!r} does not read rho; "
-                         "the angle density belongs to kac-rho")
-    if gamma is not None and model != "gamma":
-        raise ValueError(f"sector model {model!r} does not read gamma; "
-                         "the shape parameter belongs to gamma")
+    spec = ModelSpec(family, rho=rho, exchange=None if gamma is None else GammaExchangeSpec(gamma))
     if degree < 2:
         raise ValueError("degree must be at least 2")
     if mode not in ("full", "symmetric"):
@@ -414,16 +411,12 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
     if mode == "symmetric" and graph.kind != "complete":
         raise ValueError("symmetric orbits are only invariant on the complete graph")
 
-    if model == "gamma":
-        if gamma is None:
-            raise ValueError("redistribution sector needs the shape parameter")
+    rho = spec.angle_density()
+    if rho is None:
+        gamma = spec.exchange.gamma
         action = lambda a, b: pair_average_action(a, b, gamma)
         degrees = (degree,)
     else:
-        if model == "kac-uniform":
-            rho = RhoSpec.uniform()
-        elif rho is None:
-            raise ValueError("rotation sector with a density needs rho=")
         action = lambda a, b: rho_pair_action(rho, a, b)
         degrees = (degree - 1, degree)
 
@@ -435,7 +428,7 @@ def assemble_galerkin(model: str, graph: InteractionGraph, degree: int = 4,
     def cached_action(a, b):
         return {k: convert(v) for k, v in action(a, b).items()}
 
-    rotation = model != "gamma"
+    rotation = rho is not None
     if mode == "full":
         _full_mode_preflight(graph, degrees, rotation)
     blocks = []

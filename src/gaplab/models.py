@@ -57,8 +57,13 @@ G_IDENTITY = RateFunction("identity", lambda k: float(k))
 
 
 def rate_from_table(pairs: Sequence[tuple[int, float]], name: str = "user-table") -> RateFunction:
-    """Rate function from explicit (k, g(k)) pairs; k outside the table is an error."""
-    table = {int(k): float(v) for k, v in pairs}
+    """Rate function from explicit (k, g(k)) pairs; a repeated k raises ValueError,
+    and so does reading g(k) for a k outside the table."""
+    table: dict = {}
+    for k, v in pairs:
+        if int(k) in table:
+            raise ValueError(f"rate table {name!r} lists k = {int(k)} twice")
+        table[int(k)] = float(v)
     if not table:
         raise ValueError("rate table is empty")
 
@@ -303,9 +308,10 @@ class GammaExchangeSpec:
 
     The pair rate factors as lambda_s(total) * lambda_r(fraction), and the
     redistribution fraction is drawn from `kernel`: None for the closed-form
-    symmetric Beta(gamma, gamma) kernel, or a row-stochastic matrix on a
-    uniform grid of [0, 1].  With both lambdas `unit_rate` and the Beta
-    kernel this is the simple average for the gamma measure.
+    symmetric Beta(gamma, gamma) kernel, or a nonnegative matrix on a uniform
+    grid of [0, 1] with no zero row, normalized row by row.  With both lambdas
+    `unit_rate` and the Beta kernel this is the simple average for the gamma
+    measure.  The constructor refuses gamma <= 0 and any other kernel.
     """
 
     gamma: Fraction
@@ -321,6 +327,20 @@ class GammaExchangeSpec:
             if (not isinstance(self.kernel, np.ndarray) or self.kernel.ndim != 2
                     or self.kernel.shape[0] != self.kernel.shape[1]):
                 raise ValueError("kernel must be None (the Beta kernel) or a square matrix")
+            K = self.kernel.astype(float)
+            if not (np.isfinite(K).all() and (K >= 0).all() and (K.sum(axis=1) > 0).all()):
+                raise ValueError("kernel entries must be finite and nonnegative, "
+                                 "with no row that sums to 0")
+
+    def pair_rate(self, s: float, beta: float, scale: float) -> float:
+        """(scale * lambda_s(s)) * lambda_r(beta) for a pair of total s at the
+        fraction beta and the pair scaling `scale`, multiplied in that order;
+        a negative or non-finite rate raises ValueError."""
+        v = scale * self.lambda_s(s) * self.lambda_r(beta)
+        if not 0.0 <= v < math.inf:
+            raise ValueError(f"pair rate {v} at total s = {s}, fraction beta = {beta}: "
+                             "lambda_s(s) * lambda_r(beta) must be finite and nonnegative")
+        return v
 
     def grid(self) -> np.ndarray:
         """Cell midpoints of the kernel matrix's uniform grid on [0, 1]."""
@@ -381,8 +401,8 @@ class ModelSpec:
             if name == field and not given:
                 raise ValueError(f"{self.family} needs {name}")
             if name != field and given:
-                raise ValueError(f"{self.family} does not read {name}; "
-                                 f"it reads {field or 'no parameter'}")
+                readers = " and ".join(f for f, read in FAMILY_FIELD.items() if read == name)
+                raise ValueError(f"{self.family} does not read {name}; it belongs to {readers}")
 
     def angle_density(self) -> Optional[RhoSpec]:
         """The angle law of a rotation family: the Kac walk is the uniform density."""
@@ -408,26 +428,18 @@ def model_from_id(model_id: str, *, g: Optional[RateFunction] = None,
                   gamma=None, rho: Optional[RhoSpec] = None) -> ModelSpec:
     """Resolve a CLI model identifier to a ModelSpec.
 
-    A `gamma` for any family but gamma-exchange, a `rho` for any family but
-    kac-rho, or a `g` for a continuous family is refused: the model would
-    not read it.  The integer families default to g = 1.
+    The field the family reads is built from its argument, or from the
+    family's default when that is None: the uniform rho, gamma = 1, g = 1.
+    Every other argument is passed on to `ModelSpec`, which refuses a
+    parameter the family does not read.
     """
     if model_id not in MODEL_IDS:
         raise ValueError(f"unknown model id {model_id!r} (choose from {sorted(MODEL_IDS)})")
     family = MODEL_IDS[model_id]
-    if gamma is not None and family != "gamma-exchange":
-        raise ValueError(f"{model_id} does not read gamma; the shape parameter belongs to "
-                         "gamma-exchange, the simple average for the gamma measure")
-    if rho is not None and family != "kac-rho":
-        raise ValueError(f"{model_id} does not read rho; the angle density belongs to kac-rho")
-    if g is not None and FAMILY_FIELD[family] != "g":
-        raise ValueError(f"{model_id} does not read g; the jump rates belong to "
-                         "zero-range and simple-average")
-    if family == "kac-uniform":
-        return ModelSpec("kac-uniform")
-    if family == "kac-rho":
-        return ModelSpec("kac-rho", rho=rho if rho is not None else RhoSpec.uniform())
-    if family == "gamma-exchange":
-        return ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(
-            gamma=Fraction(gamma if gamma is not None else 1)))
-    return ModelSpec(family, g=g if g is not None else G_CONSTANT_ONE)
+    fields = {"rho": rho, "g": g,
+              "exchange": None if gamma is None else GammaExchangeSpec(gamma)}
+    field = FAMILY_FIELD[family]
+    if field is not None and fields[field] is None:
+        fields[field] = {"rho": RhoSpec.uniform(), "exchange": GammaExchangeSpec(1),
+                         "g": G_CONSTANT_ONE}[field]
+    return ModelSpec(family, **fields)

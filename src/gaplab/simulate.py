@@ -79,6 +79,21 @@ def initial_config(model: ModelSpec, graph: InteractionGraph, omega,
     return np.bincount(rng.integers(0, V, size=int(omega)), minlength=V)
 
 
+def _start_config(model: ModelSpec, graph: InteractionGraph, config0) -> np.ndarray:
+    """A copy of `config0`, int64 for an integer family; a start outside the model's
+    state space (in length, finiteness, sign or integrality) raises ValueError."""
+    cfg = np.array(config0, dtype=float)
+    rotation = model.law() is SQUARE
+    if (cfg.shape != (graph.n_sites,) or not np.isfinite(cfg).all()
+            or (not rotation and (cfg < 0).any())
+            or (model.is_discrete and (cfg != np.round(cfg)).any())):
+        kind = ("nonnegative integers" if model.is_discrete
+                else "finite reals" if rotation else "finite nonnegative reals")
+        raise ValueError(f"start configuration {config0!r} of {model.family}: "
+                         f"expected {graph.n_sites} {kind}")
+    return cfg.astype(np.int64) if model.is_discrete else cfg
+
+
 # ---------------------------------------------------------------------------
 # per-family event mechanics
 # ---------------------------------------------------------------------------
@@ -205,8 +220,7 @@ class _Dynamics:
         s = a + b
         if s <= 0:
             return 0.0
-        ex = self.model.exchange
-        return self.scale * ex.lambda_s(s) * ex.lambda_r(min(max(a / s, 1e-12), 1 - 1e-12))
+        return self.model.exchange.pair_rate(s, min(max(a / s, 1e-12), 1 - 1e-12), self.scale)
 
     def _touched(self, x, y) -> np.ndarray:
         """Edges sharing an endpoint with (x, y); the pair itself appears twice."""
@@ -421,12 +435,13 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
     With `sample_dt` and `observables` (name -> callable), records each
     observable on a uniform time grid; `stream_writer` additionally receives
     each sampled frame.  `event_callback(t, edge, before, after)` fires on
-    every jump.  Returns the summary and the sample dict (or None).
+    every jump.  Returns the summary and the sample dict (or None).  A start
+    configuration outside the model's state space raises ValueError.
     """
     if sample_dt is not None and not (math.isfinite(sample_dt) and sample_dt > 0):
         raise ValueError(f"sampling stride must be finite and > 0, got {sample_dt}")
+    cfg = _start_config(model, graph, config0)
     dyn = _Dynamics(model, graph)
-    cfg = np.array(config0, dtype=np.int64 if dyn.is_int else float)
     target = dyn.conserved(cfg)
     drift_bound = CONSERVATION_RTOL * max(abs(target), 1.0)
     rng = rng_for(seed)

@@ -9,6 +9,8 @@ import pytest
 
 from gaplab import reporting
 from gaplab.cli import build_parser, main, _omega_range, _safe_expression
+from gaplab.models import (FAMILY_FIELD, G_IDENTITY, MODEL_IDS, GammaExchangeSpec, ModelSpec,
+                           RhoSpec, model_from_id)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -218,6 +220,23 @@ class TestGapCommands:
     def test_parameter_the_model_does_not_read_is_refused(self, argv, hint, capsys):
         assert main(argv) == 1
         assert hint in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model_id, field", [
+        (mid, field) for mid, family in MODEL_IDS.items()
+        for field in ("rho", "exchange", "g") if FAMILY_FIELD[family] != field])
+    def test_unread_parameter_refusal_is_the_model_types(self, model_id, field, capsys):
+        family = MODEL_IDS[model_id]
+        own = FAMILY_FIELD[family]
+        fields = {field: {"rho": RhoSpec.uniform(), "exchange": GammaExchangeSpec(2),
+                          "g": G_IDENTITY}[field]}
+        if own is not None:
+            fields[own] = getattr(model_from_id(model_id), own)
+        with pytest.raises(ValueError) as refusal:
+            ModelSpec(family, **fields)
+        flag = {"rho": ["--rho", "uniform"], "exchange": ["--gamma", "2"],
+                "g": ["--g", "identity"]}[field]
+        assert main(["gap-exact", "--model", model_id, *flag]) == 1
+        assert capsys.readouterr().err == f"error: {refusal.value}\n"
 
     @pytest.mark.parametrize("text, totals", [
         ("3", [3]), ("1:4", [1, 2, 3, 4]), ("3:3", [3]), ("1,3,5", [1, 3, 5]),
@@ -535,6 +554,14 @@ class TestFileInputs:
                      "--N", "3", "--omega", "2"])
         assert code == 1
         assert f"{f}, line 2: expected 'k,g(k)', got {row!r}" in capsys.readouterr().err
+
+    def test_g_table_repeated_k_is_refused(self, tmp_path, capsys):
+        f = tmp_path / "g.table"
+        f.write_text("1,1.0\n1,5.0\n2,2.0\n")
+        code = main(["gap-exact", "--model", "zero-range", "--g", f"table:{f}",
+                     "--N", "3", "--omega", "2"])
+        assert code == 1
+        assert f"rate table '{f}' lists k = 1 twice" in capsys.readouterr().err
 
     def test_g_table_out_of_range_is_computation_error(self, tmp_path, capsys):
         f = tmp_path / "g.table"

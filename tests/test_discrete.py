@@ -398,6 +398,18 @@ class TestSparseSolve:
         with pytest.raises(TooLargeError, match="physical memory"):
             exact_gap(model, k4, 220)
 
+    @pytest.mark.parametrize("model", [ModelSpec("kac-uniform"), model_from_id("kac-rho"),
+                                       model_from_id("gamma-exchange")],
+                             ids=["kac-uniform", "kac-rho", "gamma-exchange"])
+    def test_continuous_family_refused_before_enumerating(self, model, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("states enumerated for a continuous family")
+
+        monkeypatch.setattr(discrete, "enumerate_states", refuse)
+        with pytest.raises(ValueError, match="exact diagonalization covers the integer "
+                                             "families; use gap-galerkin or gap-mc"):
+            exact_gap(model, build_graph("complete", N=3), 2)
+
     def test_preflight_lists_no_edges(self):
         graph = build_graph("complete", N=2000)
         with pytest.raises(TooLargeError, match="physical memory"):

@@ -155,12 +155,19 @@ class TestPairActions:
     @pytest.mark.parametrize("model,kwargs,name", [
         ("kac-uniform", {"rho": UNIFORM}, "rho"),
         ("gamma", {"gamma": 1, "rho": UNIFORM}, "rho"),
-        ("kac-uniform", {"gamma": 1}, "gamma"),
-        ("kac-rho", {"rho": COSINE_RHO, "gamma": 1}, "gamma"),
+        ("kac-uniform", {"gamma": 1}, "exchange"),
+        ("kac-rho", {"rho": COSINE_RHO, "gamma": 1}, "exchange"),
     ])
     def test_unread_parameter_refused(self, model, kwargs, name):
         with pytest.raises(ValueError, match=f"does not read {name}"):
             assemble_galerkin(model, build_graph("complete", N=3), degree=2, **kwargs)
+
+    @pytest.mark.parametrize("mode", ["full", "symmetric"])
+    @pytest.mark.parametrize("gamma", [0, Fraction(-1, 2), -1])
+    def test_nonpositive_shape_refused(self, gamma, mode):
+        with pytest.raises(ValueError, match="shape parameter must be positive"):
+            assemble_galerkin("gamma", build_graph("complete", N=3), degree=2,
+                              mode=mode, gamma=gamma)
 
     def test_beta_moment(self):
         assert beta_moment(2, 0, 1) == Fraction(1, 3)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gaplab.models import (FAMILIES, FAMILY_FIELD, G_CONSTANT_ONE, G_IDENTITY,
                            GammaExchangeSpec, MODEL_IDS, InteractionGraph,
                            ModelSpec, RHO_DENSITY_ORDER, RhoSpec, SQUARE, angle_midpoints,
-                           build_graph, model_from_id, rate_from_table)
+                           build_graph, model_from_id, rate_from_table, unit_rate)
 from gaplab.simulate import initial_config, rayleigh_upper_bound, simulate
 
 
@@ -126,6 +126,10 @@ class TestRateFunctions:
         assert g(2) == 3.0
         with pytest.raises(ValueError):
             g(3)
+
+    def test_repeated_k_refused(self):
+        with pytest.raises(ValueError, match="rate table 'g.table' lists k = 1 twice"):
+            rate_from_table([(1, 1.0), (1, 5.0), (2, 2.0)], name="g.table")
 
     def test_nonpositive_rejected(self):
         g = rate_from_table([(1, 0.0)])
@@ -255,6 +259,23 @@ class TestGammaExchangeSpec:
     def test_bad_kernel_refused(self, kernel):
         with pytest.raises(ValueError, match="Beta kernel"):
             GammaExchangeSpec(gamma=1, kernel=kernel)
+
+    @pytest.mark.parametrize("kernel", [
+        np.zeros((3, 3)), np.array([[1.0, 0.0], [0.0, 0.0]]),
+        np.array([[1.0, -0.5], [0.5, 0.5]]), np.array([[1.0, np.nan], [0.5, 0.5]]),
+        np.array([[1.0, np.inf], [0.5, 0.5]]),
+    ], ids=["zeros", "zero-row", "negative", "nan", "inf"])
+    def test_kernel_that_is_no_law_refused(self, kernel):
+        with pytest.raises(ValueError, match="finite and nonnegative, with no row that sums to 0"):
+            GammaExchangeSpec(gamma=1, kernel=kernel)
+
+    @pytest.mark.parametrize("lambda_s, lambda_r", [
+        (lambda s: -1.0, unit_rate), (unit_rate, lambda b: math.nan),
+        (lambda s: math.inf, unit_rate)], ids=["negative", "nan", "inf"])
+    def test_pair_rate_that_is_no_rate_refused(self, lambda_s, lambda_r):
+        spec = GammaExchangeSpec(gamma=1, lambda_s=lambda_s, lambda_r=lambda_r)
+        with pytest.raises(ValueError, match="at total s = 2.0, fraction beta = 0.25"):
+            spec.pair_rate(2.0, 0.25, 1.0)
 
 
 class TestModelCatalog:

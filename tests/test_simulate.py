@@ -23,6 +23,7 @@ ZR_CONST = ModelSpec("zero-range", g=G_CONSTANT_ONE)
 KAC = ModelSpec("kac-uniform")
 # the simple average for the gamma measure at unit shape
 GAMMA_AVG = ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(gamma=1))
+SIMPLE_AVG = ModelSpec("simple-average", g=G_CONSTANT_ONE)
 K3 = build_graph("complete", N=3)
 
 
@@ -60,6 +61,52 @@ class TestInitialTotal:
     def test_valid_totals(self):
         assert initial_config(ZR_LINEAR, K3, 4.0).sum() == 4
         assert initial_config(KAC, K3, 0.0).tolist() == [0.0, 0.0, 0.0]
+
+
+class TestStartConfiguration:
+    """`simulate` refuses, once per call, a start outside the model's state space."""
+
+    @pytest.mark.parametrize("model, cfg", [
+        (KAC, [3.0, 1.0]), (KAC, [0.5, 0.5, 0.5, 0.5]), (ZR_LINEAR, [1, 1]),
+        (GAMMA_AVG, [0.2, 0.3, 0.1, 0.4])], ids=["kac-short", "kac-long", "zr-short",
+                                                  "gamma-long"])
+    def test_wrong_length(self, model, cfg):
+        with pytest.raises(ValueError, match="expected 3 "):
+            simulate(model, K3, cfg, 1.0)
+
+    @pytest.mark.parametrize("model, cfg, kind", [
+        (SIMPLE_AVG, [3, -1, 1], "nonnegative integers"),
+        (ZR_LINEAR, [3, -1, 1], "nonnegative integers"),
+        (GAMMA_AVG, [1.0, -0.2, 0.5], "finite nonnegative reals"),
+    ], ids=["simple-average", "zero-range", "gamma-exchange"])
+    def test_negative_entry(self, model, cfg, kind):
+        with pytest.raises(ValueError, match=f"of {model.family}: expected 3 {kind}"):
+            simulate(model, K3, cfg, 1.0)
+
+    @pytest.mark.parametrize("model", [ZR_LINEAR, SIMPLE_AVG], ids=["zero-range",
+                                                                     "simple-average"])
+    def test_non_integer_entry(self, model):
+        # a cast to int64 would run [1, 1, 1], a total of 3 for 3.5
+        with pytest.raises(ValueError, match=r"\[1.5, 1, 1\] .* expected 3 nonnegative integers"):
+            simulate(model, K3, [1.5, 1, 1], 1.0)
+
+    def test_non_finite_entry(self):
+        with pytest.raises(ValueError, match="expected 3 finite reals"):
+            simulate(KAC, K3, [1.0, 0.0, math.nan], 1.0)
+
+    def test_valid_starts_run(self):
+        # rotations take any sign; integer values may arrive as floats
+        kac, _ = simulate(KAC, K3, [-1.0, 0.5, 0.2], 1.0, seed=0)
+        zr, _ = simulate(ZR_LINEAR, K3, [2.0, 0.0, 1.0], 1.0, seed=0)
+        assert kac.n_events > 0 and zr.n_events > 0
+        assert zr.final_config.dtype == np.int64 and zr.final_config.sum() == 3
+
+    def test_negative_pair_rate_refused(self):
+        # a total rate <= 0 would read as a frozen configuration: 0 events, no error
+        model = ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(
+            gamma=1, lambda_s=lambda s: -1.0))
+        with pytest.raises(ValueError, match="pair rate -0.33.* at total s = "):
+            simulate(model, K3, [0.5, 0.3, 0.2], 1.0)
 
 
 class TestConservation:
