@@ -19,7 +19,7 @@ import numpy as np
 
 from .discrete import (Measure, StateSet, exchange_permutation,
                        pair_average_matrix)
-from .models import InteractionGraph
+from .models import InteractionGraph, build_graph
 
 #: rule tags quoted in emitted bound chains
 RULE_RECURSION = "Thm 1.1"
@@ -96,24 +96,49 @@ class PathCensus:
 
 
 def path_census(d: int, N: int) -> PathCensus:
-    """Edge congestion of all ordered canonical paths, with the proof's bound."""
-    n_vertices = N ** d
+    """Edge congestion of all ordered canonical paths, with the proof's bound.
+
+    The leg of the path from x to y along axis ax has the axes before ax
+    already at y and those after it still at x, so it covers one interval
+    of one lattice line.  Each ordered pair adds +1 at the near end of each
+    leg and -1 at the far end (the path length, for the weighted count) to
+    one difference array per axis, and a cumulative sum along the axis
+    turns it into the traffic over the edge from each vertex one step up
+    that axis.
+    """
+    graph = build_graph("lattice", d=d, N=N)
+    n_vertices = graph.n_sites
     if n_vertices * n_vertices > PATH_ENUM_CAP:
         raise ValueError(f"{n_vertices}^2 ordered pairs exceeds the enumeration cap")
-    verts = list(itertools.product(range(1, N + 1), repeat=d))
+    # vertex coordinates from 0, in the lexicographic order of their flat index
+    coords = np.array(graph.vertices, dtype=np.int64) - 1
+    strides = N ** np.arange(d - 1, -1, -1)
+    # length[i, j]: the path from vertex i to vertex j
+    length = sum(np.abs(c[:, None] - c[None, :]) for c in coords.T)
+    shape = (N,) * d
+    count, weight = [], []
+    for ax in range(d):
+        c = coords[:, ax]
+        # flat index of the leg's line at position 0 along ax: x's axes after
+        # ax (rows i), y's before it (columns j)
+        line = (coords[:, ax + 1:] @ strides[ax + 1:])[:, None] + coords[:, :ax] @ strides[:ax]
+        near = (line + strides[ax] * np.minimum(c[:, None], c[None, :])).ravel()
+        far = (line + strides[ax] * np.maximum(c[:, None], c[None, :])).ravel()
+        for out, value in ((count, 1), (weight, length.ravel())):
+            diff = np.zeros(n_vertices, dtype=np.int64)
+            np.add.at(diff, near, value)
+            np.add.at(diff, far, -value)
+            out.append(np.cumsum(diff.reshape(shape), axis=ax).ravel())
+    # the edge (a, b), a < b, runs up the axis whose stride is b - a
+    axis_of = {int(s): ax for ax, s in enumerate(strides)}
+    verts = graph.vertices
     congestion: dict = {}
     weighted: dict = {}
-    max_len = 0
-    for x in verts:
-        for y in verts:
-            if x == y:
-                continue
-            path = canonical_path(x, y, d, N)
-            max_len = max(max_len, path.length)
-            for u, v in zip(path.vertices, path.vertices[1:]):
-                e = (u, v) if u <= v else (v, u)
-                congestion[e] = congestion.get(e, 0) + 1
-                weighted[e] = weighted.get(e, 0) + path.length
+    for a, b in graph.edges:
+        ax = axis_of[b - a]
+        congestion[verts[a], verts[b]] = int(count[ax][a])
+        weighted[verts[a], verts[b]] = int(weight[ax][a])
+    max_len = int(length.max())
     cbound = N ** (d + 1)
     wbound = d * N ** (d + 2)
     max_c = max(congestion.values())

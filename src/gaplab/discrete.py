@@ -2,7 +2,10 @@
 
 Enumerates the conditioned state space in lexicographic order and ranks
 compositions arithmetically (combinatorial number system), so every pair
-move is computed for a whole edge at once.  The particle-jump and
+move is computed for a whole edge at once.  The conditional average ranks
+no block member: every member is already a row of the state table, and one
+sort of the table by block and split lays each block out as one run, from
+which the block's rows and columns are read.  The particle-jump and
 conditional-average generators are assembled directly as CSR matrices and
 symmetrized in sparse form; no n-by-n dense array is allocated except by an
 explicit `spectrum()` or `toarray()`.  One solve serves all of the engine's
@@ -59,7 +62,8 @@ ZERO_TOL = 1e-8
 PSD_TOL = -1e-9
 #: upper estimate of the peak bytes per stored generator entry while
 #: assembling, symmetrizing and solving: COO triplets and their concatenation,
-#: L, S, S^T and S + S^T (measured: ~75 at 6.5M entries)
+#: L, S, S^T and S + S^T (measured peak RSS per entry: ~75 B for zero-range
+#: at 6.5M entries, ~86 B for simple-average K6 at omega = 20, 5.37M entries)
 _BYTES_PER_NNZ = 100
 #: upper estimate of the peak bytes per state beyond the generator: the state
 #: table (per site), the weights and the Lanczos basis (per state)
@@ -132,16 +136,24 @@ def rank_states(states: StateSet, configs) -> np.ndarray:
     Row = sum_j [C(r_j + p_j, p_j) - C(r_j - a_j + p_j, p_j)] with p_j = V - j - 1
     and r_j the total still left before site j: the j-th term counts the
     compositions that agree with a before site j and put less than a_j there.
+    The last site's term is 0.  The sum runs one site at a time over all
+    rows, each term a lookup in one column of the binomial table.
     """
     a = np.asarray(configs, dtype=np.int64)
-    if a.ndim != 2 or a.shape[1] != states.n_sites:
-        raise ValueError(f"need an (m, {states.n_sites}) array, got shape {a.shape}")
+    V = states.n_sites
+    if a.ndim != 2 or a.shape[1] != V:
+        raise ValueError(f"need an (m, {V}) array, got shape {a.shape}")
     if (a < 0).any() or (a.sum(axis=1) != states.omega).any():
         raise ValueError(f"configurations must be nonnegative and sum to {states.omega}")
-    left = states.omega - np.cumsum(a, axis=1) + a
-    p = np.arange(states.n_sites - 1, -1, -1)
     B = states.binomials
-    return (B[left, p] - B[left - a, p]).sum(axis=1)
+    row = np.zeros(len(a), dtype=np.int64)
+    left = np.full(len(a), states.omega, dtype=np.int64)
+    for j in range(V - 1):
+        column = B[:, V - 1 - j]
+        row += column[left]
+        left -= a[:, j]
+        row -= column[left]
+    return row
 
 
 @dataclass(frozen=True)
@@ -254,24 +266,33 @@ def _pair_blocks(states: StateSet, measure: Measure, x: int, y: int):
 
     States that agree off the pair form a block; every row of a block with
     pair total t is `measure.pair_laws[t]`, over the splits a = 0..t at x.
-    Blocks are grouped by t, each represented by its state with t on y.
+    Every member is already a row of the state table, so the blocks come
+    from one sort of it: a block is named by the rank of its state with t
+    on y, and sorting by (block, a) lays each block out as one run in split
+    order, which starts a places before a state with split a.  Row i then
+    reads its t + 1 columns from that run and its values from the law of t.
     """
     S = states.states
-    reps = np.flatnonzero(S[:, x] == 0)
-    totals = S[reps, y]
-    rows, cols, vals = [], [], []
-    for t in np.unique(totals):
-        base = S[reps[totals == t]]
-        m, size = len(base), int(t) + 1
-        split = np.tile(np.arange(size), m)
-        members = np.repeat(base, size, axis=0)
-        members[:, x] = split
-        members[:, y] = t - split
-        T = rank_states(states, members).reshape(m, size)
-        rows.append(np.repeat(T, size, axis=1).ravel())
-        cols.append(np.tile(T, (1, size)).ravel())
-        vals.append(np.tile(measure.pair_laws[t], m * size))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    n = len(states)
+    split = S[:, x]
+    total = split + S[:, y]
+    rep = S.copy()
+    rep[:, x] = 0
+    rep[:, y] = total
+    order = np.lexsort((split, rank_states(states, rep)))
+    run_start = np.empty(n, dtype=np.int64)
+    run_start[order] = np.arange(n)
+    run_start -= split
+    size = total + 1
+    # entry k of row i sits at offset[i] + k of the concatenated row entries,
+    # and reads entry k of its run and of its law; the law of total t starts
+    # at t (t + 1) / 2 in the concatenated laws
+    offset = np.cumsum(size) - size
+    entry = np.arange(offset[-1] + size[-1])
+    rows = np.repeat(np.arange(n), size)
+    cols = order[np.repeat(run_start - offset, size) + entry]
+    vals = np.concatenate(measure.pair_laws)[np.repeat(total * size // 2 - offset, size) + entry]
+    return rows, cols, vals
 
 
 def pair_average_matrix(states: StateSet, measure: Measure, x: int, y: int) -> scipy.sparse.csr_matrix:

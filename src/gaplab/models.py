@@ -41,8 +41,9 @@ class RateFunction:
         if k == 0:
             return 0.0
         v = float(self.fn(k))
-        if not v > 0.0:
-            raise ValueError(f"rate function {self.name!r}: g({k}) = {v} is not positive")
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"rate function {self.name!r}: g({k}) = {v} "
+                             "must be finite and positive")
         return v
 
     def log_factorials(self, k_max: int) -> np.ndarray:

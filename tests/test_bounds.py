@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,43 @@ class TestPathCensus:
         assert census.holds
         assert census.max_congestion <= N ** (d + 1)
         assert census.max_weighted <= d * N ** (d + 2)
+
+    @pytest.mark.parametrize("d,N", [(d, N) for d in (1, 2, 3) for N in range(2, 6)] + [(4, 3)])
+    def test_matches_the_path_loop(self, d, N):
+        census = path_census(d, N)
+        congestion, weighted, max_len = _loop_census(d, N)
+        assert census.congestion == congestion
+        assert census.weighted_congestion == weighted
+        assert census.max_length == max_len
+        assert census.max_congestion == max(congestion.values())
+        assert census.max_weighted == max(weighted.values())
+        assert all(type(v) is int for v in (*census.congestion.values(),
+                                            *census.weighted_congestion.values()))
+
+    @pytest.mark.parametrize("d,N,message", [(1, 1, "invalid size: N = 1 < 2"),
+                                             (3, 0, "invalid size: N = 0 < 2"),
+                                             (0, 4, "invalid dimension: d = 0"),
+                                             (-1, 2, "invalid dimension: d = -1")])
+    def test_refuses_an_empty_cube(self, d, N, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            path_census(d, N)
+
+
+def _loop_census(d, N):
+    """Congestion, weighted congestion and longest path, one canonical path at a time."""
+    verts = list(itertools.product(range(1, N + 1), repeat=d))
+    congestion, weighted, max_len = {}, {}, 0
+    for x in verts:
+        for y in verts:
+            if x == y:
+                continue
+            path = canonical_path(x, y, d, N)
+            max_len = max(max_len, path.length)
+            for u, v in zip(path.vertices, path.vertices[1:]):
+                e = (u, v) if u <= v else (v, u)
+                congestion[e] = congestion.get(e, 0) + 1
+                weighted[e] = weighted.get(e, 0) + path.length
+    return congestion, weighted, max_len
 
 
 class TestLemmaAudit:

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -562,6 +563,17 @@ class TestFileInputs:
                      "--N", "3", "--omega", "2"])
         assert code == 1
         assert f"rate table '{f}' lists k = 1 twice" in capsys.readouterr().err
+
+    def test_g_table_non_finite_rate_is_refused(self, tmp_path, capsys):
+        f = tmp_path / "g.table"
+        f.write_text("1,inf\n2,2.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["gap-exact", "--model", "zero-range", "--g", f"table:{f}",
+                         "--N", "3", "--omega", "2"])
+        assert code == 1
+        assert f"rate function '{f}': g(1) = inf must be finite and positive" in \
+            capsys.readouterr().err
 
     def test_g_table_out_of_range_is_computation_error(self, tmp_path, capsys):
         f = tmp_path / "g.table"

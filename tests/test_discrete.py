@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -155,6 +156,27 @@ def _oracle_simple_average(V, omega, g):
     return L, w, states
 
 
+def _per_total_pair_blocks(states, measure, x, y):
+    """The conditional average's (rows, cols, vals), one pair total at a time,
+    ranking every member of each block."""
+    S = states.states
+    reps = np.flatnonzero(S[:, x] == 0)
+    totals = S[reps, y]
+    rows, cols, vals = [], [], []
+    for t in np.unique(totals):
+        base = S[reps[totals == t]]
+        m, size = len(base), int(t) + 1
+        split = np.tile(np.arange(size), m)
+        members = np.repeat(base, size, axis=0)
+        members[:, x] = split
+        members[:, y] = t - split
+        T = rank_states(states, members).reshape(m, size)
+        rows.append(np.repeat(T, size, axis=1).ravel())
+        cols.append(np.tile(T, (1, size)).ravel())
+        vals.append(np.tile(measure.pair_laws[t], m * size))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
 class TestSimpleAverageGenerator:
     def test_two_site_gap_half_any_total(self):
         graph = build_graph("complete", N=2)
@@ -196,6 +218,29 @@ class TestSimpleAverageGenerator:
         L = sum(pair_average_matrix(states, measure, x, y).toarray() for x, y in pairs)
         L = (L - len(pairs) * np.eye(len(states))) / V
         assert np.allclose(L, L_oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,d,N", [("complete", None, 2), ("complete", None, 3),
+                                          ("complete", None, 5), ("lattice", 1, 4),
+                                          ("lattice", 2, 2), ("lattice", 2, 3)])
+    @pytest.mark.parametrize("g", [G1, GK], ids=["constant", "linear"])
+    def test_matches_the_per_total_blocks(self, kind, d, N, g, monkeypatch):
+        # bitwise: the sorted state table gives the blocks that ranking each
+        # member gave, so L and every pair operator keep their bytes
+        graph = build_graph(kind, d=d, N=N)
+        for omega in range(7):
+            states = enumerate_states(graph.n_sites, omega)
+            measure = stationary_weights(g, states)
+            pairs = list(itertools.permutations(range(graph.n_sites), 2))
+            got = [build_simple_average_generator(graph, states, measure).L]
+            got += [pair_average_matrix(states, measure, x, y) for x, y in pairs]
+            with monkeypatch.context() as m:
+                m.setattr(discrete, "_pair_blocks", _per_total_pair_blocks)
+                want = [build_simple_average_generator(graph, states, measure).L]
+                want += [pair_average_matrix(states, measure, x, y) for x, y in pairs]
+            for a, b in zip(got, want):
+                assert a.indptr.tobytes() == b.indptr.tobytes()
+                assert a.indices.tobytes() == b.indices.tobytes()
+                assert a.data.tobytes() == b.data.tobytes()
 
     def test_pair_projection_property(self):
         # the conditional-average block E is a projection; D = E - I satisfies D^2 = -D

@@ -136,6 +136,14 @@ class TestRateFunctions:
         with pytest.raises(ValueError, match="positive"):
             g(1)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        g = rate_from_table([(1, 1.0), (2, bad)], name="g.table")
+        assert g(1) == 1.0
+        with pytest.raises(ValueError, match=r"rate function 'g.table': g\(2\) = "
+                                             r".* must be finite and positive"):
+            g(2)
+
 
 class TestRhoSpec:
     def test_uniform_coefficients(self):

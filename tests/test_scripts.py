@@ -10,6 +10,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from gaplab.discrete import build_generator, enumerate_states, spectral_gap
+from gaplab.models import G_IDENTITY, ModelSpec, build_graph
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -29,6 +32,17 @@ def test_reach():
     rows = _rows("reach.py", "--omegas", "3", "--g", "constant-one")
     assert [r["case"] for r in rows] == ["zero-range/constant-one/K4/om3"]
     assert rows[0]["zero_modes"] == 1 and rows[0]["gap"] < 1.0
+
+
+def test_reach_simple_average():
+    rows = _rows("reach.py", "--model", "simple-average", "--N", "3", "--omegas", "2,4")
+    assert [r["case"] for r in rows] == ["simple-average/identity/K3/om2",
+                                         "simple-average/identity/K3/om4"]
+    model = ModelSpec("simple-average", g=G_IDENTITY)
+    for r, omega in zip(rows, (2, 4)):
+        gen = build_generator(model, build_graph("complete", N=3), enumerate_states(3, omega))
+        assert r["n"] == gen.dim and r["nnz"] == gen.L.nnz <= r["nnz_estimate"]
+        assert r["zero_modes"] == 1 and abs(r["gap"] - spectral_gap(gen)) < 1e-12
 
 
 def test_sector_reach():
