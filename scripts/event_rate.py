@@ -4,8 +4,10 @@
                                   [--g {identity,constant-one}] [--events 100000]
                                   [--repeats 3] [--out event_rate.json]
 
-A case is family/graph/total, with the graph written KN (complete graph on N
-sites) or LdN (the cube {1..N}^d).  Each case runs in a fresh process on
+A case is family/graph/total, with the family a CLI model id at its default
+parameter (`kac` is the uniform rotation, `gamma-exchange` has shape 1) and
+the graph written KN (complete graph on N sites) or LdN (the cube
+{1..N}^d).  Each case runs in a fresh process on
 one BLAS thread (scripts/runner.py).  The horizon is the requested event count over the total rate
 of the initial configuration, so linear zero-range rates on a regular graph
 give that many events on average.  The same trajectory (initial
@@ -22,8 +24,12 @@ from time import perf_counter
 
 import runner
 
+#: zero-range on both sides of the row memo, then one case of each other family
+#: that the benchmark's trajectories and estimators run: the integer average's
+#: pair-law draw, and the constant-rate edge draw on K50 and K10
 DEFAULT_CASES = ("zero-range/K3/5,zero-range/K10/10,zero-range/K40/40,zero-range/K100/100,"
-                 "zero-range/L1-1000/1000,zero-range/L2-30/900")
+                 "zero-range/L1-1000/1000,zero-range/L2-30/900,"
+                 "simple-average/K3/4,kac/K50/50,gamma-exchange/K10/10")
 
 
 def parse_graph(label: str):

@@ -84,7 +84,7 @@ def mc_record(model: str, graph, omega, result) -> dict:
         "ess": _scalar(result.ess),
         "method": "mc-autocorr",
         **{k: diag[k] for k in ("events", "clipped_events", "rate_rows",
-                                "bootstrap_failures", "block")},
+                                "observable_evals", "bootstrap_failures", "block")},
     }
 
 

@@ -8,15 +8,20 @@ per trajectory.  Otherwise a jump on (x, y) derives the next row from the
 current one by recomputing only the edges that share an endpoint with it.
 A zero-range trajectory whose whole configuration space fits
 `ROW_MEMO_FLOATS` keeps every row it builds, keyed by the configuration,
-so a revisited configuration costs a dictionary lookup.  The random stream
-is the same as a recompute-everything loop's, so a seed fixes the
-trajectory bit for bit.  The estimators fit the slowest decay of stationary
-autocorrelations or accumulate the quadratic form of the generator along
-the trajectory.
+so a revisited configuration costs a dictionary lookup.  Every draw from a
+table (the edge, the integer average's new value, an angle or a kernel
+cell) bisects the table with the `bisect` module.  The random stream is
+the same as a recompute-everything loop's, so a seed fixes the trajectory
+bit for bit.  An observable is a function of the configuration alone: it
+is evaluated once per configuration that a sampling grid point reaches,
+and grid points between two events repeat its values.  The estimators fit
+the slowest decay of stationary autocorrelations or accumulate the
+quadratic form of the generator along the trajectory.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -28,8 +33,6 @@ import scipy.special
 from .models import (RHO_QUADRATURE_NODES, SQUARE, InteractionGraph, ModelSpec,
                      RhoSpec, angle_midpoints, pair_law)
 
-#: events tolerated with a clipped negative energy per million before aborting
-CLIP_BUDGET_PER_MILLION = 10
 #: relative conservation drift tolerated for continuous configurations
 CONSERVATION_RTOL = 1e-9
 #: bootstrap resamples for confidence intervals
@@ -114,7 +117,9 @@ class _Dynamics:
     A rate row is the tuple (total, cumulative rates, edge rates, site
     rates) of one configuration; the site rates g(cfg) are kept for
     zero-range only, and are None otherwise.  Its entries are bitwise
-    `rates.sum()`, `rates.cumsum()` and `rates = edge_rates(cfg)`.
+    `rates.sum()`, `rates.cumsum()` and `rates = edge_rates(cfg)`; the
+    cumulative rates are a list in the one row of a constant-rate
+    trajectory, and an array otherwise.
     `reset(cfg)` builds the row of `cfg`.  Each `apply` makes one jump and
     returns the row of the new configuration: the same row when rates are
     constant, else a row derived from the previous one by recomputing the
@@ -136,7 +141,6 @@ class _Dynamics:
         fam = model.family
         self.is_int = model.is_discrete
         self.square_law = model.law().form == "square"
-        self.clips = 0
         ends = np.array(self.edges, dtype=np.intp).reshape(len(self.edges), 2)
         self.ex, self.ey = ends[:, 0].copy(), ends[:, 1].copy()
         # edges incident to each site, O(E) in total; ravel() interleaves the
@@ -165,7 +169,7 @@ class _Dynamics:
             if not self._simple:
                 self._grid = ex.grid()
                 self._K = ex.kernel_matrix()
-                self._Kcum = np.cumsum(self._K, axis=1)
+                self._Kcum = np.cumsum(self._K, axis=1).tolist()
         else:
             # rotations: midpoint nodes weighted by the even part of the density
             nodes = 64
@@ -201,7 +205,11 @@ class _Dynamics:
             row_floats = 2 * len(rates) + len(cfg) + ROW_OBJECT_FLOATS
             if n_rows * row_floats <= ROW_MEMO_FLOATS:
                 self._memo = {}
-        self._row = (float(rates.sum()), rates.cumsum(), rates, site_rates)
+        cum = rates.cumsum()
+        if self._next_row is None:
+            # the trajectory's one row: the edge draw bisects a list
+            cum = cum.tolist()
+        self._row = (float(rates.sum()), cum, rates, site_rates)
         self.rate_rows = 1
         if self._memo is not None:
             self._memo[cfg.tobytes()] = self._row
@@ -290,25 +298,22 @@ class _Dynamics:
             alpha = rng.beta(self._gamma, self._gamma)
         else:
             row = self._kernel_row(cfg.item(x), cfg.item(x) + cfg.item(y))
-            cell = int(self._Kcum[row].searchsorted(rng.random()))
+            cell = bisect.bisect_left(self._Kcum[row], rng.random())
             alpha = self._grid[min(cell, len(self._grid) - 1)]
         self._redistribute(cfg, x, y, alpha)
 
     def _jump_integer_average(self, cfg, x, y, rng):
         # the draw Generator.choice(s + 1, p=pmf) makes, without its checks
         s = int(cfg[x] + cfg[y])
-        a = int(self._pair_law(s)[1].searchsorted(rng.random(), side="right"))
+        a = bisect.bisect_right(self._pair_law(s)[1], rng.random())
         cfg[x], cfg[y] = a, s - a
 
     def _rotate(self, cfg, x, y, theta):
         cfg[x], cfg[y] = _rotation(cfg.item(x), cfg.item(y), math.cos(theta), math.sin(theta))
 
     def _redistribute(self, cfg, x, y, alpha):
-        nx, ny = _redistribution(min(max(alpha, 0.0), 1.0), cfg.item(x) + cfg.item(y))
-        if nx < 0.0 or ny < 0.0:
-            nx, ny = max(nx, 0.0), max(ny, 0.0)
-            self.clips += 1
-        cfg[x], cfg[y] = nx, ny
+        # alpha in [0, 1] and a nonnegative total: both shares are >= 0
+        cfg[x], cfg[y] = _redistribution(min(max(alpha, 0.0), 1.0), cfg.item(x) + cfg.item(y))
 
     def _kernel_row(self, a: float, s: float) -> int:
         """Kernel row of a pair holding a of its total s; any row when s = 0."""
@@ -359,29 +364,32 @@ class _Dynamics:
                                                        self._cos, self._sin)
 
     def _pair_law(self, s: int) -> tuple:
-        """pmf and cdf of the new value at x of an integer pair of total s."""
+        """pmf and cdf of the new value at x of an integer pair of total s; the
+        cdf is a list, which the jump bisects."""
         law = self._laws.get(s)
         if law is None:
             pmf = pair_law(self.model.g.log_factorials(s), s)[0]
             cdf = pmf.cumsum()
             cdf /= cdf[-1]
-            law = self._laws[s] = (pmf, cdf)
+            law = self._laws[s] = (pmf, cdf.tolist())
         return law
 
 
-def _pick_edge(cum: np.ndarray, rates: np.ndarray, v: float) -> int:
+def _pick_edge(cum, rates: np.ndarray, v: float) -> int:
     """The edge whose cumulative-rate interval holds `v`, never a zero-rate one.
 
-    The caller's total is `rates.sum()`, summed pairwise, while `cum` sums
-    left to right, so `v` can pass `cum[-1]` by an ulp; such a draw goes to
-    the last edge of positive rate.  `v == 0` with leading zero-rate edges
-    goes to the first edge of positive rate.
+    `cum` is a list or an array of finite nondecreasing values, and its
+    bisection finds the index that `searchsorted` would, with less call
+    overhead.  The caller's total is `rates.sum()`, summed pairwise, while
+    `cum` sums left to right, so `v` can pass `cum[-1]` by an ulp; such a
+    draw goes to the last edge of positive rate.  `v == 0` with leading
+    zero-rate edges goes to the first edge of positive rate.
     """
-    edge = int(cum.searchsorted(v))
+    edge = bisect.bisect_left(cum, v)
     if edge == len(cum):
         return int(np.flatnonzero(rates)[-1])
     if rates[edge] == 0.0:
-        return int(cum.searchsorted(v, side="right"))
+        return bisect.bisect_right(cum, v)
     return edge
 
 
@@ -395,12 +403,13 @@ def _angle_sampler(rho: RhoSpec) -> Callable:
     if rho.density is None and rho.order == 0:
         return lambda rng: rng.uniform(-math.pi, math.pi)
     nodes = RHO_QUADRATURE_NODES
-    theta = angle_midpoints(nodes)
+    theta = angle_midpoints(nodes).tolist()
     cdf = np.cumsum(rho.grid_values)
     cdf /= cdf[-1]
+    cdf = cdf.tolist()
 
     def sample(rng):
-        i = int(cdf.searchsorted(rng.random()))
+        i = bisect.bisect_left(cdf, rng.random())
         t = theta[min(i, nodes - 1)]
         return -t if rng.random() < 0.5 else t
 
@@ -420,9 +429,12 @@ class TrajectorySummary:
     n_events: int
     final_config: np.ndarray
     conservation_drift: float
+    #: always 0, since a redistribution share cannot go negative; bench/hooks.py reads it
     clipped_events: int
     #: rate rows built; a revisit that the zero-range memo serves builds none
     rate_rows: int
+    #: configurations whose observables were evaluated: at most n_events + 1
+    observable_evals: int
 
 
 def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
@@ -434,8 +446,12 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
 
     With `sample_dt` and `observables` (name -> callable), records each
     observable on a uniform time grid; `stream_writer` additionally receives
-    each sampled frame.  `event_callback(t, edge, before, after)` fires on
-    every jump.  Returns the summary and the sample dict (or None).  A start
+    each sampled frame.  An observable must be a function of the
+    configuration alone: it is called at most once per configuration, that
+    is at most n_events + 1 times, and a grid point reached with no event
+    since the last evaluated one records (and streams) the same values
+    again.  `event_callback(t, edge, before, after)` fires on every jump.
+    Returns the summary and the sample dict (or None).  A start
     configuration outside the model's state space raises ValueError.
     """
     if sample_dt is not None and not (math.isfinite(sample_dt) and sample_dt > 0):
@@ -449,9 +465,12 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
     n_edges = len(rates)
 
     sampling = sample_dt is not None and observables
+    fns = list(observables.values()) if sampling else []
     times: list = []
-    series = {name: [] for name in (observables or {})}
-    t_next = sample_dt if sampling else math.inf
+    frames: list = []   # one frame per configuration evaluated
+    which: list = []    # the frame of each grid point
+    frame = None        # the current configuration's frame, once evaluated
+    t_next = sample_dt
     t = 0.0
     n_events = 0
     drift = 0.0
@@ -464,16 +483,17 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
             t_jump = math.inf   # frozen configuration
         else:
             t_jump = t + rng.exponential(1.0 / total)
-        while sampling and t_next <= min(t_jump, horizon):
-            times.append(t_next)
-            frame = []
-            for name, f in observables.items():
-                v = float(f(cfg))
-                series[name].append(v)
-                frame.append(v)
-            if stream_writer is not None:
-                stream_writer.write_frame(t_next, frame)
-            t_next += sample_dt
+        if sampling:
+            stop = min(t_jump, horizon)
+            while t_next <= stop:
+                if frame is None:
+                    frame = [float(f(cfg)) for f in fns]
+                    frames.append(frame)
+                times.append(t_next)
+                which.append(len(frames) - 1)
+                if stream_writer is not None:
+                    stream_writer.write_frame(t_next, frame)
+                t_next += sample_dt
         if t_jump >= horizon:
             t = horizon
             break
@@ -481,27 +501,27 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
         edge = _pick_edge(cum, rates, rng.random() * total) if n_edges > 1 else 0
         before = cfg.copy() if event_callback is not None else None
         total, cum, rates, _ = dyn.apply(cfg, edge, rng)
+        frame = None
         if event_callback is not None:
             event_callback(t, edge, before, cfg)
         n_events += 1
-        # integer jumps conserve exactly and never clip
+        # integer jumps conserve exactly
         if not dyn.is_int:
             drift = max(drift, abs(dyn.conserved(cfg) - target))
             if drift > drift_bound:
                 raise ArithmeticError(
                     f"conserved total drifted by {drift:.3e} after {n_events} events")
-            if dyn.clips * 1_000_000 > CLIP_BUDGET_PER_MILLION * n_events:
-                raise ArithmeticError(
-                    f"{dyn.clips} clipped negative energies in {n_events} events")
 
     if dyn.is_int:
         drift = abs(dyn.conserved(cfg) - target)
     summary = TrajectorySummary(model.family, graph.kind, graph.n_sites, t,
-                                n_events, cfg, drift, dyn.clips, dyn.rate_rows)
+                                n_events, cfg, drift, 0, dyn.rate_rows, len(frames))
     if not sampling:
         return summary, None
+    values = np.array(frames, dtype=float).reshape(len(frames), len(fns))
+    index = np.array(which, dtype=np.intp)
     return summary, {"times": np.array(times),
-                     **{k: np.array(v) for k, v in series.items()}}
+                     **{name: values[index, j] for j, name in enumerate(observables)}}
 
 
 def _stationary_samples(model: ModelSpec, graph: InteractionGraph, omega,
@@ -513,7 +533,8 @@ def _stationary_samples(model: ModelSpec, graph: InteractionGraph, omega,
     The trajectory starts from `initial_config` with the same seed, and the
     burn-in defaults to 40 dt.  `stream_writer` receives every sampled frame,
     burn-in included.  Returns {name: n_samples values} and the trajectory's
-    counts: events, clipped events and rate rows built.
+    counts: events, clipped events, rate rows built and observable
+    evaluations.
     """
     cfg = initial_config(model, graph, omega, seed=seed)
     if n_samples < 1:
@@ -527,7 +548,7 @@ def _stationary_samples(model: ModelSpec, graph: InteractionGraph, omega,
     if len(samples["times"]) < skip + n_samples:
         raise RuntimeError("trajectory too short for the requested samples")
     counts = {"events": summary.n_events, "clipped_events": summary.clipped_events,
-              "rate_rows": summary.rate_rows}
+              "rate_rows": summary.rate_rows, "observable_evals": summary.observable_evals}
     return {name: samples[name][skip:skip + n_samples] for name in observables}, counts
 
 

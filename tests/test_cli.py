@@ -170,6 +170,8 @@ class TestGapCommands:
         assert rec["events"] > 0
         assert rec["rate_rows"] <= 10
         assert rec["clipped_events"] == 0
+        # one evaluation per configuration that a grid point reaches
+        assert 0 < rec["observable_evals"] <= rec["events"] + 1
         assert rec["bootstrap_failures"] >= 0
         assert 50 <= rec["block"] <= 600 // 4
 
@@ -189,6 +191,10 @@ class TestGapCommands:
         assert times[0] == pytest.approx(0.5)
         assert times[-1] >= burn_in + 600 * 0.5
         assert values.shape == (len(times), 1)
+        # grid points with no event between them repeat the evaluated frame
+        rec = doc["results"][0]
+        assert 0 < rec["observable_evals"] <= rec["events"] + 1
+        assert rec["observable_evals"] < len(times)
         # streaming does not change the estimate
         code, plain = run_json(["gap-mc", "--model", "zero-range", "--g", "identity",
                                 "--N", "3", "--omega", "3", "--dt", "0.5",

@@ -116,11 +116,14 @@ def test_refused_case_is_an_error_row():
 
 
 def test_event_rate():
-    rows = _rows("event_rate.py", "--cases", "zero-range/K3/3,zero-range/K10/10",
-                 "--events", "2000", "--repeats", "1")
-    assert [r["case"] for r in rows] == ["zero-range/K3/3", "zero-range/K10/10"]
+    cases = ["zero-range/K3/3", "zero-range/K10/10", "simple-average/K3/4"]
+    rows = _rows("event_rate.py", "--cases", ",".join(cases), "--events", "2000",
+                 "--repeats", "1")
+    assert [r["case"] for r in rows] == cases
     assert all(r["events"] > 1000 and r["us_per_event"] > 0.0 for r in rows)
     # K3 at omega = 3: 10 memoized rows; K10 at omega = 10 is over the memo
     # budget, so every event derives a row
     assert rows[0]["rate_rows"] <= 10
     assert rows[1]["rate_rows"] == rows[1]["events"] + 1
+    # the simple average's rates are constant: one row, and a pair-law draw per event
+    assert rows[2]["g"] == "identity" and rows[2]["rate_rows"] == 1

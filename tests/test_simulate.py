@@ -576,6 +576,178 @@ class TestIncrementalRates:
         assert cfg.tolist() == [0, 0, 3]
 
 
+class TestFrameReuse:
+    @ORACLE_GRAPHS
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_observable_called_once_per_configuration(self, name, graph):
+        # a stride short against the time between events: many grid points see
+        # no event since the last one
+        model = ORACLE_MODELS[name]
+        omega = 2 * graph.n_sites if model.is_discrete else 1.5
+        cfg = initial_config(model, graph, omega, seed=4)
+        observable = lambda c: float(c[0] * c[-1] + c[1])
+        calls = []
+
+        def counted(c):
+            calls.append(1)
+            return observable(c)
+
+        _, samples, _ = _reference_run(model, graph, cfg, 200.0, 4, 0.05, observable)
+        summary, out = simulate(model, graph, cfg, 200.0, seed=4, sample_dt=0.05,
+                                observables={"f": counted})
+        assert out["f"].tolist() == samples
+        assert len(calls) == summary.observable_evals <= summary.n_events + 1
+        assert summary.observable_evals < len(samples)
+
+    def test_frames_evaluate_every_observable_together(self):
+        cfg = initial_config(ZR_LINEAR, K3, 3, seed=0)
+        calls = Counter()
+
+        def counter(name, f):
+            def g(c):
+                calls[name] += 1
+                return f(c)
+            return g
+
+        summary, out = simulate(ZR_LINEAR, K3, cfg, 100.0, seed=2, sample_dt=0.1,
+                                observables={"a": counter("a", lambda c: float(c[0])),
+                                             "b": counter("b", lambda c: float(c[1] - c[2]))})
+        assert calls["a"] == calls["b"] == summary.observable_evals
+        assert summary.observable_evals <= summary.n_events + 1 < len(out["times"])
+        plain, again = simulate(ZR_LINEAR, K3, cfg, 100.0, seed=2, sample_dt=0.1,
+                                observables={"b": lambda c: float(c[1] - c[2])})
+        assert again["b"].tobytes() == out["b"].tobytes()
+        assert plain.n_events == summary.n_events
+
+    def test_no_sampling_evaluates_nothing(self):
+        cfg = initial_config(KAC, K3, 1.0, seed=0)
+        summary, out = simulate(KAC, K3, cfg, 10.0, seed=0,
+                                observables={"f": lambda c: pytest.fail("evaluated")})
+        assert out is None and summary.observable_evals == 0
+
+
+def _searchsorted_pick(cum, rates, v) -> int:
+    """The edge draw on `ndarray.searchsorted`."""
+    edge = int(np.searchsorted(cum, v))
+    if edge == len(cum):
+        return int(np.flatnonzero(rates)[-1])
+    if rates[edge] == 0.0:
+        return int(np.searchsorted(cum, v, side="right"))
+    return edge
+
+
+class _FixedDraws:
+    """A generator stand-in whose random() returns the given values in turn."""
+
+    def __init__(self, *values):
+        self._values = list(values)
+
+    def random(self):
+        return self._values.pop(0)
+
+
+def _probe_points(cdf) -> list:
+    """Zero, every table entry, its neighbouring floats and one ulp past the end."""
+    vals = [0.0]
+    for c in cdf:
+        vals += [c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)]
+    return [float(v) for v in vals if v >= 0.0]
+
+
+class TestBisection:
+    def _tables(self):
+        rng = np.random.default_rng(11)
+        for E in (1, 2, 3, 10, 45, 300):
+            for _ in range(20):
+                rates = rng.choice([0.0, 0.25, 1.0, 1e-20, 3.0], size=E)
+                rates[rng.integers(E)] = 1.0          # at least one positive edge
+                if rng.random() < 0.5:
+                    rates[0] = 0.0                     # a leading zero-rate edge
+                if rates.any():
+                    yield rates
+
+    def test_pick_edge_matches_searchsorted(self):
+        rng = np.random.default_rng(3)
+        for rates in self._tables():
+            cum = rates.cumsum()
+            total = float(rates.sum())
+            points = _probe_points(cum) + [float(v) for v in rng.random(20) * total]
+            points.append(total)
+            for v in points:
+                if v > cum[-1] and v > total:
+                    continue
+                want = _searchsorted_pick(cum, rates, v)
+                assert _pick_edge(cum, rates, v) == want
+                assert _pick_edge(cum.tolist(), rates, v) == want
+                assert rates[want] > 0.0
+
+    def test_pick_edge_past_the_end(self):
+        # a draw one ulp past cum[-1] goes to the last edge of positive rate
+        rates = np.array([0.0, 1.0, 0.0, 2.0, 0.0, 0.0])
+        cum = rates.cumsum()
+        v = float(np.nextafter(cum[-1], np.inf))
+        assert _pick_edge(cum.tolist(), rates, v) == _searchsorted_pick(cum, rates, v) == 3
+
+    def test_integer_average_draw_matches_searchsorted(self):
+        dyn = _Dynamics(ModelSpec("simple-average", g=G_IDENTITY), K3)
+        rng = np.random.default_rng(5)
+        for s in (0, 1, 2, 7, 40, 400):
+            pmf, cdf = dyn._pair_law(s)
+            cdf = np.array(cdf)
+            # past the bulk of a large total the cdf rounds to 1.0: tied entries
+            assert s < 400 or (np.diff(cdf) == 0.0).any()
+            for v in _probe_points(cdf) + rng.random(20).tolist():
+                cfg = np.array([s, 0, 0], dtype=np.int64)
+                dyn._jump_integer_average(cfg, 0, 1, _FixedDraws(v))
+                a = int(cdf.searchsorted(v, side="right"))
+                assert cfg.tolist() == [a, s - a, 0]
+
+    def test_angle_draw_matches_searchsorted(self):
+        rho = ORACLE_MODELS["kac-rho"].angle_density()
+        sample = _angle_sampler(rho)
+        theta = np.array([-math.pi + 2 * math.pi * (k + 0.5) / RHO_QUADRATURE_NODES
+                          for k in range(RHO_QUADRATURE_NODES)])
+        cdf = np.cumsum(rho.grid_values)
+        cdf /= cdf[-1]
+        rng = np.random.default_rng(9)
+        for v in _probe_points(cdf) + rng.random(20).tolist():
+            want = theta[min(int(cdf.searchsorted(v)), RHO_QUADRATURE_NODES - 1)]
+            assert sample(_FixedDraws(v, 0.75)) == want
+            assert sample(_FixedDraws(v, 0.25)) == -want
+
+    def test_kernel_draw_matches_searchsorted(self):
+        model = ORACLE_MODELS["gamma-exchange-kernel"]
+        dyn = _Dynamics(model, K3)
+        grid = model.exchange.grid()
+        kcum = np.cumsum(model.exchange.kernel_matrix(), axis=1)
+        rng = np.random.default_rng(2)
+        for a in (0.0, 0.3, 1.1):
+            s = a + (1.5 - a)
+            row = dyn._kernel_row(a, s)
+            for v in _probe_points(kcum[row]) + rng.random(20).tolist():
+                cfg = np.array([a, 1.5 - a, 0.0])
+                dyn._jump_exchange(cfg, 0, 1, _FixedDraws(v))
+                alpha = grid[min(int(kcum[row].searchsorted(v)), len(grid) - 1)]
+                assert cfg.tolist() == [alpha * s, (1.0 - alpha) * s, 0.0]
+
+
+@pytest.mark.parametrize("name", ["gamma-exchange", "gamma-exchange-kernel"])
+def test_redistribution_never_holds_a_negative_energy(name):
+    # empty sites and small shapes push the split fraction to the ends of [0, 1]
+    models = [ORACLE_MODELS[name]]
+    if name == "gamma-exchange":
+        models.append(ModelSpec("gamma-exchange", exchange=GammaExchangeSpec(gamma=0.2)))
+    graph = build_graph("complete", N=5)
+    for model in models:
+        for cfg in ([0.0, 0.0, 2.5, 0.0, 0.0], [1e-300, 0.0, 0.0, 0.0, 1.0]):
+            lowest = []
+            summary, _ = simulate(model, graph, cfg, 200.0, seed=1,
+                                  event_callback=lambda t, e, b, a: lowest.append(a.min()))
+            assert summary.n_events > 100
+            assert min(lowest) >= 0.0
+            assert summary.clipped_events == 0
+
+
 def test_package_attribute_is_the_module():
     import types
 
@@ -953,9 +1125,10 @@ class TestRayleigh:
         est = rayleigh_upper_bound(KAC, K3, counted, omega=1.0, dt=0.6,
                                    n_samples=N_BATCHES, seed=2)
         assert np.isfinite(est.estimate)
-        # one call per frame up to the horizon of 40 + N_BATCHES + 1 strides
-        # (the default burn-in is 40 strides); none from the quadrature
-        assert 0 < len(calls) <= 40 + N_BATCHES + 1
+        # one call per configuration that a grid point reaches, so at most the
+        # 40 + N_BATCHES + 1 frames of the horizon (the default burn-in is 40
+        # strides); none from the quadrature
+        assert 0 < len(calls) == est.diagnostics["observable_evals"] <= 40 + N_BATCHES + 1
 
 
 class TestSampleStream:
@@ -963,16 +1136,21 @@ class TestSampleStream:
         path = tmp_path / "run.samples"
         with SampleStreamWriter(path, ["energy", "first"], meta={"seed": 7}) as w:
             cfg = initial_config(ZR_LINEAR, K3, 3, seed=0)
-            simulate(ZR_LINEAR, K3, cfg, horizon=50.0, seed=7, sample_dt=1.0,
-                     observables={"energy": lambda c: float(c.sum()),
-                                  "first": lambda c: float(c[0])},
-                     stream_writer=w)
+            summary, out = simulate(ZR_LINEAR, K3, cfg, horizon=50.0, seed=7, sample_dt=1.0,
+                                    observables={"energy": lambda c: float(c.sum()),
+                                                 "first": lambda c: float(c[0])},
+                                    stream_writer=w)
         header, times, values = read_sample_stream(path)
         assert header["fields"] == ["energy", "first"]
         assert header["meta"]["seed"] == 7
         assert values.shape == (len(times), 2)
         assert np.all(values[:, 0] == 3.0)
         assert np.all(np.diff(times) == pytest.approx(1.0))
+        # the stream holds the returned series bit for bit, repeated frames included
+        assert summary.observable_evals < len(times)
+        assert times.tobytes() == out["times"].tobytes()
+        assert values[:, 0].tobytes() == out["energy"].tobytes()
+        assert values[:, 1].tobytes() == out["first"].tobytes()
 
     def test_rejects_other_files(self, tmp_path):
         p = tmp_path / "junk.bin"
