@@ -13,7 +13,9 @@ of the initial configuration, so linear zero-range rates on a regular graph
 give that many events on average.  The same trajectory (initial
 configuration and seed 0) runs `repeats` times; the row reports its event
 count, the rate rows the loop built, the best and median microseconds per
-event, and peak RSS in MB.
+event, and peak RSS in MB.  Its `py_probe_s` times fixed interpreter work
+in the same process: rows from rounds taken at different host speeds
+compare by microseconds per event over `py_probe_s`.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ A script hands `run` its docstring, its own options, its cases and a
 `cell(case, args)` that returns one JSON row.  Each case runs in a new
 interpreter (the script itself, with a hidden `--cell CASE`) on one BLAS
 thread, so `ru_maxrss_mb`, added to every row, is the peak of that case
-alone and no two rows share a warm cache.  A case that exits non-zero
+alone and no two rows share a warm cache.  Every row also carries
+`py_probe_s`, the time of bench/probe.py's fixed interpreter work taken
+in the same process after the case, so that a row's times can be read
+against the host's speed at the time.  A case that exits non-zero
 becomes the row {"case", "error": its last stderr line, "exit_code"}, and
 the run goes on to the next case; `run` then returns 1.  Rows print as
 they arrive, and `--out FILE` writes them as one JSON list.
@@ -16,6 +19,7 @@ import argparse
 import json
 import os
 import resource
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +44,8 @@ def run(script: str, doc: str, add_options: Callable,
     if args.cell is not None:
         row = cell(args.cell, args)
         row["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        # after the peak is read, so the probe's allocation stays out of it
+        row["py_probe_s"] = runpy.run_path(str(ROOT / "bench" / "probe.py"))["py_probe"]()
         print(json.dumps(row))
         return 0
     env = dict(os.environ, **CELL_ENV)

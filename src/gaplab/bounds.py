@@ -98,52 +98,43 @@ class PathCensus:
 def path_census(d: int, N: int) -> PathCensus:
     """Edge congestion of all ordered canonical paths, with the proof's bound.
 
-    The leg of the path from x to y along axis ax has the axes before ax
-    already at y and those after it still at x, so it covers one interval
-    of one lattice line.  Each ordered pair adds +1 at the near end of each
-    leg and -1 at the far end (the path length, for the weighted count) to
-    one difference array per axis, and a cumulative sum along the axis
-    turns it into the traffic over the edge from each vertex one step up
-    that axis.
+    Each edge's traffic is read from its position; no pair is routed.  The
+    path from x to y corrects the axes in order, so it crosses the edge from
+    k to k + 1 on axis ax (1-based k, the other coordinates c) exactly when
+    the edge's coordinates before ax are y's, those after ax are x's, and
+    min(x_ax, y_ax) <= k < max(x_ax, y_ax).  That leaves x's coordinates
+    before ax and y's after it free (N^(d-1) choices) and 2k(N - k) ordered
+    values of (x_ax, y_ax), so the edge carries 2k(N - k) N^(d-1) paths.
+    Summing their lengths |x - y|_1 over the same choices, the axis term
+    gives k(N - k) N^d and each other axis i gives 2k(N - k) N^(d-2) S(c_i),
+    with S(c) = sum over u in 1..N of |u - c|; for d = 1 there is no other
+    axis.  The longest path joins opposite corners: d(N - 1) steps.
     """
     graph = build_graph("lattice", d=d, N=N)
     n_vertices = graph.n_sites
     if n_vertices * n_vertices > PATH_ENUM_CAP:
         raise ValueError(f"{n_vertices}^2 ordered pairs exceeds the enumeration cap")
-    # vertex coordinates from 0, in the lexicographic order of their flat index
-    coords = np.array(graph.vertices, dtype=np.int64) - 1
-    strides = N ** np.arange(d - 1, -1, -1)
-    # length[i, j]: the path from vertex i to vertex j
-    length = sum(np.abs(c[:, None] - c[None, :]) for c in coords.T)
-    shape = (N,) * d
-    count, weight = [], []
-    for ax in range(d):
-        c = coords[:, ax]
-        # flat index of the leg's line at position 0 along ax: x's axes after
-        # ax (rows i), y's before it (columns j)
-        line = (coords[:, ax + 1:] @ strides[ax + 1:])[:, None] + coords[:, :ax] @ strides[:ax]
-        near = (line + strides[ax] * np.minimum(c[:, None], c[None, :])).ravel()
-        far = (line + strides[ax] * np.maximum(c[:, None], c[None, :])).ravel()
-        for out, value in ((count, 1), (weight, length.ravel())):
-            diff = np.zeros(n_vertices, dtype=np.int64)
-            np.add.at(diff, near, value)
-            np.add.at(diff, far, -value)
-            out.append(np.cumsum(diff.reshape(shape), axis=ax).ravel())
+    # spread[c] = S(c), the summed distance from c to every value on a line
+    spread = [0] + [(c - 1) * c // 2 + (N - c) * (N - c + 1) // 2 for c in range(1, N + 1)]
+    free = N ** (d - 1)
     # the edge (a, b), a < b, runs up the axis whose stride is b - a
-    axis_of = {int(s): ax for ax, s in enumerate(strides)}
+    axis_of = {N ** (d - 1 - ax): ax for ax in range(d)}
     verts = graph.vertices
     congestion: dict = {}
     weighted: dict = {}
     for a, b in graph.edges:
-        ax = axis_of[b - a]
-        congestion[verts[a], verts[b]] = int(count[ax][a])
-        weighted[verts[a], verts[b]] = int(weight[ax][a])
-    max_len = int(length.max())
+        u = verts[a]
+        k = u[axis_of[b - a]]
+        pairs = k * (N - k)
+        # the other axes' S(c_i); free // N is N^(d-2), or 0 for d = 1 with no other axis
+        others = sum(spread[c] for c in u) - spread[k]
+        congestion[u, verts[b]] = 2 * pairs * free
+        weighted[u, verts[b]] = pairs * (N * free + 2 * (free // N) * others)
     cbound = N ** (d + 1)
     wbound = d * N ** (d + 2)
     max_c = max(congestion.values())
     max_w = max(weighted.values())
-    return PathCensus(d, N, max_len, congestion, weighted, max_c, cbound,
+    return PathCensus(d, N, d * (N - 1), congestion, weighted, max_c, cbound,
                       max_w, wbound, holds=(max_c <= cbound and max_w <= wbound))
 
 

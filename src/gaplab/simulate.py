@@ -456,6 +456,8 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
     """
     if sample_dt is not None and not (math.isfinite(sample_dt) and sample_dt > 0):
         raise ValueError(f"sampling stride must be finite and > 0, got {sample_dt}")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     cfg = _start_config(model, graph, config0)
     dyn = _Dynamics(model, graph)
     target = dyn.conserved(cfg)
@@ -541,6 +543,8 @@ def _stationary_samples(model: ModelSpec, graph: InteractionGraph, omega,
         raise ValueError(f"need at least one sample, got {n_samples}")
     if burn_in is None:
         burn_in = 40.0 * dt
+    elif not (math.isfinite(burn_in) and burn_in >= 0):
+        raise ValueError(f"burn-in must be finite and >= 0, got {burn_in}")
     horizon = burn_in + dt * (n_samples + 1)
     summary, samples = simulate(model, graph, cfg, horizon, seed=seed, sample_dt=dt,
                                 observables=observables, stream_writer=stream_writer)

@@ -96,6 +96,22 @@ class TestPathCensus:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             path_census(d, N)
 
+    @pytest.mark.parametrize("d,N", [(2, 57), (1, 3163)])
+    def test_refuses_more_pairs_than_the_cap(self, d, N, monkeypatch):
+        # 3249^2 and 3163^2 ordered pairs, both just over PATH_ENUM_CAP
+        assert (N ** d) ** 2 > bounds.PATH_ENUM_CAP
+        graphs = []
+        monkeypatch.setattr(bounds, "build_graph",
+                            lambda *a, **k: graphs.append(build_graph(*a, **k)) or graphs[-1])
+        with pytest.raises(ValueError, match=f"^{N ** d}\\^2 ordered pairs exceeds"):
+            path_census(d, N)
+        # refused from the counts alone: no vertex or edge was listed
+        assert not {"vertices", "edges"} & vars(graphs[0]).keys()
+
+    def test_largest_cube_under_the_cap(self):
+        census = path_census(2, 56)
+        assert census.holds and census.max_length == 110
+
 
 def _loop_census(d, N):
     """Congestion, weighted congestion and longest path, one canonical path at a time."""

@@ -1,7 +1,7 @@
 """The scripts under scripts/ run and print one JSON row per case.
 
 Every case runs in a fresh process (scripts/runner.py), whose peak RSS the
-row carries as `ru_maxrss_mb`.
+row carries as `ru_maxrss_mb`, with the host-speed probe's time as `py_probe_s`.
 """
 
 import json
@@ -20,7 +20,7 @@ def _rows(*argv):
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                          check=True, capture_output=True, text=True, timeout=120).stdout
     rows = [json.loads(line) for line in out.splitlines()]
-    assert all(r["ru_maxrss_mb"] > 0.0 for r in rows)
+    assert all(r["ru_maxrss_mb"] > 0.0 and r["py_probe_s"] > 0.0 for r in rows)
     return rows
 
 

@@ -109,6 +109,32 @@ class TestStartConfiguration:
             simulate(model, K3, [0.5, 0.3, 0.2], 1.0)
 
 
+class TestRunLength:
+    """A horizon or burn-in that is negative or not finite is refused before any event."""
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+    def test_horizon_refused(self, horizon):
+        # a nan horizon is never reached, so the loop would not end
+        with pytest.raises(ValueError, match=f"horizon must be finite and >= 0, got {horizon}"):
+            simulate(ZR_CONST, K3, [1, 1, 1], horizon, seed=0)
+
+    def test_zero_horizon_runs(self):
+        summary, _ = simulate(ZR_CONST, K3, [1, 1, 1], 0.0, seed=0)
+        assert summary.t_final == 0.0 and summary.n_events == 0
+
+    @pytest.mark.parametrize("burn_in", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("estimator", [autocorr_gap_estimate, rayleigh_upper_bound])
+    def test_burn_in_refused(self, estimator, burn_in, monkeypatch):
+        # a negative burn-in gives a negative skip, and the slice from it
+        # keeps only a few of the last samples
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before checking the burn-in")
+        monkeypatch.setattr("gaplab.simulate.simulate", no_run)
+        with pytest.raises(ValueError, match=f"burn-in must be finite and >= 0, got {burn_in}"):
+            estimator(ZR_LINEAR, K3, lambda c: float(c[0]), omega=3, dt=0.25,
+                      n_samples=100, burn_in=burn_in, seed=0)
+
+
 class TestConservation:
     def test_integer_exact(self):
         cfg = initial_config(ZR_LINEAR, K3, 5, seed=1)
