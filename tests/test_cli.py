@@ -174,6 +174,10 @@ class TestGapCommands:
         assert 0 < rec["observable_evals"] <= rec["events"] + 1
         assert rec["bootstrap_failures"] >= 0
         assert 50 <= rec["block"] <= 600 // 4
+        # the point fit's lags: the 16 direct products, or all 401 by FFT
+        assert rec["fit_lags"] in (16, 401)
+        first, last = rec["fit_window"]
+        assert 1 <= first < last < rec["fit_lags"]
 
     def test_mc_stream_file(self, tmp_path):
         from gaplab.reporting import read_sample_stream

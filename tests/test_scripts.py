@@ -127,3 +127,16 @@ def test_event_rate():
     assert rows[1]["rate_rows"] == rows[1]["events"] + 1
     # the simple average's rates are constant: one row, and a pair-law draw per event
     assert rows[2]["g"] == "identity" and rows[2]["rate_rows"] == 1
+
+
+def test_fit_rate():
+    cases = ["0.78/2000", "0.97/2000"]
+    rows = _rows("fit_rate.py", "--cases", ",".join(cases), "--fits", "3", "--repeats", "1")
+    assert [r["case"] for r in rows] == cases
+    assert all(r["us_per_fit"] > 0.0 and r["us_per_bootstrap"] > 0.0 for r in rows)
+    # the battery's decay closes its window among the 16 direct lags, 0.97 past them
+    assert rows[0]["window"][1] < 16 < rows[1]["window"][1]
+    assert [r["fit_lags"] for r in rows] == [16, 401]
+    assert all(r["n"] == 2000 and r["bootstrap_failures"] == 0 for r in rows)
+    # 20 correlation times, capped at a quarter of the series for 0.97
+    assert 50 <= rows[0]["block"] < 100 and rows[1]["block"] == 2000 // 4

@@ -1,6 +1,8 @@
 import functools
+import importlib.util
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,17 @@ from gaplab.galerkin import (assemble_galerkin, galerkin_eigensystem, pair_avera
 from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, RHO_QUADRATURE_NODES,
                            GammaExchangeSpec, ModelSpec, RhoSpec, build_graph, pair_law)
 from gaplab.reporting import SampleStreamWriter, read_sample_stream
-from gaplab.simulate import (MAX_FIT_LAG, N_BATCHES, NoDecayError, _angle_sampler,
-                             _autocovariance, _Dynamics, _fit_decay_rate, _local_dirichlet,
-                             _pick_edge, _window_lags, autocorr_gap_estimate, initial_config,
-                             rayleigh_upper_bound, rng_for, simulate)
+from gaplab import simulate as simulate_mod
+from gaplab.simulate import (FIRST_FIT_LAGS, MAX_FIT_LAG, N_BATCHES, N_BOOTSTRAP, NoDecayError,
+                             _angle_sampler, _autocovariance, _bootstrap_rates, _Dynamics,
+                             _first_autocovariance, _fit_decay_rate, _fit_window,
+                             _local_dirichlet, _pick_edge, _window_lags, autocorr_gap_estimate,
+                             initial_config, rayleigh_upper_bound, rng_for, simulate)
+
+_FIT_RATE = importlib.util.spec_from_file_location(
+    "fit_rate", Path(__file__).resolve().parent.parent / "scripts" / "fit_rate.py")
+fit_rate = importlib.util.module_from_spec(_FIT_RATE)
+_FIT_RATE.loader.exec_module(fit_rate)
 
 ZR_LINEAR = ModelSpec("zero-range", g=G_IDENTITY)
 ZR_CONST = ModelSpec("zero-range", g=G_CONSTANT_ONE)
@@ -1031,7 +1040,8 @@ class TestAutocorrEstimator:
 
 
 def _loop_window_lags(ratio, window=(0.1, 0.8)):
-    """The scalar lag search that `_window_lags` replaced; None if the window is never entered."""
+    """The scalar lag search that `_window_lags` replaced, and whether it stopped at a
+    ratio below the band; None if the window is never entered."""
     limit = min(len(ratio), 400)
     start = None
     for l in range(limit):
@@ -1043,9 +1053,9 @@ def _loop_window_lags(ratio, window=(0.1, 0.8)):
     lags = []
     for l in range(start, limit):
         if ratio[l] < window[0]:
-            break
+            return lags, True
         lags.append(l + 1)
-    return lags
+    return lags, False
 
 
 class TestWindowLags:
@@ -1071,8 +1081,8 @@ class TestWindowLags:
             with pytest.raises(NoDecayError, match="never enters"):
                 _window_lags(ratio, (0.1, 0.8))
             return
-        got = _window_lags(ratio, (0.1, 0.8))
-        assert got.tolist() == expect
+        got, closed = _window_lags(ratio, (0.1, 0.8))
+        assert (got.tolist(), closed) == expect
         assert len(got) <= MAX_FIT_LAG
 
     def test_ar1_series(self):
@@ -1084,11 +1094,11 @@ class TestWindowLags:
             x[t] = 0.97 * x[t - 1] + noise[t]
         c = _autocovariance(x)
         ratio = c[1:] / c[0]
-        expect = _loop_window_lags(ratio)
-        assert len(expect) > 10
-        assert _window_lags(ratio, (0.1, 0.8)).tolist() == expect
+        expect, closed = _loop_window_lags(ratio)
+        assert len(expect) > 10 and closed
+        assert _window_lags(ratio, (0.1, 0.8))[0].tolist() == expect
         # AR(1) with coefficient 0.97 decays at -log(0.97) per step
-        assert _fit_decay_rate(x, 1.0) == pytest.approx(-math.log(0.97), rel=0.3)
+        assert _fit_decay_rate(x, 1.0)[0] == pytest.approx(-math.log(0.97), rel=0.3)
 
 
 def _full_autocovariance(x):
@@ -1101,6 +1111,13 @@ def _full_autocovariance(x):
 
 
 class TestAutocovariance:
+    def test_fft_length(self):
+        from scipy.fft import next_fast_len
+
+        sizes = list(range(1, 2000)) + [5399, 5400, 5401, 25400]
+        assert [simulate_mod._fft_length(k) for k in sizes] == [
+            next_fast_len(k, real=True) for k in sizes]
+
     @pytest.mark.parametrize("n", [1, 2, 400, 401, 402, 5000, 25000])
     def test_matches_full_autocovariance(self, n):
         rng = np.random.default_rng(n)
@@ -1109,6 +1126,96 @@ class TestAutocovariance:
         full = _full_autocovariance(x)
         assert len(c) == min(n, MAX_FIT_LAG + 1)
         assert np.abs(c - full[:len(c)]).max() <= 1e-12 * full[0]
+
+
+class TestStagedLags:
+    """The decay fit computes lags 0..FIRST_FIT_LAGS - 1 as direct products, and every
+    lag by FFT only when its window is still open after them."""
+
+    @pytest.fixture
+    def fft_calls(self, monkeypatch):
+        """The length of every series whose lags the fit takes from the FFT."""
+        calls = []
+
+        def counted(x):
+            calls.append(len(x))
+            return _autocovariance(x)
+
+        monkeypatch.setattr(simulate_mod, "_autocovariance", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 400, 5000, 25000])
+    def test_first_lags_match_full_autocovariance(self, n):
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.standard_normal(n)) * 0.05 + rng.standard_normal(n)
+        c = _first_autocovariance(x)
+        full = _full_autocovariance(x)
+        assert len(c) == min(n, FIRST_FIT_LAGS)
+        assert np.abs(c - full[:len(c)]).max() <= 1e-12 * full[0]
+
+    @pytest.mark.parametrize("n", [2, 400, 5000, 25000])
+    @pytest.mark.parametrize("phi", [0.5, 0.9, 0.995])
+    def test_fit_lags_match_full_autocovariance(self, n, phi):
+        x = fit_rate.ar1(phi, n, seed=n)
+        c, _ = _fit_window(x)
+        full = _full_autocovariance(x)
+        # both sides of the direct lags: 16 of them, or all up to the cap by FFT
+        assert len(c) in (min(n, FIRST_FIT_LAGS), min(n, MAX_FIT_LAG + 1))
+        assert np.abs(c - full[:len(c)]).max() <= 1e-12 * full[0]
+
+    @pytest.mark.parametrize("phi,fit_lags", [
+        (0.5, FIRST_FIT_LAGS),          # closes by lag 4
+        (0.78, FIRST_FIT_LAGS),         # the battery's stride: by lag 10
+        (0.9, MAX_FIT_LAG + 1),         # by lag 22, open after the direct lags
+        (0.97, MAX_FIT_LAG + 1),        # by lag 76
+        (0.995, MAX_FIT_LAG + 1),       # not entered by lag 15, open at the 400-lag cap
+    ])
+    def test_window_equals_the_full_search(self, fft_calls, phi, fit_lags):
+        x = fit_rate.ar1(phi, 5000)
+        full = _full_autocovariance(x)
+        rate, computed, lags = _fit_decay_rate(x, 1.0)
+        assert computed == fit_lags
+        assert fft_calls == ([] if fit_lags == FIRST_FIT_LAGS else [5000])
+        assert lags.tolist() == _window_lags(full[1:] / full[0], (0.1, 0.8))[0].tolist()
+        assert rate == pytest.approx(-math.log(phi), rel=0.3)
+
+    @pytest.mark.parametrize("n", [1, 2, 5000])
+    def test_constant_series(self, fft_calls, n):
+        with pytest.raises(NoDecayError, match="zero-variance observable"):
+            _fit_decay_rate(np.full(n, 2.5), 1.0)
+        assert fft_calls == []
+
+    def test_nan_series(self):
+        with pytest.raises(NoDecayError, match="never enters"):
+            _fit_decay_rate(np.array([1.0, np.nan, 2.0] * 100), 1.0)
+
+
+class TestBootstrapRates:
+    def test_resamples_are_wrapped_blocks(self, monkeypatch):
+        """Each resample joins the blocks series[s:s + block] at the stream's starts s,
+        wrapped past the end, as indexing by (s + j) mod n does."""
+        x = fit_rate.ar1(0.78, 3001)
+        seen = []
+
+        def fit(series, dt):
+            seen.append(series.copy())
+            return 1.0, FIRST_FIT_LAGS, np.arange(1, 4)
+
+        monkeypatch.setattr(simulate_mod, "_fit_decay_rate", fit)
+        draws, failures, block = _bootstrap_rates(x, 0.25, 1.0, rng_for(3, stream=99))
+        assert (len(draws), failures, block) == (N_BOOTSTRAP, 0, 80)
+        rng = rng_for(3, stream=99)
+        for resampled in seen:
+            starts = rng.integers(0, len(x), size=math.ceil(len(x) / block))
+            expect = x[(starts[:, None] + np.arange(block)) % len(x)].ravel()[:len(x)]
+            assert np.array_equal(resampled, expect)
+
+    def test_counts_failed_refits(self):
+        x = fit_rate.ar1(0.78, 2000)
+        draws, failures, block = _bootstrap_rates(np.zeros(2000), 0.25, 1.0, rng_for(0))
+        assert (draws, failures, block) == ([], N_BOOTSTRAP, 80)
+        draws, failures, _ = _bootstrap_rates(x, 0.25, 1.0, rng_for(0))
+        assert failures == 0 and len(draws) == N_BOOTSTRAP
 
 
 class TestRayleigh:
