@@ -12,7 +12,8 @@ one BLAS thread (scripts/runner.py).  The horizon is the requested event count o
 of the initial configuration, so linear zero-range rates on a regular graph
 give that many events on average.  The same trajectory (initial
 configuration and seed 0) runs `repeats` times; the row reports its event
-count, the rate rows the loop built, the best and median microseconds per
+count, the rate rows the loop built, the states the jump chain indexed (0
+when the general loop ran), the best and median microseconds per
 event, and peak RSS in MB.  Its `py_probe_s` times fixed interpreter work
 in the same process: rows from rounds taken at different host speeds
 compare by microseconds per event over `py_probe_s`.
@@ -26,7 +27,7 @@ from time import perf_counter
 
 import runner
 
-#: zero-range on both sides of the row memo, then one case of each other family
+#: zero-range on both sides of the jump chain's budget, then one case of each other family
 #: that the benchmark's trajectories and estimators run: the integer average's
 #: pair-law draw, and the constant-rate edge draw on K50 and K10
 DEFAULT_CASES = ("zero-range/K3/5,zero-range/K10/10,zero-range/K40/40,zero-range/K100/100,"
@@ -71,6 +72,7 @@ def cell(case: str, args) -> dict:
         "horizon": horizon,
         "events": summary.n_events,
         "rate_rows": summary.rate_rows,
+        "chain_states": summary.chain_states,
         "us_per_event": 1e6 * min(times) / n,
         "us_per_event_median": 1e6 * statistics.median(times) / n,
     }

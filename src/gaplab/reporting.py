@@ -84,8 +84,8 @@ def mc_record(model: str, graph, omega, result) -> dict:
         "ess": _scalar(result.ess),
         "method": "mc-autocorr",
         **{k: diag[k] for k in ("events", "clipped_events", "rate_rows",
-                                "observable_evals", "bootstrap_failures", "block",
-                                "fit_lags", "fit_window")},
+                                "observable_evals", "chain_states", "bootstrap_failures",
+                                "block", "fit_lags", "fit_window")},
     }
 
 

@@ -6,15 +6,19 @@ its total, cumulative edge rates (the edge is drawn from them), edge rates
 and, for zero-range, site rates.  The constant-rate families build one row
 per trajectory.  Otherwise a jump on (x, y) derives the next row from the
 current one by recomputing only the edges that share an endpoint with it.
-A zero-range trajectory whose whole configuration space fits
-`ROW_MEMO_FLOATS` keeps every row it builds, keyed by the configuration,
-so a revisited configuration costs a dictionary lookup.  Every draw from a
-table (the edge, the integer average's new value, an angle or a kernel
-cell) bisects the table with the `bisect` module.  The random stream is
-the same as a recompute-everything loop's, so a seed fixes the trajectory
-bit for bit.  An observable is a function of the configuration alone: it
-is evaluated once per configuration that a sampling grid point reaches,
-and grid points between two events repeat its values.  The estimators fit
+A discrete trajectory (zero-range or the integer average) whose whole
+configuration space fits `ROW_MEMO_FLOATS` runs instead as a jump chain on
+indexed states: a configuration's rate row, the targets of its outcomes
+and its observable values are each built once, on first need, and an
+event is then a bisection and a few list reads.  Every draw from a table
+(the edge, the integer average's new value, an angle or a kernel cell)
+bisects the table with the `bisect` module.  The random stream is the same
+as a recompute-everything loop's on either loop, so a seed fixes the
+trajectory bit for bit.  An observable is a function of the configuration
+alone.  The chain evaluates it exactly once per configuration that a
+sampling grid point reaches; the general loop evaluates it once per
+configuration between two events, so grid points between two events repeat
+its values.  The estimators fit
 the slowest decay of stationary autocorrelations or accumulate the
 quadratic form of the generator along the trajectory.  The decay fit
 computes lags 0..15 of the autocovariance as direct products, and every
@@ -59,12 +63,14 @@ FIT_WINDOW = (0.1, 0.8)
 FIRST_FIT_LAGS = 16
 #: batches of the Rayleigh-quotient interval
 N_BATCHES = 20
-#: float64 budget (2 MiB) of the zero-range rate-row memo: a trajectory keeps
-#: one row per configuration when every row of its configuration space fits
+#: float64 budget (2 MiB) of the jump chain: a discrete trajectory runs on
+#: indexed states when the chain objects of its whole configuration space fit
 ROW_MEMO_FLOATS = 1 << 18
-#: the Python objects of one memo row (tuple, three array headers, the key)
-#: in float64s: about 560-590 bytes measured with tracemalloc on K2-K4
-ROW_OBJECT_FLOATS = 72
+#: the Python objects of one chain state beyond its row entries and
+#: transition slots (key tuple, row tuple and list headers, frame, index
+#: entries) in float64s: 47-99 measured with tracemalloc on K2-K4 at
+#: omega = 4, 8, 12 with two observables, 700-1,300 bytes per state in all
+ROW_OBJECT_FLOATS = 100
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
@@ -134,16 +140,12 @@ class _Dynamics:
     `rates.sum()`, `rates.cumsum()` and `rates = edge_rates(cfg)`; the
     cumulative rates are a list in the one row of a constant-rate
     trajectory, and an array otherwise.
-    `reset(cfg)` builds the row of `cfg`.  Each `apply` makes one jump and
-    returns the row of the new configuration: the same row when rates are
-    constant, else a row derived from the previous one by recomputing the
-    edges that share an endpoint with the fired pair.  A zero-range
-    trajectory whose C(omega + V - 1, V - 1) rows of 2E + V floats, plus
-    `ROW_OBJECT_FLOATS` each for their Python objects, fit
-    `ROW_MEMO_FLOATS` keeps every row in a memo keyed by `cfg.tobytes()`: a
-    revisit reads its row back, and a first visit derives from a copy of the
-    previous row, which the memo holds.  Outside the memo the row is
-    derived in place.  `rate_rows` counts the rows built since `reset`.
+    `reset(cfg)` builds the row of `cfg` for the general loop.  Each `apply`
+    makes one jump and returns the row of the new configuration: the same
+    row when rates are constant, else the previous row updated in place by
+    recomputing the edges that share an endpoint with the fired pair.
+    `rate_rows` counts the rows built since `reset`.  `list_row(cfg)` builds
+    a row afresh with list entries, for the jump chain (`_Chain`).
     `outcomes(cfg, x, y)` lists what a collision of (x, y) can leave, for
     the carre du champ.
     """
@@ -212,22 +214,21 @@ class _Dynamics:
     def reset(self, cfg: np.ndarray) -> tuple:
         """Start tracking `cfg`: build and return its rate row."""
         rates = self.edge_rates(cfg)
-        self._memo = site_rates = None
-        if self.model.family == "zero-range":
-            site_rates = self._site_rates(cfg)
-            n_rows = math.comb(int(cfg.sum()) + len(cfg) - 1, len(cfg) - 1)
-            row_floats = 2 * len(rates) + len(cfg) + ROW_OBJECT_FLOATS
-            if n_rows * row_floats <= ROW_MEMO_FLOATS:
-                self._memo = {}
+        site_rates = self._site_rates(cfg) if self.model.family == "zero-range" else None
         cum = rates.cumsum()
         if self._next_row is None:
             # the trajectory's one row: the edge draw bisects a list
             cum = cum.tolist()
         self._row = (float(rates.sum()), cum, rates, site_rates)
         self.rate_rows = 1
-        if self._memo is not None:
-            self._memo[cfg.tobytes()] = self._row
         return self._row
+
+    def list_row(self, cfg: np.ndarray) -> tuple:
+        """The rate row of `cfg` built afresh, its entries Python floats and lists."""
+        rates = self.edge_rates(cfg)
+        site_rates = (self._site_rates(cfg).tolist() if self.model.family == "zero-range"
+                      else None)
+        return float(rates.sum()), rates.cumsum().tolist(), rates.tolist(), site_rates
 
     def conserved(self, cfg: np.ndarray) -> float:
         """Configuration total of the conserved per-site quantity."""
@@ -249,15 +250,7 @@ class _Dynamics:
         return np.concatenate((self._incident[x], self._incident[y]))
 
     def _zero_range_row(self, cfg, x, y):
-        memo = self._memo
         _, cum, rates, gs = self._row
-        if memo is not None:
-            key = cfg.tobytes()
-            row = memo.get(key)
-            if row is not None:
-                self._row = row
-                return row
-            cum, rates, gs = np.empty_like(cum), rates.copy(), gs.copy()
         g = self.model.g
         gs[x] = g(int(cfg[x]))
         gs[y] = g(int(cfg[y]))
@@ -266,8 +259,6 @@ class _Dynamics:
         rates.cumsum(out=cum)
         row = self._row = (float(rates.sum()), cum, rates, gs)
         self.rate_rows += 1
-        if memo is not None:
-            memo[key] = row
         return row
 
     def _exchange_row(self, cfg, x, y):
@@ -431,7 +422,7 @@ def _angle_sampler(rho: RhoSpec) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# the event loop
+# the event loops
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -445,10 +436,13 @@ class TrajectorySummary:
     conservation_drift: float
     #: always 0, since a redistribution share cannot go negative; bench/hooks.py reads it
     clipped_events: int
-    #: rate rows built; a revisit that the zero-range memo serves builds none
+    #: rate rows built: one per configuration visited on the chain, one per
+    #: event on the general loop, and one in all for constant rates
     rate_rows: int
-    #: configurations whose observables were evaluated: at most n_events + 1
+    #: configurations whose observables were evaluated
     observable_evals: int
+    #: configurations the jump chain indexed; 0 when the general loop ran
+    chain_states: int
 
 
 def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
@@ -461,12 +455,15 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
     With `sample_dt` and `observables` (name -> callable), records each
     observable on a uniform time grid; `stream_writer` additionally receives
     each sampled frame.  An observable must be a function of the
-    configuration alone: it is called at most once per configuration, that
-    is at most n_events + 1 times, and a grid point reached with no event
-    since the last evaluated one records (and streams) the same values
-    again.  `event_callback(t, edge, before, after)` fires on every jump.
-    Returns the summary and the sample dict (or None).  A start
-    configuration outside the model's state space raises ValueError.
+    configuration alone.  A discrete trajectory whose configuration space
+    fits the chain budget (`_chain_fits`) runs on indexed states and calls
+    it exactly once per configuration that a grid point reaches.  The
+    general loop calls it once per such configuration between two events,
+    so at most n_events + 1 times.  Either way a grid point that reuses a
+    configuration's values records (and streams) them again.
+    `event_callback(t, edge, before, after)` fires on every jump.  Returns
+    the summary and the sample dict (or None).  A start configuration
+    outside the model's state space raises ValueError.
     """
     if sample_dt is not None and not (math.isfinite(sample_dt) and sample_dt > 0):
         raise ValueError(f"sampling stride must be finite and > 0, got {sample_dt}")
@@ -475,13 +472,173 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
     cfg = _start_config(model, graph, config0)
     dyn = _Dynamics(model, graph)
     target = dyn.conserved(cfg)
-    drift_bound = CONSERVATION_RTOL * max(abs(target), 1.0)
     rng = rng_for(seed)
+    sampling = sample_dt is not None and bool(observables)
+    fns = list(observables.values()) if sampling else []
+    args = (rng, horizon, sample_dt if sampling else None, fns, stream_writer, event_callback)
+    if _chain_fits(model, graph, int(cfg.sum())):
+        chain = _Chain(dyn, cfg)
+        t, n_events, cfg, times, frames, which, drift = chain.run(*args)
+        chain_states = len(chain.keys)
+        rate_rows = 1 if dyn.constant_rates else chain_states
+    else:
+        t, n_events, cfg, times, frames, which, drift = _event_loop(dyn, cfg, target, *args)
+        chain_states, rate_rows = 0, dyn.rate_rows
+
+    if dyn.is_int:
+        drift = abs(dyn.conserved(cfg) - target)
+    summary = TrajectorySummary(model.family, graph.kind, graph.n_sites, t, n_events, cfg,
+                                drift, 0, rate_rows, len(frames), chain_states)
+    if not sampling:
+        return summary, None
+    values = np.array(frames, dtype=float).reshape(len(frames), len(fns))
+    index = np.array(which, dtype=np.intp)
+    return summary, {"times": np.array(times),
+                     **{name: values[index, j] for j, name in enumerate(observables)}}
+
+
+def _chain_fits(model: ModelSpec, graph: InteractionGraph, omega: int) -> bool:
+    """Whether a trajectory runs as an indexed jump chain: the family is
+    discrete and the chain objects of all C(omega + V - 1, V - 1)
+    configurations fit `ROW_MEMO_FLOATS`.
+
+    A zero-range configuration holds a rate row of 2E + V list entries, each
+    a pointer and a float object (4 float64s), and 2E transition slots; an
+    integer-average one shares its row and holds E (omega + 1) slots.  A
+    slot is a pointer (1 float64).  `ROW_OBJECT_FLOATS` adds its key,
+    frame and list headers.
+    """
+    if not model.is_discrete:
+        return False
+    V, E = graph.n_sites, graph.n_edges
+    if model.family == "zero-range":
+        floats = 4 * (2 * E + V) + 2 * E
+    else:
+        floats = E * (omega + 1)
+    n_states = math.comb(omega + V - 1, V - 1)
+    return n_states * (floats + ROW_OBJECT_FLOATS) <= ROW_MEMO_FLOATS
+
+
+class _Chain:
+    """The jump chain of a discrete trajectory on indexed states.
+
+    State i is the configuration `keys[i]`, a tuple of occupations.  Its
+    first visit gives it an index, the rate row `rows[i]` built afresh by
+    `_Dynamics.list_row` (one row shared by all states when the rates are
+    constant) and a transition table `moves[i]` of E * width slots.  Slot
+    edge * width + outcome holds the state that outcome leads to, stored
+    the first time it fires, and -1 before.  The outcome is the zero-range
+    direction (0 when x gives a particle to y, 1 otherwise; width 2) or the
+    integer average's new value at x (width omega + 1).  `frame_of[i]` is
+    the index of state i's observable frame, or -1 before a grid point
+    reaches it.  Each event makes the general loop's draws in its order, so
+    a seed gives the same trajectory on either loop.
+    """
+
+    def __init__(self, dyn: _Dynamics, cfg: np.ndarray):
+        self.dyn = dyn
+        self.zero_range = dyn.model.family == "zero-range"
+        self.width = 2 if self.zero_range else int(cfg.sum()) + 1
+        self._shared = None if self.zero_range else dyn.list_row(cfg)
+        self._slots = len(dyn.edges) * self.width
+        self.keys: list = []
+        self.rows: list = []
+        self.moves: list = []
+        self.frame_of: list = []
+        self.index: dict = {}
+        self.state(tuple(cfg.tolist()), 0.0)
+
+    def state(self, key: tuple, t: float) -> int:
+        """The index of configuration `key`, entered at time t; a first visit
+        builds its row and refuses a non-finite total."""
+        i = self.index.get(key)
+        if i is None:
+            row = self._shared or self.dyn.list_row(np.array(key, dtype=np.int64))
+            if not math.isfinite(row[0]):
+                raise ArithmeticError(f"non-finite pair rate at t = {t}; "
+                                      f"configuration {np.array(key)!r}")
+            i = self.index[key] = len(self.keys)
+            self.keys.append(key)
+            self.rows.append(row)
+            self.moves.append([-1] * self._slots)
+            self.frame_of.append(-1)
+        return i
+
+    def _target(self, i: int, x: int, y: int, outcome: int, t: float) -> int:
+        """The state that `outcome` of a collision on (x, y) leaves from state i."""
+        c = list(self.keys[i])
+        if self.zero_range:
+            step = 1 if outcome == 0 else -1
+            c[x] -= step
+            c[y] += step
+        else:
+            c[x], c[y] = outcome, c[x] + c[y] - outcome
+        return self.state(tuple(c), t)
+
+    def run(self, rng, horizon, sample_dt, fns, stream_writer, event_callback) -> tuple:
+        """The loop of `simulate` on state indices, from state 0."""
+        keys, rows, moves, frame_of = self.keys, self.rows, self.moves, self.frame_of
+        edges, width = self.dyn.edges, self.width
+        n_edges = len(edges)
+        pair_law = self.dyn._pair_law
+        exponential, random = rng.exponential, rng.random
+        times: list = []
+        frames: list = []   # one frame per state evaluated
+        which: list = []    # the frame of each grid point
+        t_next = sample_dt
+        t = 0.0
+        n_events = 0
+        state = 0
+        while True:
+            total, cum, rates, site_rates = rows[state]
+            t_jump = t + exponential(1.0 / total) if total > 0.0 else math.inf
+            if sample_dt is not None:
+                stop = min(t_jump, horizon)
+                while t_next <= stop:
+                    frame = frame_of[state]
+                    if frame < 0:
+                        cfg = np.array(keys[state], dtype=np.int64)
+                        frame = frame_of[state] = len(frames)
+                        frames.append([float(f(cfg)) for f in fns])
+                    times.append(t_next)
+                    which.append(frame)
+                    if stream_writer is not None:
+                        stream_writer.write_frame(t_next, frames[frame])
+                    t_next += sample_dt
+            if t_jump >= horizon:
+                t = horizon
+                break
+            t = t_jump
+            edge = _pick_edge(cum, rates, random() * total) if n_edges > 1 else 0
+            x, y = edges[edge]
+            if site_rates is not None:
+                # the edge has positive rate, so rx + ry > 0
+                rx = site_rates[x]
+                outcome = 0 if random() * (rx + site_rates[y]) < rx else 1
+            else:
+                key = keys[state]
+                outcome = bisect.bisect_right(pair_law(key[x] + key[y])[1], random())
+            move = moves[state]
+            code = edge * width + outcome
+            nxt = move[code]
+            if nxt < 0:
+                nxt = move[code] = self._target(state, x, y, outcome, t)
+            if event_callback is not None:
+                event_callback(t, edge, np.array(keys[state], dtype=np.int64),
+                               np.array(keys[nxt], dtype=np.int64))
+            state = nxt
+            n_events += 1
+        cfg = np.array(keys[state], dtype=np.int64)
+        return t, n_events, cfg, times, frames, which, 0.0
+
+
+def _event_loop(dyn: _Dynamics, cfg: np.ndarray, target: float, rng, horizon, sample_dt,
+                fns, stream_writer, event_callback) -> tuple:
+    """The loop of `simulate` on a configuration array that each jump updates;
+    `target` is the conserved total."""
+    drift_bound = CONSERVATION_RTOL * max(abs(target), 1.0)
     total, cum, rates, _ = dyn.reset(cfg)
     n_edges = len(rates)
-
-    sampling = sample_dt is not None and observables
-    fns = list(observables.values()) if sampling else []
     times: list = []
     frames: list = []   # one frame per configuration evaluated
     which: list = []    # the frame of each grid point
@@ -499,7 +656,7 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
             t_jump = math.inf   # frozen configuration
         else:
             t_jump = t + rng.exponential(1.0 / total)
-        if sampling:
+        if sample_dt is not None:
             stop = min(t_jump, horizon)
             while t_next <= stop:
                 if frame is None:
@@ -527,17 +684,7 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
             if drift > drift_bound:
                 raise ArithmeticError(
                     f"conserved total drifted by {drift:.3e} after {n_events} events")
-
-    if dyn.is_int:
-        drift = abs(dyn.conserved(cfg) - target)
-    summary = TrajectorySummary(model.family, graph.kind, graph.n_sites, t,
-                                n_events, cfg, drift, 0, dyn.rate_rows, len(frames))
-    if not sampling:
-        return summary, None
-    values = np.array(frames, dtype=float).reshape(len(frames), len(fns))
-    index = np.array(which, dtype=np.intp)
-    return summary, {"times": np.array(times),
-                     **{name: values[index, j] for j, name in enumerate(observables)}}
+    return t, n_events, cfg, times, frames, which, drift
 
 
 def _stationary_samples(model: ModelSpec, graph: InteractionGraph, omega,
@@ -549,8 +696,8 @@ def _stationary_samples(model: ModelSpec, graph: InteractionGraph, omega,
     The trajectory starts from `initial_config` with the same seed, and the
     burn-in defaults to 40 dt.  `stream_writer` receives every sampled frame,
     burn-in included.  Returns {name: n_samples values} and the trajectory's
-    counts: events, clipped events, rate rows built and observable
-    evaluations.
+    counts: events, clipped events, rate rows built, observable evaluations
+    and the states the jump chain indexed.
     """
     cfg = initial_config(model, graph, omega, seed=seed)
     if n_samples < 1:
@@ -566,7 +713,8 @@ def _stationary_samples(model: ModelSpec, graph: InteractionGraph, omega,
     if len(samples["times"]) < skip + n_samples:
         raise RuntimeError("trajectory too short for the requested samples")
     counts = {"events": summary.n_events, "clipped_events": summary.clipped_events,
-              "rate_rows": summary.rate_rows, "observable_evals": summary.observable_evals}
+              "rate_rows": summary.rate_rows, "observable_evals": summary.observable_evals,
+              "chain_states": summary.chain_states}
     return {name: samples[name][skip:skip + n_samples] for name in observables}, counts
 
 
@@ -662,9 +810,14 @@ def _fit_window(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Lags below `FIRST_FIT_LAGS` come first, as direct products.  They suffice
     when the window closes among them; otherwise every lag up to
-    min(n, MAX_FIT_LAG + 1) comes from the FFT.
+    min(n, MAX_FIT_LAG + 1) comes from the FFT.  A constant series raises
+    "zero-variance observable": its C(0) is the square of its mean's
+    rounding error, far below 1e-20 of its squared value, so only a C(0)
+    that small is tested for min == max; any other costs one comparison.
     """
     c = _first_autocovariance(series)
+    if c[0] <= 0 or (c[0] <= (1e-10 * series[0]) ** 2 and series.min() == series.max()):
+        raise NoDecayError("zero-variance observable")
     if c[0] > 0 and len(c) < min(len(series), MAX_FIT_LAG + 1):
         try:
             lags, closed = _window_lags(c[1:] / c[0], FIT_WINDOW)

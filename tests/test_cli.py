@@ -166,12 +166,13 @@ class TestGapCommands:
                               "--samples", "600", "--seed", "3"], tmp_path)
         assert code == 0
         rec = doc["results"][0]
-        # K3 at omega = 3 has 10 configurations, and the memo builds each row once
+        # K3 at omega = 3 has 10 configurations: the jump chain indexes each
+        # once and builds its row once
         assert rec["events"] > 0
-        assert rec["rate_rows"] <= 10
+        assert 0 < rec["chain_states"] == rec["rate_rows"] <= 10
         assert rec["clipped_events"] == 0
         # one evaluation per configuration that a grid point reaches
-        assert 0 < rec["observable_evals"] <= rec["events"] + 1
+        assert 0 < rec["observable_evals"] <= rec["chain_states"]
         assert rec["bootstrap_failures"] >= 0
         assert 50 <= rec["block"] <= 600 // 4
         # the point fit's lags: the 16 direct products, or all 401 by FFT

@@ -121,12 +121,14 @@ def test_event_rate():
                  "--repeats", "1")
     assert [r["case"] for r in rows] == cases
     assert all(r["events"] > 1000 and r["us_per_event"] > 0.0 for r in rows)
-    # K3 at omega = 3: 10 memoized rows; K10 at omega = 10 is over the memo
-    # budget, so every event derives a row
-    assert rows[0]["rate_rows"] <= 10
+    # K3 at omega = 3: 10 configurations on the jump chain, one row each; K10
+    # at omega = 10 is over the chain's budget, so every event derives a row
+    assert 0 < rows[0]["chain_states"] == rows[0]["rate_rows"] <= 10
+    assert rows[1]["chain_states"] == 0
     assert rows[1]["rate_rows"] == rows[1]["events"] + 1
-    # the simple average's rates are constant: one row, and a pair-law draw per event
+    # the simple average's rates are constant: one row shared by its chain states
     assert rows[2]["g"] == "identity" and rows[2]["rate_rows"] == 1
+    assert 0 < rows[2]["chain_states"] <= 15
 
 
 def test_fit_rate():

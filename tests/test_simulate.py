@@ -16,8 +16,8 @@ from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, RHO_QUADRATURE_NODES,
                            GammaExchangeSpec, ModelSpec, RhoSpec, build_graph, pair_law)
 from gaplab.reporting import SampleStreamWriter, read_sample_stream
 from gaplab import simulate as simulate_mod
-from gaplab.simulate import (FIRST_FIT_LAGS, MAX_FIT_LAG, N_BATCHES, N_BOOTSTRAP, NoDecayError,
-                             _angle_sampler, _autocovariance, _bootstrap_rates, _Dynamics,
+from gaplab.simulate import (FIRST_FIT_LAGS, MAX_FIT_LAG, N_BATCHES, N_BOOTSTRAP,
+                             ROW_MEMO_FLOATS, ROW_OBJECT_FLOATS, NoDecayError, _angle_sampler, _autocovariance, _bootstrap_rates, _Dynamics,
                              _first_autocovariance, _fit_decay_rate, _fit_window,
                              _local_dirichlet, _pick_edge, _window_lags, autocorr_gap_estimate,
                              initial_config, rayleigh_upper_bound, rng_for, simulate)
@@ -387,6 +387,17 @@ def _ref_local_dirichlet(model, graph, cfg, f) -> float:
     return total
 
 
+class _FrameList:
+    """A stream writer that keeps each frame it receives."""
+
+    def __init__(self):
+        self.times, self.frames = [], []
+
+    def write_frame(self, t, frame):
+        self.times.append(t)
+        self.frames.append(list(frame))
+
+
 def _reference_run(model, graph, cfg, horizon, seed, sample_dt, observable):
     """The recompute-everything event loop: fresh rates and cumsum on every event."""
     mech = _RefMechanics(model)
@@ -446,16 +457,26 @@ class TestIncrementalRates:
             observable = lambda c: float(c[0] * c[-1] + c[1])
             events, samples, final = _reference_run(model, graph, cfg, 40.0, seed,
                                                     0.5, observable)
-            seen = []
-            summary, out = simulate(model, graph, cfg, 40.0, seed=seed, sample_dt=0.5,
-                                    observables={"f": observable},
-                                    event_callback=lambda t, e, b, a: seen.append((t, e)))
+            seen, jumps, stream = [], [], _FrameList()
+            summary, out = simulate(
+                model, graph, cfg, 40.0, seed=seed, sample_dt=0.5,
+                observables={"f": observable}, stream_writer=stream,
+                event_callback=lambda t, e, b, a: (seen.append((t, e)),
+                                                   jumps.append((b.tolist(), a.tolist()))))
             assert len(events) > 20
             assert seen == events
             assert summary.n_events == len(events)
             assert out["f"].tolist() == samples
+            assert stream.times == out["times"].tolist()
+            assert stream.frames == [[v] for v in samples]
             assert np.array_equal(summary.final_config, final)
             assert summary.final_config.dtype == final.dtype
+            # the callback sees each jump's configurations, one after the other
+            assert jumps[0][0] == cfg.tolist() and jumps[-1][1] == final.tolist()
+            assert all(a == b for (_, a), (b, _) in zip(jumps, jumps[1:]))
+            # K4 at omega = 8 runs the chain, the 3 x 3 lattice at omega = 18 does not
+            chained = model.is_discrete and graph.kind == "complete"
+            assert (summary.chain_states > 0) == chained
 
     @ORACLE_GRAPHS
     @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
@@ -515,7 +536,7 @@ class TestIncrementalRates:
     @pytest.mark.parametrize("model", [ZR_LINEAR, GAMMA_LAMBDA],
                              ids=["zero-range", "gamma-exchange-lambda"])
     def test_rates_equal_fresh_after_every_event(self, model):
-        # 125,970 rows of 33 floats: over the memo budget, so rows derive in place
+        # the general loop's rows, which each event updates in place
         graph = build_graph("lattice", d=2, N=3)
         cfg = initial_config(model, graph, 12 if model.is_discrete else 2.0, seed=3)
         dyn = _Dynamics(model, graph)
@@ -533,45 +554,92 @@ class TestIncrementalRates:
                 assert site_rates.tolist() == [model.g(v) for v in cfg.tolist()]
             assert dyn.rate_rows == i + 2
 
-    def test_memoized_rows_equal_fresh(self, monkeypatch):
-        # K3 at omega = 4 has 15 configurations, so at most 15 rows are built
+    @pytest.mark.parametrize("model", [ZR_LINEAR, SIMPLE_AVG], ids=["zero-range", "simple-average"])
+    def test_chain_rows_equal_fresh(self, model, monkeypatch):
+        # K3 at omega = 4 has 15 configurations, so at most 15 states are indexed
         built = []
 
-        class Recording(_Dynamics):
-            def reset(self, cfg):
+        class Recording(simulate_mod._Chain):
+            def __init__(self, dyn, cfg):
                 built.append(self)
-                return super().reset(cfg)
+                super().__init__(dyn, cfg)
 
-        monkeypatch.setattr("gaplab.simulate._Dynamics", Recording)
-        cfg = initial_config(ZR_LINEAR, K3, 4, seed=1)
-        summary, _ = simulate(ZR_LINEAR, K3, cfg, 4000.0, seed=1)
-        assert summary.n_events >= 10_000
-        assert summary.rate_rows <= 15
-        (dyn,) = built
-        assert len(dyn._memo) == summary.rate_rows
-        for key, (total, cum, rates, site_rates) in dyn._memo.items():
-            c = np.frombuffer(key, dtype=np.int64)
+        monkeypatch.setattr("gaplab.simulate._Chain", Recording)
+        cfg = initial_config(model, K3, 4, seed=1)
+        summary, _ = simulate(model, K3, cfg, 4000.0, seed=1)
+        assert summary.n_events >= 4000
+        (chain,) = built
+        assert summary.chain_states == len(chain.keys) == len(chain.rows) <= 15
+        assert summary.rate_rows == (1 if model.constant_rates else summary.chain_states)
+        assert sorted(chain.index.values()) == list(range(len(chain.keys)))
+        dyn = _Dynamics(model, K3)
+        for i, key in enumerate(chain.keys):
+            assert chain.index[key] == i
+            c = np.array(key, dtype=np.int64)
+            total, cum, rates, site_rates = chain.rows[i]
             fresh = dyn.edge_rates(c)
-            assert np.array_equal(rates, fresh)
+            assert rates == fresh.tolist()
             assert total == float(fresh.sum())
-            assert np.array_equal(cum, fresh.cumsum())
-            assert site_rates.tolist() == [ZR_LINEAR.g(v) for v in c.tolist()]
+            assert cum == fresh.cumsum().tolist()
+            if model.family == "zero-range":
+                assert site_rates == [model.g(v) for v in key]
+            else:
+                assert site_rates is None and chain.rows[i] is chain.rows[0]
+            # every stored transition leads to a configuration one collision away
+            for code, j in enumerate(chain.moves[i]):
+                if j >= 0:
+                    (x, y), after = K3.edges[code // chain.width], chain.keys[j]
+                    assert sum(after) == sum(key)
+                    assert all(after[v] == key[v] for v in range(3) if v not in (x, y))
 
-    @pytest.mark.parametrize("graph, memoized", [
+    @pytest.mark.parametrize("graph, chained", [
         (build_graph("complete", N=4), True), (build_graph("lattice", d=2, N=3), False),
     ], ids=["K4", "lattice-2d-N3"])
-    @pytest.mark.parametrize("name", ["zero-range-constant", "zero-range-identity"])
-    def test_oracle_covers_both_sides_of_the_memo_gate(self, name, graph, memoized):
-        # the recompute-everything oracle runs K4 at omega = 8 (165 rows of 16
-        # floats, memoized) and the 3 x 3 lattice at omega = 18 (1,562,275 rows
-        # of 33 floats, derived in place)
+    @pytest.mark.parametrize("name", ["zero-range-constant", "zero-range-identity",
+                                      "simple-average-integer"])
+    def test_oracle_covers_both_sides_of_the_chain_gate(self, name, graph, chained):
+        # the recompute-everything oracle runs K4 at omega = 8 (165
+        # configurations, on the chain) and the 3 x 3 lattice at omega = 18
+        # (1,562,275 configurations, on the general loop)
         model = ORACLE_MODELS[name]
         cfg = initial_config(model, graph, 2 * graph.n_sites, seed=0)
         summary, _ = simulate(model, graph, cfg, 400.0, seed=0)
-        if memoized:
-            assert summary.rate_rows <= math.comb(11, 3) < summary.n_events
+        if chained:
+            assert 0 < summary.chain_states <= math.comb(11, 3) < summary.n_events
+        else:
+            assert summary.chain_states == 0
+        if model.constant_rates:
+            assert summary.rate_rows == 1
+        elif chained:
+            assert summary.rate_rows == summary.chain_states
         else:
             assert summary.rate_rows == summary.n_events + 1
+
+    @pytest.mark.parametrize("model", [ZR_LINEAR, SIMPLE_AVG], ids=["zero-range", "simple-average"])
+    @pytest.mark.parametrize("graph", [K3, build_graph("lattice", d=1, N=6)], ids=["K3", "L1d6"])
+    def test_largest_space_within_the_budget_runs_the_chain(self, model, graph):
+        # a zero-range state holds a row of 2E + V list entries (4 float64s
+        # each) and 2E transition slots; an integer-average state shares one
+        # row and holds E (omega + 1) slots
+        V, E = graph.n_sites, graph.n_edges
+
+        def floats(omega):
+            per_state = (4 * (2 * E + V) + 2 * E if model.family == "zero-range"
+                         else E * (omega + 1))
+            return math.comb(omega + V - 1, V - 1) * (per_state + ROW_OBJECT_FLOATS)
+
+        largest = max(om for om in range(1, 200) if floats(om) <= ROW_MEMO_FLOATS)
+        assert floats(largest + 1) > ROW_MEMO_FLOATS
+        for omega, chained in ((largest, True), (largest + 1, False)):
+            cfg = initial_config(model, graph, omega, seed=0)
+            summary, _ = simulate(model, graph, cfg, 0.5, seed=0)
+            assert summary.n_events > 0
+            assert (summary.chain_states > 0) == chained
+
+    def test_continuous_families_never_chain(self):
+        for model in (KAC, GAMMA_AVG):
+            cfg = initial_config(model, K3, 1.0, seed=0)
+            assert simulate(model, K3, cfg, 5.0, seed=0)[0].chain_states == 0
 
     def test_overflowing_draw_skips_zero_rate_edges(self):
         # pairwise rates.sum() can exceed the sequential cumsum's last entry;
@@ -633,6 +701,26 @@ class TestFrameReuse:
         assert out["f"].tolist() == samples
         assert len(calls) == summary.observable_evals <= summary.n_events + 1
         assert summary.observable_evals < len(samples)
+
+    @pytest.mark.parametrize("model", [ZR_LINEAR, SIMPLE_AVG], ids=["zero-range", "simple-average"])
+    def test_chain_calls_observable_once_per_distinct_configuration(self, model):
+        # K3 at omega = 5: 21 configurations, visited over and over; the
+        # observable's value names the configuration it saw
+        cfg = initial_config(model, K3, 5, seed=0)
+        calls = []
+
+        def code(c):
+            calls.append(tuple(c.tolist()))
+            return float(c[0] * 36 + c[1] * 6 + c[2])
+
+        summary, out = simulate(model, K3, cfg, 300.0, seed=3, sample_dt=0.05,
+                                observables={"f": code})
+        assert summary.chain_states > 0
+        assert summary.n_events > 10 * len(calls)
+        assert len(calls) == len(set(calls)) == summary.observable_evals
+        # exactly the configurations the grid reached
+        sampled = set(out["f"].tolist())
+        assert sorted(sampled) == sorted(c[0] * 36 + c[1] * 6 + c[2] for c in calls)
 
     def test_frames_evaluate_every_observable_together(self):
         cfg = initial_config(ZR_LINEAR, K3, 3, seed=0)
@@ -1179,10 +1267,12 @@ class TestStagedLags:
         assert lags.tolist() == _window_lags(full[1:] / full[0], (0.1, 0.8))[0].tolist()
         assert rate == pytest.approx(-math.log(phi), rel=0.3)
 
-    @pytest.mark.parametrize("n", [1, 2, 5000])
-    def test_constant_series(self, fft_calls, n):
+    @pytest.mark.parametrize("value", [2.5, 0.1, 1 / 3, 1e6 + 0.1])
+    @pytest.mark.parametrize("n", [1, 2, 100, 1000, 5000])
+    def test_constant_series(self, fft_calls, n, value):
+        # 0.1, 1/3 and 1e6 + 0.1 leave C(0) at the rounding of their mean, not 0
         with pytest.raises(NoDecayError, match="zero-variance observable"):
-            _fit_decay_rate(np.full(n, 2.5), 1.0)
+            _fit_decay_rate(np.full(n, value), 1.0)
         assert fft_calls == []
 
     def test_nan_series(self):
