@@ -68,8 +68,9 @@ N_BATCHES = 20
 ROW_MEMO_FLOATS = 1 << 18
 #: the Python objects of one chain state beyond its row entries and
 #: transition slots (key tuple, row tuple and list headers, frame, index
-#: entries) in float64s: 47-99 measured with tracemalloc on K2-K4 at
-#: omega = 4, 8, 12 with two observables, 700-1,300 bytes per state in all
+#: entries) in float64s: 46-100 measured with tracemalloc on K2-K4 at
+#: omega = 4, 8, 12 with two observables (the most on K2 at omega = 4, whose
+#: 5 states share the chain's own headers), 580-1,300 bytes per state in all
 ROW_OBJECT_FLOATS = 100
 
 

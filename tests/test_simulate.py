@@ -16,8 +16,9 @@ from gaplab.models import (G_CONSTANT_ONE, G_IDENTITY, RHO_QUADRATURE_NODES,
                            GammaExchangeSpec, ModelSpec, RhoSpec, build_graph, pair_law)
 from gaplab.reporting import SampleStreamWriter, read_sample_stream
 from gaplab import simulate as simulate_mod
-from gaplab.simulate import (FIRST_FIT_LAGS, MAX_FIT_LAG, N_BATCHES, N_BOOTSTRAP,
-                             ROW_MEMO_FLOATS, ROW_OBJECT_FLOATS, NoDecayError, _angle_sampler, _autocovariance, _bootstrap_rates, _Dynamics,
+from gaplab.simulate import (FIRST_FIT_LAGS, MAX_FIT_LAG, N_BATCHES, N_BOOTSTRAP, ROW_MEMO_FLOATS,
+                             ROW_OBJECT_FLOATS, NoDecayError, _angle_sampler, _autocovariance,
+                             _bootstrap_rates, _Dynamics,
                              _first_autocovariance, _fit_decay_rate, _fit_window,
                              _local_dirichlet, _pick_edge, _window_lags, autocorr_gap_estimate,
                              initial_config, rayleigh_upper_bound, rng_for, simulate)
@@ -635,11 +636,6 @@ class TestIncrementalRates:
             summary, _ = simulate(model, graph, cfg, 0.5, seed=0)
             assert summary.n_events > 0
             assert (summary.chain_states > 0) == chained
-
-    def test_continuous_families_never_chain(self):
-        for model in (KAC, GAMMA_AVG):
-            cfg = initial_config(model, K3, 1.0, seed=0)
-            assert simulate(model, K3, cfg, 5.0, seed=0)[0].chain_states == 0
 
     def test_overflowing_draw_skips_zero_rate_edges(self):
         # pairwise rates.sum() can exceed the sequential cumsum's last entry;
