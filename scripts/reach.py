@@ -8,8 +8,9 @@ Each total runs in a fresh process on one BLAS thread (scripts/runner.py),
 so `ru_maxrss_mb` is the peak of that instance alone.  Prints one JSON object per instance: states,
 stored entries of L (and the preflight estimate), seconds per layer
 (enumerate, build, solve), the solver path, the zero-mode count, the
-eigenpair residual, the gap (exactly 1 for the zero-range model with
-linear rates g(k) = k on a complete graph) and peak RSS in MB.  The default
+eigenpair residual, the Lanczos steps of the kappa solve (0 on the dense
+path), the gap (exactly 1 for the zero-range model with linear rates
+g(k) = k on a complete graph) and peak RSS in MB.  The default
 is zero-range on K4; `--model simple-average --N 6` checks the conditional
 average's assembly, whose blocks hold far more entries per state.
 """
@@ -48,6 +49,7 @@ def cell(case: str, args) -> dict:
         "solver": report.solver,
         "zero_modes": report.zero_modes,
         "eig_residual": report.residual,
+        "kappa_steps": report.kappa_steps,
         "gap": gap,
         "kappa": kappa,
     }

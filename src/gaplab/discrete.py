@@ -9,11 +9,13 @@ which the block's rows and columns are read.  The particle-jump and
 conditional-average generators are assembled directly as CSR matrices and
 symmetrized in sparse form; no n-by-n dense array is allocated except by an
 explicit `spectrum()` or `toarray()`.  One solve serves all of the engine's
-spectral entry points: LAPACK `eigh` up to 400 states, ARPACK `eigsh`
-(implicitly restarted Lanczos) above, for one eigenvalue of the sparse
+spectral entry points: LAPACK `eigh` up to 400 states; above, ARPACK `eigsh`
+(implicitly restarted Lanczos) for the gap, one eigenvalue of the sparse
 symmetrized generator with its known zero modes (sqrt(pi) on each connected
 component of the generator's pattern) shifted to the bottom of the
-spectrum.  The eigenpair residual is recorded on the generator.
+spectrum, and a plain two-pass Lanczos recurrence for kappa, whose top
+cluster can cost ARPACK hundreds of restarts.  The eigenpair residual and
+the kappa solve's steps are recorded on the generator.
 
 Before enumerating, `exact_gap` and `build_generator` estimate the stored
 entries (zero-range n(1 + 2|E|), simple-average n + |E| n (1 + 2 omega / V))
@@ -69,6 +71,12 @@ _BYTES_PER_NNZ = 100
 #: table (per site), the weights and the Lanczos basis (per state)
 _BYTES_PER_STATE_SITE = 16
 _BYTES_PER_STATE = 320
+#: ARPACK's relative tolerance, for the gap's eigsh and kappa's Lanczos test
+_EIG_TOL = 1e-11
+#: ARPACK's floor under |theta| in that test, eps^(2/3)
+_EPS23 = np.finfo(float).eps ** (2 / 3)
+#: Lanczos steps between tests of T_j's bottom Ritz pair
+_LANCZOS_CHECK = 10
 
 
 class TooLargeError(ValueError):
@@ -203,10 +211,12 @@ def stationary_weights(g: RateFunction, states: StateSet) -> Measure:
 class SolveReport:
     """How the last spectral solve of a generator was computed."""
 
-    solver: str          # "dense" (LAPACK eigh) or "eigsh" (ARPACK Lanczos, zero modes shifted out)
+    solver: str          # "dense" (LAPACK eigh) or "eigsh" (ARPACK for the gap, zero modes
+                         # shifted out; plain two-pass Lanczos for kappa)
     nnz: int             # stored entries of L
     residual: float      # max ||S v - lambda v|| over the zero modes, the gap pair and the kappa pair
     zero_modes: int      # connected components of L's pattern
+    kappa_steps: int     # Lanczos steps of the kappa solve (0: dense, or kappa not asked for)
 
 
 @dataclass
@@ -435,6 +445,57 @@ def check_spectrum(what: str, eigenvalues, gap: float, null: float = 0.0,
         raise ArithmeticError(f"{what}: gap {gap:.3e} is not above {ZERO_TOL:.1e}")
 
 
+def _lanczos_bottom(S, v0: np.ndarray, max_steps: Optional[int] = None):
+    """(theta, unit Ritz vector, steps) for the bottom eigenvalue of symmetric S.
+
+    Pass 1 runs the plain Lanczos three-term recurrence from v0 in O(n)
+    memory, with no restart and no reorthogonalization: the Lanczos vectors
+    lose orthogonality, but the extreme Ritz values stay accurate (Paige;
+    Parlett, The Symmetric Eigenvalue Problem).  Every `_LANCZOS_CHECK`
+    steps it takes the bottom eigenpair (theta, s) of the tridiagonal T_j
+    and stops on ARPACK's test, beta_j |s_j| <= tol max(eps^(2/3), |theta|)
+    with ARPACK's tol.  beta_j = 0 ends it on an exact invariant subspace;
+    a non-finite alpha or beta returns NaN for `check_spectrum` to refuse.
+    Pass 2 repeats the same recurrence, bit for bit, to sum the Ritz vector
+    sum_i s_i q_i.  More than `max_steps` steps (default 10 n, ARPACK's
+    maxiter) raise `ArithmeticError`.
+    """
+    n = S.shape[0]
+    cap = 10 * n if max_steps is None else max_steps
+
+    def recurrence():   # yields (q_j, alpha_j, beta_j), j = 1, 2, ...
+        q_prev, q, beta = np.zeros(n), v0 / np.linalg.norm(v0), 0.0
+        while True:
+            w = S @ q
+            w -= beta * q_prev
+            alpha = float(q @ w)
+            w -= alpha * q
+            beta = float(np.linalg.norm(w))
+            yield q, alpha, beta
+            q_prev, q = q, w / beta
+
+    alphas, betas = [], []
+    for step, (_, alpha, beta) in enumerate(recurrence(), start=1):
+        alphas.append(alpha)
+        if not math.isfinite(alpha + beta):
+            return math.nan, np.full(n, math.nan), step
+        if beta == 0.0 or step % _LANCZOS_CHECK == 0 or step == cap:
+            ritz, s = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i",
+                                                    select_range=(0, 0))
+            theta, s = float(ritz[0]), s[:, 0]
+            if beta * abs(s[-1]) <= _EIG_TOL * max(_EPS23, abs(theta)):
+                break
+            if step >= cap:
+                raise ArithmeticError(
+                    f"kappa: Lanczos did not converge in {step} steps "
+                    f"(last Ritz value {-theta!r} of -S)")
+        betas.append(beta)
+    x = np.zeros(n)
+    for s_i, (q, _, _) in zip(s, recurrence()):
+        x += s_i * q
+    return theta, x / np.linalg.norm(x), step
+
+
 def _solve(gen: GeneratorMatrix, want_kappa: bool):
     """(gap, top eigenvalue, gap eigenvector) of -S; records `gen.solve_report`.
 
@@ -445,10 +506,11 @@ def _solve(gen: GeneratorMatrix, want_kappa: bool):
     for: ARPACK gets S - c Q Q^T with c = 2 max|diag S|, the Gershgorin bound
     on -S's spectrum, so the q_i sit at -c, below everything else, and one
     eigenvalue at the top is -gap, the top of S on the complement of Q.  Q is
-    applied through the component labels, never stored as an n-by-z array.
-    The top eigenvalue of -S is computed only when `want_kappa` or when it is
-    free.  On both paths the spectrum found goes through `check_spectrum`,
-    with ||S q_i|| null within `ZERO_TOL`.
+    the sparse n-by-z matrix with q_i in column i, one entry per row.  The
+    top eigenvalue of -S is computed only when `want_kappa` or when it is
+    free; above 400 states it is minus the bottom of S from `_lanczos_bottom`.
+    On both paths the spectrum found goes through `check_spectrum`, with
+    ||S q_i|| null within `ZERO_TOL`.
     """
     # imported here, not with the module: csgraph adds ~1 MB and its import
     # time to every process that imports gaplab, most of which never solve
@@ -457,12 +519,13 @@ def _solve(gen: GeneratorMatrix, want_kappa: bool):
     n = gen.dim
     zero_modes, labels = connected_components(gen.L, directed=False)
     if zero_modes >= n:
-        gen.solve_report = SolveReport("dense", gen.L.nnz, 0.0, zero_modes)
+        gen.solve_report = SolveReport("dense", gen.L.nnz, 0.0, zero_modes, 0)
         return math.inf, math.inf, None
     S = gen.symmetrized()
     q = np.sqrt(gen.measure.weights)
     q /= np.sqrt(np.bincount(labels, q * q))[labels]
     null = float(np.sqrt(np.bincount(labels, (S @ q) ** 2)).max())   # max ||S q_i||
+    kappa_steps = 0
     if n <= 400:
         solver = "dense"
         ev, U = np.linalg.eigh(-S.toarray())
@@ -472,23 +535,29 @@ def _solve(gen: GeneratorMatrix, want_kappa: bool):
     else:
         solver = "eigsh"
         c = 2.0 * np.abs(S.diagonal()).max()
+        # Q^T x sums each component in index order, as bincounts over the
+        # labels do: the gap eigenvectors, which the Monte Carlo checks use
+        # as observables, do not depend on how Q is applied
+        Q = scipy.sparse.csr_matrix((q, labels, np.arange(n + 1)), shape=(n, zero_modes))
+        Qt = Q.T
 
         def along_q(x):   # Q Q^T x
-            return q * np.bincount(labels, q * x)[labels]
+            return Q @ (Qt @ x)
 
         op = scipy.sparse.linalg.LinearOperator(
             (n, n), matvec=lambda x: S @ x - c * along_q(x), dtype=float)
         # a fixed generic start vector: reproducible, and off the zero modes
         v0 = np.random.default_rng(0).standard_normal(n)
-        lam, vec = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0 - along_q(v0), tol=1e-11)
+        lam, vec = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0 - along_q(v0),
+                                             tol=_EIG_TOL)
         gap, kappa, v = -lam[0], math.inf, vec[:, 0]
         if want_kappa:
-            bottom, bottom_vec = scipy.sparse.linalg.eigsh(S, k=1, which="SA", v0=v0, tol=1e-11)
-            kappa = -bottom[0]
-            lam, vec = np.concatenate([lam, bottom]), np.hstack([vec, bottom_vec])
+            bottom, bottom_vec, kappa_steps = _lanczos_bottom(S, v0)
+            kappa = -bottom
+            lam, vec = np.append(lam, bottom), np.column_stack([vec, bottom_vec])
         ev = -lam
     residual = max(null, float(np.linalg.norm(S @ vec - vec * lam, axis=0).max()))
-    gen.solve_report = SolveReport(solver, gen.L.nnz, residual, zero_modes)
+    gen.solve_report = SolveReport(solver, gen.L.nnz, residual, zero_modes, kappa_steps)
     check_spectrum(f"generator ({solver} solve, {zero_modes} zero mode(s))", ev, gap, null)
     return float(gap), float(kappa), v
 

@@ -46,6 +46,7 @@ def exact_record(model: str, graph, omega, gap, kappa, dim, solve) -> dict:
         "solver": solve.solver,
         "nnz": solve.nnz,
         "eig_residual": solve.residual,
+        "kappa_steps": solve.kappa_steps,   # JSON only, like galerkin's "blocks"
     }
 
 

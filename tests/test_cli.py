@@ -125,6 +125,7 @@ class TestGapCommands:
         small, large = doc["results"]
         assert (small["dim"], small["solver"]) == (6, "dense")
         assert (large["dim"], large["solver"]) == (496, "eigsh")
+        assert small["kappa_steps"] == 0 and 0 < large["kappa_steps"] <= 10 * 496
         for rec in (small, large):
             assert rec["gap"] == pytest.approx(1.0, abs=1e-8)
             assert rec["nnz"] > rec["dim"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 import scipy.stats
 from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings
@@ -315,6 +316,19 @@ class TestSpectralGap:
             gap_and_kappa(gen)
         assert gen.solve_report.solver == solver
 
+    def test_non_finite_kappa_detected(self, monkeypatch):
+        # the gap comes from eigsh and is finite; kappa alone is poisoned
+        def nan_lanczos(S, v0):
+            return math.nan, np.full(S.shape[0], math.nan), 1
+
+        monkeypatch.setattr(discrete, "_lanczos_bottom", nan_lanczos)
+        gen = build_zero_range_generator(build_graph("complete", N=2),
+                                         enumerate_states(2, 500), GK)
+        assert spectral_gap(gen) == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            gap_and_kappa(gen)
+        assert gen.solve_report.solver == "eigsh"
+
     @pytest.mark.parametrize("N, omega", [(3, 6), (4, 5)])
     def test_wrong_weights_are_refused_on_the_dense_path(self, N, omega):
         # weights off by 1e-5 relative noise: sqrt(pi) is no zero mode of S, yet
@@ -383,6 +397,36 @@ class TestSparseSolve:
         assert abs(w @ f) < 1e-10
         # the residual covers the zero mode sqrt(pi), which eigsh never sees
         assert np.linalg.norm(gen.symmetrized() @ np.sqrt(w)) <= report.residual * (1 + 1e-9)
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_zero_range_generator(_two_pairs(), enumerate_states(4, 12), GK),
+        lambda: build_generator(ModelSpec("zero-range", g=G1), build_graph("complete", N=4),
+                                enumerate_states(4, 14)),
+    ], ids=["two-pairs-13-components", "K4-connected"])
+    def test_deflation_matches_label_sums(self, make):
+        # Q Q^T x through the sparse n-by-z Q sums each component in index
+        # order, as bincounts over the component labels do, so the shifted
+        # operator, the gap and its eigenvector are the same bits
+        gen = make()
+        n = gen.dim
+        _, labels = connected_components(gen.L, directed=False)
+        S = gen.symmetrized()
+        q = np.sqrt(gen.measure.weights)
+        q /= np.sqrt(np.bincount(labels, q * q))[labels]
+        c = 2.0 * np.abs(S.diagonal()).max()
+
+        def along_q(x):
+            return q * np.bincount(labels, q * x)[labels]
+
+        op = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=lambda x: S @ x - c * along_q(x), dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(n)
+        lam, vec = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0 - along_q(v0),
+                                             tol=1e-11)
+        gap, f = gap_eigenfunction(gen)
+        assert gen.solve_report.solver == "eigsh"
+        assert gap == -lam[0]
+        assert np.array_equal(f, vec[:, 0] / np.sqrt(gen.measure.weights))
 
     def test_small_instances_solve_dense(self):
         graph = build_graph("complete", N=3)
@@ -460,6 +504,48 @@ class TestSparseSolve:
         with pytest.raises(TooLargeError, match="physical memory"):
             exact_gap(ModelSpec("zero-range", g=GK), graph, 50)
         assert "edges" not in graph.__dict__
+
+
+class TestKappaLanczos:
+    def test_matches_arpack_on_a_clustered_top(self):
+        # zero-range g = 1 on K4 at omega = 30: the next eigenvalue of -S is
+        # 5.7e-7 below the top, where ARPACK takes 821 matvecs
+        gen = build_generator(ModelSpec("zero-range", g=G1), build_graph("complete", N=4),
+                              enumerate_states(4, 30))
+        assert gen.dim == 5456
+        _, kappa = gap_and_kappa(gen)
+        report = gen.solve_report
+        S = gen.symmetrized()
+        v0 = np.random.default_rng(0).standard_normal(gen.dim)
+        bottom = scipy.sparse.linalg.eigsh(S, k=1, which="SA", v0=v0, tol=1e-11,
+                                           return_eigenvectors=False)
+        assert kappa == pytest.approx(-bottom[0], rel=1e-12)
+        assert report.solver == "eigsh" and 0 < report.kappa_steps < 10 * gen.dim
+        assert report.residual < 1e-9
+        spectral_gap(gen)
+        assert gen.solve_report.kappa_steps == 0
+
+    def test_eigenvector_start_breaks_down_at_step_one(self):
+        d = np.array([3.0, 0.1, 7.25, 1.5, 2.0])
+        start = np.zeros(len(d))
+        start[2] = 4.0
+        theta, x, steps = discrete._lanczos_bottom(scipy.sparse.diags(d).tocsr(), start)
+        # the invariant span{e_2} ends the recurrence: its eigenvalue, not
+        # the bottom of the spectrum, and exactly
+        assert (theta, steps) == (7.25, 1)
+        assert np.array_equal(x, np.eye(len(d))[2])
+
+    def test_step_cap_refused(self):
+        # 1000 distinct eigenvalues 1e-3 apart: far more than 15 steps to converge
+        S = scipy.sparse.diags(np.linspace(1.0, 2.0, 1000)).tocsr()
+        v0 = np.random.default_rng(0).standard_normal(1000)
+        with pytest.raises(ArithmeticError, match="did not converge in 15 steps"):
+            discrete._lanczos_bottom(S, v0, max_steps=15)
+
+    def test_non_finite_operator_stops_at_once(self):
+        S = scipy.sparse.diags([1.0, math.nan, 2.0]).tocsr()
+        theta, x, steps = discrete._lanczos_bottom(S, np.ones(3))
+        assert math.isnan(theta) and np.isnan(x).all() and steps == 1
 
 
 G_INVERSE = rate_from_table([(k, 1.0 + 1.0 / k) for k in range(1, 61)],

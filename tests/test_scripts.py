@@ -25,10 +25,15 @@ def _rows(*argv):
 
 
 def test_reach():
-    rows = _rows("reach.py", "--omegas", "3")
-    assert [r["case"] for r in rows] == ["zero-range/identity/K4/om3"]
-    assert rows[0]["n"] == 20 and abs(rows[0]["gap"] - 1.0) < 1e-12
-    assert rows[0]["zero_modes"] == 1
+    rows = _rows("reach.py", "--omegas", "3,12")
+    assert [r["case"] for r in rows] == ["zero-range/identity/K4/om3",
+                                         "zero-range/identity/K4/om12"]
+    assert [(r["n"], r["solver"]) for r in rows] == [(20, "dense"), (455, "eigsh")]
+    assert abs(rows[0]["gap"] - 1.0) < 1e-12 and abs(rows[1]["gap"] - 1.0) < 1e-10
+    assert abs(rows[1]["kappa"] - 12.0) < 1e-9
+    assert [r["zero_modes"] for r in rows] == [1, 1]
+    # the kappa solve's Lanczos steps: none on the dense path
+    assert rows[0]["kappa_steps"] == 0 and 0 < rows[1]["kappa_steps"] <= 10 * 455
     rows = _rows("reach.py", "--omegas", "3", "--g", "constant-one")
     assert [r["case"] for r in rows] == ["zero-range/constant-one/K4/om3"]
     assert rows[0]["zero_modes"] == 1 and rows[0]["gap"] < 1.0
@@ -43,6 +48,17 @@ def test_reach_simple_average():
         gen = build_generator(model, build_graph("complete", N=3), enumerate_states(3, omega))
         assert r["n"] == gen.dim and r["nnz"] == gen.L.nnz <= r["nnz_estimate"]
         assert r["zero_modes"] == 1 and abs(r["gap"] - spectral_gap(gen)) < 1e-12
+
+
+def test_solve_split():
+    rows = _rows("solve_split.py", "--rounds", "1")
+    assert [(r["n"], r["solver"]) for r in rows] == [
+        (210, "dense"), (252, "dense"), (1287, "eigsh"), (1716, "eigsh"), (5151, "eigsh"),
+        (5456, "eigsh")]
+    assert rows[4]["case"] == "zero-range/identity/K3/om100"
+    assert abs(rows[4]["gap"] - 1.0) < 1e-8 and abs(rows[4]["kappa"] - 100.0) < 1e-8
+    assert [r["kappa_steps"] > 0 for r in rows] == [r["solver"] == "eigsh" for r in rows]
+    assert all(r["gap_s"] > 0.0 and r["gap_and_kappa_s"] > 0.0 for r in rows)
 
 
 def test_sector_reach():
