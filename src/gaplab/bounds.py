@@ -20,6 +20,7 @@ import numpy as np
 from .discrete import (Measure, StateSet, exchange_permutation,
                        pair_average_matrix)
 from .models import InteractionGraph, build_graph
+from .simulate import rng_for
 
 #: rule tags quoted in emitted bound chains
 RULE_RECURSION = "Thm 1.1"
@@ -178,7 +179,7 @@ def lemma_audit(states: StateSet, measure: Measure,
     t0 = time.perf_counter()
     V = states.n_sites
     w = measure.weights
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = rng_for(seed)
     # column i is the i-th function drawn, centered under the measure
     F = rng.standard_normal((n_functions, n)).T
     F = F - w @ F

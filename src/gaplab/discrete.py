@@ -21,10 +21,10 @@ Before enumerating, `exact_gap` and `build_generator` estimate the stored
 entries (zero-range n(1 + 2|E|), simple-average n + |E| n (1 + 2 omega / V))
 and the bytes they need, and raise `TooLargeError` when that exceeds the
 machine's physical memory.  Measured reach on a 2-core, 7.8 GB machine
-(scripts/reach.py, recorded in BENCH_12.json): zero-range with linear rates
+(scripts/reach.py, recorded in BENCH_32.json): zero-range with linear rates
 on K4 at 50,116 states solves gap and kappa in under 0.5 s with 112 MB peak
-RSS, and at 508,080 states (6.5M stored entries) in 12-13 s with 540 MB, where
-one dense float64 n-by-n matrix alone would take 20 GB and 2 TB.
+RSS, and at 508,080 states (6.5M stored entries) in 7.3 s end to end with
+540 MB, where one dense float64 n-by-n matrix alone would take 20 GB and 2 TB.
 
 The two-site sweeps over totals (`two_site_spectrum`) do not go through
 that engine.  On K2 the simple average is the projection onto constants at

@@ -84,9 +84,9 @@ def mc_record(model: str, graph, omega, result) -> dict:
         "ci": [_scalar(result.ci_low), _scalar(result.ci_high)],
         "ess": _scalar(result.ess),
         "method": "mc-autocorr",
-        **{k: diag[k] for k in ("events", "clipped_events", "rate_rows",
-                                "observable_evals", "chain_states", "bootstrap_failures",
-                                "block", "fit_lags", "fit_window")},
+        **{k: diag[k] for k in ("events", "rate_rows", "observable_evals",
+                                "chain_states", "bootstrap_failures", "block",
+                                "fit_lags", "fit_window")},
     }
 
 
@@ -169,6 +169,8 @@ def read_sample_stream(path) -> tuple[dict, np.ndarray, np.ndarray]:
         n_fields = len(header["fields"])
         blob = fh.read()
     frame = struct.Struct("<" + "d" * (1 + n_fields))
-    n = len(blob) // frame.size
-    data = np.frombuffer(blob[:n * frame.size], dtype="<f8").reshape(n, 1 + n_fields)
+    n, left = divmod(len(blob), frame.size)
+    if left:
+        raise ValueError(f"{path} is truncated: {left} byte(s) after its last whole frame")
+    data = np.frombuffer(blob, dtype="<f8").reshape(n, 1 + n_fields)
     return header, data[:, 0].copy(), data[:, 1:].copy()

@@ -435,7 +435,8 @@ class TrajectorySummary:
     n_events: int
     final_config: np.ndarray
     conservation_drift: float
-    #: always 0, since a redistribution share cannot go negative; bench/hooks.py reads it
+    #: always 0, since a redistribution share cannot go negative; kept only
+    #: because bench/hooks.py reads it
     clipped_events: int
     #: rate rows built: one per configuration visited on the chain, one per
     #: event on the general loop, and one in all for constant rates
@@ -449,19 +450,17 @@ class TrajectorySummary:
 def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
              seed: int = 0, sample_dt: Optional[float] = None,
              observables: Optional[dict] = None,
-             stream_writer=None,
              event_callback: Optional[Callable] = None) -> tuple[TrajectorySummary, Optional[dict]]:
     """Run the dynamics for `horizon` time units.
 
     With `sample_dt` and `observables` (name -> callable), records each
-    observable on a uniform time grid; `stream_writer` additionally receives
-    each sampled frame.  An observable must be a function of the
-    configuration alone.  A discrete trajectory whose configuration space
+    observable on a uniform time grid.  An observable must be a function of
+    the configuration alone.  A discrete trajectory whose configuration space
     fits the chain budget (`_chain_fits`) runs on indexed states and calls
     it exactly once per configuration that a grid point reaches.  The
     general loop calls it once per such configuration between two events,
     so at most n_events + 1 times.  Either way a grid point that reuses a
-    configuration's values records (and streams) them again.
+    configuration's values records them again.
     `event_callback(t, edge, before, after)` fires on every jump.  Returns
     the summary and the sample dict (or None).  A start configuration
     outside the model's state space raises ValueError.
@@ -476,7 +475,7 @@ def simulate(model: ModelSpec, graph: InteractionGraph, config0, horizon: float,
     rng = rng_for(seed)
     sampling = sample_dt is not None and bool(observables)
     fns = list(observables.values()) if sampling else []
-    args = (rng, horizon, sample_dt if sampling else None, fns, stream_writer, event_callback)
+    args = (rng, horizon, sample_dt if sampling else None, fns, event_callback)
     if _chain_fits(model, graph, int(cfg.sum())):
         chain = _Chain(dyn, cfg)
         t, n_events, cfg, times, frames, which, drift = chain.run(*args)
@@ -576,7 +575,7 @@ class _Chain:
             c[x], c[y] = outcome, c[x] + c[y] - outcome
         return self.state(tuple(c), t)
 
-    def run(self, rng, horizon, sample_dt, fns, stream_writer, event_callback) -> tuple:
+    def run(self, rng, horizon, sample_dt, fns, event_callback) -> tuple:
         """The loop of `simulate` on state indices, from state 0."""
         keys, rows, moves, frame_of = self.keys, self.rows, self.moves, self.frame_of
         edges, width = self.dyn.edges, self.width
@@ -603,8 +602,6 @@ class _Chain:
                         frames.append([float(f(cfg)) for f in fns])
                     times.append(t_next)
                     which.append(frame)
-                    if stream_writer is not None:
-                        stream_writer.write_frame(t_next, frames[frame])
                     t_next += sample_dt
             if t_jump >= horizon:
                 t = horizon
@@ -634,7 +631,7 @@ class _Chain:
 
 
 def _event_loop(dyn: _Dynamics, cfg: np.ndarray, target: float, rng, horizon, sample_dt,
-                fns, stream_writer, event_callback) -> tuple:
+                fns, event_callback) -> tuple:
     """The loop of `simulate` on a configuration array that each jump updates;
     `target` is the conserved total."""
     drift_bound = CONSERVATION_RTOL * max(abs(target), 1.0)
@@ -665,8 +662,6 @@ def _event_loop(dyn: _Dynamics, cfg: np.ndarray, target: float, rng, horizon, sa
                     frames.append(frame)
                 times.append(t_next)
                 which.append(len(frames) - 1)
-                if stream_writer is not None:
-                    stream_writer.write_frame(t_next, frame)
                 t_next += sample_dt
         if t_jump >= horizon:
             t = horizon
@@ -695,10 +690,10 @@ def _stationary_samples(model: ModelSpec, graph: InteractionGraph, omega,
     """Each observable on a uniform grid after burn-in, from one trajectory.
 
     The trajectory starts from `initial_config` with the same seed, and the
-    burn-in defaults to 40 dt.  `stream_writer` receives every sampled frame,
-    burn-in included.  Returns {name: n_samples values} and the trajectory's
-    counts: events, clipped events, rate rows built, observable evaluations
-    and the states the jump chain indexed.
+    burn-in defaults to 40 dt.  `stream_writer` receives every grid point's
+    frame, burn-in included, once the trajectory has ended.  Returns
+    {name: n_samples values} and the trajectory's counts: events, rate rows
+    built, observable evaluations and the states the jump chain indexed.
     """
     cfg = initial_config(model, graph, omega, seed=seed)
     if n_samples < 1:
@@ -709,12 +704,15 @@ def _stationary_samples(model: ModelSpec, graph: InteractionGraph, omega,
         raise ValueError(f"burn-in must be finite and >= 0, got {burn_in}")
     horizon = burn_in + dt * (n_samples + 1)
     summary, samples = simulate(model, graph, cfg, horizon, seed=seed, sample_dt=dt,
-                                observables=observables, stream_writer=stream_writer)
+                                observables=observables)
+    if stream_writer is not None:
+        for t, *frame in zip(samples["times"], *(samples[name] for name in observables)):
+            stream_writer.write_frame(t, frame)
     skip = int(math.ceil(burn_in / dt))
     if len(samples["times"]) < skip + n_samples:
         raise RuntimeError("trajectory too short for the requested samples")
-    counts = {"events": summary.n_events, "clipped_events": summary.clipped_events,
-              "rate_rows": summary.rate_rows, "observable_evals": summary.observable_evals,
+    counts = {"events": summary.n_events, "rate_rows": summary.rate_rows,
+              "observable_evals": summary.observable_evals,
               "chain_states": summary.chain_states}
     return {name: samples[name][skip:skip + n_samples] for name in observables}, counts
 
@@ -893,7 +891,7 @@ def autocorr_gap_estimate(model: ModelSpec, graph: InteractionGraph,
     The point estimate upper-bounds the true gap when the observable mixes
     several modes; the interval is widened by `CI_INFLATION` to absorb that
     fit-model error.  `stream_writer` receives the sampled series of the
-    same trajectory, burn-in included.
+    same trajectory, burn-in included, once the trajectory has ended.
     """
     samples, counts = _stationary_samples(model, graph, omega, {"f": observable}, dt=dt,
                                           n_samples=n_samples, burn_in=burn_in, seed=seed,

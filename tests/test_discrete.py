@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaplab.discrete as discrete
+from gaplab import verify
 from gaplab.discrete import (TooLargeError, build_generator,
                              build_simple_average_generator,
                              build_zero_range_generator, enumerate_states,
@@ -546,6 +547,16 @@ class TestKappaLanczos:
         S = scipy.sparse.diags([1.0, math.nan, 2.0]).tocsr()
         theta, x, steps = discrete._lanczos_bottom(S, np.ones(3))
         assert math.isnan(theta) and np.isnan(x).all() and steps == 1
+
+    def test_lattice_comparison_solves_no_kappa(self, monkeypatch):
+        # the check reads gaps alone; its 495- and 1,287-state cells take the
+        # eigsh branch, where a kappa solve would run the recurrence
+        def refuse(S, v0, **kwargs):
+            raise AssertionError("kappa solved")
+
+        monkeypatch.setattr(discrete, "_lanczos_bottom", refuse)
+        outcome = verify.check_lattice_comparison(fast=False)
+        assert outcome.passed, outcome.detail
 
 
 G_INVERSE = rate_from_table([(k, 1.0 + 1.0 / k) for k in range(1, 61)],

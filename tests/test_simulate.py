@@ -388,17 +388,6 @@ def _ref_local_dirichlet(model, graph, cfg, f) -> float:
     return total
 
 
-class _FrameList:
-    """A stream writer that keeps each frame it receives."""
-
-    def __init__(self):
-        self.times, self.frames = [], []
-
-    def write_frame(self, t, frame):
-        self.times.append(t)
-        self.frames.append(list(frame))
-
-
 def _reference_run(model, graph, cfg, horizon, seed, sample_dt, observable):
     """The recompute-everything event loop: fresh rates and cumsum on every event."""
     mech = _RefMechanics(model)
@@ -458,18 +447,16 @@ class TestIncrementalRates:
             observable = lambda c: float(c[0] * c[-1] + c[1])
             events, samples, final = _reference_run(model, graph, cfg, 40.0, seed,
                                                     0.5, observable)
-            seen, jumps, stream = [], [], _FrameList()
+            seen, jumps = [], []
             summary, out = simulate(
                 model, graph, cfg, 40.0, seed=seed, sample_dt=0.5,
-                observables={"f": observable}, stream_writer=stream,
+                observables={"f": observable},
                 event_callback=lambda t, e, b, a: (seen.append((t, e)),
                                                    jumps.append((b.tolist(), a.tolist()))))
             assert len(events) > 20
             assert seen == events
             assert summary.n_events == len(events)
             assert out["f"].tolist() == samples
-            assert stream.times == out["times"].tolist()
-            assert stream.frames == [[v] for v in samples]
             assert np.array_equal(summary.final_config, final)
             assert summary.final_config.dtype == final.dtype
             # the callback sees each jump's configurations, one after the other
@@ -1351,25 +1338,60 @@ class TestRayleigh:
 
 
 class TestSampleStream:
+    def _write(self, path, out, fields):
+        with SampleStreamWriter(path, fields, meta={"seed": 7}) as w:
+            for t, *frame in zip(out["times"], *(out[name] for name in fields)):
+                w.write_frame(t, frame)
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "run.samples"
-        with SampleStreamWriter(path, ["energy", "first"], meta={"seed": 7}) as w:
-            cfg = initial_config(ZR_LINEAR, K3, 3, seed=0)
-            summary, out = simulate(ZR_LINEAR, K3, cfg, horizon=50.0, seed=7, sample_dt=1.0,
-                                    observables={"energy": lambda c: float(c.sum()),
-                                                 "first": lambda c: float(c[0])},
-                                    stream_writer=w)
+        cfg = initial_config(ZR_LINEAR, K3, 3, seed=0)
+        _, out = simulate(ZR_LINEAR, K3, cfg, horizon=50.0, seed=7, sample_dt=1.0,
+                          observables={"energy": lambda c: float(c.sum()),
+                                       "first": lambda c: float(c[0])})
+        self._write(path, out, ["energy", "first"])
         header, times, values = read_sample_stream(path)
         assert header["fields"] == ["energy", "first"]
         assert header["meta"]["seed"] == 7
         assert values.shape == (len(times), 2)
         assert np.all(values[:, 0] == 3.0)
         assert np.all(np.diff(times) == pytest.approx(1.0))
-        # the stream holds the returned series bit for bit, repeated frames included
-        assert summary.observable_evals < len(times)
+        # the file holds the written series bit for bit
         assert times.tobytes() == out["times"].tobytes()
         assert values[:, 0].tobytes() == out["energy"].tobytes()
         assert values[:, 1].tobytes() == out["first"].tobytes()
+
+    @pytest.mark.parametrize("graph, omega, chained", [
+        (K3, 3, True), (build_graph("complete", N=6), 12, False)], ids=["chain", "general"])
+    def test_estimator_streams_the_simulated_series(self, tmp_path, graph, omega, chained):
+        # autocorr_gap_estimate streams the whole trajectory it fits, burn-in
+        # included: every grid point's frame of simulate's series, bit for bit
+        path = tmp_path / "run.samples"
+        observable = lambda c: float(c[0])
+        dt, n_samples, seed = 0.5, 600, 4
+        with SampleStreamWriter(path, ["f"]) as w:
+            est = autocorr_gap_estimate(ZR_LINEAR, graph, observable, omega=omega, dt=dt,
+                                        n_samples=n_samples, seed=seed, stream_writer=w)
+        cfg = initial_config(ZR_LINEAR, graph, omega, seed=seed)
+        summary, out = simulate(ZR_LINEAR, graph, cfg, 40 * dt + dt * (n_samples + 1),
+                                seed=seed, sample_dt=dt, observables={"f": observable})
+        assert (summary.chain_states > 0) == chained
+        assert est.diagnostics["events"] == summary.n_events
+        want = np.column_stack([out["times"], out["f"]]).astype("<f8").tobytes()
+        blob = path.read_bytes()
+        assert blob[blob.index(b"\n") + 1:] == want
+        # grid points with no event between them repeat the evaluated frame
+        assert summary.observable_evals < len(out["times"])
+
+    def test_truncated_stream_refused(self, tmp_path):
+        path = tmp_path / "run.samples"
+        cfg = initial_config(ZR_LINEAR, K3, 3, seed=0)
+        _, out = simulate(ZR_LINEAR, K3, cfg, horizon=5.0, seed=7, sample_dt=1.0,
+                          observables={"first": lambda c: float(c[0])})
+        self._write(path, out, ["first"])
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match="truncated: 13 byte"):
+            read_sample_stream(path)
 
     def test_rejects_other_files(self, tmp_path):
         p = tmp_path / "junk.bin"
