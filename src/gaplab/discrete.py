@@ -2,20 +2,26 @@
 
 Enumerates the conditioned state space in lexicographic order and ranks
 compositions arithmetically (combinatorial number system), so every pair
-move is computed for a whole edge at once.  The conditional average ranks
-no block member: every member is already a row of the state table, and one
-sort of the table by block and split lays each block out as one run, from
-which the block's rows and columns are read.  The particle-jump and
-conditional-average generators are assembled directly as CSR matrices and
-symmetrized in sparse form; no n-by-n dense array is allocated except by an
-explicit `spectrum()` or `toarray()`.  One solve serves all of the engine's
-spectral entry points: LAPACK `eigh` up to 400 states; above, ARPACK `eigsh`
-(implicitly restarted Lanczos) for the gap, one eigenvalue of the sparse
-symmetrized generator with its known zero modes (sqrt(pi) on each connected
-component of the generator's pattern) shifted to the bottom of the
-spectrum, and a plain two-pass Lanczos recurrence for kappa, whose top
-cluster can cost ARPACK hundreds of restarts.  The eigenpair residual and
-the kappa solve's steps are recorded on the generator.
+move is computed for many edges at once: a builder stacks one copy of the
+state table per pair (or per directed edge, for particle jumps), up to
+`_BATCH_ROWS` rows, and ranks the whole stack in one call, so small cells
+take all their edges in one pass and cells of thousands of states one edge
+per pass.  The conditional average ranks no block member: every
+member is already a row of the state table, and one sort of the stacked
+tables by pair, block and split lays each block out as one run, from which
+the block's rows and columns are read.  The particle-jump and
+conditional-average generators are assembled directly as CSR matrices.
+One solve serves all of the engine's spectral entry points.  Up to 400
+states it forms -S = -D^{1/2} L D^{-1/2} as a dense array from L.toarray()
+(`_negated_dense`: the bytes of the sparse form's `toarray()`, with no
+sparse S built) and calls LAPACK `eigh`; an explicit `spectrum()` does the
+same.  Above, S stays sparse: ARPACK `eigsh` (implicitly restarted
+Lanczos) for the gap, one eigenvalue of S with its known zero modes
+(sqrt(pi) on each connected component of the generator's pattern) shifted
+to the bottom of the spectrum, and a plain two-pass Lanczos recurrence for
+kappa, whose top cluster can cost ARPACK hundreds of restarts.  The
+eigenpair residual and the kappa solve's steps are recorded on the
+generator.
 
 Before enumerating, `exact_gap` and `build_generator` estimate the stored
 entries (zero-range n(1 + 2|E|), simple-average n + |E| n (1 + 2 omega / V))
@@ -77,6 +83,11 @@ _EIG_TOL = 1e-11
 _EPS23 = np.finfo(float).eps ** (2 / 3)
 #: Lanczos steps between tests of T_j's bottom Ritz pair
 _LANCZOS_CHECK = 10
+#: rows of the stacked state tables one builder pass holds: a cell of n
+#: states builds max(1, _BATCH_ROWS // n) pairs or directed edges per pass,
+#: so small cells take all their edges at once and cells of thousands of
+#: states one edge at a time
+_BATCH_ROWS = 4096
 
 
 class TooLargeError(ValueError):
@@ -256,9 +267,25 @@ class GeneratorMatrix:
     def row_sum_residual(self) -> float:
         return float(np.abs(self.L.sum(axis=1)).max())
 
+    def _negated_dense(self) -> np.ndarray:
+        """-S as a dense array, formed in place from L.toarray().
+
+        The same operations in the same order as `_scaled` and `symmetrized`,
+        so the bytes are those of -symmetrized().toarray(), with no sparse
+        matrix built on the way.
+        """
+        A = self.L.toarray()
+        d = np.sqrt(self.measure.weights)
+        A *= d[:, None]
+        A /= d
+        A += A.T
+        A *= 0.5
+        np.negative(A, out=A)
+        return A
+
     def spectrum(self) -> np.ndarray:
         """All eigenvalues of -S, ascending (dense: small instances only)."""
-        return np.linalg.eigvalsh(-self.symmetrized().toarray())
+        return np.linalg.eigvalsh(self._negated_dense())
 
 
 def _csr(n: int, rows: list, cols: list, vals: list, diag: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -271,35 +298,51 @@ def _csr(n: int, rows: list, cols: list, vals: list, diag: np.ndarray) -> scipy.
     return M
 
 
-def _pair_blocks(states: StateSet, measure: Measure, x: int, y: int):
-    """(rows, cols, vals) of the conditional average over the pair (x, y), 0-based sites.
+def _pair_blocks(states: StateSet, measure: Measure, pairs: Sequence):
+    """(rows, cols, vals) of the conditional averages over `pairs`, 0-based sites.
 
-    States that agree off the pair form a block; every row of a block with
-    pair total t is `measure.pair_laws[t]`, over the splits a = 0..t at x.
-    Every member is already a row of the state table, so the blocks come
-    from one sort of it: a block is named by the rank of its state with t
-    on y, and sorting by (block, a) lays each block out as one run in split
-    order, which starts a places before a state with split a.  Row i then
-    reads its t + 1 columns from that run and its values from the law of t.
+    The triplets come pair by pair in the order given, each pair's in row
+    order; every row's diagonal entry is among them, so there are exactly
+    len(pairs) * n of those.  States that agree off the pair form a block;
+    every row of a block with pair total t is `measure.pair_laws[t]`, over
+    the splits a = 0..t at x.  Every member is already a row of the state
+    table, so the blocks of all pairs come from one sort of the stacked
+    copies of it, one copy per pair: a block is named by its pair and the
+    rank of its state with t on y, and sorting by (pair, block, a) lays each
+    block out as one run in split order, which starts a places before a
+    state with split a.  Row i then reads its t + 1 columns from that run
+    and its values from the law of t.
     """
     S = states.states
-    n = len(states)
-    split = S[:, x]
-    total = split + S[:, y]
-    rep = S.copy()
-    rep[:, x] = 0
-    rep[:, y] = total
-    order = np.lexsort((split, rank_states(states, rep)))
-    run_start = np.empty(n, dtype=np.int64)
-    run_start[order] = np.arange(n)
+    n, m = len(states), len(pairs)
+    xs, ys = np.array(pairs).T
+    split = S.take(xs, axis=1).T
+    total = split + S.take(ys, axis=1).T
+    rep = np.tile(S, (m, 1))
+    stacked = rep.reshape(m, n, -1)
+    pair = np.arange(m)
+    stacked[pair, :, xs] = 0
+    stacked[pair, :, ys] = total
+    split, total = split.ravel(), total.ravel()
+    block = rank_states(states, rep)
+    # position p of the stacked copies holds state p mod n of pair p // n;
+    # one pair needs neither the pair in the key nor the mod
+    position = np.arange(m * n)
+    if m > 1:
+        block += position - position % n
+        position %= n
+    order = np.lexsort((split, block))
+    run_start = np.empty(m * n, dtype=np.int64)
+    run_start[order] = np.arange(m * n)
     run_start -= split
+    order = position[order]
     size = total + 1
     # entry k of row i sits at offset[i] + k of the concatenated row entries,
     # and reads entry k of its run and of its law; the law of total t starts
     # at t (t + 1) / 2 in the concatenated laws
     offset = np.cumsum(size) - size
     entry = np.arange(offset[-1] + size[-1])
-    rows = np.repeat(np.arange(n), size)
+    rows = np.repeat(position, size)
     cols = order[np.repeat(run_start - offset, size) + entry]
     vals = np.concatenate(measure.pair_laws)[np.repeat(total * size // 2 - offset, size) + entry]
     return rows, cols, vals
@@ -308,7 +351,7 @@ def _pair_blocks(states: StateSet, measure: Measure, x: int, y: int):
 def pair_average_matrix(states: StateSet, measure: Measure, x: int, y: int) -> scipy.sparse.csr_matrix:
     """Stochastic matrix of the conditional average over the pair (x, y), 0-based sites."""
     n = len(states)
-    rows, cols, vals = _pair_blocks(states, measure, x, y)
+    rows, cols, vals = _pair_blocks(states, measure, [(x, y)])
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
@@ -319,9 +362,19 @@ def exchange_permutation(states: StateSet, x: int, y: int) -> np.ndarray:
     return rank_states(states, swapped)
 
 
+def _batches(items: Sequence, n: int):
+    """`items` in runs that stack at most `_BATCH_ROWS` rows of an n-state table."""
+    step = max(1, _BATCH_ROWS // n)
+    return (items[i:i + step] for i in range(0, len(items), step))
+
+
 def build_simple_average_generator(graph: InteractionGraph, states: StateSet,
                                    measure: Measure) -> GeneratorMatrix:
-    """Generator summing (conditional average - identity) over the graph's pairs."""
+    """Generator summing (conditional average - identity) over the graph's pairs.
+
+    The pairs' blocks come from `_pair_blocks`, as many pairs per call as
+    `_batches` allows.
+    """
     if states.n_sites != graph.n_sites:
         raise ValueError(
             f"state set has {states.n_sites} sites but graph has {graph.n_sites}")
@@ -329,16 +382,15 @@ def build_simple_average_generator(graph: InteractionGraph, states: StateSet,
     scale = graph.pair_scaling
     diag = np.zeros(n)
     rows, cols, vals = [], [], []
-    for (x, y) in graph.edges:
-        r, c, v = _pair_blocks(states, measure, x, y)
+    for pairs in _batches(graph.edges, n):
+        r, c, v = _pair_blocks(states, measure, pairs)
         on = r == c
-        stay = np.empty(n)
-        stay[r[on]] = v[on]
         # add scale * E_ii, then subtract scale, edge by edge: this order fixes
         # L's rounding, and with it the eigenvectors picked inside degenerate
         # eigenspaces that the Monte Carlo checks use as observables
-        diag = diag + scale * stay
-        diag = diag - scale
+        for stay in scale * v[on].reshape(len(pairs), n):
+            diag = diag + stay
+            diag = diag - scale
         off = ~on
         rows.append(r[off])
         cols.append(c[off])
@@ -346,29 +398,54 @@ def build_simple_average_generator(graph: InteractionGraph, states: StateSet,
     return GeneratorMatrix(_csr(n, rows, cols, vals, diag), measure, label="simple-average")
 
 
+def _jumps(states: StateSet, batch: Sequence):
+    """(sources, targets, source occupations) of one particle jumping along
+    each directed edge (u, v) of `batch`, 0-based sites, from every state
+    with a particle at u: edge by edge in the batch's order, each edge's
+    sources ascending.  All the moved configurations are ranked in one call.
+    """
+    S = states.states
+    n = len(states)
+    u, v = np.array(batch).T
+    occupied = S.take(u, axis=1).T > 0
+    fires = np.count_nonzero(occupied, axis=1)
+    src = np.flatnonzero(occupied) - np.repeat(n * np.arange(len(u)), fires)
+    moved = S[src]
+    # each jump's entries of u and v in the flat table of moved configurations
+    flat = moved.reshape(-1)
+    at = np.arange(0, flat.size, S.shape[1])
+    at_u, at_v = at + np.repeat(u, fires), at + np.repeat(v, fires)
+    occupation = flat[at_u]
+    np.subtract.at(flat, at_u, 1)
+    np.add.at(flat, at_v, 1)
+    return src, rank_states(states, moved), occupation
+
+
 def build_zero_range_generator(graph: InteractionGraph, states: StateSet,
                                g: RateFunction) -> GeneratorMatrix:
-    """Particle-jump generator: site x fires toward a paired site at rate g(eta_x)."""
+    """Particle-jump generator: site x fires toward a paired site at rate g(eta_x).
+
+    Each edge (x, y) is the directed edges x -> y and y -> x; `_jumps` takes
+    as many directed edges per call as `_batches` allows.
+    """
     if states.n_sites != graph.n_sites:
         raise ValueError(
             f"state set has {states.n_sites} sites but graph has {graph.n_sites}")
     n = len(states)
     scale = graph.pair_scaling
     gv = np.array([g(k) if k > 0 else 0.0 for k in range(states.omega + 1)])
-    S = states.states
     diag = np.zeros(n)
     rows, cols, vals = [], [], []
-    for (x, y) in graph.edges:
-        for (u, v) in ((x, y), (y, x)):
-            src = np.flatnonzero(S[:, u] > 0)
-            rate = scale * gv[S[src, u]]
-            moved = S[src]
-            moved[:, u] -= 1
-            moved[:, v] += 1
-            rows.append(src)
-            cols.append(rank_states(states, moved))
-            vals.append(rate)
-            diag[src] -= rate
+    directed = [uv for (x, y) in graph.edges for uv in ((x, y), (y, x))]
+    for batch in _batches(directed, n):
+        src, dst, occupation = _jumps(states, batch)
+        rate = scale * gv[occupation]
+        rows.append(src)
+        cols.append(dst)
+        vals.append(rate)
+        # diag[src] -= rate one directed edge after another, as ufunc.at
+        # applies its indices in order: this order fixes L's rounding
+        np.subtract.at(diag, src, rate)
     measure = stationary_weights(g, states)
     return GeneratorMatrix(_csr(n, rows, cols, vals, diag), measure, label="zero-range")
 
@@ -501,8 +578,11 @@ def _solve(gen: GeneratorMatrix, want_kappa: bool):
 
     The zero eigenvalue has one mode per connected component of L's pattern:
     q_i, the normalized sqrt(pi) on component i.  Up to 400 states LAPACK
-    returns every eigenvalue and the gap is the (components + 1)-th of -S from
-    the bottom.  Above, the zero modes are shifted out rather than searched
+    returns every eigenvalue of the dense -S (`_negated_dense`) and the gap is
+    the (components + 1)-th from the bottom; the null and the residual there
+    come from dense products with -S, which can differ from the sparse
+    products with S in the last bits (about 1e-16).  Above, S is the sparse
+    `symmetrized()`, and the zero modes are shifted out rather than searched
     for: ARPACK gets S - c Q Q^T with c = 2 max|diag S|, the Gershgorin bound
     on -S's spectrum, so the q_i sit at -c, below everything else, and one
     eigenvalue at the top is -gap, the top of S on the complement of Q.  Q is
@@ -521,19 +601,19 @@ def _solve(gen: GeneratorMatrix, want_kappa: bool):
     if zero_modes >= n:
         gen.solve_report = SolveReport("dense", gen.L.nnz, 0.0, zero_modes, 0)
         return math.inf, math.inf, None
-    S = gen.symmetrized()
     q = np.sqrt(gen.measure.weights)
     q /= np.sqrt(np.bincount(labels, q * q))[labels]
-    null = float(np.sqrt(np.bincount(labels, (S @ q) ** 2)).max())   # max ||S q_i||
     kappa_steps = 0
     if n <= 400:
         solver = "dense"
-        ev, U = np.linalg.eigh(-S.toarray())
+        M = gen._negated_dense()   # -S, whose products have S's norms
+        ev, U = np.linalg.eigh(M)
         picked = [*range(zero_modes + 1), n - 1]
-        lam, vec = -ev[picked], U[:, picked]
+        lam, vec = ev[picked], U[:, picked]
         gap, kappa, v = ev[zero_modes], ev[-1], U[:, zero_modes]
     else:
         solver = "eigsh"
+        M = S = gen.symmetrized()
         c = 2.0 * np.abs(S.diagonal()).max()
         # Q^T x sums each component in index order, as bincounts over the
         # labels do: the gap eigenvectors, which the Monte Carlo checks use
@@ -556,7 +636,8 @@ def _solve(gen: GeneratorMatrix, want_kappa: bool):
             kappa = -bottom
             lam, vec = np.append(lam, bottom), np.column_stack([vec, bottom_vec])
         ev = -lam
-    residual = max(null, float(np.linalg.norm(S @ vec - vec * lam, axis=0).max()))
+    null = float(np.sqrt(np.bincount(labels, (M @ q) ** 2)).max())   # max ||S q_i||
+    residual = max(null, float(np.linalg.norm(M @ vec - vec * lam, axis=0).max()))
     gen.solve_report = SolveReport(solver, gen.L.nnz, residual, zero_modes, kappa_steps)
     check_spectrum(f"generator ({solver} solve, {zero_modes} zero mode(s))", ev, gap, null)
     return float(gap), float(kappa), v

@@ -179,6 +179,69 @@ def _per_total_pair_blocks(states, measure, x, y):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
+def _per_total_batched(states, measure, pairs):
+    """`_per_total_pair_blocks` pair after pair, each pair's triplets in row
+    order, as `discrete._pair_blocks` lays them out."""
+    parts = []
+    for x, y in pairs:
+        r, c, v = _per_total_pair_blocks(states, measure, x, y)
+        by_row = np.argsort(r, kind="stable")
+        parts.append((r[by_row], c[by_row], v[by_row]))
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _per_edge_simple_average(graph, states, measure):
+    """The conditional-average generator's L, one edge at a time from the
+    per-total blocks."""
+    n = len(states)
+    scale = graph.pair_scaling
+    diag = np.zeros(n)
+    rows, cols, vals = [], [], []
+    for x, y in graph.edges:
+        r, c, v = _per_total_pair_blocks(states, measure, x, y)
+        on = r == c
+        stay = np.empty(n)
+        stay[r[on]] = v[on]
+        diag = diag + scale * stay
+        diag = diag - scale
+        rows.append(r[~on])
+        cols.append(c[~on])
+        vals.append(scale * v[~on])
+    return discrete._csr(n, rows, cols, vals, diag)
+
+
+def _per_edge_zero_range(graph, states, g):
+    """The particle-jump generator's L, one directed edge at a time."""
+    n = len(states)
+    scale = graph.pair_scaling
+    gv = np.array([g(k) if k > 0 else 0.0 for k in range(states.omega + 1)])
+    S = states.states
+    diag = np.zeros(n)
+    rows, cols, vals = [], [], []
+    for (x, y) in graph.edges:
+        for (u, v) in ((x, y), (y, x)):
+            src = np.flatnonzero(S[:, u] > 0)
+            rate = scale * gv[S[src, u]]
+            moved = S[src]
+            moved[:, u] -= 1
+            moved[:, v] += 1
+            rows.append(src)
+            cols.append(rank_states(states, moved))
+            vals.append(rate)
+            diag[src] -= rate
+    return discrete._csr(n, rows, cols, vals, diag)
+
+
+def _assert_same_csr(a, b):
+    assert a.indptr.tobytes() == b.indptr.tobytes()
+    assert a.indices.tobytes() == b.indices.tobytes()
+    assert a.data.tobytes() == b.data.tobytes()
+
+
+GRAPHS = [("complete", None, 2), ("complete", None, 3), ("complete", None, 5),
+          ("lattice", 1, 4), ("lattice", 2, 2), ("lattice", 2, 3)]
+
+
 class TestSimpleAverageGenerator:
     def test_two_site_gap_half_any_total(self):
         graph = build_graph("complete", N=2)
@@ -221,13 +284,13 @@ class TestSimpleAverageGenerator:
         L = (L - len(pairs) * np.eye(len(states))) / V
         assert np.allclose(L, L_oracle, atol=1e-12)
 
-    @pytest.mark.parametrize("kind,d,N", [("complete", None, 2), ("complete", None, 3),
-                                          ("complete", None, 5), ("lattice", 1, 4),
-                                          ("lattice", 2, 2), ("lattice", 2, 3)])
+    @pytest.mark.parametrize("kind,d,N", GRAPHS)
     @pytest.mark.parametrize("g", [G1, GK], ids=["constant", "linear"])
     def test_matches_the_per_total_blocks(self, kind, d, N, g, monkeypatch):
-        # bitwise: the sorted state table gives the blocks that ranking each
-        # member gave, so L and every pair operator keep their bytes
+        # bitwise: the sorted stacked state tables give the blocks that ranking
+        # each member gave, so L and every pair operator keep their bytes
+        # (L on 9 sites at omega = 4 takes its 12 edges in two passes, and at
+        # omega = 6 one at a time)
         graph = build_graph(kind, d=d, N=N)
         for omega in range(7):
             states = enumerate_states(graph.n_sites, omega)
@@ -236,13 +299,14 @@ class TestSimpleAverageGenerator:
             got = [build_simple_average_generator(graph, states, measure).L]
             got += [pair_average_matrix(states, measure, x, y) for x, y in pairs]
             with monkeypatch.context() as m:
-                m.setattr(discrete, "_pair_blocks", _per_total_pair_blocks)
+                m.setattr(discrete, "_pair_blocks", _per_total_batched)
                 want = [build_simple_average_generator(graph, states, measure).L]
                 want += [pair_average_matrix(states, measure, x, y) for x, y in pairs]
+            # the diagonal, summed edge by edge in the graph's order
+            got.append(got[0])
+            want.append(_per_edge_simple_average(graph, states, measure))
             for a, b in zip(got, want):
-                assert a.indptr.tobytes() == b.indptr.tobytes()
-                assert a.indices.tobytes() == b.indices.tobytes()
-                assert a.data.tobytes() == b.data.tobytes()
+                _assert_same_csr(a, b)
 
     def test_pair_projection_property(self):
         # the conditional-average block E is a projection; D = E - I satisfies D^2 = -D
@@ -280,6 +344,18 @@ class TestZeroRangeGenerator:
         assert gen.row_sum_residual() < 1e-10
         assert gen.symmetry_residual() < 1e-9
         assert gen.spectrum().min() > -1e-9
+
+    @pytest.mark.parametrize("kind,d,N", GRAPHS)
+    @pytest.mark.parametrize("g", [G1, GK], ids=["constant", "linear"])
+    def test_matches_the_per_edge_loop(self, kind, d, N, g):
+        # bitwise: ranking the moves of many directed edges in one call, and
+        # subtracting their rates from the diagonal in edge order, keeps L's
+        # bytes (9 sites at omega = 6 take one directed edge per pass)
+        graph = build_graph(kind, d=d, N=N)
+        for omega in range(7):
+            states = enumerate_states(graph.n_sites, omega)
+            _assert_same_csr(build_zero_range_generator(graph, states, g).L,
+                             _per_edge_zero_range(graph, states, g))
 
 
 class TestSpectralGap:
@@ -362,6 +438,41 @@ def _two_pairs():
     the three attributes it reads.
     """
     return SimpleNamespace(n_sites=4, edges=((0, 1), (2, 3)), pair_scaling=0.5)
+
+
+def _mc_instance(family, g, kind, d, N, omega):
+    graph = build_graph(kind, d=d, N=N)
+    return build_generator(ModelSpec(family, g=g), graph, enumerate_states(graph.n_sites, omega))
+
+
+class TestDenseSolve:
+    @pytest.mark.parametrize("make", [
+        *(lambda inst=inst: _mc_instance(*inst) for inst in verify.MC_DISCRETE_INSTANCES),
+        lambda: build_zero_range_generator(_two_pairs(), enumerate_states(4, 3), GK),
+    ], ids=[*(f"mc-{i}" for i in range(len(verify.MC_DISCRETE_INSTANCES))),
+            "two-pairs-4-components"])
+    def test_dense_solve_sees_the_sparse_bytes(self, make, monkeypatch):
+        # -S formed in the dense array is -symmetrized().toarray() byte for
+        # byte, so eigh returns the gap eigenvectors the sparse chain gave;
+        # criterion 10 of the battery uses them as observables
+        gen = make()
+        eigh = np.linalg.eigh
+        seen = []
+
+        def recording_eigh(a):
+            seen.append(a.copy())
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        gap, f = gap_eigenfunction(gen)
+        assert gen.solve_report.solver == "dense" and len(seen) == 1
+        want = -gen.symmetrized().toarray()
+        assert seen[0].tobytes() == want.tobytes()
+        ev, U = eigh(want)
+        z = gen.solve_report.zero_modes
+        assert gap == ev[z]
+        assert f.tobytes() == (U[:, z] / np.sqrt(gen.measure.weights)).tobytes()
+        assert np.array_equal(gen.spectrum(), np.linalg.eigvalsh(want))
 
 
 class TestSparseSolve:

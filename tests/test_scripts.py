@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gaplab.discrete import build_generator, enumerate_states, spectral_gap
 from gaplab.models import G_IDENTITY, ModelSpec, build_graph
 
@@ -50,6 +52,7 @@ def test_reach_simple_average():
         assert r["zero_modes"] == 1 and abs(r["gap"] - spectral_gap(gen)) < 1e-12
 
 
+@pytest.mark.slow
 def test_solve_split():
     rows = _rows("solve_split.py", "--rounds", "1")
     assert [(r["n"], r["solver"]) for r in rows] == [
@@ -61,6 +64,7 @@ def test_solve_split():
     assert all(r["gap_s"] > 0.0 and r["gap_and_kappa_s"] > 0.0 for r in rows)
 
 
+@pytest.mark.slow
 def test_sector_reach():
     rows = _rows("sector_reach.py", "--Ns", "3,4", "--degree", "2")
     assert [r["case"] for r in rows] == [
@@ -78,6 +82,7 @@ def test_sector_reach():
     assert all(r["abs_error"] <= 1e-13 for r in rows)
 
 
+@pytest.mark.slow
 def test_sector_reach_full_mode():
     rows = _rows("sector_reach.py", "--mode", "full", "--Ns", "3,4", "--degree", "4")
     assert [r["case"] for r in rows] == [
@@ -89,6 +94,7 @@ def test_sector_reach_full_mode():
         assert r["abs_error"] <= 1e-12
 
 
+@pytest.mark.slow
 def test_sector_reach_lattice():
     rows = _rows("sector_reach.py", "--graph", "lattice", "--d", "2", "--Ns", "2,3")
     assert [r["case"] for r in rows] == [
@@ -114,6 +120,7 @@ def test_sector_reach_lattice():
     assert refused.returncode != 0 and "full only" in refused.stderr
 
 
+@pytest.mark.slow
 def test_refused_case_is_an_error_row():
     # K16 at degree 10 is refused by the preflight; the K2 cases after it still run
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "sector_reach.py"),
